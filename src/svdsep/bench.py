@@ -77,30 +77,27 @@ def run_cutoff_bench(sizes, reps: int, seed: int = 0) -> list[BenchRecord]:
     return records
 
 
-def run_scan_bench(window_sizes, image_side: int, reps: int, seed: int = 0,
-                   workers: int = 1) -> list[BenchRecord]:
+def run_scan_bench(window_sizes, image_side: int, reps: int, seed: int = 0) -> list[BenchRecord]:
     """Time the sliding scanner per window size on one seeded texture.
 
     Stride equals the window size, so the decomposition count follows the
     closed grid formula ``(floor((side - w) / w) + 1)^2`` and strictly
-    decreases as windows grow. Records from a parallel scanner are labeled
-    ``scan-parallel``.
+    decreases as windows grow.
     """
     window_sizes = [int(w) for w in window_sizes]
     if any(w < 2 or w > image_side for w in window_sizes):
         raise InvalidInputError("window sizes must lie in [2, image_side]")
     if reps < 1:
         raise InvalidInputError(f"need reps >= 1, got {reps}")
-    suite = SUITE_SCAN if workers <= 1 else f"{SUITE_SCAN}-parallel"
     img, _ = gen_texture(TextureSpec(width=image_side, height=image_side, seed=seed))
     records = []
     for w in window_sizes:
         cfg = WindowConfig(window_size=w, stride=w)
-        sliding_scan(img, cfg, workers=workers)  # warm-up, discarded
+        sliding_scan(img, cfg)  # warm-up, discarded
         for rep in range(reps):
             t0 = time.perf_counter()
-            smap = sliding_scan(img, cfg, workers=workers)
-            records.append(BenchRecord(suite, w, rep,
+            smap = sliding_scan(img, cfg)
+            records.append(BenchRecord(SUITE_SCAN, w, rep,
                                        (time.perf_counter() - t0) * 1e3, smap.decompositions))
     return records
 

@@ -191,7 +191,7 @@ def cmd_scan(args) -> int:
     img = fio.load_gray_image(args.input)
     cfg = WindowConfig(window_size=args.window_size, stride=args.stride,
                        order=args.order, delta=args.delta, epsilon_guard=args.epsilon_guard)
-    smap = sliding_scan(img, cfg, metric=args.metric, workers=args.workers)
+    smap = sliding_scan(img, cfg, metric=args.metric)
 
     fio.write_grid_csv(f"{args.output_prefix}_map.csv", smap.grid)
     fio.write_pgm(f"{args.output_prefix}_map.pgm", fio.render_grid_u8(smap.grid))
@@ -210,7 +210,7 @@ def cmd_scan(args) -> int:
         parameters={
             "window_size": args.window_size, "stride": args.stride, "metric": args.metric,
             "order": args.order, "delta": args.delta, "epsilon_guard": args.epsilon_guard,
-            "threshold": args.threshold, "polarity": args.polarity, "workers": args.workers,
+            "threshold": args.threshold, "polarity": args.polarity,
             "output_prefix": args.output_prefix,
         },
         results={
@@ -279,7 +279,7 @@ def cmd_bench(args) -> int:
         records = bench_mod.run_cutoff_bench(args.sizes, reps=args.reps, seed=args.seed)
     else:
         records = bench_mod.run_scan_bench(args.window_sizes, image_side=args.image_side,
-                                           reps=args.reps, seed=args.seed, workers=args.workers)
+                                           reps=args.reps, seed=args.seed)
     csv_path = f"{args.output_prefix}_timings.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("suite,size,rep,milliseconds\n")
@@ -297,7 +297,7 @@ def cmd_bench(args) -> int:
             "suite": args.suite, "sizes": getattr(args, "sizes", None),
             "window_sizes": getattr(args, "window_sizes", None),
             "image_side": getattr(args, "image_side", None),
-            "reps": args.reps, "seed": args.seed, "workers": args.workers,
+            "reps": args.reps, "seed": args.seed,
             "output_prefix": args.output_prefix,
         },
         results={"summary": summary,
@@ -344,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--epsilon-guard", type=float, default=1e-6)
     p_scan.add_argument("--threshold", type=float, default=None)
     p_scan.add_argument("--polarity", choices=["above", "below"], default="above")
-    p_scan.add_argument("--workers", type=int, default=1)
     p_scan.add_argument("--output-prefix", required=True)
     p_scan.add_argument("--json", action="store_true")
     p_scan.set_defaults(func=cmd_scan)
@@ -389,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--image-side", type=int, default=64)
     p_bench.add_argument("--reps", type=int, default=5)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--output-prefix", required=True)
     p_bench.add_argument("--json", action="store_true")
     p_bench.set_defaults(func=cmd_bench)

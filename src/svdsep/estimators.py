@@ -135,8 +135,7 @@ class SmoothnessScanner(BaseEstimator):
     """
 
     def __init__(self, window_size=5, stride=1, metric="smoothness", order=1,
-                 delta=0.0, epsilon_guard=1e-6, threshold=None, polarity="above",
-                 workers=1):
+                 delta=0.0, epsilon_guard=1e-6, threshold=None, polarity="above"):
         self.window_size = window_size
         self.stride = stride
         self.metric = metric
@@ -145,7 +144,6 @@ class SmoothnessScanner(BaseEstimator):
         self.epsilon_guard = epsilon_guard
         self.threshold = threshold
         self.polarity = polarity
-        self.workers = workers
 
     def _config(self) -> WindowConfig:
         return WindowConfig(window_size=self.window_size, stride=self.stride,
@@ -162,9 +160,7 @@ class SmoothnessScanner(BaseEstimator):
         return X if isinstance(X, GrayImage) else GrayImage(np.asarray(X, dtype=np.float64))
 
     def transform(self, X):
-        smap = sliding_scan(self._as_image(X), self._config(), metric=self.metric,
-                            workers=self.workers)
-        return smap.grid
+        return sliding_scan(self._as_image(X), self._config(), metric=self.metric).grid
 
     def fit_transform(self, X, y=None):
         return self.fit(X).transform(X)
@@ -172,6 +168,5 @@ class SmoothnessScanner(BaseEstimator):
     def predict(self, X):
         if self.threshold is None:
             raise ConfigError("predict requires the threshold parameter")
-        smap = sliding_scan(self._as_image(X), self._config(), metric=self.metric,
-                            workers=self.workers)
+        smap = sliding_scan(self._as_image(X), self._config(), metric=self.metric)
         return threshold_map(smap, self.threshold, self.polarity)

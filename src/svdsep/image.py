@@ -12,7 +12,6 @@ Two metrics are offered per window fragment D:
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,15 +236,13 @@ def _window_value(win: np.ndarray, cfg: WindowConfig, metric: str) -> float:
     return _smoothness_from_values(values, n, cfg.epsilon_guard)
 
 
-def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHNESS,
-                 workers: int = 1) -> SmoothnessMap:
+def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHNESS) -> SmoothnessMap:
     """Evaluate a metric on every window position of a moving-window grid.
 
     The window at grid cell (i, j) covers pixels
     ``[j*stride, j*stride + w) x [i*stride, i*stride + w)`` and the grid has
-    ``floor((side - w) / stride) + 1`` cells per dimension. Window
-    evaluations are independent; ``workers > 1`` spreads grid rows over a
-    thread pool.
+    ``floor((side - w) / stride) + 1`` cells per dimension. Each window
+    takes one singular-value decomposition (values only, no bases).
     """
     if metric not in (METRIC_SMOOTHNESS, METRIC_DENSITY):
         raise ConfigError(f"unknown metric {metric!r}")
@@ -259,18 +256,11 @@ def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHN
     grid = np.empty((rows, cols))
     px = img.pixels
 
-    def scan_row(i: int) -> None:
+    for i in range(rows):
         top = i * cfg.stride
         for j in range(cols):
             left = j * cfg.stride
             grid[i, j] = _window_value(px[top : top + w, left : left + w], cfg, metric)
-
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(scan_row, range(rows)))
-    else:
-        for i in range(rows):
-            scan_row(i)
     return SmoothnessMap(grid=grid, config=cfg, metric=metric, decompositions=rows * cols)
 
 

@@ -72,6 +72,10 @@ def read_channels_csv(path) -> ChannelSet:
                 data[r, c] = float(cell)
             except ValueError:
                 raise ParseError(f"{path}: not a number: {cell.strip()!r}", line=lineno, column=c + 1) from None
+    nonfinite = np.argwhere(~np.isfinite(data))
+    if nonfinite.size:
+        r, c = nonfinite[0]
+        raise ParseError(f"{path}: non-finite value", line=rows[r][0], column=int(c) + 1)
     if labels is not None and len(labels) != width:
         raise ParseError(f"{path}: header has {len(labels)} labels for {width} columns", line=1)
     return ChannelSet(data, labels=labels)

@@ -30,15 +30,15 @@ _EPS = np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Full singular value decomposition of a real matrix.
+    """Thin singular value decomposition of a real matrix, k = min(m, n).
 
     Attributes
     ----------
-    left_basis : ndarray, shape (m, m)
-        Orthogonal matrix of left singular vectors (columns).
-    right_basis : ndarray, shape (n, n)
-        Orthogonal matrix of right singular vectors (columns).
-    singular_values : ndarray, shape (min(m, n),)
+    left_basis : ndarray, shape (m, k)
+        Orthonormal left singular vectors (columns).
+    right_basis : ndarray, shape (n, k)
+        Orthonormal right singular vectors (columns).
+    singular_values : ndarray, shape (k,)
         Nonnegative values in non-increasing order.
     numerical_rank : int
         Count of singular values above ``rank_tolerance * singular_values[0]``.
@@ -59,63 +59,49 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class GsvdResult:
-    """Joint decomposition A = U C X^T, B = V S X^T with C^T C + S^T S = I.
+    """Thin joint decomposition A = U C X^T, B = V S X^T with C^T C + S^T S = I.
 
     ``alpha`` and ``beta`` are the diagonals of C and S in storage order:
     alpha non-decreasing, beta non-increasing, so that the nonzero betas
     occupy the representable diagonal of S even when B has fewer rows than
     columns. ``generalized_values`` is the derived sequence alpha/beta
     sorted non-increasing, with ``inf`` marking directions where beta
-    vanishes (A dominates B completely); those sort first.
+    vanishes (A dominates B completely); those sort first. Only the
+    columns of U and V paired with a diagonal entry are kept.
     """
 
-    u_basis: np.ndarray      # (m, m) orthogonal
-    v_basis: np.ndarray      # (s, s) orthogonal
+    u_basis: np.ndarray      # (m, n) orthonormal columns
+    v_basis: np.ndarray      # (s, min(s, n)) orthonormal columns
     x_factor: np.ndarray     # (n, n) nonsingular
     alpha: np.ndarray        # (n,)
     beta: np.ndarray         # (n,)
     generalized_values: np.ndarray  # (n,) descending, inf first
 
-    def c_matrix(self) -> np.ndarray:
-        c = np.zeros((self.u_basis.shape[0], self.alpha.size))
-        np.fill_diagonal(c, self.alpha)
-        return c
-
-    def s_matrix(self) -> np.ndarray:
-        s = np.zeros((self.v_basis.shape[0], self.beta.size))
-        np.fill_diagonal(s, self.beta)
-        return s
-
     def reconstruct_a(self) -> np.ndarray:
-        return self.u_basis @ self.c_matrix() @ self.x_factor.T
+        return (self.u_basis * self.alpha) @ self.x_factor.T
 
     def reconstruct_b(self) -> np.ndarray:
-        return self.v_basis @ self.s_matrix() @ self.x_factor.T
+        k = self.v_basis.shape[1]
+        return (self.v_basis * self.beta[:k]) @ self.x_factor[:, :k].T
 
 
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
     """Make the largest-magnitude entry of each left vector nonnegative.
 
-    The sign flip propagates to the paired right vector; unpaired basis
-    vectors are normalized by their own largest entry. In-place.
+    ``u`` and ``vt`` are thin factors; the sign flip propagates to the
+    paired right vector. In-place.
     """
-    m, mm = u.shape
-    k = min(mm, vt.shape[0])
-    if k:
-        idx = np.argmax(np.abs(u[:, :k]), axis=0)
-        signs = np.where(u[idx, np.arange(k)] < 0, -1.0, 1.0)
-        u[:, :k] *= signs
-        vt[:k, :] *= signs[:, np.newaxis]
-    for i in range(k, mm):
-        if u[np.argmax(np.abs(u[:, i])), i] < 0:
-            u[:, i] *= -1.0
-    for i in range(k, vt.shape[0]):
-        if vt[i, np.argmax(np.abs(vt[i, :]))] < 0:
-            vt[i, :] *= -1.0
+    idx = np.argmax(np.abs(u), axis=0)
+    signs = np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    u *= signs
+    vt *= signs[:, np.newaxis]
 
 
 def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
-    """Full SVD with deterministic signs and a numerical rank.
+    """Thin SVD with deterministic signs and a numerical rank.
+
+    The bases hold only the k = min(m, n) singular vectors paired with a
+    singular value: ``left_basis`` is (m, k), ``right_basis`` is (n, k).
 
     Parameters
     ----------
@@ -130,10 +116,9 @@ def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
         rank_tolerance = max(arr.shape) * _EPS
     elif rank_tolerance < 0:
         raise InvalidInputError(f"rank_tolerance must be nonnegative, got {rank_tolerance}")
-    u, s, vt = np.linalg.svd(arr, full_matrices=True)
+    u, s, vt = np.linalg.svd(arr, full_matrices=False)
     _fix_signs(u, vt)
-    threshold = rank_tolerance * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > threshold))
+    rank = int(np.count_nonzero(s > rank_tolerance * s[0]))
     return SpectrumResult(
         left_basis=u,
         right_basis=vt.T.copy(),
@@ -148,9 +133,10 @@ def gsvd(a, b) -> GsvdResult:
 
     Requires A with at least as many rows as columns and a stacked matrix
     [A; B] of full column rank. The construction QR-factors the stack,
-    splits the orthonormal factor, takes the SVD of the top block, and
-    orthogonalizes the image of the bottom block, which is numerically
-    stabler than forming A^T A and B^T B.
+    splits the orthonormal factor, takes the thin SVD of the top block,
+    and orthogonalizes the image of the bottom block, which is numerically
+    stabler than forming A^T A and B^T B. U is (m, n) and V is
+    (s, min(s, n)).
 
     Raises
     ------
@@ -170,28 +156,27 @@ def gsvd(a, b) -> GsvdResult:
         raise ShapeError(f"A must have at least as many rows as columns, got {a_arr.shape}")
 
     stacked = np.vstack([a_arr, b_arr])
-    stack_sv = np.linalg.svd(stacked, compute_uv=False)
+    q, r_stack = np.linalg.qr(stacked)  # reduced: q is (m+s, n), r is (n, n)
+    # R has the singular values of [A; B], so it carries the rank check.
+    stack_sv = np.linalg.svd(r_stack, compute_uv=False)
     if stack_sv[-1] <= max(stacked.shape) * _EPS * stack_sv[0]:
         raise DegeneratePencilError(
             "stacked matrix [A; B] is rank deficient; the pair has no full generalized decomposition"
         )
-
-    q, r_stack = np.linalg.qr(stacked)  # reduced: q is (m+s, n), r is (n, n)
     q1, q2 = q[:m], q[m:]
 
-    u, alpha, wt = np.linalg.svd(q1, full_matrices=True)
+    u, alpha, wt = np.linalg.svd(q1, full_matrices=False)
     _fix_signs(u, wt)
     # Reorder so alpha ascends: nonzero betas then land on the leading
     # diagonal of S, which is the only representable layout when s < n.
     alpha = np.minimum(alpha[::-1], 1.0)
-    u = np.hstack([u[:, n - 1 :: -1], u[:, n:]]) if m > n else u[:, ::-1]
+    u = u[:, ::-1]
     w = wt[::-1].T
 
     t = q2 @ w  # columns orthogonal with norms beta_i
-    v, r_t = np.linalg.qr(t, mode="complete")
-    diag = np.diagonal(r_t).copy()
-    flip = diag < 0
-    v[:, : diag.size][:, flip] *= -1.0
+    v, r_t = np.linalg.qr(t)
+    diag = np.diagonal(r_t)
+    v[:, diag < 0] *= -1.0
     beta = np.zeros(n)
     beta[: diag.size] = np.abs(diag)
 

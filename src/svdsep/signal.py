@@ -189,11 +189,9 @@ def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
     starts = np.arange(m.shape[1]) * layout.stride
     if starts.size and starts[-1] + n > target_length:
         raise LayoutError(f"windows extend to {starts[-1] + n} but target_length is {target_length}")
-    acc = np.zeros(target_length)
-    cnt = np.zeros(target_length)
-    idx = starts[np.newaxis, :] + np.arange(n)[:, np.newaxis]
-    np.add.at(acc, idx.ravel(), m.ravel())
-    np.add.at(cnt, idx.ravel(), 1.0)
+    idx = (starts[np.newaxis, :] + np.arange(n)[:, np.newaxis]).ravel()
+    acc = np.bincount(idx, weights=m.ravel(), minlength=target_length)
+    cnt = np.bincount(idx, minlength=target_length)
     covered = cnt > 0
     acc[covered] /= cnt[covered]
     return ChannelSet(acc.reshape(-1, 1))
@@ -387,8 +385,8 @@ def gsvd_separate(result: GsvdResult, cut: CutoffResult) -> tuple[np.ndarray, np
     """Band-split the A-side reconstruction of a generalized decomposition.
 
     Rank-one singular triples do not exist in this factorization, so each
-    band zeroes the alpha diagonal outside its range of the descending
-    generalized-value order and reconstructs U C_band X^T.
+    band keeps the columns of U and X inside its range of the descending
+    generalized-value order and reconstructs U C_band X^T from them.
     """
     n = result.alpha.size
     m = cut.m
@@ -400,13 +398,7 @@ def gsvd_separate(result: GsvdResult, cut: CutoffResult) -> tuple[np.ndarray, np
 
     def band(first: int, last: int) -> np.ndarray:
         # descending position i (1-based) lives at storage index n - i
-        if first > last:
-            return np.zeros((result.u_basis.shape[0], n))
-        keep = np.zeros(n)
-        lo, hi = n - last, n - first
-        keep[lo : hi + 1] = result.alpha[lo : hi + 1]
-        c = np.zeros((result.u_basis.shape[0], n))
-        np.fill_diagonal(c, keep)
-        return result.u_basis @ c @ result.x_factor.T
+        lo, hi = n - last, n - first + 1
+        return (result.u_basis[:, lo:hi] * result.alpha[lo:hi]) @ result.x_factor[:, lo:hi].T
 
     return band(1, m), band(m + 1, f), band(f + 1, n)

@@ -52,13 +52,3 @@ def check_index_range(first: int, last: int, upper: int, name: str = "index rang
     """Validate a 1-based inclusive index range against an upper bound."""
     if not (1 <= first <= last <= upper):
         raise RangeError(f"{name} [{first}, {last}] must satisfy 1 <= first <= last <= {upper}")
-
-
-def check_positive(value, name: str) -> None:
-    if value <= 0:
-        raise InvalidInputError(f"{name} must be positive, got {value}")
-
-
-def check_nonnegative(value, name: str) -> None:
-    if value < 0:
-        raise InvalidInputError(f"{name} must be nonnegative, got {value}")

@@ -66,10 +66,6 @@ class TestScanBench:
         records = bench.run_scan_bench([4, 8, 16], image_side=32, reps=3, seed=2)
         assert len(records) == 9
 
-    def test_parallel_records_labeled(self):
-        records = bench.run_scan_bench([8], image_side=32, reps=1, seed=3, workers=2)
-        assert all(r.suite == "scan-parallel" for r in records)
-
     def test_window_exceeding_side_rejected(self):
         with pytest.raises(InvalidInputError):
             bench.run_scan_bench([64], image_side=32, reps=1)

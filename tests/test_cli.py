@@ -62,12 +62,13 @@ class TestSeparate:
         assert run("separate", mixture_csv, "--method", "gsvd",
                    "--output-prefix", tmp_path / "x") == 2
 
-    def test_malformed_csv_names_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cell", ["banana", "nan", "-inf"])
+    def test_malformed_csv_names_line(self, tmp_path, capsys, cell):
         bad = tmp_path / "bad.csv"
-        bad.write_text("1.0,2.0\n3.0,banana\n")
+        bad.write_text(f"1.0,2.0\n3.0,{cell}\n")
         assert run("separate", bad, "--output-prefix", tmp_path / "x") == 2
         err = capsys.readouterr().err
-        assert "line 2" in err
+        assert "line 2, column 2" in err
 
     def test_degenerate_input_fails_cleanly(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"

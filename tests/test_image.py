@@ -177,13 +177,6 @@ class TestSlidingScan:
         smap = image.sliding_scan(GrayImage(px), cfg)
         assert np.all(np.isfinite(smap.grid))
 
-    def test_workers_match_serial(self):
-        img = GrayImage(np.random.default_rng(9).uniform(size=(24, 24)))
-        cfg = WindowConfig(window_size=5, stride=3)
-        serial = image.sliding_scan(img, cfg, workers=1)
-        parallel = image.sliding_scan(img, cfg, workers=4)
-        assert np.array_equal(serial.grid, parallel.grid)
-
     def test_oversized_window_rejected(self):
         img = GrayImage(np.full((6, 6), 0.5))
         with pytest.raises(ConfigError):

@@ -37,8 +37,11 @@ class TestSvd:
             a = random_rect(rng)
             res = linalg.svd(a)
             m, n = a.shape
-            assert np.max(np.abs(res.left_basis.T @ res.left_basis - np.eye(m))) < 1e-10
-            assert np.max(np.abs(res.right_basis.T @ res.right_basis - np.eye(n))) < 1e-10
+            k = min(m, n)
+            assert res.left_basis.shape == (m, k)
+            assert res.right_basis.shape == (n, k)
+            assert np.max(np.abs(res.left_basis.T @ res.left_basis - np.eye(k))) < 1e-10
+            assert np.max(np.abs(res.right_basis.T @ res.right_basis - np.eye(k))) < 1e-10
             rec = linalg.truncated_sum(res, 1, res.numerical_rank)
             assert np.linalg.norm(rec - a) <= 1e-9 * np.linalg.norm(a)
 
@@ -111,8 +114,10 @@ class TestGsvd:
             assert np.linalg.norm(res.reconstruct_a() - a) <= 1e-9 * np.linalg.norm(a)
             assert np.linalg.norm(res.reconstruct_b() - b) <= 1e-9 * np.linalg.norm(b)
             m, s = a.shape[0], b.shape[0]
-            assert np.max(np.abs(res.u_basis.T @ res.u_basis - np.eye(m))) < 1e-9
-            assert np.max(np.abs(res.v_basis.T @ res.v_basis - np.eye(s))) < 1e-9
+            assert res.u_basis.shape == (m, n)
+            assert res.v_basis.shape == (s, min(s, n))
+            assert np.max(np.abs(res.u_basis.T @ res.u_basis - np.eye(n))) < 1e-9
+            assert np.max(np.abs(res.v_basis.T @ res.v_basis - np.eye(min(s, n)))) < 1e-9
             # nonsingular X
             assert np.linalg.matrix_rank(res.x_factor) == n
 
