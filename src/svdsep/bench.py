@@ -1,14 +1,14 @@
-"""Repeatable timing and work-count harness.
+"""Seeded timing helpers behind the bench-ordering acceptance criterion.
 
 Wall times are machine dependent, so downstream assertions should be
 ordinal only (suite A slower than suite B); decomposition counts are exact
 and deterministic. One warm-up repetition runs before anything is
-recorded.
+recorded. End-to-end benchmarking of the CLI pipelines lives in
+``perfbench/``.
 """
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass
 
@@ -21,7 +21,6 @@ __all__ = [
     "BenchRecord",
     "run_cutoff_bench",
     "run_scan_bench",
-    "summarize",
     "SUITE_CUTOFF_SVD",
     "SUITE_CUTOFF_GSVD",
     "SUITE_SCAN",
@@ -100,18 +99,3 @@ def run_scan_bench(window_sizes, image_side: int, reps: int, seed: int = 0) -> l
             records.append(BenchRecord(SUITE_SCAN, w, rep,
                                        (time.perf_counter() - t0) * 1e3, smap.decompositions))
     return records
-
-
-def summarize(records) -> dict:
-    """Median wall time and decomposition count per (suite, size)."""
-    groups: dict[tuple[str, int], list[BenchRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.suite, rec.problem_size), []).append(rec)
-    out = {}
-    for (suite, size), recs in sorted(groups.items()):
-        out.setdefault(suite, {})[str(size)] = {
-            "median_ms": statistics.median(r.wall_time_ms for r in recs),
-            "decompositions": recs[0].decompositions,
-            "repetitions": len(recs),
-        }
-    return out

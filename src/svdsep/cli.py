@@ -1,4 +1,4 @@
-"""Command-line surface: ``separate``, ``scan``, ``synth`` and ``bench``.
+"""Command-line surface: ``separate``, ``scan`` and ``synth``.
 
 Every command echoes its effective parameters into a versioned JSON report
 next to its outputs, exits 0 only when all requested files were written,
@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import bench as bench_mod
 from . import io as fio
 from . import linalg, signal
 from .errors import ParseError, SvdsepError
@@ -118,15 +117,19 @@ def _profile_dict(profile: signal.EgvProfile) -> dict:
 
 def cmd_separate(args) -> int:
     t0 = time.perf_counter()
+    if args.method == "gsvd" and args.min_separation is not None:
+        raise ParseError("--min-separation applies to --method svd only")
     channels = fio.read_channels_csv(args.input)
     layout = _layout_from_args(args, channels)
     a = signal.embed(channels, layout)
 
     decompositions = 1
+    min_separation = args.min_separation
     if args.method == "svd":
+        min_separation = 1 if min_separation is None else min_separation
         spectrum = linalg.svd(a, rank_tolerance=args.rank_tolerance)
         if spectrum.numerical_rank >= 3:
-            cut = signal.find_two_cutoffs(spectrum, min_separation=args.min_separation)
+            cut = signal.find_two_cutoffs(spectrum, min_separation=min_separation)
         else:
             cut = signal.find_cutoff(spectrum)
         parts = signal.separate(spectrum, cut)
@@ -167,7 +170,7 @@ def cmd_separate(args) -> int:
             "window_length": layout.window_length,
             "stride": args.stride,
             "offsets": list(layout.source_offsets) if layout.source_offsets else None,
-            "min_separation": args.min_separation,
+            "min_separation": min_separation,
             "rank_tolerance": args.rank_tolerance,
             "output_prefix": args.output_prefix,
         },
@@ -273,42 +276,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    t0 = time.perf_counter()
-    if args.suite == "cutoff":
-        records = bench_mod.run_cutoff_bench(args.sizes, reps=args.reps, seed=args.seed)
-    else:
-        records = bench_mod.run_scan_bench(args.window_sizes, image_side=args.image_side,
-                                           reps=args.reps, seed=args.seed)
-    csv_path = f"{args.output_prefix}_timings.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("suite,size,rep,milliseconds\n")
-        for rec in records:
-            fh.write(f"{rec.suite},{rec.problem_size},{rec.repetition},{rec.wall_time_ms:.6f}\n")
-    summary = bench_mod.summarize(records)
-    with open(f"{args.output_prefix}_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(summary), fh, indent=2)
-        fh.write("\n")
-
-    report = RunReport(
-        command="bench",
-        inputs=[],
-        parameters={
-            "suite": args.suite, "sizes": getattr(args, "sizes", None),
-            "window_sizes": getattr(args, "window_sizes", None),
-            "image_side": getattr(args, "image_side", None),
-            "reps": args.reps, "seed": args.seed,
-            "output_prefix": args.output_prefix,
-        },
-        results={"summary": summary,
-                 "outputs": [csv_path, f"{args.output_prefix}_summary.json"]},
-        work_counters={"records": len(records)},
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    _write_report(report, args.output_prefix, args.json)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svdsep",
@@ -325,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--stride", type=int, default=1)
     p_sep.add_argument("--offsets", type=_int_list, default=None,
                        help="comma-separated per-column start offsets")
-    p_sep.add_argument("--min-separation", type=int, default=1)
+    p_sep.add_argument("--min-separation", type=int, default=None,
+                       help="svd method only: least index gap between the two cutoffs (default 1)")
     p_sep.add_argument("--rank-tolerance", type=float, default=None)
     p_sep.add_argument("--output-prefix", required=True)
     p_sep.add_argument("--json", action="store_true", help="echo the report to stdout")
@@ -378,19 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tex.add_argument("--output-prefix", required=True)
     p_tex.add_argument("--json", action="store_true")
     p_tex.set_defaults(func=cmd_synth)
-
-    p_bench = sub.add_parser("bench", help="timing and work-count harness")
-    p_bench.add_argument("--suite", choices=["cutoff", "scan"], required=True)
-    p_bench.add_argument("--sizes", type=_int_list, default=[64, 128, 256],
-                         help="sample counts for the cutoff suite")
-    p_bench.add_argument("--window-sizes", type=_int_list, default=[4, 8, 16],
-                         help="window sizes for the scan suite")
-    p_bench.add_argument("--image-side", type=int, default=64)
-    p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--output-prefix", required=True)
-    p_bench.add_argument("--json", action="store_true")
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -8,6 +8,12 @@ Two metrics are offered per window fragment D:
   max(sigma_{i+1}^2, guard^2 sigma_1^2)) -- a ratio form that is invariant
   under rescaling the window, high for near-rank-1 (smooth) fragments and
   low for textured ones.
+
+Both read only the singular values, so one set of vectorized kernels over
+a ``(..., w)`` array of descending spectra computes them: ``sliding_scan``
+takes one SVD per window and scores a whole grid row at once, and
+``information_density``, ``singular_smoothness`` and ``select_order`` call
+the same kernels on a batch of one.
 """
 
 from __future__ import annotations
@@ -139,30 +145,68 @@ class SmoothnessMap:
         return self.grid.shape[1]
 
 
-def _rank_of(values: np.ndarray, dim: int | None = None) -> int:
-    """Numerical rank at the default relative tolerance max(m, n) * eps."""
-    if values.size == 0 or values[0] <= 0.0:
-        return 0
+def _rank_of(values: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Numerical rank of each descending spectrum along the last axis.
+
+    The tolerance is max(m, n) * eps * sigma_1; ``dim`` defaults to the
+    spectrum length, which is max(m, n) for a square window.
+    """
     if dim is None:
-        dim = values.size
-    return int(np.count_nonzero(values > dim * _EPS * values[0]))
+        dim = values.shape[-1]
+    return np.count_nonzero(values > dim * _EPS * values[..., :1], axis=-1)
 
 
-def _density_from_values(values: np.ndarray, lo: int, hi: int) -> float:
-    return float(np.sqrt(np.sum(values[lo - 1 : hi] ** 2)))
+def _run_sum(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Sum of ``x`` over the contiguous run ``keep`` of each last-axis row.
+
+    np.sum adds fewer than 8 values in order and 8 or more pairwise, so a
+    run shorter than its row is added in order (cumsum) and a full row by
+    np.sum: both match np.sum of the run alone whenever it has < 8 values.
+    """
+    x = np.where(keep, x, 0.0)
+    return np.where(keep.all(axis=-1), np.sum(x, axis=-1), np.cumsum(x, axis=-1)[..., -1])
 
 
-def _smoothness_from_values(values: np.ndarray, n: int, guard: float) -> float:
-    if n < 1:
-        raise OrderError(f"order must be >= 1, got {n}")
-    if n + 1 > values.size:
-        raise OrderError(f"order {n} needs {n + 1} singular values, window has {values.size}")
-    s1_sq = values[0] ** 2
-    if s1_sq == 0.0:
-        return 0.0
-    sq = values[: n + 1] ** 2
-    den = np.maximum(sq[1:], guard * guard * s1_sq)
-    return float(np.sqrt(np.sum((sq[:-1] - sq[1:]) / den)))
+def _density(values: np.ndarray, lo: int, hi: int | None, rank) -> np.ndarray:
+    """Root energy over the 1-based range lo..min(hi, rank); 0 when it is empty."""
+    top = np.asarray(rank if hi is None else np.minimum(hi, rank))
+    k = np.arange(1, values.shape[-1] + 1)
+    return np.sqrt(_run_sum(values**2, (k >= lo) & (k <= top[..., None])))
+
+
+def _auto_order(values: np.ndarray, rank, delta: float) -> np.ndarray:
+    """Smallest n < rank with sigma_n - sigma_{n+1} <= delta, else rank - 1; 1 when rank < 2."""
+    n = np.arange(1, values.shape[-1])
+    hit = (values[..., :-1] - values[..., 1:] <= delta) & (n < np.asarray(rank)[..., None])
+    return np.maximum(np.where(hit.any(axis=-1), hit.argmax(axis=-1) + 1, rank - 1), 1)
+
+
+def _smoothness(values: np.ndarray, n, guard: float) -> np.ndarray:
+    """Order-n smoothness of each spectrum; ``n`` is an int or one order per spectrum.
+
+    A spectrum with sigma_1 = 0 has no energy at any order and maps to 0.
+    """
+    if np.ndim(n) == 0:
+        values = values[..., : n + 1]
+    sq = values**2
+    # the guard floor squares sigma_1 with libm pow, as numpy's scalar ** does;
+    # x * x differs from it by one ulp on ~0.1 % of inputs
+    s1_sq = np.float_power(values[..., :1], 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (sq[..., :-1] - sq[..., 1:]) / np.maximum(sq[..., 1:], guard * guard * s1_sq)
+        total = _run_sum(terms, np.arange(1, sq.shape[-1]) <= np.asarray(n)[..., None])
+        return np.where(s1_sq[..., 0] == 0.0, 0.0, np.sqrt(total))
+
+
+def _metric(values: np.ndarray, cfg: WindowConfig, metric: str) -> np.ndarray:
+    """The ``cfg`` window metric of each descending spectrum along the last axis."""
+    if metric == METRIC_DENSITY:
+        lo, hi = cfg.density_range
+        return _density(values, lo, hi, _rank_of(values))
+    n = cfg.order
+    if n == "auto":
+        n = _auto_order(values, _rank_of(values), cfg.delta)
+    return _smoothness(values, n, cfg.epsilon_guard)
 
 
 def information_density(d, lo: int = 1, hi: int | None = None) -> float:
@@ -173,12 +217,12 @@ def information_density(d, lo: int = 1, hi: int | None = None) -> float:
     """
     arr = check_matrix(d, "D")
     values = np.linalg.svd(arr, compute_uv=False)
-    rank = _rank_of(values, max(arr.shape))
+    rank = int(_rank_of(values, max(arr.shape)))
     if hi is None:
         hi = rank
     if not 1 <= lo <= hi <= rank:
         raise RangeError(f"density range [{lo}, {hi}] must satisfy 1 <= lo <= hi <= rank ({rank})")
-    return _density_from_values(values, lo, hi)
+    return float(_density(values, lo, hi, rank))
 
 
 def singular_smoothness(d, n: int = 1, epsilon_guard: float = 1e-6) -> float:
@@ -193,7 +237,11 @@ def singular_smoothness(d, n: int = 1, epsilon_guard: float = 1e-6) -> float:
     if epsilon_guard <= 0:
         raise InvalidInputError(f"epsilon_guard must be positive, got {epsilon_guard}")
     values = np.linalg.svd(arr, compute_uv=False)
-    return _smoothness_from_values(values, n, epsilon_guard)
+    if n < 1:
+        raise OrderError(f"order must be >= 1, got {n}")
+    if n + 1 > values.size:
+        raise OrderError(f"order {n} needs {n + 1} singular values, window has {values.size}")
+    return float(_smoothness(values, n, epsilon_guard))
 
 
 def select_order(spectrum: SpectrumResult, delta: float) -> int:
@@ -208,32 +256,7 @@ def select_order(spectrum: SpectrumResult, delta: float) -> int:
     r = spectrum.numerical_rank
     if r < 2:
         raise InsufficientRankError(f"numerical rank {r} < 2: no order can be selected")
-    return _select_order_from_values(spectrum.singular_values, r, delta)
-
-
-def _select_order_from_values(values: np.ndarray, rank: int, delta: float) -> int:
-    for n in range(1, rank):
-        if values[n - 1] - values[n] <= delta:
-            return n
-    return rank - 1
-
-
-def _window_value(win: np.ndarray, cfg: WindowConfig, metric: str) -> float:
-    values = np.linalg.svd(win, compute_uv=False)
-    if metric == METRIC_DENSITY:
-        rank = _rank_of(values)
-        lo, hi = cfg.density_range
-        if hi is None:
-            hi = rank
-        if rank == 0 or lo > rank:
-            return 0.0
-        return _density_from_values(values, lo, min(hi, rank))
-    if cfg.order == "auto":
-        rank = _rank_of(values)
-        n = _select_order_from_values(values, rank, cfg.delta) if rank >= 2 else 1
-    else:
-        n = cfg.order
-    return _smoothness_from_values(values, n, cfg.epsilon_guard)
+    return int(_auto_order(spectrum.singular_values, r, delta))
 
 
 def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHNESS) -> SmoothnessMap:
@@ -242,7 +265,10 @@ def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHN
     The window at grid cell (i, j) covers pixels
     ``[j*stride, j*stride + w) x [i*stride, i*stride + w)`` and the grid has
     ``floor((side - w) / stride) + 1`` cells per dimension. Each window
-    takes one singular-value decomposition (values only, no bases).
+    takes one singular-value decomposition (values only, no bases); the
+    spectra of a grid row are then scored together by the same
+    values-to-metric kernel that ``information_density`` and
+    ``singular_smoothness`` use.
     """
     if metric not in (METRIC_SMOOTHNESS, METRIC_DENSITY):
         raise ConfigError(f"unknown metric {metric!r}")
@@ -254,13 +280,15 @@ def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHN
     rows = (img.height - w) // cfg.stride + 1
     cols = (img.width - w) // cfg.stride + 1
     grid = np.empty((rows, cols))
+    spectra = np.empty((cols, w))
     px = img.pixels
 
     for i in range(rows):
-        top = i * cfg.stride
+        band = px[i * cfg.stride : i * cfg.stride + w]
         for j in range(cols):
             left = j * cfg.stride
-            grid[i, j] = _window_value(px[top : top + w, left : left + w], cfg, metric)
+            spectra[j] = np.linalg.svd(band[:, left : left + w], compute_uv=False)
+        grid[i] = _metric(spectra, cfg, metric)
     return SmoothnessMap(grid=grid, config=cfg, metric=metric, decompositions=rows * cols)
 
 

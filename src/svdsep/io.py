@@ -251,7 +251,8 @@ def read_png(path) -> np.ndarray:
 
 def load_gray_image(path) -> GrayImage:
     """Load a PGM or PNG file as a normalized grayscale image."""
-    head = Path(path).open("rb").read(8)
+    with open(path, "rb") as fh:
+        head = fh.read(8)
     if head[:8] == _PNG_SIGNATURE:
         return GrayImage.from_uint8(read_png(path))
     if head[:2] in (b"P2", b"P5"):

@@ -70,17 +70,6 @@ class TestScanBench:
         with pytest.raises(InvalidInputError):
             bench.run_scan_bench([64], image_side=32, reps=1)
 
-
-class TestSummarize:
-    def test_medians_and_counts(self):
-        records = bench.run_scan_bench([4, 8], image_side=32, reps=3, seed=4)
-        summary = bench.summarize(records)
-        assert set(summary["scan"].keys()) == {"4", "8"}
-        entry = summary["scan"]["4"]
-        assert entry["repetitions"] == 3
-        assert entry["decompositions"] == ((32 - 4) // 4 + 1) ** 2
-        assert entry["median_ms"] >= 0.0
-
     def test_same_seed_same_instances(self):
         a = bench.run_scan_bench([8], image_side=32, reps=1, seed=9)
         b = bench.run_scan_bench([8], image_side=32, reps=1, seed=9)

@@ -58,6 +58,21 @@ class TestSeparate:
         assert report["results"]["cutoff"]["method"] == "gsvd-egv"
         assert "generalized_values" in report["results"]
 
+    def test_gsvd_rejects_min_separation(self, tmp_path, mixture_csv, capsys):
+        second_prefix = tmp_path / "mix2"
+        run("synth", "mixture", "--seed", 2, "--output-prefix", second_prefix)
+        code = run("separate", mixture_csv, "--method", "gsvd", "--second",
+                   f"{second_prefix}_signals.csv", "--min-separation", 1,
+                   "--output-prefix", tmp_path / "g")
+        assert code == 2
+        assert "--min-separation" in capsys.readouterr().err
+        assert not (tmp_path / "g_report.json").exists()
+
+    def test_svd_min_separation_defaults_to_one(self, tmp_path, mixture_csv):
+        prefix = tmp_path / "sep"
+        assert run("separate", mixture_csv, "--output-prefix", prefix) == 0
+        assert read_json(f"{prefix}_report.json")["parameters"]["min_separation"] == 1
+
     def test_gsvd_without_second_fails(self, tmp_path, mixture_csv):
         assert run("separate", mixture_csv, "--method", "gsvd",
                    "--output-prefix", tmp_path / "x") == 2
@@ -182,22 +197,3 @@ class TestSynth:
         prefix = tmp_path / "m"
         run("synth", "mixture", "--output-prefix", prefix)
         assert run("separate", f"{prefix}_signals.csv", "--output-prefix", tmp_path / "s") == 0
-
-
-class TestBench:
-    def test_cutoff_suite_rows(self, tmp_path):
-        prefix = tmp_path / "b"
-        assert run("bench", "--suite", "cutoff", "--sizes", "16,32", "--reps", 3,
-                   "--output-prefix", prefix) == 0
-        lines = open(f"{prefix}_timings.csv").read().strip().splitlines()
-        assert lines[0] == "suite,size,rep,milliseconds"
-        assert len(lines) - 1 == 2 * 2 * 3  # suites x sizes x reps
-        summary = read_json(f"{prefix}_summary.json")
-        assert "cutoff-svd" in summary and "cutoff-gsvd" in summary
-
-    def test_scan_suite_counts(self, tmp_path):
-        prefix = tmp_path / "b"
-        assert run("bench", "--suite", "scan", "--window-sizes", "4,8",
-                   "--image-side", 32, "--reps", 3, "--output-prefix", prefix) == 0
-        summary = read_json(f"{prefix}_summary.json")
-        assert summary["scan"]["4"]["decompositions"] > summary["scan"]["8"]["decompositions"]

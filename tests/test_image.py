@@ -230,3 +230,125 @@ class TestThresholdMap:
         truth = np.zeros_like(mask)
         truth[:, :4] = 1
         assert (mask == truth).mean() >= 0.95
+
+
+# Reference: the per-window metric loop that ``sliding_scan`` used before the
+# spectra of a grid row were scored by one vectorized kernel.
+_EPS = np.finfo(np.float64).eps
+
+
+def _ref_rank_of(values, dim=None):
+    if values.size == 0 or values[0] <= 0.0:
+        return 0
+    if dim is None:
+        dim = values.size
+    return int(np.count_nonzero(values > dim * _EPS * values[0]))
+
+
+def _ref_density_from_values(values, lo, hi):
+    return float(np.sqrt(np.sum(values[lo - 1 : hi] ** 2)))
+
+
+def _ref_smoothness_from_values(values, n, guard):
+    s1_sq = values[0] ** 2
+    if s1_sq == 0.0:
+        return 0.0
+    sq = values[: n + 1] ** 2
+    den = np.maximum(sq[1:], guard * guard * s1_sq)
+    return float(np.sqrt(np.sum((sq[:-1] - sq[1:]) / den)))
+
+
+def _ref_select_order_from_values(values, rank, delta):
+    for n in range(1, rank):
+        if values[n - 1] - values[n] <= delta:
+            return n
+    return rank - 1
+
+
+def _ref_window_value(win, cfg, metric):
+    values = np.linalg.svd(win, compute_uv=False)
+    if metric == image.METRIC_DENSITY:
+        rank = _ref_rank_of(values)
+        lo, hi = cfg.density_range
+        if hi is None:
+            hi = rank
+        if rank == 0 or lo > rank:
+            return 0.0
+        return _ref_density_from_values(values, lo, min(hi, rank))
+    if cfg.order == "auto":
+        rank = _ref_rank_of(values)
+        n = _ref_select_order_from_values(values, rank, cfg.delta) if rank >= 2 else 1
+    else:
+        n = cfg.order
+    return _ref_smoothness_from_values(values, n, cfg.epsilon_guard)
+
+
+def _ref_scan(img, cfg, metric):
+    w, s = cfg.window_size, cfg.stride
+    rows = (img.height - w) // s + 1
+    cols = (img.width - w) // s + 1
+    return np.array([[_ref_window_value(img.pixels[i * s : i * s + w, j * s : j * s + w], cfg, metric)
+                      for j in range(cols)] for i in range(rows)])
+
+
+def _parity_texture(seed, side=44):
+    # rough and smooth halves plus a constant and a rank-one block, so the
+    # scan meets full-rank, near-rank-1, rank-1 and degenerate windows
+    rng = np.random.default_rng(seed)
+    px = rng.uniform(size=(side, side))
+    px[:, side // 2 :] = 0.5 + 2e-3 * rng.uniform(size=(side, side - side // 2))
+    px[: side // 3, : side // 3] = 0.25
+    ramp = np.linspace(0.1, 0.9, side // 3)
+    px[-(side // 3) :, : side // 3] = np.outer(ramp, ramp)
+    px[side // 3 : side // 3 + 4, :] = 0.0
+    return GrayImage(px)
+
+
+_PARITY_CASES = [
+    (w, stride, metric, extra)
+    for w, strides in ((2, (1, 3)), (5, (1, 2)), (8, (1, 3)), (12, (3, 5)), (32, (4, 8)))
+    for stride in strides
+    for metric, extra in (
+        [(image.METRIC_SMOOTHNESS, {"order": n}) for n in (1, 3) if n < w]
+        + [(image.METRIC_SMOOTHNESS, {"order": "auto", "delta": d}) for d in (0.0, 0.02)]
+        + [(image.METRIC_DENSITY, {"density_range": r}) for r in ((1, None), (2, None), (3, 20))]
+    )
+]
+
+
+class TestScanParity:
+    @pytest.mark.parametrize("w,stride,metric,extra", _PARITY_CASES)
+    def test_matches_per_window_loop(self, w, stride, metric, extra):
+        cfg = WindowConfig(window_size=w, stride=stride, **extra)
+        for seed in (0, 1):
+            img = _parity_texture(seed)
+            got = image.sliding_scan(img, cfg, metric=metric).grid
+            want = _ref_scan(img, cfg, metric)
+            if w <= 8 or (metric == image.METRIC_SMOOTHNESS and isinstance(cfg.order, int)):
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("order", [1, 3, "auto"])
+    def test_constant_image_hits_guard_floor(self, order):
+        guard = 1e-4
+        cfg = WindowConfig(window_size=6, stride=2, order=order, epsilon_guard=guard)
+        img = GrayImage(np.full((14, 14), 0.6))
+        got = image.sliding_scan(img, cfg).grid
+        assert np.array_equal(got, _ref_scan(img, cfg, image.METRIC_SMOOTHNESS))
+        assert np.allclose(got, 1.0 / guard, rtol=1e-9)
+
+    def test_scalar_api_matches_reference(self):
+        rng = np.random.default_rng(11)
+        for side in (2, 5, 8):
+            d = rng.uniform(size=(side, side + 3))
+            values = np.linalg.svd(d, compute_uv=False)
+            rank = _ref_rank_of(values, max(d.shape))
+            for hi in range(1, rank + 1):
+                assert image.information_density(d, 1, hi) == _ref_density_from_values(values, 1, hi)
+            for n in range(1, side):
+                assert image.singular_smoothness(d, n) == _ref_smoothness_from_values(values, n, 1e-6)
+            spec = linalg.svd(d)
+            for delta in (0.0, 0.05, 10.0):
+                assert image.select_order(spec, delta) == _ref_select_order_from_values(
+                    spec.singular_values, spec.numerical_rank, delta)

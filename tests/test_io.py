@@ -1,4 +1,6 @@
+import gc
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -203,6 +205,15 @@ class TestLoadGrayImage:
         path.write_bytes(encode_png_gray8(arr, 0))
         img = fio.load_gray_image(path)
         assert np.array_equal(img.to_uint8(), arr)
+
+    def test_closes_the_file(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        fio.write_pgm(path, np.zeros((4, 4), dtype=np.uint8))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fio.load_gray_image(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "img.bin"
