@@ -100,25 +100,27 @@ def _layout_from_args(args, channels: signal.ChannelSet) -> signal.EmbedLayout:
     if args.layout == "hankel":
         if args.window_length is None:
             raise ParseError("hankel layout requires --window-length")
-        return signal.EmbedLayout.hankel(args.window_length, stride=args.stride)
+        return signal.EmbedLayout.hankel(args.window_length,
+                                         stride=1 if args.stride is None else args.stride)
     window = args.window_length if args.window_length is not None else channels.n_samples
     offsets = tuple(args.offsets) if args.offsets else None
     return signal.EmbedLayout.channel_columns(window, offsets=offsets)
 
 
-def _profile_dict(profile: signal.EgvProfile) -> dict:
-    return {
-        "gaps": profile.gaps,
-        "singular_energies": profile.singular_energies,
-        "variations": profile.variations,
-        "gamma": profile.gamma,
-    }
-
-
 def cmd_separate(args) -> int:
     t0 = time.perf_counter()
-    if args.method == "gsvd" and args.min_separation is not None:
-        raise ParseError("--min-separation applies to --method svd only")
+    # A flag that the chosen route never reads is an error, not a silent no-op.
+    for flag, value, option, route in (
+        ("--min-separation", args.min_separation, "method", "svd"),
+        ("--rank-tolerance", args.rank_tolerance, "method", "svd"),
+        ("--second", args.second, "method", "gsvd"),
+        ("--stride", args.stride, "layout", "hankel"),
+        ("--offsets", args.offsets, "layout", "channel-columns"),
+    ):
+        if value is not None and getattr(args, option) != route:
+            raise ParseError(f"{flag} applies to --{option} {route} only")
+    if args.method == "gsvd" and args.second is None:
+        raise ParseError("--method gsvd requires --second CSV")
     channels = fio.read_channels_csv(args.input)
     layout = _layout_from_args(args, channels)
     a = signal.embed(channels, layout)
@@ -138,8 +140,6 @@ def cmd_separate(args) -> int:
         values_key = "singular_values"
         rank_info = {"numerical_rank": spectrum.numerical_rank}
     else:
-        if args.second is None:
-            raise ParseError("--method gsvd requires --second CSV")
         second = fio.read_channels_csv(args.second)
         layout_b = _layout_from_args(args, second)
         b = signal.embed(second, layout_b)
@@ -156,7 +156,7 @@ def cmd_separate(args) -> int:
     for name, part in zip(names, parts):
         out = signal.unembed(part, layout, channels.n_samples)
         if layout.mode == signal.MODE_CHANNEL_COLUMNS and channels.labels:
-            out = signal.ChannelSet(out.data, sample_rate=channels.sample_rate, labels=channels.labels)
+            out = signal.ChannelSet(out.data, labels=channels.labels)
         path = f"{args.output_prefix}_{name}.csv"
         fio.write_channels_csv(path, out)
         outputs.append(path)
@@ -168,7 +168,7 @@ def cmd_separate(args) -> int:
             "method": args.method,
             "layout": args.layout,
             "window_length": layout.window_length,
-            "stride": args.stride,
+            "stride": layout.stride,
             "offsets": list(layout.source_offsets) if layout.source_offsets else None,
             "min_separation": min_separation,
             "rank_tolerance": args.rank_tolerance,
@@ -179,7 +179,7 @@ def cmd_separate(args) -> int:
                        "method": cut.method},
             values_key: values,
             **rank_info,
-            "egv_profile": _profile_dict(profile),
+            "egv_profile": asdict(profile),
             "outputs": outputs,
         },
         work_counters={"decompositions": decompositions},
@@ -242,7 +242,6 @@ def cmd_synth(args) -> int:
         channels, (k_m, k_f) = gen_mixture(spec)
         out = f"{args.output_prefix}_signals.csv"
         fio.write_channels_csv(out, channels)
-        parameters = {k: v for k, v in asdict(spec).items()}
         results = {"k_m": k_m, "k_f": k_f, "outputs": [out]}
     else:
         spec = TextureSpec(
@@ -256,19 +255,13 @@ def cmd_synth(args) -> int:
         mask_path = f"{args.output_prefix}_mask.pgm"
         fio.write_pgm(img_path, img.to_uint8())
         fio.write_pgm(mask_path, mask.astype(np.uint8))
-        parameters = {
-            "width": spec.width, "height": spec.height,
-            "regions": [asdict(r) for r in spec.regions],
-            "noise_amplitude": spec.noise_amplitude,
-            "base_level": spec.base_level, "seed": spec.seed,
-        }
         results = {"tag_codes": {"smooth": 0, "rough": 1, "anomaly-band": 2},
                    "outputs": [img_path, mask_path]}
 
     report = RunReport(
         command=f"synth {args.kind}",
         inputs=[],
-        parameters=parameters,
+        parameters=asdict(spec),
         results=results,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
@@ -286,15 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep = sub.add_parser("separate", help="split a signal CSV into dominant/weak/noise parts")
     p_sep.add_argument("input", help="signal CSV, one column per channel")
     p_sep.add_argument("--method", choices=["svd", "gsvd"], default="svd")
-    p_sep.add_argument("--second", help="reference CSV for the gsvd method")
+    p_sep.add_argument("--second", help="gsvd method only: reference CSV")
     p_sep.add_argument("--layout", choices=["channel-columns", "hankel"], default="channel-columns")
     p_sep.add_argument("--window-length", type=int, default=None)
-    p_sep.add_argument("--stride", type=int, default=1)
+    p_sep.add_argument("--stride", type=int, default=None,
+                       help="hankel layout only: samples between columns (default 1)")
     p_sep.add_argument("--offsets", type=_int_list, default=None,
-                       help="comma-separated per-column start offsets")
+                       help="channel-columns layout only: comma-separated per-column start offsets")
     p_sep.add_argument("--min-separation", type=int, default=None,
                        help="svd method only: least index gap between the two cutoffs (default 1)")
-    p_sep.add_argument("--rank-tolerance", type=float, default=None)
+    p_sep.add_argument("--rank-tolerance", type=float, default=None, help="svd method only")
     p_sep.add_argument("--output-prefix", required=True)
     p_sep.add_argument("--json", action="store_true", help="echo the report to stdout")
     p_sep.set_defaults(func=cmd_separate)

@@ -59,14 +59,13 @@ MODE_HANKEL = "hankel-sliding"
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Equal-length real sample sequences with optional sampling metadata.
+    """Equal-length real sample sequences with optional channel labels.
 
     ``data`` is (samples, channels): one column per channel, matching the
     CSV interchange layout.
     """
 
     data: np.ndarray
-    sample_rate: float | None = None
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class ChannelSet:
             raise ShapeError(f"need at least 2 samples and 1 channel, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("channel data contains non-finite samples")
-        if self.sample_rate is not None and self.sample_rate <= 0:
-            raise InvalidInputError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.labels is not None and len(self.labels) != arr.shape[1]:
             raise ShapeError(f"got {len(self.labels)} labels for {arr.shape[1]} channels")
         object.__setattr__(self, "data", arr)
@@ -86,7 +83,7 @@ class ChannelSet:
             object.__setattr__(self, "labels", tuple(self.labels))
 
     @classmethod
-    def from_channels(cls, channels, sample_rate=None, labels=None) -> "ChannelSet":
+    def from_channels(cls, channels, labels=None) -> "ChannelSet":
         """Build from a sequence of 1-D channels (rows become columns)."""
         cols = [np.asarray(c, dtype=np.float64).reshape(-1) for c in channels]
         if not cols:
@@ -94,7 +91,7 @@ class ChannelSet:
         lengths = {c.size for c in cols}
         if len(lengths) != 1:
             raise ShapeError(f"all channels must have the same length, got lengths {sorted(lengths)}")
-        return cls(np.column_stack(cols), sample_rate=sample_rate, labels=labels)
+        return cls(np.column_stack(cols), labels=labels)
 
     @property
     def n_samples(self) -> int:

@@ -6,6 +6,10 @@ separate route from the implementation under test.
 """
 
 import math
+import struct
+import zlib
+
+import numpy as np
 
 
 def chain_oracle(sigmas, doubled=True):
@@ -57,3 +61,47 @@ def random_rect(rng, min_rows=10, max_rows=24, min_cols=3, max_cols=8):
     n = int(rng.integers(min_cols, max_cols + 1))
     m = int(rng.integers(max(min_rows, n + 4), max_rows + 1))
     return rng.standard_normal((m, n))
+
+
+def encode_png_gray8(pixels, filter_type, color_type=0):
+    """Tiny reference PNG encoder: one fixed filter type per scanline.
+
+    ``color_type`` 0 takes (h, w) grayscale pixels, 2 takes (h, w, 3) RGB.
+    """
+    bpp = {0: 1, 2: 3}[color_type]
+    h, w = pixels.shape[:2]
+    raw = bytearray()
+    prev = np.zeros(w * bpp, dtype=np.int32)
+    for y in range(h):
+        line = pixels[y].reshape(-1).astype(np.int32)
+        if filter_type == 0:
+            filt = line.copy()
+        elif filter_type == 1:
+            filt = line.copy()
+            filt[bpp:] -= line[:-bpp]
+        elif filter_type == 2:
+            filt = line - prev
+        elif filter_type == 3:
+            left = np.concatenate([np.zeros(bpp, dtype=np.int32), line[:-bpp]])
+            filt = line - (left + prev) // 2
+        elif filter_type == 4:
+            filt = np.empty(line.size, dtype=np.int32)
+            for x in range(line.size):
+                a = int(line[x - bpp]) if x >= bpp else 0
+                b = int(prev[x])
+                c = int(prev[x - bpp]) if x >= bpp else 0
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
+                filt[x] = int(line[x]) - pred
+        raw.append(filter_type)
+        raw.extend((filt % 256).astype(np.uint8).tobytes())
+        prev = line
+
+    def chunk(ctype: bytes, payload: bytes) -> bytes:
+        return (struct.pack(">I", len(payload)) + ctype + payload
+                + struct.pack(">I", zlib.crc32(ctype + payload)))
+
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(bytes(raw))) + chunk(b"IEND", b""))

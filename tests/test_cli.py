@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import encode_png_gray8
 
 from svdsep import io as fio
 from svdsep.cli import main
@@ -68,14 +69,27 @@ class TestSeparate:
         assert "--min-separation" in capsys.readouterr().err
         assert not (tmp_path / "g_report.json").exists()
 
+    @pytest.mark.parametrize("route, flag", [
+        ([], ["--second", "ref.csv"]),
+        (["--method", "gsvd", "--second", "ref.csv"], ["--rank-tolerance", "1e-9"]),
+        ([], ["--stride", "2"]),
+        (["--layout", "hankel", "--window-length", "30"], ["--offsets", "0"]),
+    ])
+    def test_flags_the_route_never_reads_are_rejected(self, tmp_path, capsys, route, flag):
+        absent = tmp_path / "absent.csv"  # rejected before any input is opened
+        assert run("separate", absent, *route, *flag, "--output-prefix", tmp_path / "x") == 2
+        assert f"{flag[0]} applies to" in capsys.readouterr().err
+        assert not (tmp_path / "x_report.json").exists()
+
     def test_svd_min_separation_defaults_to_one(self, tmp_path, mixture_csv):
         prefix = tmp_path / "sep"
         assert run("separate", mixture_csv, "--output-prefix", prefix) == 0
         assert read_json(f"{prefix}_report.json")["parameters"]["min_separation"] == 1
 
-    def test_gsvd_without_second_fails(self, tmp_path, mixture_csv):
+    def test_gsvd_without_second_fails(self, tmp_path, mixture_csv, capsys):
         assert run("separate", mixture_csv, "--method", "gsvd",
                    "--output-prefix", tmp_path / "x") == 2
+        assert "requires --second" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["banana", "nan", "-inf"])
     def test_malformed_csv_names_line(self, tmp_path, capsys, cell):
@@ -100,12 +114,14 @@ class TestSeparate:
         t = np.arange(200.0)
         wave = np.sin(2 * np.pi * t / 20) + 0.01 * rng.standard_normal(200)
         sig.write_text("\n".join("%.17g" % v for v in wave) + "\n")
-        prefix = tmp_path / "h"
-        code = run("separate", sig, "--layout", "hankel", "--window-length", 30,
-                   "--stride", 1, "--output-prefix", prefix)
-        assert code == 0
-        dom = fio.read_channels_csv(f"{prefix}_dominant.csv")
-        assert dom.n_samples == 200 and dom.n_channels == 1
+        for name, stride in (("h", ["--stride", 1]), ("unset", [])):
+            prefix = tmp_path / name
+            code = run("separate", sig, "--layout", "hankel", "--window-length", 30,
+                       *stride, "--output-prefix", prefix)
+            assert code == 0
+            assert read_json(f"{prefix}_report.json")["parameters"]["stride"] == 1
+            dom = fio.read_channels_csv(f"{prefix}_dominant.csv")
+            assert dom.n_samples == 200 and dom.n_channels == 1
 
     def test_json_flag_echoes_report(self, tmp_path, mixture_csv, capsys):
         prefix = tmp_path / "sep"
@@ -155,10 +171,9 @@ class TestScan:
                    "--order", "auto", "--delta", "0.05", "--output-prefix", tmp_path / "a") == 0
 
     def test_png_input(self, tmp_path):
-        PIL_Image = pytest.importorskip("PIL.Image")
         arr = np.random.default_rng(8).integers(0, 256, size=(16, 16)).astype(np.uint8)
         png = tmp_path / "img.png"
-        PIL_Image.fromarray(arr, mode="L").save(png)
+        png.write_bytes(encode_png_gray8(arr, 4))
         assert run("scan", png, "--window-size", 4, "--stride", 4,
                    "--output-prefix", tmp_path / "p") == 0
         assert fio.read_grid_csv(f"{tmp_path / 'p'}_map.csv").shape == (4, 4)

@@ -1,10 +1,11 @@
 import gc
-import struct
+import math
+import tracemalloc
 import warnings
-import zlib
 
 import numpy as np
 import pytest
+from conftest import encode_png_gray8
 
 from svdsep import io as fio
 from svdsep.errors import ParseError
@@ -61,6 +62,26 @@ class TestChannelsCsv:
         with pytest.raises(ParseError):
             fio.read_channels_csv(path)
 
+    def test_header_width_mismatch_names_line(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("a,b,c\n\n1.0,2.0\n")
+        with pytest.raises(ParseError) as err:
+            fio.read_channels_csv(path)
+        assert err.value.line == 3
+
+    def test_read_peak_stays_near_the_data(self, tmp_path):
+        data = np.random.default_rng(6).standard_normal((40_000, 8))
+        path = tmp_path / "long.csv"
+        fio.write_channels_csv(path, ChannelSet(data))
+        tracemalloc.start()
+        try:
+            back = fio.read_channels_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, data)
+        assert peak <= 2 * data.nbytes
+
 
 class TestGridCsv:
     def test_round_trip(self, tmp_path):
@@ -72,8 +93,78 @@ class TestGridCsv:
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "map.csv"
         path.write_text("1,2\n3,4,5\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             fio.read_grid_csv(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("1,2\n3,nan\n", 2, 2),
+        ("1,2\n-inf,4\n", 2, 1),
+        ("1,2\n\n\n3,x\n", 4, 2),
+        ("# note\n1,2\n", 1, 1),
+    ])
+    def test_bad_cell_names_line_and_column(self, tmp_path, text, line, column):
+        path = tmp_path / "map.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            fio.read_grid_csv(path)
+        assert (err.value.line, err.value.column) == (line, column)
+
+
+# The per-value writers the row writer replaced, kept as the byte-level reference.
+def _reference_channels_csv(path, channels, header=True):
+    labels = channels.labels or tuple(f"ch{j}" for j in range(channels.n_channels))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header:
+            fh.write(",".join(labels) + "\n")
+        for row in channels.data:
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
+
+
+def _reference_grid_csv(path, grid):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in np.atleast_2d(np.asarray(grid, dtype=np.float64)):
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
+
+
+def _reference_p2(path, arr):
+    h, w = arr.shape
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"P2\n{w} {h}\n255\n")
+        for row in arr:
+            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+
+
+class TestWriterParity:
+    EDGE = [5e-324, -0.0, 0.1, 1e-300, 1.7976931348623157e308, -1.2345678901234567e18]
+
+    @pytest.fixture
+    def table(self):
+        data = np.random.default_rng(7).standard_normal((30, 6))
+        data[0] = self.EDGE
+        data[:, 0] = np.resize(self.EDGE, 30)
+        return data
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_signal_csv(self, tmp_path, table, header):
+        for cs in (ChannelSet(table), ChannelSet(table, labels=tuple("abcdef"))):
+            fio.write_channels_csv(tmp_path / "new.csv", cs, header=header)
+            _reference_channels_csv(tmp_path / "ref.csv", cs, header=header)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("shape", [(30, 6), (1, 6), (6,)])
+    def test_grid_csv(self, tmp_path, table, shape):
+        grid = table.reshape(-1)[: math.prod(shape)].reshape(shape)
+        fio.write_grid_csv(tmp_path / "new.csv", grid)
+        _reference_grid_csv(tmp_path / "ref.csv", grid)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_ascii_pgm(self, tmp_path):
+        arr = np.random.default_rng(8).integers(0, 256, size=(9, 13)).astype(np.uint8)
+        arr[0, :2] = (0, 255)
+        fio.write_pgm(tmp_path / "new.pgm", arr, binary=False)
+        _reference_p2(tmp_path / "ref.pgm", arr)
+        assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
 
 
 class TestPgm:
@@ -118,46 +209,6 @@ class TestPgm:
             fio.read_pgm(path)
 
 
-def encode_png_gray8(pixels: np.ndarray, filter_type: int) -> bytes:
-    """Tiny reference encoder: one fixed filter type per scanline."""
-    h, w = pixels.shape
-    raw = bytearray()
-    prev = np.zeros(w, dtype=np.int32)
-    for y in range(h):
-        line = pixels[y].astype(np.int32)
-        if filter_type == 0:
-            filt = line.copy()
-        elif filter_type == 1:
-            filt = line.copy()
-            filt[1:] -= line[:-1]
-        elif filter_type == 2:
-            filt = line - prev
-        elif filter_type == 3:
-            left = np.concatenate([[0], line[:-1]])
-            filt = line - (left + prev) // 2
-        elif filter_type == 4:
-            filt = np.empty(w, dtype=np.int32)
-            for x in range(w):
-                a = int(line[x - 1]) if x else 0
-                b = int(prev[x])
-                c = int(prev[x - 1]) if x else 0
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-                filt[x] = int(line[x]) - pred
-        raw.append(filter_type)
-        raw.extend((filt % 256).astype(np.uint8).tobytes())
-        prev = line
-
-    def chunk(ctype: bytes, payload: bytes) -> bytes:
-        return (struct.pack(">I", len(payload)) + ctype + payload
-                + struct.pack(">I", zlib.crc32(ctype + payload)))
-
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
-    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-            + chunk(b"IDAT", zlib.compress(bytes(raw))) + chunk(b"IEND", b""))
-
-
 class TestPng:
     @pytest.mark.parametrize("filter_type", [0, 1, 2, 3, 4])
     def test_each_filter_type(self, tmp_path, filter_type):
@@ -177,10 +228,9 @@ class TestPng:
             assert np.array_equal(fio.read_png(path), pixels)
 
     def test_rgb_rejected(self, tmp_path):
-        PIL_Image = pytest.importorskip("PIL.Image")
         rgb = np.zeros((4, 4, 3), dtype=np.uint8)
         path = tmp_path / "img.png"
-        PIL_Image.fromarray(rgb, mode="RGB").save(path)
+        path.write_bytes(encode_png_gray8(rgb, 0, color_type=2))
         with pytest.raises(ParseError):
             fio.read_png(path)
 
