@@ -155,7 +155,7 @@ def cmd_separate(args) -> int:
     outputs = []
     for name, part in zip(names, parts):
         out = signal.unembed(part, layout, channels.n_samples)
-        if layout.mode == signal.MODE_CHANNEL_COLUMNS and channels.labels:
+        if channels.labels:
             out = signal.ChannelSet(out.data, labels=channels.labels)
         path = f"{args.output_prefix}_{name}.csv"
         fio.write_channels_csv(path, out)
@@ -191,10 +191,13 @@ def cmd_separate(args) -> int:
 
 def cmd_scan(args) -> int:
     t0 = time.perf_counter()
-    img = fio.load_gray_image(args.input)
-    cfg = WindowConfig(window_size=args.window_size, stride=args.stride,
-                       order=args.order, delta=args.delta, epsilon_guard=args.epsilon_guard)
-    smap = sliding_scan(img, cfg, metric=args.metric)
+    # No local keeps the image: it is freed before the outputs are written.
+    smap = sliding_scan(
+        fio.load_gray_image(args.input),
+        WindowConfig(window_size=args.window_size, stride=args.stride,
+                     order=args.order, delta=args.delta, epsilon_guard=args.epsilon_guard),
+        metric=args.metric,
+    )
 
     fio.write_grid_csv(f"{args.output_prefix}_map.csv", smap.grid)
     fio.write_pgm(f"{args.output_prefix}_map.pgm", fio.render_grid_u8(smap.grid))

@@ -51,6 +51,27 @@ _EPS = np.finfo(np.float64).eps
 METRIC_SMOOTHNESS = "smoothness"
 METRIC_DENSITY = "information-density"
 
+# Rows per float64 temporary of ``_quantize_u8``: the temporary stays a small
+# fraction of the array being quantized instead of two full-size copies.
+_QUANTIZE_ROWS = 64
+
+
+def _quantize_u8(arr: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``np.round((arr - lo) / (hi - lo) * 255.0).astype(np.uint8)``, one row block at a time.
+
+    Each block of ``_QUANTIZE_ROWS`` rows gets one float64 temporary that is
+    updated in place by the same operations in the same order, so the bytes
+    equal those of the whole-array expression.
+    """
+    out = np.empty(arr.shape, dtype=np.uint8)
+    for start in range(0, arr.shape[0], _QUANTIZE_ROWS):
+        t = arr[start : start + _QUANTIZE_ROWS] - lo
+        t /= hi - lo
+        t *= 255.0
+        np.round(t, out=t)
+        out[start : start + _QUANTIZE_ROWS] = t
+    return out
+
 
 @dataclass(frozen=True)
 class GrayImage:
@@ -85,7 +106,11 @@ class GrayImage:
         return cls(a.astype(np.float64) / 255.0)
 
     def to_uint8(self) -> np.ndarray:
-        return np.round(self.pixels * 255.0).astype(np.uint8)
+        """Round ``pixels * 255`` half to even into a uint8 array.
+
+        Quantized in row blocks, so the only float64 temporary is one block.
+        """
+        return _quantize_u8(self.pixels, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

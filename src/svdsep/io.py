@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .image import GrayImage
+from .image import GrayImage, _quantize_u8
 from .signal import ChannelSet
 
 __all__ = [
@@ -258,9 +258,14 @@ def load_gray_image(path) -> GrayImage:
 
 
 def render_grid_u8(grid) -> np.ndarray:
-    """Min-max normalize a metric grid to 0..255 for a PGM rendering."""
+    """Min-max normalize a metric grid to 0..255 for a PGM rendering.
+
+    Values are rounded half to even; a flat grid renders black. The grid is
+    quantized in row blocks, so beyond the uint8 result only one block-sized
+    float64 temporary is allocated.
+    """
     arr = np.asarray(grid, dtype=np.float64)
     lo, hi = float(arr.min()), float(arr.max())
     if hi <= lo:
         return np.zeros(arr.shape, dtype=np.uint8)
-    return np.round((arr - lo) / (hi - lo) * 255.0).astype(np.uint8)
+    return _quantize_u8(arr, lo, hi)

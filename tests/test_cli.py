@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from conftest import encode_png_gray8
 
 from svdsep import io as fio
 from svdsep.cli import main
+from svdsep.synth import TAG_ROUGH, Region, TextureSpec, gen_texture
 
 
 def run(*argv):
@@ -123,6 +125,18 @@ class TestSeparate:
             dom = fio.read_channels_csv(f"{prefix}_dominant.csv")
             assert dom.n_samples == 200 and dom.n_channels == 1
 
+    def test_hankel_layout_keeps_the_input_label(self, tmp_path):
+        sig = tmp_path / "ecg.csv"
+        wave = np.sin(2 * np.pi * np.arange(200.0) / 20)
+        wave += 0.01 * np.random.default_rng(1).standard_normal(200)
+        sig.write_text("ecg\n" + "\n".join("%.17g" % v for v in wave) + "\n")
+        prefix = tmp_path / "h"
+        assert run("separate", sig, "--layout", "hankel", "--window-length", 30,
+                   "--output-prefix", prefix) == 0
+        for name in ("dominant", "weak", "noise"):
+            with open(f"{prefix}_{name}.csv", encoding="utf-8") as fh:
+                assert fh.readline() == "ecg\n"
+
     def test_json_flag_echoes_report(self, tmp_path, mixture_csv, capsys):
         prefix = tmp_path / "sep"
         run("separate", mixture_csv, "--output-prefix", prefix, "--json")
@@ -177,6 +191,22 @@ class TestScan:
         assert run("scan", png, "--window-size", 4, "--stride", 4,
                    "--output-prefix", tmp_path / "p") == 0
         assert fio.read_grid_csv(f"{tmp_path / 'p'}_map.csv").shape == (4, 4)
+
+    def test_peak_stays_near_image_plus_grid(self, tmp_path):
+        img, _ = gen_texture(TextureSpec(width=256, height=256, seed=5,
+                                         regions=(Region(0, 0, 128, 256, TAG_ROUGH),)))
+        path = tmp_path / "img.pgm"
+        fio.write_pgm(path, img.to_uint8())
+        image_plus_grid = img.pixels.nbytes + (256 - 5 + 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            code = run("scan", path, "--window-size", 5, "--stride", 1, "--threshold", 100,
+                       "--output-prefix", tmp_path / "s")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak / image_plus_grid <= 1.3
 
 
 class TestSynth:

@@ -9,6 +9,7 @@ from conftest import encode_png_gray8
 
 from svdsep import io as fio
 from svdsep.errors import ParseError
+from svdsep.image import _QUANTIZE_ROWS, GrayImage
 from svdsep.signal import ChannelSet
 
 
@@ -281,3 +282,39 @@ class TestRenderGrid:
 
     def test_flat_grid_is_black(self):
         assert np.all(fio.render_grid_u8(np.full((3, 3), 7.0)) == 0)
+
+
+def _render_reference(grid):
+    """The whole-array rendering that the row-block quantizer must reproduce byte for byte."""
+    arr = np.asarray(grid, dtype=np.float64)
+    lo, hi = float(arr.min()), float(arr.max())
+    if hi <= lo:
+        return np.zeros(arr.shape, dtype=np.uint8)
+    return np.round((arr - lo) / (hi - lo) * 255.0).astype(np.uint8)
+
+
+def _to_uint8_reference(pixels):
+    return np.round(pixels * 255.0).astype(np.uint8)
+
+
+class TestQuantize:
+    @pytest.mark.parametrize("shape", [(2 * _QUANTIZE_ROWS + 3, 37), (1, 300), (_QUANTIZE_ROWS, 5)])
+    def test_render_matches_reference(self, shape):
+        rng = np.random.default_rng(shape[0])
+        for grid in (rng.standard_normal(shape) * 1e3, -rng.random(shape) * 1e-200,
+                     np.zeros(shape)):
+            assert np.array_equal(fio.render_grid_u8(grid), _render_reference(grid))
+
+    def test_render_matches_reference_when_range_overflows(self):
+        rng = np.random.default_rng(11)
+        grid = rng.uniform(-1.0, 1.0, (_QUANTIZE_ROWS + 5, 9)) * 1.7e308
+        assert np.isinf(float(grid.max()) - float(grid.min()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(fio.render_grid_u8(grid), _render_reference(grid))
+
+    @pytest.mark.parametrize("shape", [(2 * _QUANTIZE_ROWS + 3, 41), (2, 300)])
+    def test_to_uint8_matches_reference(self, shape):
+        pixels = np.random.default_rng(shape[1]).random(shape)
+        pixels[0, :6] = [0.0, 0.5 / 255, 1.0, 1.5 / 255, 254.5 / 255, 0.5]
+        img = GrayImage(pixels)
+        assert np.array_equal(img.to_uint8(), _to_uint8_reference(img.pixels))
