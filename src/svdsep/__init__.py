@@ -15,7 +15,6 @@ from .errors import (
     InsufficientRankError,
     InvalidInputError,
     LayoutError,
-    NormalizationError,
     OrderError,
     ParseError,
     RangeError,
@@ -27,7 +26,6 @@ from .linalg import (
     SpectrumResult,
     frobenius_energy,
     gsvd,
-    oriented_energy,
     svd,
     truncated_sum,
 )
@@ -36,6 +34,7 @@ from .signal import (
     CutoffResult,
     EgvProfile,
     EmbedLayout,
+    cutoff,
     cutoff_from_gsvd,
     cutoff_from_values,
     egv,
@@ -68,15 +67,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SvdsepError", "InvalidInputError", "ShapeError", "DegeneratePencilError",
-    "RangeError", "NormalizationError", "InsufficientRankError",
+    "RangeError", "InsufficientRankError",
     "DegenerateSpectrumError", "OrderError", "ConfigError", "LayoutError",
     "GeneratorSpecError", "ParseError",
     "SpectrumResult", "GsvdResult", "svd", "gsvd", "frobenius_energy",
-    "oriented_energy", "truncated_sum",
+    "truncated_sum",
     "ChannelSet", "EmbedLayout", "EgvProfile", "CutoffResult", "embed",
     "unembed", "energy_gap", "singular_energies", "egv", "egv_profile",
     "cutoff_from_values", "find_cutoff", "find_two_cutoffs",
-    "cutoff_from_gsvd", "gsvd_cutoff", "separate", "gsvd_separate",
+    "cutoff_from_gsvd", "gsvd_cutoff", "cutoff", "separate", "gsvd_separate",
     "GrayImage", "WindowConfig", "SmoothnessMap", "information_density",
     "singular_smoothness", "select_order", "sliding_scan", "threshold_map",
     "MixtureSpec", "TextureSpec", "Region", "gen_mixture", "gen_texture",

@@ -125,31 +125,24 @@ def cmd_separate(args) -> int:
     layout = _layout_from_args(args, channels)
     a = signal.embed(channels, layout)
 
-    decompositions = 1
-    min_separation = args.min_separation
+    min_separation = 1 if args.min_separation is None else args.min_separation
     if args.method == "svd":
-        min_separation = 1 if min_separation is None else min_separation
-        spectrum = linalg.svd(a, rank_tolerance=args.rank_tolerance)
-        if spectrum.numerical_rank >= 3:
-            cut = signal.find_two_cutoffs(spectrum, min_separation=min_separation)
-        else:
-            cut = signal.find_cutoff(spectrum)
-        parts = signal.separate(spectrum, cut)
-        values = spectrum.singular_values[: spectrum.numerical_rank]
-        profile = signal.egv_profile(values)
+        decomp = linalg.svd(a, rank_tolerance=args.rank_tolerance)
+        values = decomp.singular_values[: decomp.numerical_rank]
         values_key = "singular_values"
-        rank_info = {"numerical_rank": spectrum.numerical_rank}
+        rank_info = {"numerical_rank": decomp.numerical_rank}
+        decompositions = 1
     else:
         second = fio.read_channels_csv(args.second)
-        layout_b = _layout_from_args(args, second)
-        b = signal.embed(second, layout_b)
+        b = signal.embed(second, _layout_from_args(args, second))
         decomp = linalg.gsvd(a, b)
-        cut = signal.cutoff_from_gsvd(decomp)
-        parts = signal.gsvd_separate(decomp, cut)
         values = decomp.generalized_values
-        profile = signal.egv_profile(values[np.isfinite(values)])
         values_key = "generalized_values"
         rank_info = {"infinite_values": int(np.sum(np.isinf(values)))}
+        decompositions = linalg.GSVD_FACTORIZATIONS
+    cut = signal.cutoff(decomp, min_separation=min_separation)
+    parts = signal.separate(decomp, cut)
+    profile = signal.egv_profile(values[np.isfinite(values)])  # inf values stay out of the chain
 
     names = ("dominant", "weak", "noise")
     outputs = []
@@ -170,7 +163,7 @@ def cmd_separate(args) -> int:
             "window_length": layout.window_length,
             "stride": layout.stride,
             "offsets": list(layout.source_offsets) if layout.source_offsets else None,
-            "min_separation": min_separation,
+            "min_separation": min_separation if args.method == "svd" else None,
             "rank_tolerance": args.rank_tolerance,
             "output_prefix": args.output_prefix,
         },

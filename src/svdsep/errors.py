@@ -26,10 +26,6 @@ class RangeError(SvdsepError, IndexError):
     """A 1-based index or index range falls outside the valid interval."""
 
 
-class NormalizationError(SvdsepError, ValueError):
-    """A direction vector is not unit length within tolerance."""
-
-
 class InsufficientRankError(SvdsepError, ValueError):
     """The spectrum has too few nonzero singular values for the operation."""
 

@@ -55,11 +55,10 @@ class SubspaceSeparator(BaseEstimator):
     method : {"svd", "gsvd"}
         "svd" fits the spectrum of X alone; "gsvd" compares X against a
         reference matrix passed to ``fit``.
-    two_peaks : bool
-        Detect both boundaries (svd method only); otherwise only the
-        dominant/weak boundary.
     min_separation : int
-        Minimum index distance between the two boundaries.
+        Minimum index distance between the two boundaries (svd method
+        only). The boundaries follow :func:`svdsep.signal.cutoff`: two when
+        the spectrum has rank >= 3, otherwise one.
     rank_tolerance : float or None
         Relative numerical-rank tolerance; None for the default.
 
@@ -69,9 +68,8 @@ class SubspaceSeparator(BaseEstimator):
     transform reconstructs the fitted matrix's weak band).
     """
 
-    def __init__(self, method="svd", two_peaks=True, min_separation=1, rank_tolerance=None):
+    def __init__(self, method="svd", min_separation=1, rank_tolerance=None):
         self.method = method
-        self.two_peaks = two_peaks
         self.min_separation = min_separation
         self.rank_tolerance = rank_tolerance
 
@@ -81,16 +79,12 @@ class SubspaceSeparator(BaseEstimator):
         X = check_matrix(X, "X")
         self.n_features_in_ = X.shape[1]
         if self.method == "svd":
-            self.spectrum_ = linalg.svd(X, rank_tolerance=self.rank_tolerance)
-            if self.two_peaks and self.spectrum_.numerical_rank >= 3:
-                self.cutoff_ = signal.find_two_cutoffs(self.spectrum_, self.min_separation)
-            else:
-                self.cutoff_ = signal.find_cutoff(self.spectrum_)
+            self.spectrum_ = factors = linalg.svd(X, rank_tolerance=self.rank_tolerance)
         else:
             if B is None:
                 raise ConfigError("gsvd method requires the reference matrix B")
-            self.gsvd_ = linalg.gsvd(X, B)
-            self.cutoff_ = signal.cutoff_from_gsvd(self.gsvd_)
+            self.gsvd_ = factors = linalg.gsvd(X, B)
+        self.cutoff_ = signal.cutoff(factors, min_separation=self.min_separation)
         return self
 
     def _check_fitted(self):
@@ -100,9 +94,8 @@ class SubspaceSeparator(BaseEstimator):
     def subspaces(self):
         """The (dominant, weak, noise) reconstructions of the fitted matrix."""
         self._check_fitted()
-        if self.method == "svd":
-            return signal.separate(self.spectrum_, self.cutoff_)
-        return signal.gsvd_separate(self.gsvd_, self.cutoff_)
+        factors = self.spectrum_ if self.method == "svd" else self.gsvd_
+        return signal.separate(factors, self.cutoff_)
 
     def cutoffs(self):
         """The fitted boundary indices ``(m, f)``; f may be None."""

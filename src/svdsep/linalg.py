@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePencilError, InvalidInputError, ShapeError
-from .validation import check_index_range, check_matrix, check_unit_vector
+from .validation import check_index_range, check_matrix
 
 __all__ = [
     "SpectrumResult",
@@ -21,7 +21,6 @@ __all__ = [
     "svd",
     "gsvd",
     "frobenius_energy",
-    "oriented_energy",
     "truncated_sum",
 ]
 
@@ -128,6 +127,11 @@ def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
     )
 
 
+# Factorizations one gsvd call performs: QR of [A; B], SVD of R (the rank
+# check), SVD of Q1 and QR of Q2 W.
+GSVD_FACTORIZATIONS = 4
+
+
 def gsvd(a, b) -> GsvdResult:
     """Generalized SVD of the pair (A, B) via the CS-decomposition route.
 
@@ -199,14 +203,6 @@ def frobenius_energy(a) -> float:
     """Total energy of a matrix: the sum of its squared entries."""
     arr = check_matrix(a, "A")
     return float(np.sum(arr * arr))
-
-
-def oriented_energy(a, q) -> float:
-    """Energy of the columns of A projected onto the unit direction q."""
-    arr = check_matrix(a, "A")
-    q_arr = check_unit_vector(q, arr.shape[0])
-    proj = q_arr @ arr
-    return float(np.sum(proj * proj))
 
 
 def truncated_sum(spectrum: SpectrumResult, first: int, last: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .linalg import GsvdResult, SpectrumResult, truncated_sum
+from .linalg import GsvdResult, SpectrumResult
 from .validation import check_matrix
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "find_two_cutoffs",
     "cutoff_from_gsvd",
     "gsvd_cutoff",
+    "cutoff",
     "separate",
     "gsvd_separate",
 ]
@@ -161,8 +162,7 @@ def embed(signals: ChannelSet, layout: EmbedLayout) -> np.ndarray:
     x = signals.channel(0)
     if n > x.size:
         raise RangeError(f"window_length {n} exceeds signal length {x.size}")
-    starts = np.arange(0, x.size - n + 1, layout.stride)
-    return x[starts[np.newaxis, :] + np.arange(n)[:, np.newaxis]]
+    return np.lib.stride_tricks.sliding_window_view(x, n)[:: layout.stride].T.copy()
 
 
 def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
@@ -183,12 +183,17 @@ def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
                 raise LayoutError(f"column {j} at offset {off} does not fit in {target_length} samples")
             out[off : off + n, j] = m[:, j]
         return ChannelSet(out)
-    starts = np.arange(m.shape[1]) * layout.stride
-    if starts.size and starts[-1] + n > target_length:
-        raise LayoutError(f"windows extend to {starts[-1] + n} but target_length is {target_length}")
-    idx = (starts[np.newaxis, :] + np.arange(n)[:, np.newaxis]).ravel()
-    acc = np.bincount(idx, weights=m.ravel(), minlength=target_length)
-    cnt = np.bincount(idx, minlength=target_length)
+    stride = layout.stride
+    span = (m.shape[1] - 1) * stride + 1  # samples from the first to the last window start
+    if span - 1 + n > target_length:
+        raise LayoutError(f"windows extend to {span - 1 + n} but target_length is {target_length}")
+    # Row i holds sample i + j * stride of window j, so each row adds into one
+    # strided slice; every sample receives its entries in row order.
+    acc = np.zeros(target_length)
+    cnt = np.zeros(target_length, dtype=np.int64)
+    for i in range(n):
+        acc[i : i + span : stride] += m[i]
+        cnt[i : i + span : stride] += 1
     covered = cnt > 0
     acc[covered] /= cnt[covered]
     return ChannelSet(acc.reshape(-1, 1))
@@ -356,46 +361,61 @@ def gsvd_cutoff(a, b) -> CutoffResult:
     return cutoff_from_gsvd(linalg.gsvd(a, b))
 
 
-def separate(spectrum: SpectrumResult, cut: CutoffResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cutoff(factors: SpectrumResult | GsvdResult, min_separation: int = 1) -> CutoffResult:
+    """The band boundaries :func:`separate` splits a decomposition at.
+
+    A spectrum of numerical rank >= 3 gets both boundaries
+    (:func:`find_two_cutoffs`), a rank-2 spectrum only the dominant/weak
+    one (:func:`find_cutoff`). A generalized decomposition gets the
+    dominant/weak boundary of its finite values (:func:`cutoff_from_gsvd`);
+    ``min_separation`` does not apply to it.
+    """
+    if isinstance(factors, GsvdResult):
+        return cutoff_from_gsvd(factors)
+    if factors.numerical_rank >= 3:
+        return find_two_cutoffs(factors, min_separation=min_separation)
+    return find_cutoff(factors)
+
+
+def separate(factors: SpectrumResult | GsvdResult,
+             cut: CutoffResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split a matrix into dominant, weak and noise reconstructions.
 
-    Returns the partial sums over singular triples 1..m, m+1..f and
-    f+1..r. An absent ``f`` means the weak band runs to the end of the
-    spectrum and the noise part is zero; the three parts always sum to the
-    rank-r reconstruction.
+    Returns the partial sums over descending positions 1..m, m+1..f and
+    f+1..r, where r is the numerical rank of a spectrum or the column count
+    of a generalized decomposition. An absent ``f`` means the weak band
+    runs to the end and the noise part is zero; the three parts always sum
+    to the rank-r reconstruction (of A, for a generalized decomposition).
+
+    A generalized decomposition has no rank-one triples: each band keeps
+    the columns of U and X inside its range and reconstructs U C_band X^T.
     """
-    r = spectrum.numerical_rank
+    ascending = isinstance(factors, GsvdResult)
+    if ascending:
+        u, w, x = factors.u_basis, factors.alpha, factors.x_factor
+        r = w.size
+    else:
+        u, w, x = factors.left_basis, factors.singular_values, factors.right_basis
+        r = factors.numerical_rank
     m = cut.m
     f = cut.f if cut.f is not None else r
     if not 1 <= m <= r:
         raise RangeError(f"m={m} outside [1, {r}]")
     if not m <= f <= r:
         raise RangeError(f"f={f} outside [{m}, {r}]")
-    zero = np.zeros(spectrum.shape)
-    dominant = truncated_sum(spectrum, 1, m)
-    weak = truncated_sum(spectrum, m + 1, f) if m < f else zero
-    noise = truncated_sum(spectrum, f + 1, r) if f < r else zero
-    return dominant, weak, noise
+    parts = []
+    for first, last in ((1, m), (m + 1, f), (f + 1, r)):
+        # alpha ascends in storage: descending position i (1-based) is index r - i
+        lo, hi = (r - last, r - first + 1) if ascending else (first - 1, last)
+        parts.append(_band(u, w, x, lo, hi))
+    return tuple(parts)
 
 
-def gsvd_separate(result: GsvdResult, cut: CutoffResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Band-split the A-side reconstruction of a generalized decomposition.
+def _band(u: np.ndarray, w: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``U[:, lo:hi] diag(w[lo:hi]) X[:, lo:hi]^T``; an empty range gives zeros."""
+    return (u[:, lo:hi] * w[lo:hi]) @ x[:, lo:hi].T
 
-    Rank-one singular triples do not exist in this factorization, so each
-    band keeps the columns of U and X inside its range of the descending
-    generalized-value order and reconstructs U C_band X^T from them.
-    """
-    n = result.alpha.size
-    m = cut.m
-    f = cut.f if cut.f is not None else n
-    if not 1 <= m <= n:
-        raise RangeError(f"m={m} outside [1, {n}]")
-    if not m <= f <= n:
-        raise RangeError(f"f={f} outside [{m}, {n}]")
 
-    def band(first: int, last: int) -> np.ndarray:
-        # descending position i (1-based) lives at storage index n - i
-        lo, hi = n - last, n - first + 1
-        return (result.u_basis[:, lo:hi] * result.alpha[lo:hi]) @ result.x_factor[:, lo:hi].T
-
-    return band(1, m), band(m + 1, f), band(f + 1, n)
+# A name only: perfbench/spans.py wraps ``signal.gsvd_separate`` by name and
+# raises AttributeError when it is missing.
+gsvd_separate = separate

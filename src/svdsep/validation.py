@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, NormalizationError, RangeError, ShapeError
+from .errors import InvalidInputError, RangeError, ShapeError
 
 
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -24,27 +24,6 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ShapeError(f"{name} must have at least one row and one column, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
-    return arr
-
-
-def check_vector(v, name: str = "vector") -> np.ndarray:
-    """Validate a finite 1-D float vector."""
-    arr = np.asarray(v, dtype=np.float64).reshape(-1)
-    if arr.size < 1:
-        raise ShapeError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return arr
-
-
-def check_unit_vector(q, length: int, tol: float = 1e-8, name: str = "q") -> np.ndarray:
-    """Validate a direction vector of the given length with unit 2-norm."""
-    arr = check_vector(q, name)
-    if arr.size != length:
-        raise ShapeError(f"{name} must have length {length}, got {arr.size}")
-    nrm = float(np.linalg.norm(arr))
-    if abs(nrm - 1.0) > tol:
-        raise NormalizationError(f"{name} must be unit length (|norm - 1| = {abs(nrm - 1.0):.3g} > {tol:g})")
     return arr
 
 

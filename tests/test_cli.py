@@ -7,6 +7,7 @@ from conftest import encode_png_gray8
 
 from svdsep import io as fio
 from svdsep.cli import main
+from svdsep.estimators import SubspaceSeparator
 from svdsep.synth import TAG_ROUGH, Region, TextureSpec, gen_texture
 
 
@@ -142,6 +143,49 @@ class TestSeparate:
         run("separate", mixture_csv, "--output-prefix", prefix, "--json")
         out = capsys.readouterr().out
         assert json.loads(out)["command"] == "separate"
+
+
+    @pytest.mark.parametrize("method", ["svd", "gsvd"])
+    def test_decompositions_counts_the_factorizations_run(self, tmp_path, mixture_csv,
+                                                          monkeypatch, method):
+        route = []
+        if method == "gsvd":
+            run("synth", "mixture", "--seed", 2, "--output-prefix", tmp_path / "ref")
+            route = ["--method", "gsvd", "--second", tmp_path / "ref_signals.csv"]
+        calls = {"svd": 0, "qr": 0}
+
+        def counted(name):
+            fn = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        prefix = tmp_path / "sep"
+        assert run("separate", mixture_csv, *route, "--output-prefix", prefix) == 0
+        report = read_json(f"{prefix}_report.json")
+        assert report["work_counters"] == {"decompositions": calls["svd"] + calls["qr"]}
+        assert calls == ({"svd": 1, "qr": 0} if method == "svd" else {"svd": 2, "qr": 2})
+
+    @pytest.mark.parametrize("method", ["svd", "gsvd"])
+    def test_parts_equal_the_estimator_subspaces(self, tmp_path, mixture_csv, method):
+        run("synth", "mixture", "--seed", 2, "--output-prefix", tmp_path / "ref")
+        reference = f"{tmp_path / 'ref'}_signals.csv"
+        route = ["--second", reference] if method == "gsvd" else []
+        prefix = tmp_path / "sep"
+        assert run("separate", mixture_csv, "--method", method, *route,
+                   "--output-prefix", prefix) == 0
+        x = fio.read_channels_csv(mixture_csv).data
+        b = fio.read_channels_csv(reference).data if method == "gsvd" else None
+        sep = SubspaceSeparator(method=method).fit(x, B=b)
+        cut = read_json(f"{prefix}_report.json")["results"]["cutoff"]
+        assert (cut["m"], cut["f"]) == sep.cutoffs()
+        for name, part in zip(("dominant", "weak", "noise"), sep.subspaces()):
+            # %.17g round-trips every float64, so the files hold the parts exactly
+            assert np.array_equal(fio.read_channels_csv(f"{prefix}_{name}.csv").data, part)
 
 
 class TestScan:

@@ -71,13 +71,6 @@ class TestSubspaceSeparator:
         weak_direct = sep.subspaces()[1]
         assert np.allclose(sep.transform(x), weak_direct, atol=1e-9)
 
-    def test_single_peak_mode(self):
-        x, truth = mixture_matrix(seed=8)
-        sep = SubspaceSeparator(two_peaks=False).fit(x)
-        m, f = sep.cutoffs()
-        assert m == truth[0]
-        assert f is None
-
     def test_gsvd_method(self):
         x, _ = mixture_matrix(seed=9)
         b, _ = mixture_matrix(seed=10)

@@ -6,7 +6,6 @@ from svdsep import linalg
 from svdsep.errors import (
     DegeneratePencilError,
     InvalidInputError,
-    NormalizationError,
     RangeError,
     ShapeError,
 )
@@ -193,38 +192,6 @@ class TestEnergies:
             e = linalg.frobenius_energy(a)
             s = linalg.svd(a).singular_values
             assert abs(e - np.sum(s**2)) <= 1e-9 * e
-
-    def test_oriented_energy_axis_direction(self):
-        # columns (1,3) and (2,4): (q.a1)^2 + (q.a2)^2 = 1 + 4
-        assert linalg.oriented_energy([[1.0, 2.0], [3.0, 4.0]], [1.0, 0.0]) == pytest.approx(5.0)
-
-    def test_oriented_energy_zero_matrix(self):
-        q = np.array([0.6, 0.8])
-        assert linalg.oriented_energy(np.zeros((2, 3)), q) == 0.0
-
-    def test_oriented_energy_rank_one(self):
-        a = np.zeros((2, 2))
-        a[0, 0] = 2.0
-        assert linalg.oriented_energy(a, [1.0, 0.0]) == pytest.approx(4.0)
-
-    def test_oriented_energy_extremes(self):
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((6, 10))
-        res = linalg.svd(a)
-        top = res.singular_values[0] ** 2
-        assert linalg.oriented_energy(a, res.left_basis[:, 0]) >= top - 1e-6
-        for _ in range(1000):
-            q = rng.standard_normal(6)
-            q /= np.linalg.norm(q)
-            assert linalg.oriented_energy(a, q) <= top + 1e-6
-
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(NormalizationError):
-            linalg.oriented_energy(np.eye(2), [1.0, 1.0])
-
-    def test_wrong_length_direction_rejected(self):
-        with pytest.raises(ShapeError):
-            linalg.oriented_energy(np.eye(2), [1.0, 0.0, 0.0])
 
 
 class TestTruncatedSum:

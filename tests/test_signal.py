@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,53 @@ class TestUnembed:
         a = signal.embed(cs, layout)  # windows [0,2) and [3,5)
         back = signal.unembed(a, layout, 5)
         assert np.array_equal(back.data[:, 0], [1.0, 2.0, 0.0, 4.0, 5.0])
+
+
+def hankel_reference(x, layout):
+    """Trajectory matrix and inverse built from an explicit (window_length, windows) index."""
+    n, stride = layout.window_length, layout.stride
+    idx = np.arange(0, x.size - n + 1, stride)[np.newaxis, :] + np.arange(n)[:, np.newaxis]
+
+    def unembed(m, target_length):
+        acc = np.bincount(idx.ravel(), weights=m.ravel(), minlength=target_length)
+        cnt = np.bincount(idx.ravel(), minlength=target_length)
+        acc[cnt > 0] /= cnt[cnt > 0]
+        return acc
+
+    return x[idx], unembed
+
+
+class TestHankelStrided:
+    @pytest.mark.parametrize("samples, window, stride", [
+        (4000, 40, 1), (4000, 40, 3), (1001, 17, 7), (1003, 17, 7), (50, 50, 1)])
+    def test_bit_identical_to_index_reference(self, samples, window, stride):
+        x = np.random.default_rng(samples + stride).standard_normal(samples)
+        layout = EmbedLayout.hankel(window, stride=stride)
+        want, unembed_ref = hankel_reference(x, layout)
+        got = signal.embed(ChannelSet(x[:, np.newaxis]), layout)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        part = got * 1.5 - 0.25
+        back = signal.unembed(part, layout, samples).data[:, 0]
+        assert back.tobytes() == unembed_ref(part, samples).tobytes()
+
+    def test_peaks_stay_near_the_trajectory_matrix(self):
+        # 40 000 samples, L = 200: the trajectory matrix is 60.7 MiB.
+        x = np.random.default_rng(3).standard_normal(40_000)
+        layout = EmbedLayout.hankel(200)
+        signals = ChannelSet(x[:, np.newaxis])
+        tracemalloc.start()
+        try:
+            matrix = signal.embed(signals, layout)
+            embed_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            back = signal.unembed(matrix, layout, x.size)
+            unembed_peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert embed_peak <= 1.1 * matrix.nbytes
+        assert unembed_peak <= 0.25 * matrix.nbytes
+        assert np.allclose(back.data[:, 0], x, rtol=1e-12, atol=0.0)
 
 
 class TestEnergyGap:
@@ -334,7 +382,56 @@ class TestGsvdCutoff:
                 signal.gsvd_cutoff(np.eye(2), np.zeros((2, 2)))
 
 
+class TestCutoff:
+    def test_rank_two_takes_one_boundary(self):
+        spec = spectrum_of([3.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cut = signal.cutoff(spec, min_separation=0)  # no second boundary to separate
+        assert cut == signal.find_cutoff(spec)
+        assert cut.f is None
+
+    def test_rank_three_takes_two_boundaries(self):
+        spec = spectrum_of([3.0, 2.0, 1.0])
+        with pytest.warns(RuntimeWarning, match="no second variation peak"):
+            cut = signal.cutoff(spec)
+        with pytest.warns(RuntimeWarning):
+            assert cut == signal.find_two_cutoffs(spec)
+        with pytest.raises(InvalidInputError):
+            signal.cutoff(spec, min_separation=0)
+
+    def test_two_drop_spectrum(self):
+        spec = spectrum_of([10.0, 9.0, 1.0, 0.9, 0.01])
+        cut = signal.cutoff(spec)
+        assert (cut.m, cut.f) == (2, 4)
+        with pytest.warns(RuntimeWarning):
+            cut = signal.cutoff(spec, min_separation=3)
+        assert (cut.m, cut.f) == (2, None)
+
+    def test_gsvd_with_an_infinite_value(self):
+        a = np.diag([5.0, 4.0, 0.5, 0.4])
+        b = np.diag([0.0, 1.0, 1.0, 1.0])  # first direction unseen by B
+        g = linalg.gsvd(a, b)
+        with pytest.warns(RuntimeWarning, match="infinite"):
+            cut = signal.cutoff(g, min_separation=3)
+        with pytest.warns(RuntimeWarning):
+            assert cut == signal.cutoff_from_gsvd(g)
+        assert cut.method == "gsvd-egv" and cut.f is None
+        finite = g.generalized_values[1:]
+        assert cut.m == 1 + signal.cutoff_from_values(finite).m
+
+
 class TestSeparate:
+    def test_bands_are_the_truncated_sums(self):
+        spec = linalg.svd(np.random.default_rng(14).standard_normal((9, 6)))
+        for m, f in ((1, 2), (2, 6), (3, 3), (6, 6)):
+            cut = signal.CutoffResult(m=m, f=f, peak_values=(0.0, 0.0), method="svd-egv")
+            dom, weak, noise = signal.separate(spec, cut)
+            assert dom.tobytes() == linalg.truncated_sum(spec, 1, m).tobytes()
+            for part, first, last in ((weak, m + 1, f), (noise, f + 1, 6)):
+                want = linalg.truncated_sum(spec, first, last) if first <= last else np.zeros((9, 6))
+                assert part.tobytes() == want.tobytes()
+
     def test_diagonal_three_way(self):
         spec = spectrum_of([3.0, 2.0, 1.0])
         cut = signal.CutoffResult(m=1, f=2, peak_values=(0.0, 0.0), method="svd-egv")
@@ -384,18 +481,27 @@ class TestGsvdSeparate:
         a, b = rng.standard_normal((10, 5)), rng.standard_normal((7, 5))
         g = linalg.gsvd(a, b)
         cut = signal.CutoffResult(m=2, f=4, peak_values=(0.0, 0.0), method="gsvd-egv")
-        total = sum(signal.gsvd_separate(g, cut))
-        assert np.linalg.norm(total - a) <= 1e-9 * np.linalg.norm(a)
+        for split in (signal.separate, signal.gsvd_separate):
+            total = sum(split(g, cut))
+            assert np.linalg.norm(total - a) <= 1e-9 * np.linalg.norm(a)
 
     def test_dominant_band_carries_top_values(self):
         a = np.diag([5.0, 0.1])
         g = linalg.gsvd(a, np.eye(2))
         cut = signal.CutoffResult(m=1, f=None, peak_values=(0.0,), method="gsvd-egv")
-        dom, weak, noise = signal.gsvd_separate(g, cut)
-        # the strongest generalized direction is the first diagonal entry
-        assert abs(dom[0, 0] - 5.0) < 1e-9
-        assert abs(weak[1, 1] - 0.1) < 1e-9
-        assert np.all(noise == 0.0)
+        for split in (signal.separate, signal.gsvd_separate):
+            dom, weak, noise = split(g, cut)
+            # the strongest generalized direction is the first diagonal entry
+            assert abs(dom[0, 0] - 5.0) < 1e-9
+            assert abs(weak[1, 1] - 0.1) < 1e-9
+            assert np.all(noise == 0.0)
+
+    def test_out_of_range_cut(self):
+        g = linalg.gsvd(np.diag([5.0, 0.1]), np.eye(2))
+        for m, f in ((0, None), (3, None), (2, 1), (1, 3)):
+            cut = signal.CutoffResult(m=m, f=f, peak_values=(0.0,), method="gsvd-egv")
+            with pytest.raises(RangeError):
+                signal.separate(g, cut)
 
 
 class TestLongRecordingMemory:
