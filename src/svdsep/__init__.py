@@ -34,6 +34,7 @@ from .signal import (
     CutoffResult,
     EgvProfile,
     EmbedLayout,
+    band_signals,
     cutoff,
     cutoff_from_gsvd,
     cutoff_from_values,
@@ -76,6 +77,7 @@ __all__ = [
     "unembed", "energy_gap", "singular_energies", "egv", "egv_profile",
     "cutoff_from_values", "find_cutoff", "find_two_cutoffs",
     "cutoff_from_gsvd", "gsvd_cutoff", "cutoff", "separate", "gsvd_separate",
+    "band_signals",
     "GrayImage", "WindowConfig", "SmoothnessMap", "information_density",
     "singular_smoothness", "select_order", "sliding_scan", "threshold_map",
     "MixtureSpec", "TextureSpec", "Region", "gen_mixture", "gen_texture",

@@ -123,7 +123,9 @@ def cmd_separate(args) -> int:
         raise ParseError("--method gsvd requires --second CSV")
     channels = fio.read_channels_csv(args.input)
     layout = _layout_from_args(args, channels)
+    n_samples, labels = channels.n_samples, channels.labels
     a = signal.embed(channels, layout)
+    del channels
 
     min_separation = 1 if args.min_separation is None else args.min_separation
     if args.method == "svd":
@@ -136,23 +138,24 @@ def cmd_separate(args) -> int:
         second = fio.read_channels_csv(args.second)
         b = signal.embed(second, _layout_from_args(args, second))
         decomp = linalg.gsvd(a, b)
+        del second, b
         values = decomp.generalized_values
         values_key = "generalized_values"
         rank_info = {"infinite_values": int(np.sum(np.isinf(values)))}
         decompositions = linalg.GSVD_FACTORIZATIONS
+    del a  # the bands are formed from the factors alone
     cut = signal.cutoff(decomp, min_separation=min_separation)
-    parts = signal.separate(decomp, cut)
     profile = signal.egv_profile(values[np.isfinite(values)])  # inf values stay out of the chain
 
     names = ("dominant", "weak", "noise")
     outputs = []
-    for name, part in zip(names, parts):
-        out = signal.unembed(part, layout, channels.n_samples)
-        if channels.labels:
-            out = signal.ChannelSet(out.data, labels=channels.labels)
+    for name, out in zip(names, signal.band_signals(decomp, cut, layout, n_samples)):
+        if labels:
+            out = signal.ChannelSet(out.data, labels=labels)
         path = f"{args.output_prefix}_{name}.csv"
         fio.write_channels_csv(path, out)
         outputs.append(path)
+        del out  # free this band before the next one is formed
 
     report = RunReport(
         command="separate",

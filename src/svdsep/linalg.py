@@ -84,16 +84,16 @@ class GsvdResult:
         return (self.v_basis * self.beta[:k]) @ self.x_factor[:, :k].T
 
 
-def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
+def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
     """Make the largest-magnitude entry of each left vector nonnegative.
 
-    ``u`` and ``vt`` are thin factors; the sign flip propagates to the
-    paired right vector. In-place.
+    ``u`` and ``v`` hold the paired left and right vectors as columns; the
+    sign flip propagates to the right vector. In-place.
     """
     idx = np.argmax(np.abs(u), axis=0)
     signs = np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
     u *= signs
-    vt *= signs[:, np.newaxis]
+    v *= signs
 
 
 def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
@@ -115,12 +115,19 @@ def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
         rank_tolerance = max(arr.shape) * _EPS
     elif rank_tolerance < 0:
         raise InvalidInputError(f"rank_tolerance must be nonnegative, got {rank_tolerance}")
-    u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    _fix_signs(u, vt)
+    if arr.shape[0] < arr.shape[1]:
+        # LAPACK factors a wide matrix several times slower than its tall
+        # transpose, whose left factor is already the (n, k) right basis.
+        v, s, ut = np.linalg.svd(arr.T, full_matrices=False)
+        u = ut.T.copy()
+    else:
+        u, s, vt = np.linalg.svd(arr, full_matrices=False)
+        v = vt.T.copy()
+    _fix_signs(u, v)
     rank = int(np.count_nonzero(s > rank_tolerance * s[0]))
     return SpectrumResult(
         left_basis=u,
-        right_basis=vt.T.copy(),
+        right_basis=v,
         singular_values=s,
         numerical_rank=rank,
         rank_tolerance=float(rank_tolerance),
@@ -170,7 +177,7 @@ def gsvd(a, b) -> GsvdResult:
     q1, q2 = q[:m], q[m:]
 
     u, alpha, wt = np.linalg.svd(q1, full_matrices=False)
-    _fix_signs(u, wt)
+    _fix_signs(u, wt.T)
     # Reorder so alpha ascends: nonzero betas then land on the leading
     # diagonal of S, which is the only representable layout when s < n.
     alpha = np.minimum(alpha[::-1], 1.0)

@@ -7,6 +7,7 @@ separate route from the implementation under test.
 
 import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -53,6 +54,17 @@ def sym_eig_2x2(m):
     half_tr = (a + c) / 2.0
     disc = math.sqrt(max(half_tr * half_tr - (a * c - b * b), 0.0))
     return half_tr + disc, half_tr - disc
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the result and the tracemalloc peak in bytes of the
+    allocations made during the call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_rect(rng, min_rows=10, max_rows=24, min_cols=3, max_cols=8):

@@ -1,13 +1,13 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import encode_png_gray8
+from conftest import encode_png_gray8, traced_peak
 
 from svdsep import io as fio
 from svdsep.cli import main
 from svdsep.estimators import SubspaceSeparator
+from svdsep.signal import ChannelSet
 from svdsep.synth import TAG_ROUGH, Region, TextureSpec, gen_texture
 
 
@@ -138,6 +138,22 @@ class TestSeparate:
             with open(f"{prefix}_{name}.csv", encoding="utf-8") as fh:
                 assert fh.readline() == "ecg\n"
 
+    def test_hankel_peak_stays_near_two_trajectories(self, tmp_path):
+        # 20 000 samples, L = 100: the trajectory matrix is 15.2 MiB. The SVD
+        # needs it and its right basis live together; nothing else may come close.
+        samples, window = 20_000, 100
+        t = np.arange(samples)
+        wave = np.sin(2 * np.pi * t / 40) + 0.1 * np.sin(2 * np.pi * t / 7)
+        wave += 0.01 * np.random.default_rng(9).standard_normal(samples)
+        path = tmp_path / "long.csv"
+        fio.write_channels_csv(path, ChannelSet(wave[:, np.newaxis]))
+        trajectory = window * (samples - window + 1) * 8
+        code, peak = traced_peak(lambda: run("separate", path, "--layout", "hankel",
+                                             "--window-length", window,
+                                             "--output-prefix", tmp_path / "h"))
+        assert code == 0
+        assert peak <= 2.25 * trajectory
+
     def test_json_flag_echoes_report(self, tmp_path, mixture_csv, capsys):
         prefix = tmp_path / "sep"
         run("separate", mixture_csv, "--output-prefix", prefix, "--json")
@@ -242,13 +258,8 @@ class TestScan:
         path = tmp_path / "img.pgm"
         fio.write_pgm(path, img.to_uint8())
         image_plus_grid = img.pixels.nbytes + (256 - 5 + 1) ** 2 * 8
-        tracemalloc.start()
-        try:
-            code = run("scan", path, "--window-size", 5, "--stride", 1, "--threshold", 100,
-                       "--output-prefix", tmp_path / "s")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: run("scan", path, "--window-size", 5, "--stride", 1,
+                                             "--threshold", 100, "--output-prefix", tmp_path / "s"))
         assert code == 0
         assert peak / image_plus_grid <= 1.3
 

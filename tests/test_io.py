@@ -1,11 +1,10 @@
 import gc
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from conftest import encode_png_gray8
+from conftest import encode_png_gray8, traced_peak
 
 from svdsep import io as fio
 from svdsep.errors import ParseError
@@ -74,12 +73,7 @@ class TestChannelsCsv:
         data = np.random.default_rng(6).standard_normal((40_000, 8))
         path = tmp_path / "long.csv"
         fio.write_channels_csv(path, ChannelSet(data))
-        tracemalloc.start()
-        try:
-            back = fio.read_channels_csv(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        back, peak = traced_peak(lambda: fio.read_channels_csv(path))
         assert np.array_equal(back.data, data)
         assert peak <= 2 * data.nbytes
 

@@ -79,6 +79,47 @@ class TestSvd:
             linalg.svd(np.ones(3))
 
 
+class TestSvdWide:
+    """A wide input (m < n) is factored through its transpose."""
+
+    SHAPES = [(1, 5), (6, 20), (40, 397)]
+
+    @staticmethod
+    def wide(shape):
+        return np.random.default_rng(shape[1]).standard_normal(shape)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_thin_orthonormal_factors_reconstruct(self, shape):
+        a = self.wide(shape)
+        res = linalg.svd(a)
+        m, n = shape
+        assert res.left_basis.shape == (m, m) and res.right_basis.shape == (n, m)
+        assert np.max(np.abs(res.left_basis.T @ res.left_basis - np.eye(m))) < 1e-13
+        assert np.max(np.abs(res.right_basis.T @ res.right_basis - np.eye(m))) < 1e-13
+        rec = (res.left_basis * res.singular_values) @ res.right_basis.T
+        assert np.linalg.norm(rec - a) <= 1e-13 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sign_rule_and_layout(self, shape):
+        res = linalg.svd(self.wide(shape))
+        for col in res.left_basis.T:
+            assert col[np.argmax(np.abs(col))] >= 0
+        assert res.right_basis.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bitwise_determinism(self, shape):
+        a = self.wide(shape)
+        r1, r2 = linalg.svd(a), linalg.svd(a)
+        for field in ("left_basis", "right_basis", "singular_values"):
+            assert getattr(r1, field).tobytes() == getattr(r2, field).tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_values_match_the_tall_route(self, shape):
+        a = self.wide(shape)
+        wide, tall = linalg.svd(a).singular_values, linalg.svd(a.T).singular_values
+        assert np.max(np.abs(wide - tall)) <= 1e-15 * tall[0]
+
+
 class TestGsvd:
     def test_identity_pair(self):
         # generalized eigenvalues of (I, I) are all 1

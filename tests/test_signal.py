@@ -1,10 +1,9 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from conftest import argmax_oracle, chain_oracle
+from conftest import argmax_oracle, chain_oracle, traced_peak
 
 from svdsep import linalg, signal, synth
 from svdsep.errors import (
@@ -152,19 +151,86 @@ class TestHankelStrided:
         x = np.random.default_rng(3).standard_normal(40_000)
         layout = EmbedLayout.hankel(200)
         signals = ChannelSet(x[:, np.newaxis])
-        tracemalloc.start()
-        try:
-            matrix = signal.embed(signals, layout)
-            embed_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            live = tracemalloc.get_traced_memory()[0]
-            back = signal.unembed(matrix, layout, x.size)
-            unembed_peak = tracemalloc.get_traced_memory()[1] - live
-        finally:
-            tracemalloc.stop()
+        matrix, embed_peak = traced_peak(lambda: signal.embed(signals, layout))
+        back, unembed_peak = traced_peak(lambda: signal.unembed(matrix, layout, x.size))
         assert embed_peak <= 1.1 * matrix.nbytes
         assert unembed_peak <= 0.25 * matrix.nbytes
         assert np.allclose(back.data[:, 0], x, rtol=1e-12, atol=0.0)
+
+
+class TestBandSignals:
+    """band_signals yields unembed(separate(...)) one band at a time."""
+
+    @staticmethod
+    def cut_for(rank):
+        if rank < 3:
+            return signal.CutoffResult(m=1, f=None, peak_values=(0.0,), method="svd-egv")
+        return signal.CutoffResult(m=rank // 3, f=2 * rank // 3, peak_values=(0.0, 0.0),
+                                   method="svd-egv")
+
+    @staticmethod
+    def assert_matches_matrix_route(factors, cut, layout, samples, scale):
+        parts = signal.separate(factors, cut)
+        bands = list(signal.band_signals(factors, cut, layout, samples))
+        assert len(bands) == 3
+        for part, band in zip(parts, bands):
+            want = signal.unembed(part, layout, samples).data
+            assert band.data.shape == want.shape
+            assert np.max(np.abs(band.data - want)) <= 1e-13 * scale
+        return bands
+
+    @pytest.mark.parametrize("samples, window, stride", [
+        (4000, 40, 1), (4000, 40, 3), (50, 50, 1), (1003, 17, 7), (60, 45, 1), (100, 80, 2)])
+    def test_hankel_svd_factors(self, samples, window, stride):
+        x = np.random.default_rng(samples + window + stride).standard_normal(samples)
+        layout = EmbedLayout.hankel(window, stride=stride)
+        spec = linalg.svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout))
+        cut = self.cut_for(spec.numerical_rank)
+        bands = self.assert_matches_matrix_route(spec, cut, layout, samples, np.max(np.abs(x)))
+        covered_to = (samples - window) // stride * stride + window
+        for band in bands:
+            assert np.all(band.data[covered_to:] == 0.0)
+
+    def test_hankel_gsvd_factors(self):
+        rng = np.random.default_rng(21)
+        x, z = rng.standard_normal(60), rng.standard_normal(60)
+        layout = EmbedLayout.hankel(40)  # 40 x 21: gsvd needs at least as many rows as columns
+        g = linalg.gsvd(signal.embed(ChannelSet(x[:, np.newaxis]), layout),
+                        signal.embed(ChannelSet(z[:, np.newaxis]), layout))
+        cut = signal.CutoffResult(m=3, f=10, peak_values=(0.0, 0.0), method="gsvd-egv")
+        self.assert_matches_matrix_route(g, cut, layout, 60, np.max(np.abs(x)))
+
+    def test_column_blocks_keep_the_row_order(self, monkeypatch):
+        # Three windows per block: blocks must not change the order in which
+        # each sample receives its entries, so unembed stays bitwise exact.
+        for samples, window, stride in ((4000, 40, 1), (1003, 17, 7)):
+            monkeypatch.setattr(signal, "_AVERAGE_BLOCK_BYTES", 8 * window * 3)
+            x = np.random.default_rng(samples + stride).standard_normal(samples)
+            layout = EmbedLayout.hankel(window, stride=stride)
+            matrix, unembed_ref = hankel_reference(x, layout)
+            back = signal.unembed(matrix, layout, samples).data[:, 0]
+            assert back.tobytes() == unembed_ref(matrix, samples).tobytes()
+            spec = linalg.svd(matrix)
+            self.assert_matches_matrix_route(spec, self.cut_for(spec.numerical_rank),
+                                             layout, samples, np.max(np.abs(x)))
+
+    def test_channel_columns_bands_are_the_matrix_route(self):
+        a = np.random.default_rng(22).standard_normal((30, 6))
+        layout = EmbedLayout.channel_columns(30)
+        spec = linalg.svd(a)
+        cut = self.cut_for(spec.numerical_rank)
+        for part, band in zip(signal.separate(spec, cut),
+                              signal.band_signals(spec, cut, layout, 30)):
+            assert band.data.tobytes() == signal.unembed(part, layout, 30).data.tobytes()
+
+    def test_rejects_mismatched_layout_and_cut(self):
+        x = np.random.default_rng(23).standard_normal(100)
+        spec = linalg.svd(signal.embed(ChannelSet(x[:, np.newaxis]), EmbedLayout.hankel(10)))
+        with pytest.raises(LayoutError):
+            next(signal.band_signals(spec, self.cut_for(10), EmbedLayout.hankel(12), 100))
+        with pytest.raises(RangeError):
+            bad = signal.CutoffResult(m=11, f=None, peak_values=(0.0,), method="svd-egv")
+            next(signal.band_signals(spec, bad, EmbedLayout.hankel(10), 100))
 
 
 class TestEnergyGap:
@@ -514,15 +580,6 @@ class TestLongRecordingMemory:
         channels, planted = synth.gen_mixture(spec)
         return channels.data, planted
 
-    @staticmethod
-    def traced_peak(run):
-        tracemalloc.start()
-        try:
-            result = run()
-            return result, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_svd_route(self):
         a, planted = self.mixture(7)
 
@@ -531,7 +588,7 @@ class TestLongRecordingMemory:
             cut = signal.find_two_cutoffs(spec)
             return cut, signal.separate(spec, cut)
 
-        (cut, parts), peak = self.traced_peak(run)
+        (cut, parts), peak = traced_peak(run)
         assert (cut.m, cut.f) == planted
         assert np.linalg.norm(sum(parts) - a) <= 1e-9 * np.linalg.norm(a)
         assert peak <= 8 * a.nbytes
@@ -544,6 +601,6 @@ class TestLongRecordingMemory:
             g = linalg.gsvd(a, b)
             return signal.gsvd_separate(g, signal.cutoff_from_gsvd(g))
 
-        parts, peak = self.traced_peak(run)
+        parts, peak = traced_peak(run)
         assert np.linalg.norm(sum(parts) - a) <= 1e-9 * np.linalg.norm(a)
         assert peak <= 8 * (a.nbytes + b.nbytes)
