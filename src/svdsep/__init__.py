@@ -44,7 +44,6 @@ from .signal import (
     energy_gap,
     find_cutoff,
     find_two_cutoffs,
-    gsvd_cutoff,
     gsvd_separate,
     separate,
     singular_energies,
@@ -76,7 +75,7 @@ __all__ = [
     "ChannelSet", "EmbedLayout", "EgvProfile", "CutoffResult", "embed",
     "unembed", "energy_gap", "singular_energies", "egv", "egv_profile",
     "cutoff_from_values", "find_cutoff", "find_two_cutoffs",
-    "cutoff_from_gsvd", "gsvd_cutoff", "cutoff", "separate", "gsvd_separate",
+    "cutoff_from_gsvd", "cutoff", "separate", "gsvd_separate",
     "band_signals",
     "GrayImage", "WindowConfig", "SmoothnessMap", "information_density",
     "singular_smoothness", "select_order", "sliding_scan", "threshold_map",

@@ -1,9 +1,9 @@
 """Command-line surface: ``separate``, ``scan`` and ``synth``.
 
-Every command echoes its effective parameters into a versioned JSON report
-next to its outputs, exits 0 only when all requested files were written,
-and routes all processing errors to stderr with a nonzero status (2 for
-parse/usage problems, 1 for everything else).
+Each command returns a :class:`RunReport`; :func:`main` times it, writes it
+as a versioned JSON report next to the outputs, exits 0 only when all files
+were written, and routes all processing errors to stderr with a nonzero
+status (2 for parse/usage problems, 1 for everything else).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class RunReport:
     parameters: dict
     results: dict
     work_counters: dict = field(default_factory=dict)
-    wall_time_ms: float = 0.0
+    wall_time_ms: float = 0.0  # from after argument parsing to before the report write
     schema_version: int = SCHEMA_VERSION
 
     def to_json(self) -> str:
@@ -59,14 +59,6 @@ def _jsonable(obj):
             return "nan"
         return f
     return obj
-
-
-def _write_report(report: RunReport, prefix: str, echo: bool) -> None:
-    text = report.to_json()
-    with open(f"{prefix}_report.json", "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    if echo:
-        print(text)
 
 
 def _int_list(text: str) -> list[int]:
@@ -107,8 +99,7 @@ def _layout_from_args(args, channels: signal.ChannelSet) -> signal.EmbedLayout:
     return signal.EmbedLayout.channel_columns(window, offsets=offsets)
 
 
-def cmd_separate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_separate(args) -> RunReport:
     # A flag that the chosen route never reads is an error, not a silent no-op.
     for flag, value, option, route in (
         ("--min-separation", args.min_separation, "method", "svd"),
@@ -157,7 +148,7 @@ def cmd_separate(args) -> int:
         outputs.append(path)
         del out  # free this band before the next one is formed
 
-    report = RunReport(
+    return RunReport(
         command="separate",
         inputs=[args.input] + ([args.second] if args.second else []),
         parameters={
@@ -179,14 +170,10 @@ def cmd_separate(args) -> int:
             "outputs": outputs,
         },
         work_counters={"decompositions": decompositions},
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
-    _write_report(report, args.output_prefix, args.json)
-    return 0
 
 
-def cmd_scan(args) -> int:
-    t0 = time.perf_counter()
+def cmd_scan(args) -> RunReport:
     # No local keeps the image: it is freed before the outputs are written.
     smap = sliding_scan(
         fio.load_gray_image(args.input),
@@ -206,7 +193,7 @@ def cmd_scan(args) -> int:
         outputs.append(f"{args.output_prefix}_mask.pgm")
         mask_stats = {"flagged": int(mask.sum()), "total": int(mask.size)}
 
-    report = RunReport(
+    return RunReport(
         command="scan",
         inputs=[args.input],
         parameters={
@@ -222,14 +209,10 @@ def cmd_scan(args) -> int:
             "mask": mask_stats, "outputs": outputs,
         },
         work_counters={"decompositions": smap.decompositions},
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
-    _write_report(report, args.output_prefix, args.json)
-    return 0
 
 
-def cmd_synth(args) -> int:
-    t0 = time.perf_counter()
+def cmd_synth(args) -> RunReport:
     if args.kind == "mixture":
         spec = MixtureSpec(
             samples=args.samples, channels=args.channels,
@@ -257,15 +240,12 @@ def cmd_synth(args) -> int:
         results = {"tag_codes": {"smooth": 0, "rough": 1, "anomaly-band": 2},
                    "outputs": [img_path, mask_path]}
 
-    report = RunReport(
+    return RunReport(
         command=f"synth {args.kind}",
         inputs=[],
         parameters=asdict(spec),
         results=results,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
-    _write_report(report, args.output_prefix, args.json)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,8 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Subspace separation of multichannel signals and sliding-window texture maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options of every command: main writes and echoes the report they name.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--output-prefix", required=True)
+    common.add_argument("--json", action="store_true", help="echo the report to stdout")
 
-    p_sep = sub.add_parser("separate", help="split a signal CSV into dominant/weak/noise parts")
+    p_sep = sub.add_parser("separate", parents=[common], help="split a signal CSV into dominant/weak/noise parts")
     p_sep.add_argument("input", help="signal CSV, one column per channel")
     p_sep.add_argument("--method", choices=["svd", "gsvd"], default="svd")
     p_sep.add_argument("--second", help="gsvd method only: reference CSV")
@@ -288,11 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--min-separation", type=int, default=None,
                        help="svd method only: least index gap between the two cutoffs (default 1)")
     p_sep.add_argument("--rank-tolerance", type=float, default=None, help="svd method only")
-    p_sep.add_argument("--output-prefix", required=True)
-    p_sep.add_argument("--json", action="store_true", help="echo the report to stdout")
     p_sep.set_defaults(func=cmd_separate)
 
-    p_scan = sub.add_parser("scan", help="sliding-window texture metric over a grayscale image")
+    p_scan = sub.add_parser("scan", parents=[common], help="sliding-window texture metric over a grayscale image")
     p_scan.add_argument("input", help="PGM or 8-bit grayscale PNG image")
     p_scan.add_argument("--window-size", type=int, default=5)
     p_scan.add_argument("--stride", type=int, default=1)
@@ -305,14 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--epsilon-guard", type=float, default=1e-6)
     p_scan.add_argument("--threshold", type=float, default=None)
     p_scan.add_argument("--polarity", choices=["above", "below"], default="above")
-    p_scan.add_argument("--output-prefix", required=True)
-    p_scan.add_argument("--json", action="store_true")
     p_scan.set_defaults(func=cmd_scan)
 
     p_synth = sub.add_parser("synth", help="generate seeded synthetic data with ground truth")
     synth_sub = p_synth.add_subparsers(dest="kind", required=True)
 
-    p_mix = synth_sub.add_parser("mixture", help="dominant+weak+noise channel mixture CSV")
+    p_mix = synth_sub.add_parser("mixture", parents=[common], help="dominant+weak+noise channel mixture CSV")
     p_mix.add_argument("--samples", type=int, default=400)
     p_mix.add_argument("--channels", type=int, default=8)
     p_mix.add_argument("--dominant-rank", type=int, default=2)
@@ -322,11 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mix.add_argument("--ratio-dominant-weak", type=float, default=100.0)
     p_mix.add_argument("--ratio-weak-noise", type=float, default=100.0)
     p_mix.add_argument("--seed", type=int, default=0)
-    p_mix.add_argument("--output-prefix", required=True)
-    p_mix.add_argument("--json", action="store_true")
     p_mix.set_defaults(func=cmd_synth)
 
-    p_tex = synth_sub.add_parser("texture", help="smooth/rough/anomaly texture PGM")
+    p_tex = synth_sub.add_parser("texture", parents=[common], help="smooth/rough/anomaly texture PGM")
     p_tex.add_argument("--width", type=int, default=40)
     p_tex.add_argument("--height", type=int, default=40)
     p_tex.add_argument("--region", action="append", type=_region_arg,
@@ -336,18 +314,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_tex.add_argument("--noise-anomaly", type=float, default=1e-3)
     p_tex.add_argument("--base-level", type=float, default=0.5)
     p_tex.add_argument("--seed", type=int, default=0)
-    p_tex.add_argument("--output-prefix", required=True)
-    p_tex.add_argument("--json", action="store_true")
     p_tex.set_defaults(func=cmd_synth)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, then stamp, write and (on ``--json``) echo its report."""
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        report = args.func(args)
+        report.wall_time_ms = (time.perf_counter() - t0) * 1e3
+        text = report.to_json()
+        with open(f"{args.output_prefix}_report.json", "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        if args.json:
+            print(text)
+        return 0
     except ParseError as exc:
         print(f"svdsep: parse error: {exc}", file=sys.stderr)
         return 2

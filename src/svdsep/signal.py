@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     DegenerateSpectrumError,
     InsufficientRankError,
@@ -48,7 +47,6 @@ __all__ = [
     "find_cutoff",
     "find_two_cutoffs",
     "cutoff_from_gsvd",
-    "gsvd_cutoff",
     "cutoff",
     "separate",
     "gsvd_separate",
@@ -387,11 +385,6 @@ def cutoff_from_gsvd(result: GsvdResult) -> CutoffResult:
         raise InsufficientRankError(f"only {finite.size} finite generalized values; need at least 2")
     inner = cutoff_from_values(finite, method="gsvd-egv")
     return CutoffResult(m=n_inf + inner.m, f=None, peak_values=inner.peak_values, method="gsvd-egv")
-
-
-def gsvd_cutoff(a, b) -> CutoffResult:
-    """Decompose the pair (A, B) and find the boundary on its generalized values."""
-    return cutoff_from_gsvd(linalg.gsvd(a, b))
 
 
 def cutoff(factors: SpectrumResult | GsvdResult, min_separation: int = 1) -> CutoffResult:

@@ -2,7 +2,7 @@ import statistics
 
 import pytest
 
-from svdsep import bench
+from svdsep import bench, linalg
 from svdsep.errors import InvalidInputError
 
 
@@ -15,9 +15,10 @@ class TestCutoffBench:
     def test_records_complete(self):
         records = bench.run_cutoff_bench([32, 64], reps=3, seed=1)
         assert len(records) == 12
+        expected = {bench.SUITE_CUTOFF_SVD: 1, bench.SUITE_CUTOFF_GSVD: linalg.GSVD_FACTORIZATIONS}
         for rec in records:
             assert rec.wall_time_ms >= 0.0
-            assert rec.decompositions == 1
+            assert rec.decompositions == expected[rec.suite]
 
     def test_gsvd_slower_at_largest_size(self):
         records = bench.run_cutoff_bench([32, 128], reps=5, seed=2)

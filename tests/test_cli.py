@@ -154,13 +154,6 @@ class TestSeparate:
         assert code == 0
         assert peak <= 2.25 * trajectory
 
-    def test_json_flag_echoes_report(self, tmp_path, mixture_csv, capsys):
-        prefix = tmp_path / "sep"
-        run("separate", mixture_csv, "--output-prefix", prefix, "--json")
-        out = capsys.readouterr().out
-        assert json.loads(out)["command"] == "separate"
-
-
     @pytest.mark.parametrize("method", ["svd", "gsvd"])
     def test_decompositions_counts_the_factorizations_run(self, tmp_path, mixture_csv,
                                                           monkeypatch, method):
@@ -297,3 +290,44 @@ class TestSynth:
         prefix = tmp_path / "m"
         run("synth", "mixture", "--output-prefix", prefix)
         assert run("separate", f"{prefix}_signals.csv", "--output-prefix", tmp_path / "s") == 0
+
+
+def command_argv(tmp_path, command):
+    """argv, without the output options, of one small run of ``command``."""
+    if command == "separate":
+        assert run("synth", "mixture", "--output-prefix", tmp_path / "in") == 0
+        return [command, tmp_path / "in_signals.csv"]
+    if command == "scan":
+        assert run("synth", "texture", "--output-prefix", tmp_path / "in") == 0
+        return [command, tmp_path / "in_image.pgm"]
+    return command.split()
+
+
+class TestRunReport:
+    COMMANDS = ["separate", "scan", "synth mixture", "synth texture"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_json_echo_equals_the_written_report(self, tmp_path, capsys, command):
+        argv = command_argv(tmp_path, command)
+        capsys.readouterr()
+        prefix = tmp_path / "out"
+        assert run(*argv, "--output-prefix", prefix, "--json") == 0
+        with open(f"{prefix}_report.json", "r", encoding="utf-8") as fh:
+            written = fh.read()
+        assert capsys.readouterr().out == written
+        report = json.loads(written)
+        assert report["command"] == command
+        assert list(report) == ["command", "inputs", "parameters", "results", "work_counters",
+                                "wall_time_ms", "schema_version"]
+        assert report["wall_time_ms"] > 0.0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_report_exits_2_without_traceback(self, tmp_path, capsys, command):
+        argv = command_argv(tmp_path, command)
+        (tmp_path / "out_report.json").mkdir()
+        capsys.readouterr()
+        assert run(*argv, "--output-prefix", tmp_path / "out", "--json") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("svdsep: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

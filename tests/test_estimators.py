@@ -70,6 +70,11 @@ class TestSubspaceSeparator:
         sep = SubspaceSeparator().fit(x)
         weak_direct = sep.subspaces()[1]
         assert np.allclose(sep.transform(x), weak_direct, atol=1e-9)
+        # No second boundary: the weak band runs to the numerical rank.
+        with pytest.warns(RuntimeWarning):
+            sep = SubspaceSeparator(min_separation=7).fit(x)
+        assert sep.cutoffs()[1] is None
+        assert np.allclose(sep.transform(x), sep.subspaces()[1], atol=1e-9)
 
     def test_gsvd_method(self):
         x, _ = mixture_matrix(seed=9)

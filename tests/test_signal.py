@@ -421,7 +421,7 @@ class TestGsvdCutoff:
     def test_identity_reference_matches_svd_route(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((12, 6))
-        cut_gsvd = signal.gsvd_cutoff(a, np.eye(6))
+        cut_gsvd = signal.cutoff_from_gsvd(linalg.gsvd(a, np.eye(6)))
         cut_svd = signal.find_cutoff(linalg.svd(a))
         assert cut_gsvd.m == cut_svd.m
         assert cut_gsvd.method == "gsvd-egv"
@@ -435,7 +435,7 @@ class TestGsvdCutoff:
         b = np.zeros((4, 4))
         b[1, 1], b[2, 2], b[3, 3] = 1.0, 1.0, 1.0  # first direction unseen by B
         with pytest.warns(RuntimeWarning):
-            cut = signal.gsvd_cutoff(a, b)
+            cut = signal.cutoff_from_gsvd(linalg.gsvd(a, b))
         g = linalg.gsvd(a, b)
         n_inf = int(np.sum(np.isinf(g.generalized_values)))
         assert n_inf == 1
@@ -445,7 +445,7 @@ class TestGsvdCutoff:
     def test_all_infinite_rejected(self):
         with pytest.warns(RuntimeWarning):
             with pytest.raises(InsufficientRankError):
-                signal.gsvd_cutoff(np.eye(2), np.zeros((2, 2)))
+                signal.cutoff_from_gsvd(linalg.gsvd(np.eye(2), np.zeros((2, 2))))
 
 
 class TestCutoff:
