@@ -48,7 +48,8 @@ def _mixture_matrix(samples: int, seed: int):
 
 
 def run_cutoff_bench(sizes, reps: int, seed: int = 0) -> list[BenchRecord]:
-    """Time both cutoff routes on seeded mixtures of each sample count.
+    """Time both cutoff routes, as the CLI runs them (``signal.cutoff``), on
+    seeded mixtures of each sample count.
 
     Produces ``2 * len(sizes) * reps`` records. An svd run is one
     factorization, a gsvd run ``linalg.GSVD_FACTORIZATIONS``.
@@ -62,15 +63,15 @@ def run_cutoff_bench(sizes, reps: int, seed: int = 0) -> list[BenchRecord]:
     for size in sizes:
         a = _mixture_matrix(size, seed)
         b = _mixture_matrix(size, seed + 1)
-        signal.find_cutoff(linalg.svd(a))       # warm-up, discarded
-        signal.cutoff_from_gsvd(linalg.gsvd(a, b))
+        signal.cutoff(linalg.svd(a))       # warm-up, discarded
+        signal.cutoff(linalg.gsvd(a, b))
         for rep in range(reps):
             t0 = time.perf_counter()
-            signal.find_cutoff(linalg.svd(a))
+            signal.cutoff(linalg.svd(a))
             records.append(BenchRecord(SUITE_CUTOFF_SVD, size, rep,
                                        (time.perf_counter() - t0) * 1e3, 1))
             t0 = time.perf_counter()
-            signal.cutoff_from_gsvd(linalg.gsvd(a, b))
+            signal.cutoff(linalg.gsvd(a, b))
             records.append(BenchRecord(SUITE_CUTOFF_GSVD, size, rep,
                                        (time.perf_counter() - t0) * 1e3,
                                        linalg.GSVD_FACTORIZATIONS))

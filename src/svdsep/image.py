@@ -27,11 +27,10 @@ from .errors import (
     InsufficientRankError,
     InvalidInputError,
     OrderError,
-    RangeError,
     ShapeError,
 )
-from .linalg import SpectrumResult
-from .validation import check_matrix
+from .linalg import SpectrumResult, _rank
+from .validation import check_index_range, check_matrix
 
 __all__ = [
     "GrayImage",
@@ -170,17 +169,6 @@ class SmoothnessMap:
         return self.grid.shape[1]
 
 
-def _rank_of(values: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Numerical rank of each descending spectrum along the last axis.
-
-    The tolerance is max(m, n) * eps * sigma_1; ``dim`` defaults to the
-    spectrum length, which is max(m, n) for a square window.
-    """
-    if dim is None:
-        dim = values.shape[-1]
-    return np.count_nonzero(values > dim * _EPS * values[..., :1], axis=-1)
-
-
 def _run_sum(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Sum of ``x`` over the contiguous run ``keep`` of each last-axis row.
 
@@ -224,13 +212,17 @@ def _smoothness(values: np.ndarray, n, guard: float) -> np.ndarray:
 
 
 def _metric(values: np.ndarray, cfg: WindowConfig, metric: str) -> np.ndarray:
-    """The ``cfg`` window metric of each descending spectrum along the last axis."""
+    """The ``cfg`` window metric of each descending spectrum along the last axis.
+
+    A square window's spectrum length is max(m, n), so the rank tolerance
+    is ``linalg.svd``'s default.
+    """
     if metric == METRIC_DENSITY:
         lo, hi = cfg.density_range
-        return _density(values, lo, hi, _rank_of(values))
+        return _density(values, lo, hi, _rank(values, values.shape[-1] * _EPS))
     n = cfg.order
     if n == "auto":
-        n = _auto_order(values, _rank_of(values), cfg.delta)
+        n = _auto_order(values, _rank(values, values.shape[-1] * _EPS), cfg.delta)
     return _smoothness(values, n, cfg.epsilon_guard)
 
 
@@ -242,11 +234,10 @@ def information_density(d, lo: int = 1, hi: int | None = None) -> float:
     """
     arr = check_matrix(d, "D")
     values = np.linalg.svd(arr, compute_uv=False)
-    rank = int(_rank_of(values, max(arr.shape)))
+    rank = int(_rank(values, max(arr.shape) * _EPS))
     if hi is None:
         hi = rank
-    if not 1 <= lo <= hi <= rank:
-        raise RangeError(f"density range [{lo}, {hi}] must satisfy 1 <= lo <= hi <= rank ({rank})")
+    check_index_range(lo, hi, rank, "density range")
     return float(_density(values, lo, hi, rank))
 
 

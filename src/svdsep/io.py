@@ -77,6 +77,23 @@ def _cell(path, text, line, column) -> float:
     return value
 
 
+def _not_utf8(path) -> ParseError:
+    """The error for a CSV that is not UTF-8, naming the line of its first bad byte.
+
+    The text reader decodes ahead of the line it hands out, so the file is
+    read again here, on the error path only.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        # lines end at \n, \r or \r\n, as the text reader splits them
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return ParseError(f"{path}: byte 0x{raw[exc.start]:02x} is not UTF-8", line=line)
+    return ParseError(f"{path}: not UTF-8 text")
+
+
 def _read_csv(path, header):
     """Stream a CSV of finite floats into a (rows, width) array and labels (or None).
 
@@ -85,23 +102,26 @@ def _read_csv(path, header):
     """
     labels = width = None
     values = array("d")
-    with open(path, "r", encoding="utf-8") as fh:
-        for line, text in enumerate(fh, start=1):
-            if not text.strip():
-                continue
-            cells = text.split(",")
-            if header and width is None:
-                try:
-                    list(map(float, cells))
-                except ValueError:
-                    labels = tuple(cell.strip() for cell in cells)
-                    width = len(labels)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line, text in enumerate(fh, start=1):
+                if not text.strip():
                     continue
-            width = width or len(cells)
-            if len(cells) != width:
-                raise ParseError(f"{path}: expected {width} columns, got {len(cells)}", line=line)
-            for column, cell in enumerate(cells, start=1):
-                values.append(_cell(path, cell, line, column))
+                cells = text.split(",")
+                if header and width is None:
+                    try:
+                        list(map(float, cells))
+                    except ValueError:
+                        labels = tuple(cell.strip() for cell in cells)
+                        width = len(labels)
+                        continue
+                width = width or len(cells)
+                if len(cells) != width:
+                    raise ParseError(f"{path}: expected {width} columns, got {len(cells)}", line=line)
+                for column, cell in enumerate(cells, start=1):
+                    values.append(_cell(path, cell, line, column))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not values:
         raise ParseError(f"{path}: no data rows")
     return np.frombuffer(values, dtype=np.float64).reshape(-1, width), labels
@@ -138,7 +158,12 @@ def _pgm_tokens(data: bytes):
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a P2 or P5 PGM with maxval <= 255 into a uint8 array."""
+    """Read a P2 or P5 PGM with maxval <= 255 into a uint8 array of raw samples."""
+    return _read_pgm(path)[0]
+
+
+def _read_pgm(path) -> tuple[np.ndarray, int]:
+    """The raw samples of a P2 or P5 PGM and its maxval."""
     raw = Path(path).read_bytes()
     tokens = _pgm_tokens(raw)
     try:
@@ -162,7 +187,9 @@ def read_pgm(path) -> np.ndarray:
             if len(raw) - start >= width * height else None
         if pixels is None:
             raise ParseError(f"{path}: truncated PGM pixel data")
-        return pixels.reshape(height, width).copy()
+        if maxval < 255 and pixels.max() > maxval:
+            raise ParseError(f"{path}: PGM sample out of range [0, {maxval}]")
+        return pixels.reshape(height, width).copy(), maxval
     values = []
     for tok, _ in tokens:
         try:
@@ -174,7 +201,7 @@ def read_pgm(path) -> np.ndarray:
     arr = np.asarray(values)
     if arr.min() < 0 or arr.max() > maxval:
         raise ParseError(f"{path}: PGM sample out of range [0, {maxval}]")
-    return arr.astype(np.uint8).reshape(height, width)
+    return arr.astype(np.uint8).reshape(height, width), maxval
 
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
@@ -198,9 +225,13 @@ def read_png(path) -> np.ndarray:
     idat = bytearray()
     while pos + 8 <= len(raw):
         length, ctype = struct.unpack(">I4s", raw[pos : pos + 8])
+        if pos + 12 + length > len(raw):
+            raise ParseError(f"{path}: PNG chunk {ctype!r} of {length} bytes runs past the end of the file")
         chunk = raw[pos + 8 : pos + 8 + length]
         pos += 12 + length
         if ctype == b"IHDR":
+            if length != 13:
+                raise ParseError(f"{path}: PNG IHDR chunk has {length} bytes, expected 13")
             width, height, depth, color, comp, filt, interlace = struct.unpack(">IIBBBBB", chunk)
             if depth != 8 or color != 0:
                 raise ParseError(f"{path}: only 8-bit grayscale PNG is supported "
@@ -249,13 +280,14 @@ def read_png(path) -> np.ndarray:
 
 
 def load_gray_image(path) -> GrayImage:
-    """Load a PGM or PNG file as a normalized grayscale image."""
+    """Load a PGM or PNG file as a grayscale image, scaled so the format's maxval is 1."""
     with open(path, "rb") as fh:
         head = fh.read(8)
     if head[:8] == _PNG_SIGNATURE:
         return GrayImage.from_uint8(read_png(path))
     if head[:2] in (b"P2", b"P5"):
-        return GrayImage.from_uint8(read_pgm(path))
+        pixels, maxval = _read_pgm(path)
+        return GrayImage(pixels.astype(np.float64) / maxval)
     raise ParseError(f"{path}: unrecognized image format (expected PGM or PNG)")
 
 

@@ -77,11 +77,21 @@ class GsvdResult:
     generalized_values: np.ndarray  # (n,) descending, inf first
 
     def reconstruct_a(self) -> np.ndarray:
-        return (self.u_basis * self.alpha) @ self.x_factor.T
+        return _band(self.u_basis, self.alpha, self.x_factor, 0, self.alpha.size)
 
     def reconstruct_b(self) -> np.ndarray:
-        k = self.v_basis.shape[1]
-        return (self.v_basis * self.beta[:k]) @ self.x_factor[:, :k].T
+        return _band(self.v_basis, self.beta, self.x_factor, 0, self.v_basis.shape[1])
+
+
+def _band(u: np.ndarray, w: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``U[:, lo:hi] diag(w[lo:hi]) X[:, lo:hi]^T``; an empty range gives zeros."""
+    return (u[:, lo:hi] * w[lo:hi]) @ x[:, lo:hi].T
+
+
+def _rank(values: np.ndarray, rank_tolerance: float) -> np.ndarray:
+    """Count of values above ``rank_tolerance * sigma_1`` in each descending
+    spectrum along the last axis."""
+    return np.count_nonzero(values > rank_tolerance * values[..., :1], axis=-1)
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
@@ -124,12 +134,11 @@ def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
         v = vt.T.copy()
     _fix_signs(u, v)
-    rank = int(np.count_nonzero(s > rank_tolerance * s[0]))
     return SpectrumResult(
         left_basis=u,
         right_basis=v,
         singular_values=s,
-        numerical_rank=rank,
+        numerical_rank=int(_rank(s, rank_tolerance)),
         rank_tolerance=float(rank_tolerance),
     )
 
@@ -215,7 +224,4 @@ def frobenius_energy(a) -> float:
 def truncated_sum(spectrum: SpectrumResult, first: int, last: int) -> np.ndarray:
     """Partial reconstruction from singular triples ``first..last`` (1-based, inclusive)."""
     check_index_range(first, last, spectrum.numerical_rank, "truncation range")
-    u = spectrum.left_basis[:, first - 1 : last]
-    s = spectrum.singular_values[first - 1 : last]
-    v = spectrum.right_basis[:, first - 1 : last]
-    return (u * s) @ v.T
+    return _band(spectrum.left_basis, spectrum.singular_values, spectrum.right_basis, first - 1, last)

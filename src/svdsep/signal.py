@@ -29,8 +29,8 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .linalg import GsvdResult, SpectrumResult
-from .validation import check_matrix
+from .linalg import GsvdResult, SpectrumResult, _band
+from .validation import check_index_range, check_matrix
 
 __all__ = [
     "ChannelSet",
@@ -169,21 +169,7 @@ def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
     diagonal averaging (each sample is the mean of every window entry
     covering it). Positions no window covers are zero."""
     m = check_matrix(matrix, "matrix")
-    n = layout.window_length
-    if m.shape[0] != n:
-        raise LayoutError(f"matrix has {m.shape[0]} rows but layout window_length is {n}")
-    if layout.mode == MODE_CHANNEL_COLUMNS:
-        offsets = layout.source_offsets or (0,) * m.shape[1]
-        if len(offsets) != m.shape[1]:
-            raise LayoutError(f"{len(offsets)} offsets for {m.shape[1]} columns")
-        out = np.zeros((target_length, m.shape[1]))
-        for j, off in enumerate(offsets):
-            if off + n > target_length:
-                raise LayoutError(f"column {j} at offset {off} does not fit in {target_length} samples")
-            out[off : off + n, j] = m[:, j]
-        return ChannelSet(out)
-    coverage = _hankel_coverage(layout, m.shape[1], target_length)
-    return _diagonal_average(lambda j0, j1: m[:, j0:j1], layout, m.shape[1], coverage)
+    return _unembed(lambda j0, j1: m[:, j0:j1], layout, m.shape, target_length)
 
 
 # Bytes of one column block of a Hankel matrix formed from its factors.
@@ -206,18 +192,33 @@ def _hankel_coverage(layout: EmbedLayout, columns: int, target_length: int) -> n
     return cnt
 
 
-def _diagonal_average(block_of, layout: EmbedLayout, columns: int, coverage: np.ndarray) -> ChannelSet:
-    """Diagonal averaging of a Hankel matrix handed over in column blocks.
+def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_length: int) -> ChannelSet:
+    """:func:`unembed` of a ``shape`` matrix whose columns ``j0:j1`` are ``block_of(j0, j1)``.
 
-    ``block_of(j0, j1)`` returns columns ``j0:j1`` of the (window_length,
-    columns) matrix. Entry (i, j) is sample i + j * stride, so each row of
-    a block adds into one strided slice. Blocks run from the last window
-    back to the first: a sample's entries then arrive in row order, the
-    order a whole-matrix pass adds them in. Positions no window covers
-    (``coverage`` 0) stay zero.
+    Channel-columns takes one block of every column. A Hankel matrix is
+    diagonal-averaged: entry (i, j) is sample i + j * stride, so each row
+    of a block adds into one strided slice. Blocks run from the last
+    window back to the first: a sample's entries then arrive in row order,
+    the order a whole-matrix pass adds them in.
     """
+    rows, columns = shape
     n, stride = layout.window_length, layout.stride
-    acc = np.zeros(coverage.size)
+    if rows != n:
+        raise LayoutError(f"matrix has {rows} rows but layout window_length is {n}")
+    if layout.mode == MODE_CHANNEL_COLUMNS:
+        offsets = layout.source_offsets or (0,) * columns
+        if len(offsets) != columns:
+            raise LayoutError(f"{len(offsets)} offsets for {columns} columns")
+        for j, off in enumerate(offsets):
+            if off + n > target_length:
+                raise LayoutError(f"column {j} at offset {off} does not fit in {target_length} samples")
+        block = block_of(0, columns)  # before the output: a band's temporaries are freed by then
+        out = np.zeros((target_length, columns))
+        for j, off in enumerate(offsets):
+            out[off : off + n, j] = block[:, j]
+        return ChannelSet(out)
+    coverage = _hankel_coverage(layout, columns, target_length)
+    acc = np.zeros(target_length)
     step = max(1, _AVERAGE_BLOCK_BYTES // (8 * n))
     for j0 in range((columns - 1) // step * step, -1, -step):
         j1 = min(j0 + step, columns)
@@ -260,8 +261,7 @@ def energy_gap(spectrum: SpectrumResult, k: int) -> float:
     matches the four-norm difference of the truncated reconstructions.
     """
     r = spectrum.numerical_rank
-    if not 1 <= k <= r:
-        raise RangeError(f"k={k} outside [1, {r}]")
+    check_index_range(k, k, r, "split k")
     s_next = spectrum.singular_values[k] if k < r else 0.0
     return 2.0 * float(s_next) ** 2
 
@@ -431,17 +431,9 @@ def band_signals(factors: SpectrumResult | GsvdResult, cut: CutoffResult,
     with the matrix route to rounding, not bitwise.
     """
     u, w, x, ranges = _band_ranges(factors, cut)
-    if layout.mode == MODE_CHANNEL_COLUMNS:
-        for lo, hi in ranges:
-            yield unembed(_band(u, w, x, lo, hi), layout, target_length)
-        return
-    if u.shape[0] != layout.window_length:
-        raise LayoutError(f"factors have {u.shape[0]} rows but layout window_length "
-                          f"is {layout.window_length}")
-    coverage = _hankel_coverage(layout, x.shape[0], target_length)
     for lo, hi in ranges:
-        y, xb = u[:, lo:hi] * w[lo:hi], x[:, lo:hi]
-        yield _diagonal_average(lambda j0, j1: y @ xb[j0:j1].T, layout, x.shape[0], coverage)
+        yield _unembed(lambda j0, j1: _band(u, w, x[j0:j1], lo, hi), layout,
+                       (u.shape[0], x.shape[0]), target_length)
 
 
 def _band_ranges(factors: SpectrumResult | GsvdResult, cut: CutoffResult):
@@ -455,19 +447,12 @@ def _band_ranges(factors: SpectrumResult | GsvdResult, cut: CutoffResult):
         r = factors.numerical_rank
     m = cut.m
     f = cut.f if cut.f is not None else r
-    if not 1 <= m <= r:
-        raise RangeError(f"m={m} outside [1, {r}]")
-    if not m <= f <= r:
-        raise RangeError(f"f={f} outside [{m}, {r}]")
+    check_index_range(1, m, r, "dominant band")
+    check_index_range(m, f, r, "cutoff (m, f)")
     # alpha ascends in storage: descending position i (1-based) is index r - i
     ranges = [(r - last, r - first + 1) if ascending else (first - 1, last)
               for first, last in ((1, m), (m + 1, f), (f + 1, r))]
     return u, w, x, ranges
-
-
-def _band(u: np.ndarray, w: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """``U[:, lo:hi] diag(w[lo:hi]) X[:, lo:hi]^T``; an empty range gives zeros."""
-    return (u[:, lo:hi] * w[lo:hi]) @ x[:, lo:hi].T
 
 
 # A name only: perfbench/spans.py wraps ``signal.gsvd_separate`` by name and

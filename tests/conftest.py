@@ -117,3 +117,10 @@ def encode_png_gray8(pixels, filter_type, color_type=0):
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
     return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
             + chunk(b"IDAT", zlib.compress(bytes(raw))) + chunk(b"IEND", b""))
+
+
+def short_ihdr_png():
+    """A PNG whose IHDR chunk holds 9 of its 13 bytes, with a valid CRC."""
+    ihdr = struct.pack(">IIB", 4, 4, 8)
+    return (b"\x89PNG\r\n\x1a\n" + struct.pack(">I", len(ihdr)) + b"IHDR" + ihdr
+            + struct.pack(">I", zlib.crc32(b"IHDR" + ihdr)))

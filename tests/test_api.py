@@ -1,11 +1,14 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import svdsep
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(svdsep.__path__, "svdsep."))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("module", ["svdsep", *MODULES])
@@ -14,3 +17,13 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
 
+
+def test_readme_quickstart_runs_and_its_comments_hold():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 2
+    scope = {}
+    for block in blocks:  # the second block uses names the first one binds
+        exec(compile(block, str(README), "exec"), scope)
+    assert scope["cut"].m == 2
+    assert scope["cut"].f == 4
+    assert scope["gcut"].f is None

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import encode_png_gray8, traced_peak
+from conftest import encode_png_gray8, short_ihdr_png, traced_peak
 
 from svdsep import io as fio
 from svdsep.cli import main
@@ -101,6 +101,14 @@ class TestSeparate:
         assert run("separate", bad, "--output-prefix", tmp_path / "x") == 2
         err = capsys.readouterr().err
         assert "line 2, column 2" in err
+
+    def test_non_utf8_csv_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1.0,2.0\n3.0,\xff\n")
+        assert run("separate", bad, "--output-prefix", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("svdsep: parse error: ") and "(line 2)" in err
+        assert "Traceback" not in err
 
     def test_degenerate_input_fails_cleanly(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
@@ -244,6 +252,18 @@ class TestScan:
         assert run("scan", png, "--window-size", 4, "--stride", 4,
                    "--output-prefix", tmp_path / "p") == 0
         assert fio.read_grid_csv(f"{tmp_path / 'p'}_map.csv").shape == (4, 4)
+
+    @pytest.mark.parametrize("malformed", ["short IHDR", "chunk past the end"])
+    def test_malformed_png_is_a_parse_error(self, tmp_path, capsys, malformed):
+        png = tmp_path / "img.png"
+        if malformed == "short IHDR":
+            png.write_bytes(short_ihdr_png())
+        else:
+            png.write_bytes(encode_png_gray8(np.zeros((8, 8), dtype=np.uint8), 0)[:8 + 8 + 5])
+        capsys.readouterr()
+        assert run("scan", png, "--window-size", 4, "--output-prefix", tmp_path / "p") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("svdsep: parse error: ") and "Traceback" not in err
 
     def test_peak_stays_near_image_plus_grid(self, tmp_path):
         img, _ = gen_texture(TextureSpec(width=256, height=256, seed=5,

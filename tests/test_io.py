@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import encode_png_gray8, traced_peak
+from conftest import encode_png_gray8, short_ihdr_png, traced_peak
 
 from svdsep import io as fio
 from svdsep.errors import ParseError
@@ -76,6 +76,25 @@ class TestChannelsCsv:
         back, peak = traced_peak(lambda: fio.read_channels_csv(path))
         assert np.array_equal(back.data, data)
         assert peak <= 2 * data.nbytes
+
+
+class TestNonUtf8Csv:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_bad_byte_names_its_line(self, tmp_path, newline):
+        # 3000 good rows first, so the bad byte lies past the reader's first decoded chunk
+        good = newline.join(["a,b"] + ["1.25,-3.5"] * 3000).encode() + newline.encode()
+        path = tmp_path / "bad.csv"
+        path.write_bytes(good + b"2.0,\xff4.0" + newline.encode() + b"5.0,6.0" + newline.encode())
+        with pytest.raises(ParseError, match=r"0xff is not UTF-8 \(line 3002\)") as info:
+            fio.read_channels_csv(path)
+        assert info.value.line == 3002 and str(path) in str(info.value)
+
+    def test_grid_reader_too(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xfe1.0,2.0\n")
+        with pytest.raises(ParseError) as info:
+            fio.read_grid_csv(path)
+        assert info.value.line == 1
 
 
 class TestGridCsv:
@@ -203,6 +222,12 @@ class TestPgm:
         with pytest.raises(ParseError):
             fio.read_pgm(path)
 
+    def test_binary_sample_out_of_range_rejected(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n\x03\x10")
+        with pytest.raises(ParseError, match=r"out of range \[0, 15\]"):
+            fio.read_pgm(path)
+
 
 class TestPng:
     @pytest.mark.parametrize("filter_type", [0, 1, 2, 3, 4])
@@ -235,6 +260,18 @@ class TestPng:
         with pytest.raises(ParseError):
             fio.read_png(path)
 
+    def test_short_ihdr_rejected(self, tmp_path):
+        path = tmp_path / "img.png"
+        path.write_bytes(short_ihdr_png())
+        with pytest.raises(ParseError, match="IHDR chunk has 9 bytes"):
+            fio.read_png(path)
+
+    def test_chunk_past_the_end_rejected(self, tmp_path):
+        path = tmp_path / "img.png"
+        path.write_bytes(encode_png_gray8(np.zeros((4, 4), dtype=np.uint8), 0)[:8 + 8 + 5])
+        with pytest.raises(ParseError, match="runs past the end"):
+            fio.read_png(path)
+
 
 class TestLoadGrayImage:
     def test_pgm_dispatch(self, tmp_path):
@@ -250,6 +287,13 @@ class TestLoadGrayImage:
         path.write_bytes(encode_png_gray8(arr, 0))
         img = fio.load_gray_image(path)
         assert np.array_equal(img.to_uint8(), arr)
+
+    @pytest.mark.parametrize("magic, body", [("P2", b"0 3\n15 7\n"), ("P5", b"\x00\x03\x0f\x07")])
+    def test_pgm_scaled_by_its_maxval(self, tmp_path, magic, body):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(f"{magic}\n2 2\n15\n".encode() + body)
+        img = fio.load_gray_image(path)
+        assert img.pixels.tobytes() == (np.array([[0, 3], [15, 7]]) / 15.0).tobytes()
 
     def test_closes_the_file(self, tmp_path):
         path = tmp_path / "img.pgm"

@@ -223,6 +223,24 @@ class TestBandSignals:
                               signal.band_signals(spec, cut, layout, 30)):
             assert band.data.tobytes() == signal.unembed(part, layout, 30).data.tobytes()
 
+    def test_channel_columns_with_offsets_are_the_matrix_route(self):
+        # A window shorter than the recording, placed at --offsets-style offsets.
+        data = np.random.default_rng(24).standard_normal((300, 6))
+        layout = EmbedLayout.channel_columns(200, offsets=(0, 10, 50, 100, 0, 99))
+        spec = linalg.svd(signal.embed(ChannelSet(data), layout))
+        cut = self.cut_for(spec.numerical_rank)
+        bands = list(signal.band_signals(spec, cut, layout, 300))
+        for part, band in zip(signal.separate(spec, cut), bands):
+            assert band.data.tobytes() == signal.unembed(part, layout, 300).data.tobytes()
+        assert len(bands) == 3 and np.all(bands[0].data[:10, 1] == 0.0)
+
+    def test_offset_that_does_not_fit_is_a_layout_error(self):
+        data = np.random.default_rng(25).standard_normal((300, 3))
+        layout = EmbedLayout.channel_columns(200, offsets=(0, 99, 10))
+        spec = linalg.svd(signal.embed(ChannelSet(data), layout))
+        with pytest.raises(LayoutError, match="column 1 at offset 99"):
+            next(signal.band_signals(spec, self.cut_for(spec.numerical_rank), layout, 250))
+
     def test_rejects_mismatched_layout_and_cut(self):
         x = np.random.default_rng(23).standard_normal(100)
         spec = linalg.svd(signal.embed(ChannelSet(x[:, np.newaxis]), EmbedLayout.hankel(10)))
