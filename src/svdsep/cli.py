@@ -189,9 +189,10 @@ def cmd_scan(args) -> RunReport:
     mask_stats = None
     if args.threshold is not None:
         mask = threshold_map(smap, args.threshold, polarity=args.polarity)
-        fio.write_pgm(f"{args.output_prefix}_mask.pgm", mask * np.uint8(255))
-        outputs.append(f"{args.output_prefix}_mask.pgm")
         mask_stats = {"flagged": int(mask.sum()), "total": int(mask.size)}
+        mask *= np.uint8(255)  # in place: no second mask-sized plane
+        fio.write_pgm(f"{args.output_prefix}_mask.pgm", mask)
+        outputs.append(f"{args.output_prefix}_mask.pgm")
 
     return RunReport(
         command="scan",

@@ -58,13 +58,16 @@ _QUANTIZE_ROWS = 64
 def _quantize_u8(arr: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """``np.round((arr - lo) / (hi - lo) * 255.0).astype(np.uint8)``, one row block at a time.
 
-    Each block of ``_QUANTIZE_ROWS`` rows gets one float64 temporary that is
-    updated in place by the same operations in the same order, so the bytes
-    equal those of the whole-array expression.
+    Every block of ``_QUANTIZE_ROWS`` rows goes through one reused float64
+    buffer, updated in place by the same operations in the same order, so
+    the bytes equal those of the whole-array expression.
     """
     out = np.empty(arr.shape, dtype=np.uint8)
+    buf = np.empty((min(_QUANTIZE_ROWS, arr.shape[0]),) + arr.shape[1:])
     for start in range(0, arr.shape[0], _QUANTIZE_ROWS):
-        t = arr[start : start + _QUANTIZE_ROWS] - lo
+        block = arr[start : start + _QUANTIZE_ROWS]
+        t = buf[: block.shape[0]]
+        np.subtract(block, lo, out=t)
         t /= hi - lo
         t *= 255.0
         np.round(t, out=t)
@@ -74,42 +77,65 @@ def _quantize_u8(arr: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GrayImage:
-    """Grayscale image with intensities normalized to [0, 1]."""
+    """Grayscale image: its samples and the sample value that means full white.
 
-    pixels: np.ndarray  # (height, width)
+    An 8-bit image keeps its uint8 ``samples`` and the format's ``maxval``
+    (255 for PNG, the header's value for PGM); intensities are formed only
+    where they are read, as ``samples / maxval``. Any other array is taken
+    as float64 intensities in [0, 1], whose ``maxval`` must be 1.
+    ``pixels`` gives the intensities either way.
+    """
+
+    samples: np.ndarray  # (height, width)
+    maxval: int = 1
 
     def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=np.float64)
+        arr = np.asarray(self.samples)
+        if arr.dtype == np.uint8:
+            if not 1 <= self.maxval <= 255:
+                raise InvalidInputError(f"maxval must lie in [1, 255], got {self.maxval}")
+        elif self.maxval != 1:
+            raise InvalidInputError(f"maxval is the scale of uint8 samples; {arr.dtype} samples "
+                                    f"are intensities and need maxval 1, got {self.maxval}")
+        else:
+            arr = arr.astype(np.float64, copy=False)
         if arr.ndim != 2:
             raise ShapeError(f"image must be 2-D, got ndim={arr.ndim}")
         if arr.shape[0] < 2 or arr.shape[1] < 2:
             raise ShapeError(f"image must be at least 2x2, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if arr.dtype != np.uint8 and not np.all(np.isfinite(arr)):
             raise InvalidInputError("image contains non-finite pixels")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if arr.min() < 0 or arr.max() > self.maxval:
             raise InvalidInputError("pixel intensities must lie in [0, 1]")
-        object.__setattr__(self, "pixels", arr)
+        object.__setattr__(self, "samples", arr)
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """Intensities in [0, 1]: a new float64 array for 8-bit samples, else the samples."""
+        if self.samples.dtype == np.uint8:
+            return self.samples / self.maxval
+        return self.samples
 
     @property
     def width(self) -> int:
-        return self.pixels.shape[1]
+        return self.samples.shape[1]
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[0]
+        return self.samples.shape[0]
 
     @classmethod
     def from_uint8(cls, arr) -> "GrayImage":
-        """Normalize an 8-bit array to [0, 1]."""
+        """An 8-bit image: a uint8 ``arr`` is kept as its samples, any other is divided by 255."""
         a = np.asarray(arr)
-        return cls(a.astype(np.float64) / 255.0)
+        return cls(a, 255) if a.dtype == np.uint8 else cls(a / 255.0)
 
     def to_uint8(self) -> np.ndarray:
         """Round ``pixels * 255`` half to even into a uint8 array.
 
         Quantized in row blocks, so the only float64 temporary is one block.
         """
-        return _quantize_u8(self.pixels, 0.0, 1.0)
+        return _quantize_u8(self.samples, 0.0, self.maxval)
 
 
 @dataclass(frozen=True)
@@ -284,7 +310,8 @@ def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHN
     takes one singular-value decomposition (values only, no bases); the
     spectra of a grid row are then scored together by the same
     values-to-metric kernel that ``information_density`` and
-    ``singular_smoothness`` use.
+    ``singular_smoothness`` use. Intensities are formed one band of w rows
+    at a time, so an 8-bit image is never widened to float64 as a whole.
     """
     if metric not in (METRIC_SMOOTHNESS, METRIC_DENSITY):
         raise ConfigError(f"unknown metric {metric!r}")
@@ -297,10 +324,10 @@ def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHN
     cols = (img.width - w) // cfg.stride + 1
     grid = np.empty((rows, cols))
     spectra = np.empty((cols, w))
-    px = img.pixels
 
     for i in range(rows):
-        band = px[i * cfg.stride : i * cfg.stride + w]
+        # intensities of one band of rows, the division ``pixels`` makes
+        band = img.samples[i * cfg.stride : i * cfg.stride + w] / img.maxval
         for j in range(cols):
             left = j * cfg.stride
             spectra[j] = np.linalg.svd(band[:, left : left + w], compute_uv=False)
@@ -312,9 +339,10 @@ def threshold_map(smap: SmoothnessMap, theta: float, polarity: str = "above") ->
     """Binary mask of windows at or beyond ``theta``.
 
     ``polarity='above'`` flags values >= theta, ``'below'`` flags <= theta.
+    The mask is the comparison's own bool array, viewed as uint8 0/1.
     """
     if polarity == "above":
-        return (smap.grid >= theta).astype(np.uint8)
+        return (smap.grid >= theta).view(np.uint8)
     if polarity == "below":
-        return (smap.grid <= theta).astype(np.uint8)
+        return (smap.grid <= theta).view(np.uint8)
     raise ConfigError(f"polarity must be 'above' or 'below', got {polarity!r}")

@@ -9,6 +9,7 @@ with the standard library's zlib; anything else raises :class:`ParseError`.
 from __future__ import annotations
 
 import math
+import re
 import struct
 import zlib
 from array import array
@@ -134,27 +135,21 @@ def write_pgm(path, gray_u8, binary: bool = True) -> None:
     if binary:
         with open(path, "wb") as fh:
             fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(arr.tobytes())
+            fh.write(arr.data)  # the array's own buffer, not a bytes copy
     else:
         _write_rows(path, arr, "%d", " ", f"P2\n{w} {h}\n255")
 
 
+# A # comment runs to the end of its line; it starts only where a token could.
+_PGM_TOKEN = re.compile(rb"#[^\n]*|\S+")
+
+
 def _pgm_tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    i = 0
-    while i < len(data):
-        if data[i : i + 1].isspace():
-            i += 1
-            continue
-        if data[i : i + 1] == b"#":
-            nl = data.find(b"\n", i)
-            i = len(data) if nl < 0 else nl + 1
-            continue
-        j = i
-        while j < len(data) and not data[j : j + 1].isspace():
-            j += 1
-        yield data[i:j], j
-        i = j
+    """Yield each whitespace-separated token of ``data`` and its end offset, skipping # comments."""
+    for match in _PGM_TOKEN.finditer(data):
+        token = match.group()
+        if token[:1] != b"#":
+            yield token, match.end()
 
 
 def read_pgm(path) -> np.ndarray:
@@ -181,27 +176,36 @@ def _read_pgm(path) -> tuple[np.ndarray, int]:
         raise ParseError(f"{path}: bad PGM dimensions {width}x{height}")
     if not 0 < maxval <= 255:
         raise ParseError(f"{path}: unsupported PGM maxval {maxval}")
+    size = width * height
     if magic == b"P5":
         start = end + 1  # single whitespace byte after maxval
-        pixels = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=start) \
-            if len(raw) - start >= width * height else None
-        if pixels is None:
+        if len(raw) - start < size:
             raise ParseError(f"{path}: truncated PGM pixel data")
+        pixels = np.frombuffer(raw, dtype=np.uint8, count=size, offset=start)
         if maxval < 255 and pixels.max() > maxval:
             raise ParseError(f"{path}: PGM sample out of range [0, {maxval}]")
         return pixels.reshape(height, width).copy(), maxval
-    values = []
+    # P2: each token goes straight into the result; the range is reported
+    # after the count, so a file with both faults names the count
+    samples = bytearray(size)
+    count = 0
+    in_range = True
     for tok, _ in tokens:
         try:
-            values.append(int(tok))
+            value = int(tok)
         except ValueError:
             raise ParseError(f"{path}: non-integer PGM sample {tok!r}") from None
-    if len(values) != width * height:
-        raise ParseError(f"{path}: expected {width * height} samples, got {len(values)}")
-    arr = np.asarray(values)
-    if arr.min() < 0 or arr.max() > maxval:
+        if count < size:
+            if 0 <= value <= maxval:
+                samples[count] = value
+            else:
+                in_range = False
+        count += 1
+    if count != size:
+        raise ParseError(f"{path}: expected {size} samples, got {count}")
+    if not in_range:
         raise ParseError(f"{path}: PGM sample out of range [0, {maxval}]")
-    return arr.astype(np.uint8).reshape(height, width), maxval
+    return np.frombuffer(samples, dtype=np.uint8).reshape(height, width), maxval
 
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
@@ -228,6 +232,9 @@ def read_png(path) -> np.ndarray:
         if pos + 12 + length > len(raw):
             raise ParseError(f"{path}: PNG chunk {ctype!r} of {length} bytes runs past the end of the file")
         chunk = raw[pos + 8 : pos + 8 + length]
+        (crc,) = struct.unpack(">I", raw[pos + 8 + length : pos + 12 + length])
+        if zlib.crc32(chunk, zlib.crc32(ctype)) != crc:
+            raise ParseError(f"{path}: PNG chunk {ctype!r} fails its CRC check")
         pos += 12 + length
         if ctype == b"IHDR":
             if length != 13:
@@ -286,8 +293,7 @@ def load_gray_image(path) -> GrayImage:
     if head[:8] == _PNG_SIGNATURE:
         return GrayImage.from_uint8(read_png(path))
     if head[:2] in (b"P2", b"P5"):
-        pixels, maxval = _read_pgm(path)
-        return GrayImage(pixels.astype(np.float64) / maxval)
+        return GrayImage(*_read_pgm(path))
     raise ParseError(f"{path}: unrecognized image format (expected PGM or PNG)")
 
 

@@ -186,10 +186,11 @@ def _hankel_coverage(layout: EmbedLayout, columns: int, target_length: int) -> n
     n = layout.window_length
     if span - 1 + n > target_length:
         raise LayoutError(f"windows extend to {span - 1 + n} but target_length is {target_length}")
-    cnt = np.zeros(target_length, dtype=np.int64)
-    for i in range(n):
-        cnt[i : i + span : layout.stride] += 1
-    return cnt
+    # sample t is covered by the windows j with t - n < j * stride <= t, 0 <= j < columns
+    t = np.arange(target_length, dtype=np.int64)
+    first = np.maximum(-((n - 1 - t) // layout.stride), 0)
+    last = np.minimum(t // layout.stride, columns - 1)
+    return np.maximum(last - first + 1, 0)
 
 
 def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_length: int) -> ChannelSet:

@@ -276,6 +276,18 @@ class TestScan:
         assert code == 0
         assert peak / image_plus_grid <= 1.3
 
+    def test_peak_stays_near_8_bit_image_plus_grid(self, tmp_path):
+        # the scan keeps the image as its uint8 samples: 1 byte a pixel, not 8
+        img, _ = gen_texture(TextureSpec(width=256, height=256, seed=5,
+                                         regions=(Region(0, 0, 128, 256, TAG_ROUGH),)))
+        path = tmp_path / "img.pgm"
+        fio.write_pgm(path, img.to_uint8())
+        image_plus_grid = 256 * 256 + (256 - 5 + 1) ** 2 * 8
+        code, peak = traced_peak(lambda: run("scan", path, "--window-size", 5, "--stride", 1,
+                                             "--threshold", 100, "--output-prefix", tmp_path / "s"))
+        assert code == 0
+        assert peak / image_plus_grid <= 1.5
+
 
 class TestSynth:
     def test_mixture_deterministic_per_seed(self, tmp_path):

@@ -34,6 +34,26 @@ class TestGrayImage:
         assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
         assert np.array_equal(img.to_uint8(), arr)
 
+    def test_uint8_samples_kept_and_pixels_bit_identical(self):
+        arr = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        img = GrayImage.from_uint8(arr)
+        assert img.samples.dtype == np.uint8 and img.maxval == 255
+        assert img.pixels.tobytes() == (arr / 255.0).tobytes()
+        assert img.to_uint8().tobytes() == arr.tobytes()
+
+    def test_maxval_is_for_uint8_samples_only(self):
+        with pytest.raises(InvalidInputError):
+            GrayImage(np.full((3, 3), 0.5), maxval=2)
+
+    @pytest.mark.parametrize("maxval", [0, 256])
+    def test_maxval_outside_8_bits_rejected(self, maxval):
+        with pytest.raises(InvalidInputError):
+            GrayImage(np.zeros((3, 3), dtype=np.uint8), maxval=maxval)
+
+    def test_sample_above_maxval_rejected(self):
+        with pytest.raises(InvalidInputError):
+            GrayImage(np.full((3, 3), 16, dtype=np.uint8), maxval=15)
+
 
 class TestInformationDensity:
     def test_identity(self):
@@ -191,6 +211,20 @@ class TestSlidingScan:
         img = GrayImage(np.full((6, 6), 0.5))
         with pytest.raises(ConfigError):
             image.sliding_scan(img, WindowConfig(window_size=3), metric="entropy")
+
+    @pytest.mark.parametrize("metric, extra", [
+        (image.METRIC_SMOOTHNESS, {}),
+        (image.METRIC_SMOOTHNESS, {"order": "auto", "delta": 0.02}),
+        (image.METRIC_DENSITY, {}),
+    ])
+    @pytest.mark.parametrize("w, stride", [(5, 1), (8, 4), (32, 8)])
+    def test_uint8_image_scans_like_its_intensities(self, w, stride, metric, extra):
+        arr = np.random.default_rng(w + stride).integers(0, 256, size=(48, 56), dtype=np.uint8)
+        arr[:20, :24] = 128  # a flat block, so degenerate windows are met too
+        cfg = WindowConfig(window_size=w, stride=stride, **extra)
+        got = image.sliding_scan(GrayImage.from_uint8(arr), cfg, metric=metric).grid
+        want = image.sliding_scan(GrayImage(arr / 255.0), cfg, metric=metric).grid
+        assert got.tobytes() == want.tobytes()
 
 
 class TestThresholdMap:

@@ -1,5 +1,6 @@
 import gc
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -228,6 +229,35 @@ class TestPgm:
         with pytest.raises(ParseError, match=r"out of range \[0, 15\]"):
             fio.read_pgm(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("3 x\n", "non-integer PGM sample"),
+        ("3 -1\n", r"out of range \[0, 15\]"),
+        ("3\n", "expected 2 samples, got 1"),
+        ("3 4 5\n", "expected 2 samples, got 3"),
+        ("3 99 5\n", "expected 2 samples, got 3"),
+    ])
+    def test_ascii_body_errors(self, tmp_path, body, message):
+        path = tmp_path / "img.pgm"
+        path.write_text("P2\n2 1\n15\n" + body)
+        with pytest.raises(ParseError, match=message):
+            fio.read_pgm(path)
+
+    def test_ascii_comments_in_body(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_text("P2\n2 2\n255\n0 # first row\n10\n# second row\n20 255#\n")
+        with pytest.raises(ParseError, match="non-integer"):
+            fio.read_pgm(path)  # '255#' is one token: a comment starts only between tokens
+        path.write_text("P2\n2 2\n255\n0 # first row\n10\n# second row\n20 255 #\n")
+        assert np.array_equal(fio.read_pgm(path), [[0, 10], [20, 255]])
+
+    def test_ascii_read_peak_stays_near_the_file(self, tmp_path):
+        arr = np.random.default_rng(9).integers(0, 256, size=(256, 256)).astype(np.uint8)
+        path = tmp_path / "img.pgm"
+        fio.write_pgm(path, arr, binary=False)
+        got, peak = traced_peak(lambda: fio.read_pgm(path))
+        assert np.array_equal(got, arr)
+        assert peak <= 2 * path.stat().st_size
+
 
 class TestPng:
     @pytest.mark.parametrize("filter_type", [0, 1, 2, 3, 4])
@@ -266,6 +296,17 @@ class TestPng:
         with pytest.raises(ParseError, match="IHDR chunk has 9 bytes"):
             fio.read_png(path)
 
+    @pytest.mark.parametrize("chunk", [b"IHDR", b"IDAT", b"IEND"])
+    def test_bad_crc_rejected(self, tmp_path, chunk):
+        png = bytearray(encode_png_gray8(np.arange(16, dtype=np.uint8).reshape(4, 4), 0))
+        start = png.index(chunk) - 4
+        (length,) = struct.unpack(">I", png[start : start + 4])
+        png[start + 8 + length + 3] ^= 0x01  # the last byte of the chunk's CRC
+        path = tmp_path / "img.png"
+        path.write_bytes(bytes(png))
+        with pytest.raises(ParseError, match=f"chunk {chunk!r} fails its CRC"):
+            fio.read_png(path)
+
     def test_chunk_past_the_end_rejected(self, tmp_path):
         path = tmp_path / "img.png"
         path.write_bytes(encode_png_gray8(np.zeros((4, 4), dtype=np.uint8), 0)[:8 + 8 + 5])
@@ -294,6 +335,29 @@ class TestLoadGrayImage:
         path.write_bytes(f"{magic}\n2 2\n15\n".encode() + body)
         img = fio.load_gray_image(path)
         assert img.pixels.tobytes() == (np.array([[0, 3], [15, 7]]) / 15.0).tobytes()
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_8_bit_samples_kept(self, tmp_path, binary):
+        arr = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        path = tmp_path / "img.pgm"
+        fio.write_pgm(path, arr, binary=binary)
+        png = tmp_path / "img.png"
+        png.write_bytes(encode_png_gray8(arr, 1))
+        for img in (fio.load_gray_image(path), fio.load_gray_image(png)):
+            assert img.samples.dtype == np.uint8 and img.maxval == 255
+            assert img.pixels.tobytes() == (arr / 255.0).tobytes()
+            assert img.to_uint8().tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("magic", ["P2", "P5"])
+    def test_maxval_15_samples_kept(self, tmp_path, magic):
+        arr = np.arange(16, dtype=np.uint8).reshape(4, 4)
+        body = arr.tobytes() if magic == "P5" else " ".join(map(str, arr.ravel())).encode()
+        path = tmp_path / "img.pgm"
+        path.write_bytes(f"{magic}\n4 4\n15\n".encode() + body)
+        img = fio.load_gray_image(path)
+        assert img.samples.tobytes() == arr.tobytes() and img.maxval == 15
+        assert img.pixels.tobytes() == (arr / 15.0).tobytes()
+        assert img.to_uint8().tobytes() == (arr * 17).tobytes()
 
     def test_closes_the_file(self, tmp_path):
         path = tmp_path / "img.pgm"

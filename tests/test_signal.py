@@ -146,6 +146,19 @@ class TestHankelStrided:
         back = signal.unembed(part, layout, samples).data[:, 0]
         assert back.tobytes() == unembed_ref(part, samples).tobytes()
 
+    @pytest.mark.parametrize("window", [2, 3, 5, 17])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 7, 20])
+    @pytest.mark.parametrize("columns", [1, 2, 6, 13])
+    def test_coverage_matches_a_pass_per_window_row(self, window, stride, columns):
+        span = (columns - 1) * stride + 1
+        layout = EmbedLayout.hankel(window, stride=stride)
+        for target_length in (span - 1 + window, span - 1 + window + 1, span - 1 + window + 23):
+            want = np.zeros(target_length, dtype=np.int64)
+            for i in range(window):
+                want[i : i + span : stride] += 1
+            got = signal._hankel_coverage(layout, columns, target_length)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_peaks_stay_near_the_trajectory_matrix(self):
         # 40 000 samples, L = 200: the trajectory matrix is 60.7 MiB.
         x = np.random.default_rng(3).standard_normal(40_000)
