@@ -115,32 +115,45 @@ def cmd_separate(args) -> RunReport:
     channels = fio.read_channels_csv(args.input)
     layout = _layout_from_args(args, channels)
     n_samples, labels = channels.n_samples, channels.labels
-    a = signal.embed(channels, layout)
-    del channels
 
     min_separation = 1 if args.min_separation is None else args.min_separation
+    # A hankel SVD never forms the trajectory: it reads blocks of windows of
+    # the input, which stays the only signal-sized array.
+    streamed = args.method == "svd" and args.layout == "hankel"
+    if streamed:
+        decomp = signal.hankel_spectrum(channels, layout, rank_tolerance=args.rank_tolerance)
+        decompositions = decomp.factorizations
+    else:
+        a = signal.embed(channels, layout)
+        del channels  # the bands are formed from the factors alone
+        if args.method == "svd":
+            decomp = linalg.svd(a, rank_tolerance=args.rank_tolerance)
+            decompositions = 1
+        else:
+            second = fio.read_channels_csv(args.second)
+            b = signal.embed(second, _layout_from_args(args, second))
+            decomp = linalg.gsvd(a, b)
+            del second, b
+            decompositions = linalg.GSVD_FACTORIZATIONS
+        del a
     if args.method == "svd":
-        decomp = linalg.svd(a, rank_tolerance=args.rank_tolerance)
         values = decomp.singular_values[: decomp.numerical_rank]
         values_key = "singular_values"
         rank_info = {"numerical_rank": decomp.numerical_rank}
-        decompositions = 1
     else:
-        second = fio.read_channels_csv(args.second)
-        b = signal.embed(second, _layout_from_args(args, second))
-        decomp = linalg.gsvd(a, b)
-        del second, b
         values = decomp.generalized_values
         values_key = "generalized_values"
         rank_info = {"infinite_values": int(np.sum(np.isinf(values)))}
-        decompositions = linalg.GSVD_FACTORIZATIONS
-    del a  # the bands are formed from the factors alone
     cut = signal.cutoff(decomp, min_separation=min_separation)
     profile = signal.egv_profile(values[np.isfinite(values)])  # inf values stay out of the chain
 
+    if streamed:
+        bands = signal.hankel_band_signals(channels, decomp, cut, layout)
+    else:
+        bands = signal.band_signals(decomp, cut, layout, n_samples)
     names = ("dominant", "weak", "noise")
     outputs = []
-    for name, out in zip(names, signal.band_signals(decomp, cut, layout, n_samples)):
+    for name, out in zip(names, bands):
         if labels:
             out = signal.ChannelSet(out.data, labels=labels)
         path = f"{args.output_prefix}_{name}.csv"

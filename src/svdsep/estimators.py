@@ -110,9 +110,9 @@ class SubspaceSeparator(BaseEstimator):
             raise ConfigError(f"X has {X.shape[1]} columns, fitted with {self.n_features_in_}")
         if self.method == "gsvd":
             return self.subspaces()[1]
-        _, _, right, ranges = signal._band_ranges(self.spectrum_, self.cutoff_)
-        lo, hi = ranges[1]  # the weak band, as separate() takes it
-        basis = right[:, lo:hi]
+        # the weak band, as separate() takes it
+        lo, hi = signal._band_ranges(self.spectrum_, self.cutoff_)[1]
+        basis = self.spectrum_.right_basis[:, lo:hi]
         return X @ basis @ basis.T
 
     def fit_transform(self, X, B=None):

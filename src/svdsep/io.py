@@ -221,12 +221,15 @@ def _paeth(a: int, b: int, c: int) -> int:
 
 def read_png(path) -> np.ndarray:
     """Decode an 8-bit grayscale non-interlaced PNG into a uint8 array."""
-    raw = Path(path).read_bytes()
+    raw = memoryview(Path(path).read_bytes())  # chunks are slices of it, not copies
     if raw[:8] != _PNG_SIGNATURE:
         raise ParseError(f"{path}: not a PNG file")
     pos = 8
     width = height = None
-    idat = bytearray()
+    # Each IDAT chunk goes straight into one decompressor: the compressed
+    # stream is never gathered into a buffer of its own.
+    inflate = zlib.decompressobj()
+    pieces, corrupt = [], None
     while pos + 8 <= len(raw):
         length, ctype = struct.unpack(">I4s", raw[pos : pos + 8])
         if pos + 12 + length > len(raw):
@@ -245,16 +248,23 @@ def read_png(path) -> np.ndarray:
                                  f"(depth={depth}, color type={color})")
             if comp != 0 or filt != 0 or interlace != 0:
                 raise ParseError(f"{path}: unsupported PNG compression/filter/interlace settings")
-        elif ctype == b"IDAT":
-            idat.extend(chunk)
+        elif ctype == b"IDAT" and corrupt is None:
+            try:
+                pieces.append(inflate.decompress(chunk))
+            except zlib.error as exc:  # reported after every chunk's own checks
+                corrupt = exc
         elif ctype == b"IEND":
             break
+    raw = chunk = None  # the file's bytes are freed before the stream is filtered
     if width is None:
         raise ParseError(f"{path}: missing IHDR chunk")
-    try:
-        stream = zlib.decompress(bytes(idat))
-    except zlib.error as exc:
-        raise ParseError(f"{path}: corrupt PNG stream ({exc})") from None
+    if corrupt is None and not inflate.eof:
+        corrupt = "incomplete or truncated stream"
+    if corrupt is not None:
+        raise ParseError(f"{path}: corrupt PNG stream ({corrupt})")
+    # Joining a single piece (one IDAT chunk) returns that piece, not a copy.
+    stream = b"".join(pieces)
+    del pieces
     if len(stream) != height * (width + 1):
         raise ParseError(f"{path}: PNG stream length {len(stream)} does not match {width}x{height}")
 

@@ -17,8 +17,10 @@ from .validation import check_index_range, check_matrix
 
 __all__ = [
     "SpectrumResult",
+    "StreamedSpectrum",
     "GsvdResult",
     "svd",
+    "streamed_svd",
     "gsvd",
     "frobenius_energy",
     "truncated_sum",
@@ -54,6 +56,28 @@ class SpectrumResult:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.left_basis.shape[0], self.right_basis.shape[0])
+
+
+@dataclass(frozen=True)
+class StreamedSpectrum:
+    """Singular values and left basis of an (m, n) matrix seen only as row
+    blocks of its transpose, k = min(m, n); no right basis is formed.
+
+    ``left_basis``, ``singular_values``, ``numerical_rank`` and
+    ``rank_tolerance`` are as in :class:`SpectrumResult`. ``factorizations``
+    counts the QR factorizations run, one per block, plus the final SVD.
+    """
+
+    left_basis: np.ndarray
+    singular_values: np.ndarray
+    numerical_rank: int
+    rank_tolerance: float
+    columns: int
+    factorizations: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.left_basis.shape[0], self.columns)
 
 
 @dataclass(frozen=True)
@@ -94,16 +118,26 @@ def _rank(values: np.ndarray, rank_tolerance: float) -> np.ndarray:
     return np.count_nonzero(values > rank_tolerance * values[..., :1], axis=-1)
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
+def _tolerance(rank_tolerance: float | None, shape: tuple[int, int]) -> float:
+    """The relative rank tolerance to apply: ``max(m, n) * eps`` unless given."""
+    if rank_tolerance is None:
+        return max(shape) * _EPS
+    if rank_tolerance < 0:
+        raise InvalidInputError(f"rank_tolerance must be nonnegative, got {rank_tolerance}")
+    return float(rank_tolerance)
+
+
+def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
     """Make the largest-magnitude entry of each left vector nonnegative.
 
     ``u`` and ``v`` hold the paired left and right vectors as columns; the
-    sign flip propagates to the right vector. In-place.
+    sign flip propagates to the right vector, when there is one. In-place.
     """
     idx = np.argmax(np.abs(u), axis=0)
     signs = np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
     u *= signs
-    v *= signs
+    if v is not None:
+        v *= signs
 
 
 def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
@@ -121,10 +155,7 @@ def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
         ``rank_tolerance * sigma_1``. Defaults to ``max(m, n) * eps``.
     """
     arr = check_matrix(a, "A")
-    if rank_tolerance is None:
-        rank_tolerance = max(arr.shape) * _EPS
-    elif rank_tolerance < 0:
-        raise InvalidInputError(f"rank_tolerance must be nonnegative, got {rank_tolerance}")
+    rank_tolerance = _tolerance(rank_tolerance, arr.shape)
     if arr.shape[0] < arr.shape[1]:
         # LAPACK factors a wide matrix several times slower than its tall
         # transpose, whose left factor is already the (n, k) right basis.
@@ -139,7 +170,42 @@ def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
         right_basis=v,
         singular_values=s,
         numerical_rank=int(_rank(s, rank_tolerance)),
-        rank_tolerance=float(rank_tolerance),
+        rank_tolerance=rank_tolerance,
+    )
+
+
+def streamed_svd(blocks, rank_tolerance: float | None = None) -> StreamedSpectrum:
+    """Singular values and left basis of X from successive row blocks of X^T.
+
+    X is (m, n); each block is (b, m), and the blocks stacked top to bottom
+    are X^T. The triangular factor R of X^T = QR holds the singular values
+    of X, and its right singular vectors are the left ones of X (Chan's
+    R-SVD). R is built one block at a time as the R factor of [R; block]
+    (sequential TSQR), which is backward stable, unlike forming X X^T; so
+    neither X nor its (n, k) right basis is ever held. The rank rule is
+    :func:`svd`'s, with n the total row count of the blocks.
+    """
+    r = None
+    rows = qr_calls = 0
+    for block in blocks:
+        r = np.linalg.qr(block if r is None else np.vstack([r, block]), mode="r")
+        rows += block.shape[0]
+        qr_calls += 1
+    if r is None:
+        raise ShapeError("streamed_svd needs at least one block")
+    if not np.all(np.isfinite(r)):
+        raise InvalidInputError("X contains non-finite entries")
+    rank_tolerance = _tolerance(rank_tolerance, (r.shape[1], rows))
+    _, s, vt = np.linalg.svd(r, full_matrices=False)
+    u = vt.T.copy()
+    _fix_signs(u)
+    return StreamedSpectrum(
+        left_basis=u,
+        singular_values=s,
+        numerical_rank=int(_rank(s, rank_tolerance)),
+        rank_tolerance=rank_tolerance,
+        columns=rows,
+        factorizations=qr_calls + 1,
     )
 
 

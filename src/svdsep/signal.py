@@ -29,7 +29,7 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .linalg import GsvdResult, SpectrumResult, _band
+from .linalg import GsvdResult, SpectrumResult, StreamedSpectrum, _band, streamed_svd
 from .validation import check_index_range, check_matrix
 
 __all__ = [
@@ -51,6 +51,8 @@ __all__ = [
     "separate",
     "gsvd_separate",
     "band_signals",
+    "hankel_spectrum",
+    "hankel_band_signals",
 ]
 
 MODE_CHANNEL_COLUMNS = "channel-columns"
@@ -155,13 +157,17 @@ def embed(signals: ChannelSet, layout: EmbedLayout) -> np.ndarray:
             if off + n > signals.n_samples:
                 raise RangeError(f"window [{off}, {off + n}) of column {j} exceeds {signals.n_samples} samples")
         return np.column_stack([signals.data[off : off + n, j] for j, off in enumerate(offsets)])
-    # hankel-sliding
+    return _hankel_windows(signals, layout).T.copy()
+
+
+def _hankel_windows(signals: ChannelSet, layout: EmbedLayout) -> np.ndarray:
+    """The windows of a hankel layout as rows of a zero-copy view: its transpose is the trajectory."""
     if signals.n_channels != 1:
         raise LayoutError("hankel-sliding layout expects a single channel")
     x = signals.channel(0)
-    if n > x.size:
-        raise RangeError(f"window_length {n} exceeds signal length {x.size}")
-    return np.lib.stride_tricks.sliding_window_view(x, n)[:: layout.stride].T.copy()
+    if layout.window_length > x.size:
+        raise RangeError(f"window_length {layout.window_length} exceeds signal length {x.size}")
+    return np.lib.stride_tricks.sliding_window_view(x, layout.window_length)[:: layout.stride]
 
 
 def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
@@ -170,6 +176,55 @@ def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
     covering it). Positions no window covers are zero."""
     m = check_matrix(matrix, "matrix")
     return _unembed(lambda j0, j1: m[:, j0:j1], layout, m.shape, target_length)
+
+
+# Windows per block of the streamed hankel route, per sample of window
+# length: 8 L windows, for both the R factor and the band projections. On
+# the 4000-sample, L = 40 benchmark input a whole `separate` run with 4 L,
+# 8 L, 16 L and 32 L windows peaks at 0.28, 0.36, 0.55 and 0.92 MiB and
+# takes 56, 49, 51 and 54 ms (median of 30 runs, 2-vCPU host).
+_STREAM_BLOCK = 8
+
+
+def _stream_step(layout: EmbedLayout) -> int:
+    return max(1, int(_STREAM_BLOCK * layout.window_length))
+
+
+def hankel_spectrum(signals: ChannelSet, layout: EmbedLayout,
+                    rank_tolerance: float | None = None) -> StreamedSpectrum:
+    """Singular values and left basis of the hankel trajectory of ``signals``,
+    without forming it: :func:`linalg.streamed_svd` over blocks of windows.
+
+    The values and rank are those of ``linalg.svd(embed(signals, layout))``
+    to rounding; the default rank tolerance is ``max(L, K) * eps`` for L
+    samples per window and K windows.
+    """
+    windows = _hankel_windows(signals, layout)
+    step = _stream_step(layout)
+    return streamed_svd((windows[j : j + step] for j in range(0, windows.shape[0], step)),
+                        rank_tolerance=rank_tolerance)
+
+
+def hankel_band_signals(signals: ChannelSet, spectrum: StreamedSpectrum, cut: CutoffResult,
+                        layout: EmbedLayout):
+    """Yield the dominant, weak and noise signals of :func:`hankel_spectrum`'s bands.
+
+    An SVD band is the projection ``U_b U_b^T X`` of the trajectory X onto
+    its left singular vectors, so no right basis is needed: each column
+    block is projected from a contiguous copy of its windows and fed to the
+    diagonal averaging of :func:`unembed`. The result agrees with
+    ``band_signals`` on ``linalg.svd(embed(signals, layout))`` to within
+    the conditioning of each band's boundary singular gaps, not bitwise.
+    """
+    windows = _hankel_windows(signals, layout)
+    shape = (layout.window_length, windows.shape[0])
+    if spectrum.shape != shape:
+        raise LayoutError(f"spectrum of a {spectrum.shape} matrix, layout gives {shape}")
+    u, step = spectrum.left_basis, _stream_step(layout)
+    for lo, hi in _band_ranges(spectrum, cut):
+        u_b = u[:, lo:hi]
+        yield _unembed(lambda j0, j1: u_b @ (np.ascontiguousarray(windows[j0:j1]) @ u_b).T,
+                       layout, shape, signals.n_samples, step)
 
 
 # Bytes of one column block of a Hankel matrix formed from its factors.
@@ -193,14 +248,16 @@ def _hankel_coverage(layout: EmbedLayout, columns: int, target_length: int) -> n
     return np.maximum(last - first + 1, 0)
 
 
-def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_length: int) -> ChannelSet:
+def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_length: int,
+             step: int | None = None) -> ChannelSet:
     """:func:`unembed` of a ``shape`` matrix whose columns ``j0:j1`` are ``block_of(j0, j1)``.
 
     Channel-columns takes one block of every column. A Hankel matrix is
-    diagonal-averaged: entry (i, j) is sample i + j * stride, so each row
-    of a block adds into one strided slice. Blocks run from the last
-    window back to the first: a sample's entries then arrive in row order,
-    the order a whole-matrix pass adds them in.
+    diagonal-averaged ``step`` columns at a time (by default, blocks of
+    ``_AVERAGE_BLOCK_BYTES``): entry (i, j) is sample i + j * stride, so
+    each row of a block adds into one strided slice. Blocks run from the
+    last window back to the first: a sample's entries then arrive in row
+    order, the order a whole-matrix pass adds them in.
     """
     rows, columns = shape
     n, stride = layout.window_length, layout.stride
@@ -220,7 +277,8 @@ def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_lengt
         return ChannelSet(out)
     coverage = _hankel_coverage(layout, columns, target_length)
     acc = np.zeros(target_length)
-    step = max(1, _AVERAGE_BLOCK_BYTES // (8 * n))
+    if step is None:
+        step = max(1, _AVERAGE_BLOCK_BYTES // (8 * n))
     for j0 in range((columns - 1) // step * step, -1, -step):
         j1 = min(j0 + step, columns)
         block = block_of(j0, j1)
@@ -388,7 +446,8 @@ def cutoff_from_gsvd(result: GsvdResult) -> CutoffResult:
     return CutoffResult(m=n_inf + inner.m, f=None, peak_values=inner.peak_values, method="gsvd-egv")
 
 
-def cutoff(factors: SpectrumResult | GsvdResult, min_separation: int = 1) -> CutoffResult:
+def cutoff(factors: SpectrumResult | StreamedSpectrum | GsvdResult,
+           min_separation: int = 1) -> CutoffResult:
     """The band boundaries :func:`separate` splits a decomposition at.
 
     A spectrum of numerical rank >= 3 gets both boundaries
@@ -417,8 +476,8 @@ def separate(factors: SpectrumResult | GsvdResult,
     A generalized decomposition has no rank-one triples: each band keeps
     the columns of U and X inside its range and reconstructs U C_band X^T.
     """
-    u, w, x, ranges = _band_ranges(factors, cut)
-    return tuple(_band(u, w, x, lo, hi) for lo, hi in ranges)
+    u, w, x = _factors(factors)
+    return tuple(_band(u, w, x, lo, hi) for lo, hi in _band_ranges(factors, cut))
 
 
 def band_signals(factors: SpectrumResult | GsvdResult, cut: CutoffResult,
@@ -431,29 +490,30 @@ def band_signals(factors: SpectrumResult | GsvdResult, cut: CutoffResult,
     time, so no trajectory-sized part is ever formed; its result agrees
     with the matrix route to rounding, not bitwise.
     """
-    u, w, x, ranges = _band_ranges(factors, cut)
-    for lo, hi in ranges:
+    u, w, x = _factors(factors)
+    for lo, hi in _band_ranges(factors, cut):
         yield _unembed(lambda j0, j1: _band(u, w, x[j0:j1], lo, hi), layout,
                        (u.shape[0], x.shape[0]), target_length)
 
 
-def _band_ranges(factors: SpectrumResult | GsvdResult, cut: CutoffResult):
-    """Factors ``(U, w, X)`` and the storage ranges ``[lo, hi)`` of the three bands."""
+def _factors(factors: SpectrumResult | GsvdResult):
+    """The ``(U, w, X)`` a band of ``factors`` is ``_band``-formed from."""
+    if isinstance(factors, GsvdResult):
+        return factors.u_basis, factors.alpha, factors.x_factor
+    return factors.left_basis, factors.singular_values, factors.right_basis
+
+
+def _band_ranges(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult):
+    """The storage ranges ``[lo, hi)`` of the three bands of ``factors``."""
     ascending = isinstance(factors, GsvdResult)
-    if ascending:
-        u, w, x = factors.u_basis, factors.alpha, factors.x_factor
-        r = w.size
-    else:
-        u, w, x = factors.left_basis, factors.singular_values, factors.right_basis
-        r = factors.numerical_rank
+    r = factors.alpha.size if ascending else factors.numerical_rank
     m = cut.m
     f = cut.f if cut.f is not None else r
     check_index_range(1, m, r, "dominant band")
     check_index_range(m, f, r, "cutoff (m, f)")
     # alpha ascends in storage: descending position i (1-based) is index r - i
-    ranges = [(r - last, r - first + 1) if ascending else (first - 1, last)
-              for first, last in ((1, m), (m + 1, f), (f + 1, r))]
-    return u, w, x, ranges
+    return [(r - last, r - first + 1) if ascending else (first - 1, last)
+            for first, last in ((1, m), (m + 1, f), (f + 1, r))]
 
 
 # A name only: perfbench/spans.py wraps ``signal.gsvd_separate`` by name and

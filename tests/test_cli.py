@@ -5,9 +5,10 @@ import pytest
 from conftest import encode_png_gray8, short_ihdr_png, traced_peak
 
 from svdsep import io as fio
+from svdsep import linalg
 from svdsep.cli import main
 from svdsep.estimators import SubspaceSeparator
-from svdsep.signal import ChannelSet
+from svdsep.signal import ChannelSet, EmbedLayout, embed
 from svdsep.synth import TAG_ROUGH, Region, TextureSpec, gen_texture
 
 
@@ -162,13 +163,83 @@ class TestSeparate:
         assert code == 0
         assert peak <= 2.25 * trajectory
 
-    @pytest.mark.parametrize("method", ["svd", "gsvd"])
+    @staticmethod
+    def long_wave(path, samples, noise=0.01):
+        t = np.arange(samples)
+        wave = np.sin(2 * np.pi * t / 40) + 0.1 * np.sin(2 * np.pi * t / 7)
+        wave += noise * np.random.default_rng(9).standard_normal(samples)
+        fio.write_channels_csv(path, ChannelSet(wave[:, np.newaxis]))
+        return wave
+
+    def test_hankel_peak_stays_far_below_the_trajectory(self, tmp_path):
+        # The SVD route streams the trajectory: it never holds it, nor its right basis.
+        samples, window = 20_000, 100
+        path = tmp_path / "long.csv"
+        wave = self.long_wave(path, samples)
+        trajectory = window * (samples - window + 1) * 8
+        code, peak = traced_peak(lambda: run("separate", path, "--layout", "hankel",
+                                             "--window-length", window,
+                                             "--output-prefix", tmp_path / "h"))
+        assert code == 0
+        assert peak <= 0.3 * trajectory
+        parts = sum(fio.read_channels_csv(tmp_path / f"h_{name}.csv").data[:, 0]
+                    for name in ("dominant", "weak", "noise"))
+        assert np.max(np.abs(parts - wave)) <= 1e-13 * np.max(np.abs(wave))
+
+    def test_hankel_needs_a_single_channel(self, tmp_path, mixture_csv, capsys):
+        assert run("separate", mixture_csv, "--layout", "hankel", "--window-length", 30,
+                   "--output-prefix", tmp_path / "h") == 1
+        assert "LayoutError" in capsys.readouterr().err
+        assert not (tmp_path / "h_report.json").exists()
+
+    def test_hankel_window_longer_than_the_signal(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        self.long_wave(path, 50)
+        assert run("separate", path, "--layout", "hankel", "--window-length", 51,
+                   "--output-prefix", tmp_path / "h") == 1
+        err = capsys.readouterr().err
+        assert "RangeError" in err and "exceeds signal length 50" in err
+
+    def test_hankel_stride_three(self, tmp_path):
+        path = tmp_path / "wave.csv"
+        wave = self.long_wave(path, 1000)
+        prefix = tmp_path / "h"
+        assert run("separate", path, "--layout", "hankel", "--window-length", 40,
+                   "--stride", 3, "--output-prefix", prefix) == 0
+        report = read_json(f"{prefix}_report.json")
+        assert report["parameters"]["stride"] == 3
+        assert report["results"]["numerical_rank"] == 40
+        parts = sum(fio.read_channels_csv(f"{prefix}_{name}.csv").data[:, 0]
+                    for name in ("dominant", "weak", "noise"))
+        covered = (1000 - 40) // 3 * 3 + 40  # samples some window reaches
+        assert np.max(np.abs(parts[:covered] - wave[:covered])) <= 1e-13
+        assert np.all(parts[covered:] == 0.0)
+
+    def test_hankel_rank_tolerance_is_the_trajectory_rule(self, tmp_path):
+        path = tmp_path / "wave.csv"
+        wave = self.long_wave(path, 600, noise=1e-4)  # two sinusoids: rank 4 at 1e-3
+        prefix = tmp_path / "h"
+        with pytest.warns(RuntimeWarning, match="no second variation peak"):
+            assert run("separate", path, "--layout", "hankel", "--window-length", 30,
+                       "--rank-tolerance", 1e-3, "--output-prefix", prefix) == 0
+        results = read_json(f"{prefix}_report.json")["results"]
+        trajectory = embed(ChannelSet(wave[:, np.newaxis]), EmbedLayout.hankel(30))
+        want = linalg.svd(trajectory, rank_tolerance=1e-3)
+        assert results["numerical_rank"] == want.numerical_rank == 4
+        assert len(results["singular_values"]) == want.numerical_rank
+
+    @pytest.mark.parametrize("method", ["svd", "gsvd", "hankel"])
     def test_decompositions_counts_the_factorizations_run(self, tmp_path, mixture_csv,
                                                           monkeypatch, method):
         route = []
         if method == "gsvd":
             run("synth", "mixture", "--seed", 2, "--output-prefix", tmp_path / "ref")
             route = ["--method", "gsvd", "--second", tmp_path / "ref_signals.csv"]
+        elif method == "hankel":
+            channel = tmp_path / "one.csv"
+            fio.write_channels_csv(channel, ChannelSet(fio.read_channels_csv(mixture_csv).data[:, :1]))
+            mixture_csv = channel
+            route = ["--layout", "hankel", "--window-length", 30]
         calls = {"svd": 0, "qr": 0}
 
         def counted(name):
@@ -185,7 +256,9 @@ class TestSeparate:
         assert run("separate", mixture_csv, *route, "--output-prefix", prefix) == 0
         report = read_json(f"{prefix}_report.json")
         assert report["work_counters"] == {"decompositions": calls["svd"] + calls["qr"]}
-        assert calls == ({"svd": 1, "qr": 0} if method == "svd" else {"svd": 2, "qr": 2})
+        # hankel: one QR per block of 8 L = 240 of the 371 windows, then one SVD
+        assert calls == {"svd": {"svd": 1, "qr": 0}, "gsvd": {"svd": 2, "qr": 2},
+                         "hankel": {"svd": 1, "qr": 2}}[method]
 
     @pytest.mark.parametrize("method", ["svd", "gsvd"])
     def test_parts_equal_the_estimator_subspaces(self, tmp_path, mixture_csv, method):

@@ -2,6 +2,7 @@ import gc
 import math
 import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -312,6 +313,81 @@ class TestPng:
         path.write_bytes(encode_png_gray8(np.zeros((4, 4), dtype=np.uint8), 0)[:8 + 8 + 5])
         with pytest.raises(ParseError, match="runs past the end"):
             fio.read_png(path)
+
+
+def png_of(width, height, idat_payloads, chunks_before=()):
+    """An 8-bit grayscale PNG whose IDAT chunks carry the given payloads."""
+    def chunk(ctype, payload):
+        return (struct.pack(">I", len(payload)) + ctype + payload
+                + struct.pack(">I", zlib.crc32(ctype + payload)))
+
+    ihdr = chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0))
+    return (b"\x89PNG\r\n\x1a\n" + b"".join(chunks_before) + ihdr
+            + b"".join(chunk(b"IDAT", p) for p in idat_payloads) + chunk(b"IEND", b""))
+
+
+class TestPngStream:
+    """The IDAT chunks feed one decompressor; every stream fault is still a ParseError."""
+
+    PIXELS = np.arange(48, dtype=np.uint8).reshape(6, 8)
+
+    @classmethod
+    def scanlines(cls, filter_type=0):
+        return b"".join(bytes([filter_type]) + row.tobytes() for row in cls.PIXELS)
+
+    def read(self, tmp_path, png):
+        path = tmp_path / "img.png"
+        path.write_bytes(png)
+        return fio.read_png(path)
+
+    @pytest.mark.parametrize("pieces", [1, 2, 5, 40])
+    def test_stream_split_over_idat_chunks(self, tmp_path, pieces):
+        stream = zlib.compress(self.scanlines())
+        cuts = np.linspace(0, len(stream), pieces + 1).astype(int)
+        payloads = [stream[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+        assert np.array_equal(self.read(tmp_path, png_of(8, 6, payloads)), self.PIXELS)
+
+    def test_bytes_after_the_stream_are_ignored(self, tmp_path):
+        stream = zlib.compress(self.scanlines()) + b"trailing"
+        assert np.array_equal(self.read(tmp_path, png_of(8, 6, [stream, b"more"])), self.PIXELS)
+
+    @pytest.mark.parametrize("payloads", [[b"not a zlib stream"], [], [b""]])
+    def test_corrupt_or_missing_stream(self, tmp_path, payloads):
+        with pytest.raises(ParseError, match="corrupt PNG stream"):
+            self.read(tmp_path, png_of(8, 6, payloads))
+
+    def test_truncated_stream(self, tmp_path):
+        stream = zlib.compress(self.scanlines())
+        with pytest.raises(ParseError, match="corrupt PNG stream .*incomplete or truncated"):
+            self.read(tmp_path, png_of(8, 6, [stream[:-5]]))
+
+    def test_wrong_stream_length(self, tmp_path):
+        with pytest.raises(ParseError, match="stream length 54 does not match 8x7"):
+            self.read(tmp_path, png_of(8, 7, [zlib.compress(self.scanlines())]))
+
+    def test_unknown_filter(self, tmp_path):
+        with pytest.raises(ParseError, match="unknown PNG filter type 5"):
+            self.read(tmp_path, png_of(8, 6, [zlib.compress(self.scanlines(5))]))
+
+    def test_chunk_faults_outrank_a_corrupt_stream(self, tmp_path):
+        # Every chunk passes its own checks before the stream's fault is named.
+        png = bytearray(png_of(8, 6, [b"not a zlib stream"]))
+        png[-1] ^= 0x01  # the IEND CRC
+        with pytest.raises(ParseError, match="b'IEND' fails its CRC"):
+            self.read(tmp_path, bytes(png))
+        with pytest.raises(ParseError, match="missing IHDR"):
+            corrupt = png_of(8, 6, [b"not a zlib stream"])
+            self.read(tmp_path, corrupt[:8] + corrupt[8 + 25:])  # IHDR is 25 bytes
+
+    @pytest.mark.parametrize("filter_type", [0, 4])
+    def test_peak_stays_under_four_planes(self, tmp_path, filter_type):
+        # The file, the decompressed stream and the output, and no copy of the IDAT data.
+        pixels = np.random.default_rng(30 + filter_type).integers(0, 256, size=(512, 512)).astype(np.uint8)
+        path = tmp_path / "img.png"
+        path.write_bytes(encode_png_gray8(pixels, filter_type))
+        got, peak = traced_peak(lambda: fio.read_png(path))
+        assert np.array_equal(got, pixels)
+        assert peak <= 4 * pixels.nbytes
 
 
 class TestLoadGrayImage:

@@ -120,6 +120,48 @@ class TestSvdWide:
         assert np.max(np.abs(wide - tall)) <= 1e-15 * tall[0]
 
 
+class TestStreamedSvd:
+    """streamed_svd sees X only as row blocks of X^T and never forms its right basis."""
+
+    @staticmethod
+    def blocks(a, step):
+        return (a.T[j : j + step] for j in range(0, a.shape[1], step))
+
+    @pytest.mark.parametrize("shape, step", [
+        ((40, 397), 397), ((40, 397), 13), ((40, 397), 1), ((12, 5), 2), ((6, 6), 4)])
+    def test_matches_the_dense_svd(self, shape, step):
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        got, want = linalg.streamed_svd(self.blocks(a, step)), linalg.svd(a)
+        k = min(shape)
+        assert got.shape == shape and got.left_basis.shape == (shape[0], k)
+        assert np.max(np.abs(got.singular_values - want.singular_values)) <= 1e-14 * want.singular_values[0]
+        assert (got.numerical_rank, got.rank_tolerance) == (want.numerical_rank, want.rank_tolerance)
+        u = got.left_basis
+        assert np.max(np.abs(u.T @ u - np.eye(k))) < 1e-13
+        # projecting onto the basis keeps every column: U U^T A = A
+        assert np.linalg.norm(u @ (u.T @ a) - a) <= 1e-13 * np.linalg.norm(a)
+        for col in u.T:
+            assert col[np.argmax(np.abs(col))] >= 0
+        assert got.factorizations == -(-shape[1] // step) + 1
+
+    def test_rank_tolerance_rule_is_svd_s(self):
+        a = np.outer(np.arange(1.0, 9.0), np.ones(30)) + 1e-9 * np.eye(8, 30)
+        for tol in (None, 1e-6, 1e-12, 0.0):
+            got = linalg.streamed_svd(self.blocks(a, 7), rank_tolerance=tol)
+            want = linalg.svd(a, rank_tolerance=tol)
+            assert (got.numerical_rank, got.rank_tolerance) == (want.numerical_rank, want.rank_tolerance)
+        with pytest.raises(InvalidInputError):
+            linalg.streamed_svd(self.blocks(a, 7), rank_tolerance=-1.0)
+
+    def test_rejects_non_finite_and_no_blocks(self):
+        a = np.ones((4, 9))
+        a[2, 5] = np.nan
+        with pytest.raises(InvalidInputError):
+            linalg.streamed_svd(self.blocks(a, 3))
+        with pytest.raises(ShapeError):
+            linalg.streamed_svd(iter(()))
+
+
 class TestGsvd:
     def test_identity_pair(self):
         # generalized eigenvalues of (I, I) are all 1

@@ -264,6 +264,89 @@ class TestBandSignals:
             next(signal.band_signals(spec, bad, EmbedLayout.hankel(10), 100))
 
 
+class TestHankelStreamed:
+    """hankel_spectrum and hankel_band_signals against the trajectory route:
+    linalg.svd(embed(...)) and band_signals."""
+
+    SHAPES = [(4000, 40, 1), (4000, 40, 3), (50, 50, 1), (1003, 17, 7), (60, 45, 1),
+              (100, 80, 2), (300, 20, 3), (1000, 30, 7)]
+
+    @staticmethod
+    def band_bound(values, lo, hi, scale):
+        """Davis-Kahan: a band's subspace moves by eps sigma_1 / delta, where
+        delta is the smallest singular gap at the band's boundaries."""
+        gaps = [values[b - 1] - values[b] for b in (lo, hi) if 0 < b < values.size and hi > lo]
+        delta = min(gaps, default=np.inf)
+        return max(1e-13, 4 * np.finfo(float).eps * values[0] / delta) * scale
+
+    def assert_matches_trajectory_route(self, samples, window, stride, rank_tolerance=None):
+        x = np.random.default_rng(samples + window + stride).standard_normal(samples)
+        signals = ChannelSet(x[:, np.newaxis])
+        layout = EmbedLayout.hankel(window, stride=stride)
+        want = linalg.svd(signal.embed(signals, layout), rank_tolerance=rank_tolerance)
+        got = signal.hankel_spectrum(signals, layout, rank_tolerance=rank_tolerance)
+        s = want.singular_values
+        assert got.singular_values.shape == s.shape
+        assert np.max(np.abs(got.singular_values - s)) <= 1e-14 * s[0]
+        assert got.numerical_rank == want.numerical_rank
+        cut = TestBandSignals.cut_for(want.numerical_rank)
+        ranges = signal._band_ranges(want, cut)
+        bands = list(signal.hankel_band_signals(signals, got, cut, layout))
+        assert len(bands) == 3
+        for (lo, hi), band, ref in zip(ranges, bands, signal.band_signals(want, cut, layout, samples)):
+            assert band.data.shape == ref.data.shape == (samples, 1)
+            bound = self.band_bound(s, lo, hi, np.max(np.abs(x)))
+            assert np.max(np.abs(band.data - ref.data)) <= bound
+        covered_to = (samples - window) // stride * stride + window
+        for band in bands:
+            assert np.all(band.data[covered_to:] == 0.0)
+        return got
+
+    @pytest.mark.parametrize("samples, window, stride", SHAPES)
+    def test_matches_the_trajectory_route(self, samples, window, stride):
+        got = self.assert_matches_trajectory_route(samples, window, stride)
+        windows = (samples - window) // stride + 1
+        step = 8 * window
+        assert got.shape == (window, windows)
+        assert got.factorizations == -(-windows // step) + 1
+
+    @pytest.mark.parametrize("samples, window, stride", SHAPES)
+    def test_many_blocks_match_the_trajectory_route(self, monkeypatch, samples, window, stride):
+        # A tenth of a window length per block: every shape with more than a
+        # few windows, K < L among them, builds R over several blocks.
+        monkeypatch.setattr(signal, "_STREAM_BLOCK", 0.1)
+        got = self.assert_matches_trajectory_route(samples, window, stride)
+        step = max(1, int(0.1 * window))
+        assert got.factorizations == -(-got.shape[1] // step) + 1
+
+    def test_rank_tolerance_is_the_trajectory_rule(self):
+        t = np.arange(400.0)
+        x = np.sin(2 * np.pi * t / 25) + 1e-4 * np.random.default_rng(5).standard_normal(400)
+        signals, layout = ChannelSet(x[:, np.newaxis]), EmbedLayout.hankel(30)
+        trajectory = signal.embed(signals, layout)
+        for tol in (None, 1e-3, 1e-6):
+            got = signal.hankel_spectrum(signals, layout, rank_tolerance=tol)
+            want = linalg.svd(trajectory, rank_tolerance=tol)
+            assert (got.numerical_rank, got.rank_tolerance) == (want.numerical_rank, want.rank_tolerance)
+        assert signal.hankel_spectrum(signals, layout, rank_tolerance=1e-3).numerical_rank == 2
+
+    def test_layout_errors_are_embed_s(self):
+        with pytest.raises(LayoutError, match="single channel"):
+            signal.hankel_spectrum(ChannelSet(np.ones((40, 2))), EmbedLayout.hankel(5))
+        with pytest.raises(RangeError, match="exceeds signal length"):
+            signal.hankel_spectrum(ChannelSet(np.ones((40, 1))), EmbedLayout.hankel(41))
+
+    def test_rejects_a_spectrum_of_another_layout(self):
+        x = np.random.default_rng(23).standard_normal((100, 1))
+        spec = signal.hankel_spectrum(ChannelSet(x), EmbedLayout.hankel(10))
+        cut = TestBandSignals.cut_for(spec.numerical_rank)
+        with pytest.raises(LayoutError):
+            next(signal.hankel_band_signals(ChannelSet(x), spec, cut, EmbedLayout.hankel(12)))
+        with pytest.raises(RangeError):
+            bad = signal.CutoffResult(m=11, f=None, peak_values=(0.0,), method="svd-egv")
+            next(signal.hankel_band_signals(ChannelSet(x), spec, bad, EmbedLayout.hankel(10)))
+
+
 class TestEnergyGap:
     def test_small_spectrum(self):
         spec = spectrum_of([2.0, 1.0])
