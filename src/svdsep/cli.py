@@ -119,8 +119,7 @@ def cmd_separate(args) -> RunReport:
     min_separation = 1 if args.min_separation is None else args.min_separation
     # A hankel SVD never forms the trajectory: it reads blocks of windows of
     # the input, which stays the only signal-sized array.
-    streamed = args.method == "svd" and args.layout == "hankel"
-    if streamed:
+    if args.method == "svd" and args.layout == "hankel":
         decomp = signal.hankel_spectrum(channels, layout, rank_tolerance=args.rank_tolerance)
         decompositions = decomp.factorizations
     else:
@@ -147,10 +146,7 @@ def cmd_separate(args) -> RunReport:
     cut = signal.cutoff(decomp, min_separation=min_separation)
     profile = signal.egv_profile(values[np.isfinite(values)])  # inf values stay out of the chain
 
-    if streamed:
-        bands = signal.hankel_band_signals(channels, decomp, cut, layout)
-    else:
-        bands = signal.band_signals(decomp, cut, layout, n_samples)
+    bands = signal.band_signals(decomp, cut, layout, n_samples)
     names = ("dominant", "weak", "noise")
     outputs = []
     for name, out in zip(names, bands):

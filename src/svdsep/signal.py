@@ -29,7 +29,7 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .linalg import GsvdResult, SpectrumResult, StreamedSpectrum, _band, streamed_svd
+from .linalg import GsvdResult, SpectrumResult, StreamedSpectrum, _band, _stream_step, streamed_svd
 from .validation import check_index_range, check_matrix
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "gsvd_separate",
     "band_signals",
     "hankel_spectrum",
-    "hankel_band_signals",
 ]
 
 MODE_CHANNEL_COLUMNS = "channel-columns"
@@ -178,61 +177,16 @@ def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
     return _unembed(lambda j0, j1: m[:, j0:j1], layout, m.shape, target_length)
 
 
-# Windows per block of the streamed hankel route, per sample of window
-# length: 8 L windows, for both the R factor and the band projections. On
-# the 4000-sample, L = 40 benchmark input a whole `separate` run with 4 L,
-# 8 L, 16 L and 32 L windows peaks at 0.28, 0.36, 0.55 and 0.92 MiB and
-# takes 56, 49, 51 and 54 ms (median of 30 runs, 2-vCPU host).
-_STREAM_BLOCK = 8
-
-
-def _stream_step(layout: EmbedLayout) -> int:
-    return max(1, int(_STREAM_BLOCK * layout.window_length))
-
-
 def hankel_spectrum(signals: ChannelSet, layout: EmbedLayout,
                     rank_tolerance: float | None = None) -> StreamedSpectrum:
     """Singular values and left basis of the hankel trajectory of ``signals``,
-    without forming it: :func:`linalg.streamed_svd` over blocks of windows.
+    without forming it: :func:`linalg.streamed_svd` of the zero-copy window view.
 
     The values and rank are those of ``linalg.svd(embed(signals, layout))``
     to rounding; the default rank tolerance is ``max(L, K) * eps`` for L
     samples per window and K windows.
     """
-    windows = _hankel_windows(signals, layout)
-    step = _stream_step(layout)
-    return streamed_svd((windows[j : j + step] for j in range(0, windows.shape[0], step)),
-                        rank_tolerance=rank_tolerance)
-
-
-def hankel_band_signals(signals: ChannelSet, spectrum: StreamedSpectrum, cut: CutoffResult,
-                        layout: EmbedLayout):
-    """Yield the dominant, weak and noise signals of :func:`hankel_spectrum`'s bands.
-
-    An SVD band is the projection ``U_b U_b^T X`` of the trajectory X onto
-    its left singular vectors, so no right basis is needed: each column
-    block is projected from a contiguous copy of its windows and fed to the
-    diagonal averaging of :func:`unembed`. The result agrees with
-    ``band_signals`` on ``linalg.svd(embed(signals, layout))`` to within
-    the conditioning of each band's boundary singular gaps, not bitwise.
-    """
-    windows = _hankel_windows(signals, layout)
-    shape = (layout.window_length, windows.shape[0])
-    if spectrum.shape != shape:
-        raise LayoutError(f"spectrum of a {spectrum.shape} matrix, layout gives {shape}")
-    u, step = spectrum.left_basis, _stream_step(layout)
-    for lo, hi in _band_ranges(spectrum, cut):
-        u_b = u[:, lo:hi]
-        yield _unembed(lambda j0, j1: u_b @ (np.ascontiguousarray(windows[j0:j1]) @ u_b).T,
-                       layout, shape, signals.n_samples, step)
-
-
-# Bytes of one column block of a Hankel matrix formed from its factors.
-# Column blocks read each band's right factor once; row blocks would read
-# it once per block. At 40 000 samples and L = 200 (a 61 MiB trajectory)
-# the three bands take 0.17 s with 1 MiB blocks, 0.10 s with 4 MiB and
-# 0.09 s with 8 MiB; row blocks of 1 and 4 MiB took 0.72 s and 0.26 s.
-_AVERAGE_BLOCK_BYTES = 1 << 22
+    return streamed_svd(_hankel_windows(signals, layout), rank_tolerance=rank_tolerance)
 
 
 def _hankel_coverage(layout: EmbedLayout, columns: int, target_length: int) -> np.ndarray:
@@ -248,14 +202,13 @@ def _hankel_coverage(layout: EmbedLayout, columns: int, target_length: int) -> n
     return np.maximum(last - first + 1, 0)
 
 
-def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_length: int,
-             step: int | None = None) -> ChannelSet:
+def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_length: int) -> ChannelSet:
     """:func:`unembed` of a ``shape`` matrix whose columns ``j0:j1`` are ``block_of(j0, j1)``.
 
     Channel-columns takes one block of every column. A Hankel matrix is
-    diagonal-averaged ``step`` columns at a time (by default, blocks of
-    ``_AVERAGE_BLOCK_BYTES``): entry (i, j) is sample i + j * stride, so
-    each row of a block adds into one strided slice. Blocks run from the
+    diagonal-averaged in the column blocks :func:`linalg.streamed_svd`
+    reads (8 L windows): entry (i, j) is sample i + j * stride, so each
+    row of a block adds into one strided slice. Blocks run from the
     last window back to the first: a sample's entries then arrive in row
     order, the order a whole-matrix pass adds them in.
     """
@@ -277,8 +230,7 @@ def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_lengt
         return ChannelSet(out)
     coverage = _hankel_coverage(layout, columns, target_length)
     acc = np.zeros(target_length)
-    if step is None:
-        step = max(1, _AVERAGE_BLOCK_BYTES // (8 * n))
+    step = _stream_step(n)
     for j0 in range((columns - 1) // step * step, -1, -step):
         j1 = min(j0 + step, columns)
         block = block_of(j0, j1)
@@ -463,7 +415,7 @@ def cutoff(factors: SpectrumResult | StreamedSpectrum | GsvdResult,
     return find_cutoff(factors)
 
 
-def separate(factors: SpectrumResult | GsvdResult,
+def separate(factors: SpectrumResult | StreamedSpectrum | GsvdResult,
              cut: CutoffResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split a matrix into dominant, weak and noise reconstructions.
 
@@ -476,31 +428,38 @@ def separate(factors: SpectrumResult | GsvdResult,
     A generalized decomposition has no rank-one triples: each band keeps
     the columns of U and X inside its range and reconstructs U C_band X^T.
     """
-    u, w, x = _factors(factors)
-    return tuple(_band(u, w, x, lo, hi) for lo, hi in _band_ranges(factors, cut))
+    n = factors.shape[1]
+    return tuple(_band_columns(factors, lo, hi)(0, n) for lo, hi in _band_ranges(factors, cut))
 
 
-def band_signals(factors: SpectrumResult | GsvdResult, cut: CutoffResult,
+def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult,
                  layout: EmbedLayout, target_length: int):
     """Yield the dominant, weak and noise signals, one band at a time.
 
     Each equals ``unembed(part, layout, target_length)`` of the matching
-    :func:`separate` part. A hankel band is averaged straight from its
-    factors, one column block of ``U_band diag(w_band) X_band^T`` at a
+    :func:`separate` part. A hankel band is averaged one column block at a
     time, so no trajectory-sized part is ever formed; its result agrees
     with the matrix route to rounding, not bitwise.
     """
-    u, w, x = _factors(factors)
     for lo, hi in _band_ranges(factors, cut):
-        yield _unembed(lambda j0, j1: _band(u, w, x[j0:j1], lo, hi), layout,
-                       (u.shape[0], x.shape[0]), target_length)
+        yield _unembed(_band_columns(factors, lo, hi), layout, factors.shape, target_length)
 
 
-def _factors(factors: SpectrumResult | GsvdResult):
-    """The ``(U, w, X)`` a band of ``factors`` is ``_band``-formed from."""
+def _band_columns(factors: SpectrumResult | StreamedSpectrum | GsvdResult, lo: int, hi: int):
+    """``(j0, j1) -> columns j0:j1`` of the band ``[lo, hi)`` of ``factors``.
+
+    A band of a left-orthonormal factor is the projection ``U_b U_b^T X`` of
+    the matrix it came from, so a streamed spectrum needs no right basis:
+    each block is projected from a contiguous copy of its rows of X^T.
+    """
+    if isinstance(factors, StreamedSpectrum):
+        u_b, xt = factors.left_basis[:, lo:hi], factors.transposed
+        return lambda j0, j1: u_b @ (np.ascontiguousarray(xt[j0:j1]) @ u_b).T
     if isinstance(factors, GsvdResult):
-        return factors.u_basis, factors.alpha, factors.x_factor
-    return factors.left_basis, factors.singular_values, factors.right_basis
+        u, w, x = factors.u_basis, factors.alpha, factors.x_factor
+    else:
+        u, w, x = factors.left_basis, factors.singular_values, factors.right_basis
+    return lambda j0, j1: _band(u, w, x[j0:j1], lo, hi)
 
 
 def _band_ranges(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult):

@@ -147,22 +147,6 @@ class TestSeparate:
             with open(f"{prefix}_{name}.csv", encoding="utf-8") as fh:
                 assert fh.readline() == "ecg\n"
 
-    def test_hankel_peak_stays_near_two_trajectories(self, tmp_path):
-        # 20 000 samples, L = 100: the trajectory matrix is 15.2 MiB. The SVD
-        # needs it and its right basis live together; nothing else may come close.
-        samples, window = 20_000, 100
-        t = np.arange(samples)
-        wave = np.sin(2 * np.pi * t / 40) + 0.1 * np.sin(2 * np.pi * t / 7)
-        wave += 0.01 * np.random.default_rng(9).standard_normal(samples)
-        path = tmp_path / "long.csv"
-        fio.write_channels_csv(path, ChannelSet(wave[:, np.newaxis]))
-        trajectory = window * (samples - window + 1) * 8
-        code, peak = traced_peak(lambda: run("separate", path, "--layout", "hankel",
-                                             "--window-length", window,
-                                             "--output-prefix", tmp_path / "h"))
-        assert code == 0
-        assert peak <= 2.25 * trajectory
-
     @staticmethod
     def long_wave(path, samples, noise=0.01):
         t = np.arange(samples)
@@ -227,6 +211,22 @@ class TestSeparate:
         want = linalg.svd(trajectory, rank_tolerance=1e-3)
         assert results["numerical_rank"] == want.numerical_rank == 4
         assert len(results["singular_values"]) == want.numerical_rank
+
+    def test_hankel_gsvd(self, tmp_path, capsys):
+        path, reference = tmp_path / "wave.csv", tmp_path / "ref.csv"
+        wave = self.long_wave(path, 60)
+        self.long_wave(reference, 60, noise=0.5)
+        prefix = tmp_path / "g"
+        # L = 40: a 40 x 21 trajectory, tall enough for the generalized decomposition
+        assert run("separate", path, "--method", "gsvd", "--second", reference, "--layout", "hankel",
+                   "--window-length", 40, "--output-prefix", prefix) == 0
+        parts = sum(fio.read_channels_csv(f"{prefix}_{name}.csv").data[:, 0]
+                    for name in ("dominant", "weak", "noise"))
+        assert np.max(np.abs(parts - wave)) <= 1e-12 * np.max(np.abs(wave))
+        # L = 20: a wide 20 x 41 trajectory
+        assert run("separate", path, "--method", "gsvd", "--second", reference, "--layout", "hankel",
+                   "--window-length", 20, "--output-prefix", tmp_path / "w") == 1
+        assert "ShapeError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["svd", "gsvd", "hankel"])
     def test_decompositions_counts_the_factorizations_run(self, tmp_path, mixture_csv,

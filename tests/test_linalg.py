@@ -121,19 +121,15 @@ class TestSvdWide:
 
 
 class TestStreamedSvd:
-    """streamed_svd sees X only as row blocks of X^T and never forms its right basis."""
+    """streamed_svd reads X^T in row blocks and never forms its right basis."""
 
     @staticmethod
-    def blocks(a, step):
-        return (a.T[j : j + step] for j in range(0, a.shape[1], step))
-
-    @pytest.mark.parametrize("shape, step", [
-        ((40, 397), 397), ((40, 397), 13), ((40, 397), 1), ((12, 5), 2), ((6, 6), 4)])
-    def test_matches_the_dense_svd(self, shape, step):
-        a = np.random.default_rng(sum(shape)).standard_normal(shape)
-        got, want = linalg.streamed_svd(self.blocks(a, step)), linalg.svd(a)
-        k = min(shape)
-        assert got.shape == shape and got.left_basis.shape == (shape[0], k)
+    def assert_matches_the_dense_svd(xt, step):
+        a = np.array(xt.T)
+        got, want = linalg.streamed_svd(xt), linalg.svd(a)
+        k = min(a.shape)
+        assert got.shape == a.shape and got.left_basis.shape == (a.shape[0], k)
+        assert got.transposed is xt
         assert np.max(np.abs(got.singular_values - want.singular_values)) <= 1e-14 * want.singular_values[0]
         assert (got.numerical_rank, got.rank_tolerance) == (want.numerical_rank, want.rank_tolerance)
         u = got.left_basis
@@ -142,24 +138,37 @@ class TestStreamedSvd:
         assert np.linalg.norm(u @ (u.T @ a) - a) <= 1e-13 * np.linalg.norm(a)
         for col in u.T:
             assert col[np.argmax(np.abs(col))] >= 0
-        assert got.factorizations == -(-shape[1] // step) + 1
+        assert got.factorizations == -(-a.shape[1] // step) + 1
+
+    @pytest.mark.parametrize("shape, step", [
+        ((40, 397), 397), ((40, 397), 13), ((40, 397), 1), ((12, 5), 2), ((6, 6), 4)])
+    def test_matches_the_dense_svd(self, monkeypatch, shape, step):
+        # step rows of X^T per block: (step + 0.5) / m rows per row of X
+        monkeypatch.setattr(linalg, "_STREAM_BLOCK", (step + 0.5) / shape[0])
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        self.assert_matches_the_dense_svd(a.T, step)
+
+    def test_reads_a_window_view(self):
+        # 481 windows of 20 samples, 160 rows per block: four blocks
+        x = np.random.default_rng(9).standard_normal(500)
+        self.assert_matches_the_dense_svd(np.lib.stride_tricks.sliding_window_view(x, 20), 160)
 
     def test_rank_tolerance_rule_is_svd_s(self):
         a = np.outer(np.arange(1.0, 9.0), np.ones(30)) + 1e-9 * np.eye(8, 30)
         for tol in (None, 1e-6, 1e-12, 0.0):
-            got = linalg.streamed_svd(self.blocks(a, 7), rank_tolerance=tol)
+            got = linalg.streamed_svd(a.T, rank_tolerance=tol)
             want = linalg.svd(a, rank_tolerance=tol)
             assert (got.numerical_rank, got.rank_tolerance) == (want.numerical_rank, want.rank_tolerance)
         with pytest.raises(InvalidInputError):
-            linalg.streamed_svd(self.blocks(a, 7), rank_tolerance=-1.0)
+            linalg.streamed_svd(a.T, rank_tolerance=-1.0)
 
     def test_rejects_non_finite_and_no_blocks(self):
         a = np.ones((4, 9))
         a[2, 5] = np.nan
         with pytest.raises(InvalidInputError):
-            linalg.streamed_svd(self.blocks(a, 3))
+            linalg.streamed_svd(a.T)
         with pytest.raises(ShapeError):
-            linalg.streamed_svd(iter(()))
+            linalg.streamed_svd(np.empty((0, 4)))
 
 
 class TestGsvd:

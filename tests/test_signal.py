@@ -214,10 +214,11 @@ class TestBandSignals:
         self.assert_matches_matrix_route(g, cut, layout, 60, np.max(np.abs(x)))
 
     def test_column_blocks_keep_the_row_order(self, monkeypatch):
-        # Three windows per block: blocks must not change the order in which
-        # each sample receives its entries, so unembed stays bitwise exact.
+        # Three windows per block (3.5 L / L, truncated): blocks must not change
+        # the order in which each sample receives its entries, so unembed stays
+        # bitwise exact.
         for samples, window, stride in ((4000, 40, 1), (1003, 17, 7)):
-            monkeypatch.setattr(signal, "_AVERAGE_BLOCK_BYTES", 8 * window * 3)
+            monkeypatch.setattr(linalg, "_STREAM_BLOCK", 3.5 / window)
             x = np.random.default_rng(samples + stride).standard_normal(samples)
             layout = EmbedLayout.hankel(window, stride=stride)
             matrix, unembed_ref = hankel_reference(x, layout)
@@ -265,8 +266,8 @@ class TestBandSignals:
 
 
 class TestHankelStreamed:
-    """hankel_spectrum and hankel_band_signals against the trajectory route:
-    linalg.svd(embed(...)) and band_signals."""
+    """separate and band_signals of hankel_spectrum against the definitional
+    route: unembed(separate(linalg.svd(embed(...))))."""
 
     SHAPES = [(4000, 40, 1), (4000, 40, 3), (50, 50, 1), (1003, 17, 7), (60, 45, 1),
               (100, 80, 2), (300, 20, 3), (1000, 30, 7)]
@@ -291,11 +292,15 @@ class TestHankelStreamed:
         assert got.numerical_rank == want.numerical_rank
         cut = TestBandSignals.cut_for(want.numerical_rank)
         ranges = signal._band_ranges(want, cut)
-        bands = list(signal.hankel_band_signals(signals, got, cut, layout))
+        bands = list(signal.band_signals(got, cut, layout, samples))
         assert len(bands) == 3
-        for (lo, hi), band, ref in zip(ranges, bands, signal.band_signals(want, cut, layout, samples)):
-            assert band.data.shape == ref.data.shape == (samples, 1)
+        for (lo, hi), band, part, ref in zip(ranges, bands, signal.separate(got, cut),
+                                             signal.separate(want, cut)):
             bound = self.band_bound(s, lo, hi, np.max(np.abs(x)))
+            assert part.shape == ref.shape == (window, got.shape[1])
+            assert np.max(np.abs(part - ref)) <= bound
+            ref = signal.unembed(ref, layout, samples)
+            assert band.data.shape == ref.data.shape == (samples, 1)
             assert np.max(np.abs(band.data - ref.data)) <= bound
         covered_to = (samples - window) // stride * stride + window
         for band in bands:
@@ -314,7 +319,7 @@ class TestHankelStreamed:
     def test_many_blocks_match_the_trajectory_route(self, monkeypatch, samples, window, stride):
         # A tenth of a window length per block: every shape with more than a
         # few windows, K < L among them, builds R over several blocks.
-        monkeypatch.setattr(signal, "_STREAM_BLOCK", 0.1)
+        monkeypatch.setattr(linalg, "_STREAM_BLOCK", 0.1)
         got = self.assert_matches_trajectory_route(samples, window, stride)
         step = max(1, int(0.1 * window))
         assert got.factorizations == -(-got.shape[1] // step) + 1
@@ -341,10 +346,10 @@ class TestHankelStreamed:
         spec = signal.hankel_spectrum(ChannelSet(x), EmbedLayout.hankel(10))
         cut = TestBandSignals.cut_for(spec.numerical_rank)
         with pytest.raises(LayoutError):
-            next(signal.hankel_band_signals(ChannelSet(x), spec, cut, EmbedLayout.hankel(12)))
+            next(signal.band_signals(spec, cut, EmbedLayout.hankel(12), 100))
         with pytest.raises(RangeError):
             bad = signal.CutoffResult(m=11, f=None, peak_values=(0.0,), method="svd-egv")
-            next(signal.hankel_band_signals(ChannelSet(x), spec, bad, EmbedLayout.hankel(10)))
+            next(signal.band_signals(spec, bad, EmbedLayout.hankel(10), 100))
 
 
 class TestEnergyGap:
