@@ -51,8 +51,8 @@ def run_cutoff_bench(sizes, reps: int, seed: int = 0) -> list[BenchRecord]:
     """Time both cutoff routes, as the CLI runs them (``signal.cutoff``), on
     seeded mixtures of each sample count.
 
-    Produces ``2 * len(sizes) * reps`` records. An svd run is one
-    factorization, a gsvd run ``linalg.GSVD_FACTORIZATIONS``.
+    Produces ``2 * len(sizes) * reps`` records, each counting the
+    factorizations of the decomposition it timed.
     """
     sizes = [int(s) for s in sizes]
     if any(s < 8 for s in sizes):
@@ -63,18 +63,16 @@ def run_cutoff_bench(sizes, reps: int, seed: int = 0) -> list[BenchRecord]:
     for size in sizes:
         a = _mixture_matrix(size, seed)
         b = _mixture_matrix(size, seed + 1)
-        signal.cutoff(linalg.svd(a))       # warm-up, discarded
-        signal.cutoff(linalg.gsvd(a, b))
+        routes = ((SUITE_CUTOFF_SVD, linalg.svd, (a,)), (SUITE_CUTOFF_GSVD, linalg.gsvd, (a, b)))
+        for _, decompose, args in routes:
+            signal.cutoff(decompose(*args))  # warm-up, discarded
         for rep in range(reps):
-            t0 = time.perf_counter()
-            signal.cutoff(linalg.svd(a))
-            records.append(BenchRecord(SUITE_CUTOFF_SVD, size, rep,
-                                       (time.perf_counter() - t0) * 1e3, 1))
-            t0 = time.perf_counter()
-            signal.cutoff(linalg.gsvd(a, b))
-            records.append(BenchRecord(SUITE_CUTOFF_GSVD, size, rep,
-                                       (time.perf_counter() - t0) * 1e3,
-                                       linalg.GSVD_FACTORIZATIONS))
+            for suite, decompose, args in routes:
+                t0 = time.perf_counter()
+                factors = decompose(*args)
+                signal.cutoff(factors)
+                records.append(BenchRecord(suite, size, rep, (time.perf_counter() - t0) * 1e3,
+                                           factors.factorizations))
     return records
 
 

@@ -21,7 +21,7 @@ from . import io as fio
 from . import linalg, signal
 from .errors import ParseError, SvdsepError
 from .image import METRIC_DENSITY, METRIC_SMOOTHNESS, WindowConfig, sliding_scan, threshold_map
-from .synth import MixtureSpec, Region, TextureSpec, gen_mixture, gen_texture
+from .synth import TAG_CODES, MixtureSpec, Region, TextureSpec, gen_mixture, gen_texture
 
 SCHEMA_VERSION = 1
 
@@ -121,19 +121,16 @@ def cmd_separate(args) -> RunReport:
     # the input, which stays the only signal-sized array.
     if args.method == "svd" and args.layout == "hankel":
         decomp = signal.hankel_spectrum(channels, layout, rank_tolerance=args.rank_tolerance)
-        decompositions = decomp.factorizations
     else:
         a = signal.embed(channels, layout)
         del channels  # the bands are formed from the factors alone
         if args.method == "svd":
             decomp = linalg.svd(a, rank_tolerance=args.rank_tolerance)
-            decompositions = 1
         else:
             second = fio.read_channels_csv(args.second)
             b = signal.embed(second, _layout_from_args(args, second))
             decomp = linalg.gsvd(a, b)
             del second, b
-            decompositions = linalg.GSVD_FACTORIZATIONS
         del a
     if args.method == "svd":
         values = decomp.singular_values[: decomp.numerical_rank]
@@ -144,7 +141,6 @@ def cmd_separate(args) -> RunReport:
         values_key = "generalized_values"
         rank_info = {"infinite_values": int(np.sum(np.isinf(values)))}
     cut = signal.cutoff(decomp, min_separation=min_separation)
-    profile = signal.egv_profile(values[np.isfinite(values)])  # inf values stay out of the chain
 
     bands = signal.band_signals(decomp, cut, layout, n_samples)
     names = ("dominant", "weak", "noise")
@@ -175,10 +171,10 @@ def cmd_separate(args) -> RunReport:
                        "method": cut.method},
             values_key: values,
             **rank_info,
-            "egv_profile": asdict(profile),
+            "egv_profile": asdict(cut.profile),
             "outputs": outputs,
         },
-        work_counters={"decompositions": decompositions},
+        work_counters={"decompositions": decomp.factorizations},
     )
 
 
@@ -247,7 +243,7 @@ def cmd_synth(args) -> RunReport:
         mask_path = f"{args.output_prefix}_mask.pgm"
         fio.write_pgm(img_path, img.to_uint8())
         fio.write_pgm(mask_path, mask.astype(np.uint8))
-        results = {"tag_codes": {"smooth": 0, "rough": 1, "anomaly-band": 2},
+        results = {"tag_codes": TAG_CODES,
                    "outputs": [img_path, mask_path]}
 
     return RunReport(

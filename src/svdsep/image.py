@@ -29,7 +29,7 @@ from .errors import (
     OrderError,
     ShapeError,
 )
-from .linalg import SpectrumResult, _rank
+from .linalg import SpectrumResult, _rank, _tolerance
 from .validation import check_index_range, check_matrix
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "METRIC_SMOOTHNESS",
     "METRIC_DENSITY",
 ]
-
-_EPS = np.finfo(np.float64).eps
 
 METRIC_SMOOTHNESS = "smoothness"
 METRIC_DENSITY = "information-density"
@@ -106,7 +104,7 @@ class GrayImage:
         if arr.dtype != np.uint8 and not np.all(np.isfinite(arr)):
             raise InvalidInputError("image contains non-finite pixels")
         if arr.min() < 0 or arr.max() > self.maxval:
-            raise InvalidInputError("pixel intensities must lie in [0, 1]")
+            raise InvalidInputError(f"pixel values must lie in [0, {self.maxval}]")
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -245,10 +243,10 @@ def _metric(values: np.ndarray, cfg: WindowConfig, metric: str) -> np.ndarray:
     """
     if metric == METRIC_DENSITY:
         lo, hi = cfg.density_range
-        return _density(values, lo, hi, _rank(values, values.shape[-1] * _EPS))
+        return _density(values, lo, hi, _rank(values, _tolerance(None, values.shape[-1:])))
     n = cfg.order
     if n == "auto":
-        n = _auto_order(values, _rank(values, values.shape[-1] * _EPS), cfg.delta)
+        n = _auto_order(values, _rank(values, _tolerance(None, values.shape[-1:])), cfg.delta)
     return _smoothness(values, n, cfg.epsilon_guard)
 
 
@@ -260,7 +258,7 @@ def information_density(d, lo: int = 1, hi: int | None = None) -> float:
     """
     arr = check_matrix(d, "D")
     values = np.linalg.svd(arr, compute_uv=False)
-    rank = int(_rank(values, max(arr.shape) * _EPS))
+    rank = int(_rank(values, _tolerance(None, arr.shape)))
     if hi is None:
         hi = rank
     check_index_range(lo, hi, rank, "density range")

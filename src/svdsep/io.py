@@ -269,18 +269,16 @@ def read_png(path) -> np.ndarray:
         raise ParseError(f"{path}: PNG stream length {len(stream)} does not match {width}x{height}")
 
     out = np.empty((height, width), dtype=np.uint8)
-    prev = bytearray(width)
+    prev = bytes(width)
     for y in range(height):
         row_start = y * (width + 1)
         ftype = stream[row_start]
         line = bytearray(stream[row_start + 1 : row_start + 1 + width])
-        if ftype == 1:    # sub
-            for x in range(1, width):
-                line[x] = (line[x] + line[x - 1]) & 0xFF
+        if ftype == 1:    # sub: whole-row uint8 sums wrap mod 256, as the format does
+            line = np.cumsum(line, dtype=np.uint8)
         elif ftype == 2:  # up
-            for x in range(width):
-                line[x] = (line[x] + prev[x]) & 0xFF
-        elif ftype == 3:  # average
+            line = np.add(line, np.frombuffer(prev, dtype=np.uint8), dtype=np.uint8)
+        elif ftype == 3:  # average: each byte needs its decoded left neighbour
             for x in range(width):
                 left = line[x - 1] if x else 0
                 line[x] = (line[x] + ((left + prev[x]) >> 1)) & 0xFF
@@ -291,8 +289,8 @@ def read_png(path) -> np.ndarray:
                 line[x] = (line[x] + _paeth(left, prev[x], upleft)) & 0xFF
         elif ftype != 0:
             raise ParseError(f"{path}: unknown PNG filter type {ftype}", line=y + 1)
-        out[y] = np.frombuffer(bytes(line), dtype=np.uint8)
-        prev = line
+        out[y] = line
+        prev = bytes(line)
     return out
 
 

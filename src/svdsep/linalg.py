@@ -9,6 +9,7 @@ repeated calls on identical input are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,6 +46,8 @@ class SpectrumResult:
         Count of singular values above ``rank_tolerance * singular_values[0]``.
     rank_tolerance : float
         The relative tolerance that was applied.
+    factorizations : int
+        Factorizations one call of :func:`svd` performs (a class constant).
     """
 
     left_basis: np.ndarray
@@ -52,6 +55,7 @@ class SpectrumResult:
     singular_values: np.ndarray
     numerical_rank: int
     rank_tolerance: float
+    factorizations: ClassVar[int] = 1
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -101,6 +105,9 @@ class GsvdResult:
     alpha: np.ndarray        # (n,)
     beta: np.ndarray         # (n,)
     generalized_values: np.ndarray  # (n,) descending, inf first
+    # Factorizations one gsvd call performs: QR of [A; B], SVD of R (the rank
+    # check), SVD of Q1 and QR of Q2 W.
+    factorizations: ClassVar[int] = 4
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -226,11 +233,6 @@ def streamed_svd(xt, rank_tolerance: float | None = None) -> StreamedSpectrum:
         transposed=xt,
         factorizations=-(-n // step) + 1,
     )
-
-
-# Factorizations one gsvd call performs: QR of [A; B], SVD of R (the rank
-# check), SVD of Q1 and QR of Q2 W.
-GSVD_FACTORIZATIONS = 4
 
 
 def gsvd(a, b) -> GsvdResult:

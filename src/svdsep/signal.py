@@ -17,7 +17,7 @@ the spike is negative and only |V| exposes it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -257,12 +257,14 @@ class CutoffResult:
     """Boundary indices splitting a spectrum into dominant/weak/noise bands.
 
     ``m`` counts the dominant values; ``f`` (optional) the last weak one.
+    ``profile`` is the variation chain both were read from.
     """
 
     m: int
     f: int | None
     peak_values: tuple[float, ...]
     method: str
+    profile: EgvProfile | None = field(default=None, compare=False, repr=False)
 
 
 def energy_gap(spectrum: SpectrumResult, k: int) -> float:
@@ -330,13 +332,11 @@ def _abs_local_maxima(variations: np.ndarray) -> list[int]:
     return out
 
 
-def cutoff_from_values(values, method: str = "svd-egv", min_separation: int | None = None) -> CutoffResult:
-    """Cutoff detection on a plain descending value sequence.
+def cutoff_from_values(values, method: str = "svd-egv") -> CutoffResult:
+    """Dominant/weak boundary of a plain descending value sequence.
 
-    ``m`` is the argmax of the variations (smallest index on ties). When
-    ``min_separation`` is given, a second boundary ``f`` is sought among
-    the strict local maxima of |V| at indices >= m + min_separation; if
-    none qualifies the result carries ``f=None`` and a warning is issued.
+    ``m`` is the argmax of the variations (smallest index on ties); the
+    result keeps the chain it was read from.
     """
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     if v.size < 2:
@@ -344,17 +344,9 @@ def cutoff_from_values(values, method: str = "svd-egv", min_separation: int | No
     if np.any(v < 0) or np.any(np.diff(v) > 0):
         raise InvalidInputError("values must be nonnegative and non-increasing")
     profile = egv_profile(v)
-    var = profile.variations
-    m = int(np.argmax(var)) + 1
-    if min_separation is None:
-        return CutoffResult(m=m, f=None, peak_values=(float(var[m - 1]),), method=method)
-    candidates = [k for k in _abs_local_maxima(var) if k >= m + min_separation]
-    if not candidates:
-        warnings.warn("no second variation peak found; treating spectrum as single-source",
-                      RuntimeWarning, stacklevel=2)
-        return CutoffResult(m=m, f=None, peak_values=(float(var[m - 1]),), method=method)
-    f = max(candidates, key=lambda k: abs(var[k - 1]))
-    return CutoffResult(m=m, f=f, peak_values=(float(var[m - 1]), float(var[f - 1])), method=method)
+    m = int(np.argmax(profile.variations)) + 1
+    return CutoffResult(m=m, f=None, peak_values=(float(profile.variations[m - 1]),),
+                        method=method, profile=profile)
 
 
 def find_cutoff(spectrum: SpectrumResult) -> CutoffResult:
@@ -368,7 +360,9 @@ def find_cutoff(spectrum: SpectrumResult) -> CutoffResult:
 def find_two_cutoffs(spectrum: SpectrumResult, min_separation: int = 1) -> CutoffResult:
     """Both boundaries (dominant/weak and weak/noise) of a spectrum.
 
-    ``f`` is absent when no second peak qualifies, which also covers
+    ``m`` is that of :func:`find_cutoff`; ``f`` is the strict local maximum
+    of |V| of largest magnitude at an index >= m + min_separation. It is
+    absent, with a warning, when no peak qualifies, which also covers
     noise-free spectra whose weak band runs to the end of the spectrum.
     """
     r = spectrum.numerical_rank
@@ -376,7 +370,15 @@ def find_two_cutoffs(spectrum: SpectrumResult, min_separation: int = 1) -> Cutof
         raise InsufficientRankError(f"numerical rank {r} < 3: two cutoffs need at least three values")
     if min_separation < 1:
         raise InvalidInputError(f"min_separation must be >= 1, got {min_separation}")
-    return cutoff_from_values(spectrum.singular_values[:r], method="svd-egv", min_separation=min_separation)
+    cut = find_cutoff(spectrum)
+    var = cut.profile.variations
+    candidates = [k for k in _abs_local_maxima(var) if k >= cut.m + min_separation]
+    if not candidates:
+        warnings.warn("no second variation peak found; treating spectrum as single-source",
+                      RuntimeWarning, stacklevel=2)
+        return cut
+    f = max(candidates, key=lambda k: abs(var[k - 1]))
+    return replace(cut, f=f, peak_values=cut.peak_values + (float(var[f - 1]),))
 
 
 def cutoff_from_gsvd(result: GsvdResult) -> CutoffResult:
@@ -395,7 +397,7 @@ def cutoff_from_gsvd(result: GsvdResult) -> CutoffResult:
     if finite.size < 2:
         raise InsufficientRankError(f"only {finite.size} finite generalized values; need at least 2")
     inner = cutoff_from_values(finite, method="gsvd-egv")
-    return CutoffResult(m=n_inf + inner.m, f=None, peak_values=inner.peak_values, method="gsvd-egv")
+    return replace(inner, m=n_inf + inner.m)
 
 
 def cutoff(factors: SpectrumResult | StreamedSpectrum | GsvdResult,

@@ -11,6 +11,9 @@ import tracemalloc
 import zlib
 
 import numpy as np
+import pytest
+
+from svdsep.errors import SvdsepError
 
 
 def chain_oracle(sigmas, doubled=True):
@@ -65,6 +68,13 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def raise_exactly(error, call, match=None):
+    """Check that ``call()`` raises ``error`` itself: not a subclass, not a sibling."""
+    with pytest.raises(SvdsepError, match=match) as info:
+        call()
+    assert type(info.value) is error
 
 
 def random_rect(rng, min_rows=10, max_rows=24, min_cols=3, max_cols=8):

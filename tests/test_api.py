@@ -1,6 +1,8 @@
+import ast
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +29,14 @@ def test_readme_quickstart_runs_and_its_comments_hold():
     assert scope["cut"].m == 2
     assert scope["cut"].f == 4
     assert scope["gcut"].f is None
+
+
+@pytest.mark.parametrize("path", sorted(Path(svdsep.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_the_only_runtime_dependency(path):
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names - {"numpy", "svdsep"} == set()

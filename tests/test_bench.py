@@ -15,7 +15,7 @@ class TestCutoffBench:
     def test_records_complete(self):
         records = bench.run_cutoff_bench([32, 64], reps=3, seed=1)
         assert len(records) == 12
-        expected = {bench.SUITE_CUTOFF_SVD: 1, bench.SUITE_CUTOFF_GSVD: linalg.GSVD_FACTORIZATIONS}
+        expected = {bench.SUITE_CUTOFF_SVD: 1, bench.SUITE_CUTOFF_GSVD: linalg.GsvdResult.factorizations}
         for rec in records:
             assert rec.wall_time_ms >= 0.0
             assert rec.decompositions == expected[rec.suite]

@@ -63,6 +63,26 @@ class TestSeparate:
         assert report["results"]["cutoff"]["method"] == "gsvd-egv"
         assert "generalized_values" in report["results"]
 
+    def test_gsvd_reference_blind_to_a_direction(self, tmp_path, mixture_csv):
+        run("synth", "mixture", "--seed", 2, "--output-prefix", tmp_path / "ref")
+        ref = fio.read_channels_csv(f"{tmp_path / 'ref'}_signals.csv")
+        blind = ref.data.copy()
+        blind[:, 0] = 0.0  # the reference never sees channel 0
+        fio.write_channels_csv(tmp_path / "blind.csv", ChannelSet(blind, labels=ref.labels))
+        prefix = tmp_path / "g"
+        with pytest.warns(RuntimeWarning, match="1 infinite generalized value"):
+            assert run("separate", mixture_csv, "--method", "gsvd", "--second", tmp_path / "blind.csv",
+                       "--output-prefix", prefix) == 0
+        results = read_json(f"{prefix}_report.json")["results"]
+        assert results["generalized_values"][0] == "inf"
+        assert results["infinite_values"] == 1
+        # the chain the cutoff read: the 7 finite values, so 6 variations
+        assert len(results["egv_profile"]["variations"]) == 6
+
+    def test_hankel_needs_a_window_length(self, tmp_path, mixture_csv, capsys):
+        assert run("separate", mixture_csv, "--layout", "hankel", "--output-prefix", tmp_path / "x") == 2
+        assert "hankel layout requires --window-length" in capsys.readouterr().err
+
     def test_gsvd_rejects_min_separation(self, tmp_path, mixture_csv, capsys):
         second_prefix = tmp_path / "mix2"
         run("synth", "mixture", "--seed", 2, "--output-prefix", second_prefix)
@@ -317,6 +337,9 @@ class TestScan:
                    "--metric", "information-density", "--output-prefix", tmp_path / "d") == 0
         assert run("scan", texture_pgm, "--window-size", 5, "--stride", 5,
                    "--order", "auto", "--delta", "0.05", "--output-prefix", tmp_path / "a") == 0
+        assert run("scan", texture_pgm, "--window-size", 5, "--stride", 5,
+                   "--order", 3, "--output-prefix", tmp_path / "o") == 0
+        assert read_json(f"{tmp_path / 'o'}_report.json")["parameters"]["order"] == 3
 
     def test_png_input(self, tmp_path):
         arr = np.random.default_rng(8).integers(0, 256, size=(16, 16)).astype(np.uint8)
@@ -406,6 +429,19 @@ def command_argv(tmp_path, command):
         assert run("synth", "texture", "--output-prefix", tmp_path / "in") == 0
         return [command, tmp_path / "in_image.pgm"]
     return command.split()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "img.pgm", "--order", "x"], "order must be an integer or 'auto', got 'x'"),
+    (["separate", "a.csv", "--offsets", "1,x"], "expected a comma-separated integer list, got '1,x'"),
+    (["synth", "texture", "--region", "1,2,3"], "region must be x,y,width,height,tag"),
+    (["synth", "texture", "--region", "1,2,x,4,rough"], "region coordinates must be integers"),
+])
+def test_malformed_option_value_exits_2(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        run(*argv, "--output-prefix", tmp_path / "x")
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 class TestRunReport:

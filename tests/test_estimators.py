@@ -84,6 +84,8 @@ class TestSubspaceSeparator:
         assert m >= 1 and f is None
         dom, weak, noise = sep.subspaces()
         assert np.linalg.norm(dom + weak + noise - x) <= 1e-8 * np.linalg.norm(x)
+        # no projection form: transform is the fitted matrix's weak band
+        assert np.array_equal(sep.transform(x), weak)
 
     def test_gsvd_requires_reference(self):
         x, _ = mixture_matrix()

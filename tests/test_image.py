@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import raise_exactly
 
 from svdsep import image, linalg
 from svdsep.errors import (
@@ -51,7 +52,7 @@ class TestGrayImage:
             GrayImage(np.zeros((3, 3), dtype=np.uint8), maxval=maxval)
 
     def test_sample_above_maxval_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"must lie in \[0, 15\]"):
             GrayImage(np.full((3, 3), 16, dtype=np.uint8), maxval=15)
 
 
@@ -386,3 +387,19 @@ class TestScanParity:
             for delta in (0.0, 0.05, 10.0):
                 assert image.select_order(spec, delta) == _ref_select_order_from_values(
                     spec.singular_values, spec.numerical_rank, delta)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: GrayImage(np.zeros((2, 2, 2))), ShapeError, id="image-3d"),
+    pytest.param(lambda: GrayImage(np.full((2, 2), np.nan)), InvalidInputError, id="image-nan"),
+    pytest.param(lambda: WindowConfig(5, stride=0), ConfigError, id="stride"),
+    pytest.param(lambda: WindowConfig(5, order="best"), ConfigError, id="order-name"),
+    pytest.param(lambda: WindowConfig(5, order=0), ConfigError, id="order"),
+    pytest.param(lambda: WindowConfig(5, delta=-1e-9), ConfigError, id="delta"),
+    pytest.param(lambda: WindowConfig(5, epsilon_guard=0.0), ConfigError, id="guard"),
+    pytest.param(lambda: WindowConfig(5, density_range=(0, None)), ConfigError, id="density-low"),
+    pytest.param(lambda: WindowConfig(5, density_range=(3, 2)), ConfigError, id="density-high"),
+    pytest.param(lambda: image.singular_smoothness(np.eye(3), n=0), OrderError, id="smoothness-order"),
+])
+def test_typed_errors(call, error):
+    raise_exactly(error, call)

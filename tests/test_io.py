@@ -6,7 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import encode_png_gray8, short_ihdr_png, traced_peak
+from conftest import encode_png_gray8, raise_exactly, short_ihdr_png, traced_peak
 
 from svdsep import io as fio
 from svdsep.errors import ParseError
@@ -269,6 +269,22 @@ class TestPng:
         path.write_bytes(encode_png_gray8(pixels, filter_type))
         assert np.array_equal(fio.read_png(path), pixels)
 
+    def test_filter_types_mixed_row_by_row(self, tmp_path):
+        # A filtered row depends only on the pixels, so the rows of five
+        # one-filter streams splice into a valid stream of mixed filters.
+        pixels = np.random.default_rng(15).integers(0, 256, size=(13, 17)).astype(np.uint8)
+        streams = []
+        for filter_type in range(5):
+            png = encode_png_gray8(pixels, filter_type)
+            start = png.index(b"IDAT")
+            (length,) = struct.unpack(">I", png[start - 4 : start])
+            streams.append(zlib.decompress(png[start + 4 : start + 4 + length]))
+        row = 17 + 1
+        mixed = b"".join(streams[y % 5][y * row : (y + 1) * row] for y in range(13))
+        path = tmp_path / "img.png"
+        path.write_bytes(png_of(17, 13, [zlib.compress(mixed)]))
+        assert np.array_equal(fio.read_png(path), pixels)
+
     def test_against_pillow_encoder(self, tmp_path):
         PIL_Image = pytest.importorskip("PIL.Image")
         rng = np.random.default_rng(20)
@@ -496,3 +512,17 @@ class TestQuantize:
         pixels[0, :6] = [0.0, 0.5 / 255, 1.0, 1.5 / 255, 254.5 / 255, 0.5]
         img = GrayImage(pixels)
         assert np.array_equal(img.to_uint8(), _to_uint8_reference(img.pixels))
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"", "empty file"),
+    (b"P5\n4\n", "malformed PGM header"),
+    (b"P2\n4 x 255\n", "malformed PGM header"),
+    (b"P2\n0 2\n255\n", "bad PGM dimensions 0x2"),
+    (b"P2\n2 2\n0\n", "unsupported PGM maxval 0"),
+    (b"P5\n2 2\n256\n", "unsupported PGM maxval 256"),
+])
+def test_pgm_header_typed_errors(tmp_path, body, message):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(body)
+    raise_exactly(ParseError, lambda: fio.read_pgm(path), match=message)

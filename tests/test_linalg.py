@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_rect, sym_eig_2x2
+from conftest import raise_exactly, random_rect, sym_eig_2x2
 
 from svdsep import linalg
 from svdsep.errors import (
@@ -9,6 +9,7 @@ from svdsep.errors import (
     RangeError,
     ShapeError,
 )
+from svdsep.validation import check_matrix
 
 
 class TestSvd:
@@ -326,3 +327,8 @@ class TestTruncatedSum:
             linalg.truncated_sum(res, 1, 3)
         with pytest.raises(RangeError):
             linalg.truncated_sum(res, 2, 1)
+
+
+@pytest.mark.parametrize("a", [np.zeros((0, 3)), np.zeros((3, 0))], ids=["no-rows", "no-columns"])
+def test_check_matrix_rejects_an_empty_matrix(a):
+    raise_exactly(ShapeError, lambda: check_matrix(a))

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import argmax_oracle, chain_oracle, traced_peak
+from conftest import argmax_oracle, chain_oracle, raise_exactly, traced_peak
 
 from svdsep import linalg, signal, synth
 from svdsep.errors import (
@@ -723,3 +723,24 @@ class TestLongRecordingMemory:
         parts, peak = traced_peak(run)
         assert np.linalg.norm(sum(parts) - a) <= 1e-9 * np.linalg.norm(a)
         assert peak <= 8 * (a.nbytes + b.nbytes)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: ChannelSet(np.zeros(4)), ShapeError, id="channels-1d"),
+    pytest.param(lambda: ChannelSet.from_channels([]), ShapeError, id="no-channels"),
+    pytest.param(lambda: EmbedLayout.hankel(1), LayoutError, id="window"),
+    pytest.param(lambda: EmbedLayout.hankel(4, stride=0), LayoutError, id="stride"),
+    pytest.param(lambda: EmbedLayout.channel_columns(4, offsets=(0, -1)), LayoutError, id="offset"),
+    pytest.param(lambda: signal.embed(ChannelSet(np.zeros((8, 2))), EmbedLayout.channel_columns(4, (0,))),
+                 LayoutError, id="embed-offset-count"),
+    pytest.param(lambda: signal.unembed(np.zeros((4, 3)), EmbedLayout.channel_columns(4, (0, 0)), 8),
+                 LayoutError, id="unembed-offset-count"),
+    pytest.param(lambda: signal.unembed(np.zeros((4, 3)), EmbedLayout.hankel(4), 5),
+                 LayoutError, id="hankel-coverage"),
+    pytest.param(lambda: signal.singular_energies([]), InvalidInputError, id="no-gaps"),
+    pytest.param(lambda: signal.egv_profile([]), InvalidInputError, id="no-values"),
+    pytest.param(lambda: signal.cutoff_from_values([1.0]), InsufficientRankError, id="one-value"),
+    pytest.param(lambda: signal.cutoff_from_values([1.0, 2.0]), InvalidInputError, id="increasing"),
+])
+def test_typed_errors(call, error):
+    raise_exactly(error, call)

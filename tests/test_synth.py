@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import raise_exactly
 
 from svdsep import image, linalg, signal
 from svdsep.errors import GeneratorSpecError
@@ -155,3 +156,18 @@ class TestGenTexture:
                            noise_amplitude={"rough": 1.0})
         img, _ = gen_texture(spec)
         assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: base_spec(dominant_rank=0), id="dominant-rank"),
+    pytest.param(lambda: base_spec(weak_period=1), id="weak-period"),
+    pytest.param(lambda: Region(0, 0, 0, 2, "rough"), id="region-side"),
+    pytest.param(lambda: Region(-1, 0, 2, 2, "rough"), id="region-origin"),
+    pytest.param(lambda: TextureSpec(width=1, height=4), id="texture-side"),
+    pytest.param(lambda: TextureSpec(width=4, height=4, base_level=1.0), id="base-level"),
+    pytest.param(lambda: TextureSpec(width=4, height=4, noise_amplitude={"bumpy": 0.1}), id="amplitude-tag"),
+    pytest.param(lambda: TextureSpec(width=4, height=4, noise_amplitude={"rough": -0.1}),
+                 id="negative-amplitude"),
+])
+def test_typed_errors(call):
+    raise_exactly(GeneratorSpecError, call)
