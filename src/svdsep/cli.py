@@ -129,8 +129,9 @@ def cmd_separate(args) -> RunReport:
         else:
             second = fio.read_channels_csv(args.second)
             b = signal.embed(second, _layout_from_args(args, second))
+            del second  # gsvd reads only its embedding
             decomp = linalg.gsvd(a, b)
-            del second, b
+            del b
         del a
     if args.method == "svd":
         values = decomp.singular_values[: decomp.numerical_rank]
@@ -142,15 +143,15 @@ def cmd_separate(args) -> RunReport:
         rank_info = {"infinite_values": int(np.sum(np.isinf(values)))}
     cut = signal.cutoff(decomp, min_separation=min_separation)
 
+    outputs = [f"{args.output_prefix}_{name}.csv" for name in ("dominant", "weak", "noise")]
+    # Not zip(outputs, bands): zip keeps the previous band in its result
+    # tuple while the generator forms the next one.
     bands = signal.band_signals(decomp, cut, layout, n_samples)
-    names = ("dominant", "weak", "noise")
-    outputs = []
-    for name, out in zip(names, bands):
+    for path in outputs:
+        out = next(bands)
         if labels:
             out = signal.ChannelSet(out.data, labels=labels)
-        path = f"{args.output_prefix}_{name}.csv"
         fio.write_channels_csv(path, out)
-        outputs.append(path)
         del out  # free this band before the next one is formed
 
     return RunReport(

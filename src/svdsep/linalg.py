@@ -144,13 +144,15 @@ def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
     """Make the largest-magnitude entry of each left vector nonnegative.
 
     ``u`` and ``v`` hold the paired left and right vectors as columns; the
-    sign flip propagates to the right vector, when there is one. In-place.
+    sign flip propagates to the right vector, when there is one. In-place,
+    one column at a time: the only temporary is one column's magnitudes.
+    The pivot is the first entry of largest magnitude.
     """
-    idx = np.argmax(np.abs(u), axis=0)
-    signs = np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
-    u *= signs
-    if v is not None:
-        v *= signs
+    for j in range(u.shape[1]):
+        if u[np.argmax(np.abs(u[:, j])), j] < 0:
+            u[:, j] *= -1.0
+            if v is not None:
+                v[:, j] *= -1.0
 
 
 def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
@@ -262,11 +264,12 @@ def gsvd(a, b) -> GsvdResult:
     if m < n:
         raise ShapeError(f"A must have at least as many rows as columns, got {a_arr.shape}")
 
-    stacked = np.vstack([a_arr, b_arr])
-    q, r_stack = np.linalg.qr(stacked)  # reduced: q is (m+s, n), r is (n, n)
+    stacked_size = max(m + s_rows, n)  # the larger dimension of [A; B]
+    # reduced: q is (m+s, n), r is (n, n); the stack is freed once factored
+    q, r_stack = np.linalg.qr(np.vstack([a_arr, b_arr]))
     # R has the singular values of [A; B], so it carries the rank check.
     stack_sv = np.linalg.svd(r_stack, compute_uv=False)
-    if stack_sv[-1] <= max(stacked.shape) * _EPS * stack_sv[0]:
+    if stack_sv[-1] <= stacked_size * _EPS * stack_sv[0]:
         raise DegeneratePencilError(
             "stacked matrix [A; B] is rank deficient; the pair has no full generalized decomposition"
         )
@@ -281,6 +284,7 @@ def gsvd(a, b) -> GsvdResult:
     w = wt[::-1].T
 
     t = q2 @ w  # columns orthogonal with norms beta_i
+    del q, q1, q2  # t is the last use of Q
     v, r_t = np.linalg.qr(t)
     diag = np.diagonal(r_t)
     v[:, diag < 0] *= -1.0
@@ -289,7 +293,7 @@ def gsvd(a, b) -> GsvdResult:
 
     x = r_stack.T @ w
 
-    inf_tol = max(m + s_rows, n) * _EPS
+    inf_tol = stacked_size * _EPS
     with np.errstate(divide="ignore"):
         values = np.where(beta > inf_tol, alpha / np.maximum(beta, inf_tol), np.inf)
     return GsvdResult(

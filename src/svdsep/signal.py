@@ -174,7 +174,10 @@ def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
     diagonal averaging (each sample is the mean of every window entry
     covering it). Positions no window covers are zero."""
     m = check_matrix(matrix, "matrix")
-    return _unembed(lambda j0, j1: m[:, j0:j1], layout, m.shape, target_length)
+    out = _unembed(lambda j0, j1: m[:, j0:j1], layout, m.shape, target_length)
+    # A channel-columns layout that covers every sample hands its block back
+    # as the result: here that block is the argument.
+    return ChannelSet(out.data.copy()) if np.may_share_memory(out.data, m) else out
 
 
 def hankel_spectrum(signals: ChannelSet, layout: EmbedLayout,
@@ -205,12 +208,13 @@ def _hankel_coverage(layout: EmbedLayout, columns: int, target_length: int) -> n
 def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_length: int) -> ChannelSet:
     """:func:`unembed` of a ``shape`` matrix whose columns ``j0:j1`` are ``block_of(j0, j1)``.
 
-    Channel-columns takes one block of every column. A Hankel matrix is
-    diagonal-averaged in the column blocks :func:`linalg.streamed_svd`
-    reads (8 L windows): entry (i, j) is sample i + j * stride, so each
-    row of a block adds into one strided slice. Blocks run from the
-    last window back to the first: a sample's entries then arrive in row
-    order, the order a whole-matrix pass adds them in.
+    Channel-columns takes one block of every column; when every offset is 0
+    and the window spans ``target_length``, that block is the result. A
+    Hankel matrix is diagonal-averaged in the column blocks
+    :func:`linalg.streamed_svd` reads (8 L windows): entry (i, j) is sample
+    i + j * stride, so each row of a block adds into one strided slice.
+    Blocks run from the last window back to the first: a sample's entries
+    then arrive in row order, the order a whole-matrix pass adds them in.
     """
     rows, columns = shape
     n, stride = layout.window_length, layout.stride
@@ -224,6 +228,8 @@ def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_lengt
             if off + n > target_length:
                 raise LayoutError(f"column {j} at offset {off} does not fit in {target_length} samples")
         block = block_of(0, columns)  # before the output: a band's temporaries are freed by then
+        if n == target_length and not any(offsets):
+            return ChannelSet(block)  # the scatter below would copy it unchanged
         out = np.zeros((target_length, columns))
         for j, off in enumerate(offsets):
             out[off : off + n, j] = block[:, j]

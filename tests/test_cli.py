@@ -190,6 +190,22 @@ class TestSeparate:
                     for name in ("dominant", "weak", "noise"))
         assert np.max(np.abs(parts - wave)) <= 1e-13 * np.max(np.abs(wave))
 
+    @pytest.mark.parametrize("method, bound", [("svd", 2.9), ("gsvd", 8.6)])
+    def test_channel_columns_peak_is_bounded_by_the_input(self, tmp_path, method, bound):
+        # At 20 000 x 8 the peak is ~2.6x the input (svd) and ~8.0x (gsvd);
+        # with spent temporaries and the previous band kept it was 4.2x and 11x.
+        inputs = []
+        for seed in (1, 2):
+            prefix = tmp_path / f"mix{seed}"
+            assert run("synth", "mixture", "--samples", 20_000, "--seed", seed,
+                       "--output-prefix", prefix) == 0
+            inputs.append(f"{prefix}_signals.csv")
+        second = ["--second", inputs[1]] if method == "gsvd" else []
+        code, peak = traced_peak(lambda: run("separate", inputs[0], "--method", method, *second,
+                                             "--output-prefix", tmp_path / "sep"))
+        assert code == 0
+        assert peak <= bound * fio.read_channels_csv(inputs[0]).data.nbytes
+
     def test_hankel_needs_a_single_channel(self, tmp_path, mixture_csv, capsys):
         assert run("separate", mixture_csv, "--layout", "hankel", "--window-length", 30,
                    "--output-prefix", tmp_path / "h") == 1

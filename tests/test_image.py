@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import raise_exactly
 
-from svdsep import image, linalg
+from svdsep import bench, image, linalg
 from svdsep.errors import (
     ConfigError,
     InsufficientRankError,
@@ -400,6 +400,7 @@ class TestScanParity:
     pytest.param(lambda: WindowConfig(5, density_range=(0, None)), ConfigError, id="density-low"),
     pytest.param(lambda: WindowConfig(5, density_range=(3, 2)), ConfigError, id="density-high"),
     pytest.param(lambda: image.singular_smoothness(np.eye(3), n=0), OrderError, id="smoothness-order"),
+    pytest.param(lambda: bench.run_scan_bench([4], 16, reps=0), InvalidInputError, id="scan-bench-reps"),
 ])
 def test_typed_errors(call, error):
     raise_exactly(error, call)

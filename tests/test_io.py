@@ -331,13 +331,16 @@ class TestPng:
             fio.read_png(path)
 
 
-def png_of(width, height, idat_payloads, chunks_before=()):
-    """An 8-bit grayscale PNG whose IDAT chunks carry the given payloads."""
+def png_of(width, height, idat_payloads, chunks_before=(), settings=(0, 0, 0)):
+    """An 8-bit grayscale PNG whose IDAT chunks carry the given payloads.
+
+    ``settings`` are the IHDR compression, filter and interlace bytes.
+    """
     def chunk(ctype, payload):
         return (struct.pack(">I", len(payload)) + ctype + payload
                 + struct.pack(">I", zlib.crc32(ctype + payload)))
 
-    ihdr = chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0))
+    ihdr = chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 0, *settings))
     return (b"\x89PNG\r\n\x1a\n" + b"".join(chunks_before) + ihdr
             + b"".join(chunk(b"IDAT", p) for p in idat_payloads) + chunk(b"IEND", b""))
 
@@ -526,3 +529,12 @@ def test_pgm_header_typed_errors(tmp_path, body, message):
     path = tmp_path / "img.pgm"
     path.write_bytes(body)
     raise_exactly(ParseError, lambda: fio.read_pgm(path), match=message)
+
+
+@pytest.mark.parametrize("settings", [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                         ids=["compression", "filter", "interlace"])
+def test_png_ihdr_settings_typed_errors(tmp_path, settings):
+    path = tmp_path / "img.png"
+    path.write_bytes(png_of(2, 2, [zlib.compress(b"\x00\x01\x02" * 2)], settings=settings))
+    raise_exactly(ParseError, lambda: fio.read_png(path),
+                  match="unsupported PNG compression/filter/interlace settings")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import raise_exactly, random_rect, sym_eig_2x2
+from conftest import raise_exactly, random_rect, sym_eig_2x2, traced_peak
 
 from svdsep import linalg
 from svdsep.errors import (
@@ -119,6 +119,93 @@ class TestSvdWide:
         a = self.wide(shape)
         wide, tall = linalg.svd(a).singular_values, linalg.svd(a.T).singular_values
         assert np.max(np.abs(wide - tall)) <= 1e-15 * tall[0]
+
+
+def _fix_signs_reference(u, v=None):
+    """The whole-array sign rule that the column loop of ``_fix_signs`` replaced."""
+    idx = np.argmax(np.abs(u), axis=0)
+    signs = np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    u *= signs
+    if v is not None:
+        v *= signs
+
+
+class TestFixSigns:
+    """_fix_signs takes its pivot one column at a time, with the old whole-array rule."""
+
+    @staticmethod
+    def assert_matches_reference(u, v=None):
+        want_u = u.copy()
+        want_v = None if v is None else v.copy()
+        _fix_signs_reference(want_u, want_v)
+        linalg._fix_signs(u, v)
+        assert u.tobytes() == want_u.tobytes()
+        if v is not None:
+            assert v.tobytes() == want_v.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (200, 8), (5, 5)])
+    def test_random_columns(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        self.assert_matches_reference(rng.standard_normal(shape), rng.standard_normal((4, shape[1])))
+        self.assert_matches_reference(rng.standard_normal(shape))
+
+    def test_tied_magnitudes_of_opposite_sign_first_wins(self):
+        u = np.array([[0.5, 2.0, 1.0],
+                      [-2.0, -2.0, 0.0],
+                      [1.0, 0.5, -1.0],
+                      [2.0, 1.0, 0.0]])
+        v = np.arange(6.0).reshape(2, 3)
+        self.assert_matches_reference(u, v)
+        assert list(u[1]) == [2.0, -2.0, 0.0] and list(v[:, 0]) == [-0.0, -3.0]
+
+    def test_all_zero_columns_keep_their_bits(self):
+        u = np.array([[0.0, -0.0, 3.0], [-0.0, 0.0, -4.0]])
+        self.assert_matches_reference(u, np.ones((2, 3)))
+        self.assert_matches_reference(np.zeros((6, 2)))
+
+    def test_right_vectors_as_a_transposed_view(self):
+        # gsvd hands the right vectors over as wt.T: the flips land in the rows of wt.
+        rng = np.random.default_rng(31)
+        u, wt = rng.standard_normal((30, 4)), rng.standard_normal((4, 4))
+        want_u, want_wt = u.copy(), wt.copy()
+        _fix_signs_reference(want_u, want_wt.T)
+        linalg._fix_signs(u, wt.T)
+        assert u.tobytes() == want_u.tobytes() and wt.tobytes() == want_wt.tobytes()
+
+    @pytest.mark.parametrize("shape", [(40, 9), (9, 40), (6, 6)])
+    def test_svd_is_the_reference_on_the_raw_factors(self, shape):
+        # A wide input is factored through its transpose, and its left basis
+        # is then a copied transpose; a tall one keeps LAPACK's U.
+        a = np.random.default_rng(shape[1]).standard_normal(shape)
+        if shape[0] < shape[1]:
+            v, _, ut = np.linalg.svd(a.T, full_matrices=False)
+            u = ut.T.copy()
+        else:
+            u, _, vt = np.linalg.svd(a, full_matrices=False)
+            v = vt.T.copy()
+        _fix_signs_reference(u, v)
+        got = linalg.svd(a)
+        assert got.left_basis.tobytes() == u.tobytes()
+        assert got.right_basis.tobytes() == v.tobytes()
+
+
+class TestPeakMemory:
+    """Traced peaks of the tall factorizations that channel-columns separate runs."""
+
+    def test_tall_svd_stays_near_its_left_basis(self):
+        # The whole-array sign rule held |U| and a copy of it: ~3x the left basis.
+        a = np.random.default_rng(40).standard_normal((40_000, 8))
+        res, peak = traced_peak(lambda: linalg.svd(a))
+        assert peak <= 1.2 * res.left_basis.nbytes
+
+    def test_gsvd_peak_is_set_by_its_qr(self):
+        # The QR of [A; B] holds the stack and Q: ~3.0x the pair. The
+        # whole-array sign rule on the (m, n) U pushed the peak to ~3.9x.
+        rng = np.random.default_rng(41)
+        a, b = rng.standard_normal((40_000, 8)), rng.standard_normal((30_000, 8))
+        res, peak = traced_peak(lambda: linalg.gsvd(a, b))
+        assert peak <= 3.4 * (a.nbytes + b.nbytes)
+        assert np.linalg.norm(res.reconstruct_a() - a) <= 1e-9 * np.linalg.norm(a)
 
 
 class TestStreamedSvd:

@@ -118,6 +118,22 @@ class TestUnembed:
         back = signal.unembed(a, layout, 5)
         assert np.array_equal(back.data[:, 0], [1.0, 2.0, 0.0, 4.0, 5.0])
 
+    @pytest.mark.parametrize("layout, target_length", [
+        pytest.param(EmbedLayout.channel_columns(10), 10, id="identity"),
+        pytest.param(EmbedLayout.channel_columns(10, offsets=(0, 2, 5)), 15, id="offsets"),
+        pytest.param(EmbedLayout.hankel(10, stride=10), 30, id="hankel"),
+    ])
+    def test_never_shares_memory_with_its_argument(self, layout, target_length):
+        # The identity layout returns its block as the result: here that
+        # block is the caller's matrix, or a view of it.
+        big = np.random.default_rng(3).standard_normal((10, 5))
+        for a in (big[:, :3].copy(), big[:, 1:4], np.asfortranarray(big[:, :3])):
+            want = signal.unembed(a.copy(), layout, target_length).data.copy()
+            back = signal.unembed(a, layout, target_length)
+            assert not np.shares_memory(back.data, a)
+            a[:] = 0.0
+            assert back.data.tobytes() == want.tobytes()
+
 
 def hankel_reference(x, layout):
     """Trajectory matrix and inverse built from an explicit (window_length, windows) index."""
