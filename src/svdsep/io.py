@@ -1,7 +1,9 @@
 """File formats: signal CSV, map CSV, PGM (P2/P5) and 8-bit grayscale PNG.
 
-Signal and map CSVs share one streaming codec that writes floats with
-``%.17g``, so a write/read round trip is bit-exact. The PNG path is read-only
+Signal and map CSVs share one codec that writes floats with ``%.17g``, so a
+write/read round trip is bit-exact. numpy's C text reader parses the rows;
+a line-at-a-time loop reads the file again only when that reader rejects
+it, to name the fault by line and column. The PNG path is read-only
 and decodes exactly the subset needed here (8-bit grayscale, non-interlaced)
 with the standard library's zlib; anything else raises :class:`ParseError`.
 """
@@ -13,6 +15,7 @@ import re
 import struct
 import zlib
 from array import array
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -95,11 +98,48 @@ def _not_utf8(path) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text")
 
 
-def _read_csv(path, header):
-    """Stream a CSV of finite floats into a (rows, width) array and labels (or None).
+def _labels(cells):
+    """The header labels when ``cells`` are not all numbers, else None."""
+    try:
+        list(map(float, cells))
+    except ValueError:
+        return tuple(cell.strip() for cell in cells)
+    return None
 
-    Blank lines are skipped but counted. Only with ``header`` is a non-numeric
-    first row taken as labels, which then fix the width.
+
+def _read_csv(path, header):
+    """Read a CSV of finite floats into a (rows, width) array and labels (or None).
+
+    Blank lines are skipped. Only with ``header`` is a non-numeric first
+    non-blank line taken as labels, which then fix the width. The rows are
+    parsed by numpy's C text reader; when it rejects the file, or its table
+    holds a non-finite value or does not match the labels' width, the file
+    is read again by :func:`_read_csv_lines`, which names the fault or reads
+    the few cells ``float`` accepts and numpy does not (``1_0``, non-ASCII
+    digits, whitespace-only lines).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = (text for text in fh if text.strip())
+            first, labels = next(lines, None), None
+            if header and first is not None:
+                labels = _labels(first.split(","))
+                if labels is not None:
+                    first = next(lines, None)
+            if first is not None:  # never an empty read: loadtxt would warn
+                table = np.loadtxt(chain([first], fh), delimiter=",", comments=None, ndmin=2)
+                if (labels is None or table.shape[1] == len(labels)) and np.isfinite(table).all():
+                    return table, labels
+    except ValueError:  # UnicodeDecodeError included
+        pass
+    return _read_csv_lines(path, header)
+
+
+def _read_csv_lines(path, header):
+    """:func:`_read_csv` one line at a time, raising ``ParseError`` at the first fault.
+
+    Blank lines are skipped but counted, so the error names the file's own
+    line and column.
     """
     labels = width = None
     values = array("d")
@@ -110,10 +150,8 @@ def _read_csv(path, header):
                     continue
                 cells = text.split(",")
                 if header and width is None:
-                    try:
-                        list(map(float, cells))
-                    except ValueError:
-                        labels = tuple(cell.strip() for cell in cells)
+                    labels = _labels(cells)
+                    if labels is not None:
                         width = len(labels)
                         continue
                 width = width or len(cells)

@@ -140,19 +140,31 @@ def _tolerance(rank_tolerance: float | None, shape: tuple[int, int]) -> float:
     return float(rank_tolerance)
 
 
+# Entries of a left basis whose pivots _fix_signs takes in one step: their
+# magnitudes are its only temporary, 32 KiB. A basis of more than 2048 rows
+# goes one column at a time.
+_SIGN_BLOCK = 4096
+
+
 def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
     """Make the largest-magnitude entry of each left vector nonnegative.
 
     ``u`` and ``v`` hold the paired left and right vectors as columns; the
     sign flip propagates to the right vector, when there is one. In-place,
-    one column at a time: the only temporary is one column's magnitudes.
+    over blocks of ``max(1, _SIGN_BLOCK // m)`` columns of the (m, k) ``u``.
     The pivot is the first entry of largest magnitude.
     """
-    for j in range(u.shape[1]):
-        if u[np.argmax(np.abs(u[:, j])), j] < 0:
-            u[:, j] *= -1.0
+    step = max(1, _SIGN_BLOCK // u.shape[0])
+    for j in range(0, u.shape[1], step):
+        block = u[:, j : j + step]
+        # one row per column, so argmax runs along contiguous rows and copies nothing
+        pivots = np.abs(block.T, order="C").argmax(axis=1)
+        flip = block[pivots, np.arange(block.shape[1])] < 0
+        if flip.any():
+            signs = np.where(flip, -1.0, 1.0)
+            block *= signs
             if v is not None:
-                v[:, j] *= -1.0
+                v[:, j : j + step] *= signs
 
 
 def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:

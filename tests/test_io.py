@@ -127,6 +127,97 @@ class TestGridCsv:
         assert (err.value.line, err.value.column) == (line, column)
 
 
+class TestCsvReaderPaths:
+    """numpy's C reader parses the rows; the line loop reads what it rejects."""
+
+    @pytest.mark.parametrize("raw, want", [
+        (b"a,b\n1_0,2\n3,4_5\n", [[10.0, 2.0], [3.0, 45.0]]),
+        (b"a,b\n1,2\n   \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        (b"a,b\r1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+        ("a,b\n\u0661,2\n3,\u0664\n".encode(), [[1.0, 2.0], [3.0, 4.0]]),
+        ("a,b\n\xa01\xa0,2\n3,\xa04\n".encode(), [[1.0, 2.0], [3.0, 4.0]]),
+    ], ids=["underscore", "whitespace-line", "cr-only", "arabic-indic-digit", "nbsp"])
+    def test_inputs_numpy_reads_differently_keep_the_loop_values(self, tmp_path, raw, want):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(raw)
+        got = fio.read_channels_csv(path)
+        loop_data, loop_labels = fio._read_csv_lines(path, header=True)
+        assert got.data.tobytes() == loop_data.tobytes() == np.array(want).tobytes()
+        assert got.labels == loop_labels == ("a", "b")
+
+    def test_well_formed_file_never_reaches_the_loop(self, tmp_path, monkeypatch):
+        data = np.random.default_rng(15).standard_normal((4000, 8))
+        path = tmp_path / "sig.csv"
+        fio.write_channels_csv(path, ChannelSet(data))
+
+        def loop(path, header):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(fio, "_read_csv_lines", loop)
+        back = fio.read_channels_csv(path)
+        assert back.data.tobytes() == data.tobytes()
+        assert back.labels == tuple(f"ch{j}" for j in range(8))
+
+    @pytest.mark.parametrize("text", ["", "a,b\n", "\n  \n\n", "a,b\n\n \n"])
+    @pytest.mark.parametrize("read", [fio.read_channels_csv, fio.read_grid_csv])
+    def test_no_data_rows_raise_without_a_numpy_warning(self, tmp_path, text, read):
+        path = tmp_path / "sig.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="no data rows|not a number"):
+                read(path)
+
+
+class TestCsvRoundTripProperty:
+    """Whatever the writers write, the reader returns bit for bit."""
+
+    EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, 0.1, -1.2345678901234567e18]
+
+    @classmethod
+    def tables(cls, min_rows):
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        values = st.sampled_from(cls.EDGE) | st.floats(allow_nan=False, allow_infinity=False)
+        shapes = st.tuples(st.integers(min_rows, 12), st.integers(1, 9))
+        return hnp.arrays(np.float64, shapes, elements=values)
+
+    @staticmethod
+    def run(test, **strategies):
+        hypothesis = pytest.importorskip("hypothesis")
+        settings = hypothesis.settings(derandomize=True, max_examples=120, deadline=None, database=None)
+        settings(hypothesis.given(**strategies)(test))()
+
+    def test_channels(self, tmp_path):
+        st = pytest.importorskip("hypothesis.strategies")
+        path = tmp_path / "sig.csv"
+        # a label that parses as a float ("inf", "nan") would make the header a data row
+        word = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True).filter(
+            lambda s: s.lower().lstrip("+-") not in ("inf", "infinity", "nan"))
+
+        def round_trip(table, named, header, data):
+            labels = data.draw(st.tuples(*[word] * table.shape[1])) if named else None
+            fio.write_channels_csv(path, ChannelSet(table, labels=labels), header=header)
+            back = fio.read_channels_csv(path)
+            assert back.data.tobytes() == table.tobytes()
+            if header:
+                assert back.labels == (labels or tuple(f"ch{j}" for j in range(table.shape[1])))
+            else:
+                assert back.labels is None
+
+        self.run(round_trip, table=self.tables(2), named=st.booleans(), header=st.booleans(), data=st.data())
+
+    def test_grid(self, tmp_path):
+        path = tmp_path / "map.csv"
+
+        def round_trip(table):
+            fio.write_grid_csv(path, table)
+            assert fio.read_grid_csv(path).tobytes() == table.tobytes()
+
+        self.run(round_trip, table=self.tables(1))
+
+
 # The per-value writers the row writer replaced, kept as the byte-level reference.
 def _reference_channels_csv(path, channels, header=True):
     labels = channels.labels or tuple(f"ch{j}" for j in range(channels.n_channels))

@@ -131,7 +131,7 @@ def _fix_signs_reference(u, v=None):
 
 
 class TestFixSigns:
-    """_fix_signs takes its pivot one column at a time, with the old whole-array rule."""
+    """_fix_signs takes its pivots over blocks of columns, with the old whole-array rule."""
 
     @staticmethod
     def assert_matches_reference(u, v=None):
@@ -148,6 +148,14 @@ class TestFixSigns:
         rng = np.random.default_rng(sum(shape))
         self.assert_matches_reference(rng.standard_normal(shape), rng.standard_normal((4, shape[1])))
         self.assert_matches_reference(rng.standard_normal(shape))
+
+    @pytest.mark.parametrize("block", [1, 9, 20, 27, 63, 10**6])
+    def test_column_blocks(self, monkeypatch, block):
+        # a 9 x 7 basis in blocks of 1, 1, 2, 3, 7 and 7 columns; 2 and 3 leave a short last block
+        monkeypatch.setattr(linalg, "_SIGN_BLOCK", block)
+        rng = np.random.default_rng(block)
+        self.assert_matches_reference(rng.standard_normal((9, 7)), rng.standard_normal((3, 7)))
+        self.assert_matches_reference(rng.standard_normal((9, 7)))
 
     def test_tied_magnitudes_of_opposite_sign_first_wins(self):
         u = np.array([[0.5, 2.0, 1.0],
@@ -194,9 +202,10 @@ class TestPeakMemory:
 
     def test_tall_svd_stays_near_its_left_basis(self):
         # The whole-array sign rule held |U| and a copy of it: ~3x the left basis.
+        # Taken a column at a time, the pivots add one column: 1.125x.
         a = np.random.default_rng(40).standard_normal((40_000, 8))
         res, peak = traced_peak(lambda: linalg.svd(a))
-        assert peak <= 1.2 * res.left_basis.nbytes
+        assert peak <= 1.13 * res.left_basis.nbytes
 
     def test_gsvd_peak_is_set_by_its_qr(self):
         # The QR of [A; B] holds the stack and Q: ~3.0x the pair. The
