@@ -9,6 +9,7 @@ scale-invariant per-window smoothness metric.
 
 from .errors import (
     ConfigError,
+    ConvergenceError,
     DegeneratePencilError,
     DegenerateSpectrumError,
     GeneratorSpecError,
@@ -69,7 +70,7 @@ __all__ = [
     "SvdsepError", "InvalidInputError", "ShapeError", "DegeneratePencilError",
     "RangeError", "InsufficientRankError",
     "DegenerateSpectrumError", "OrderError", "ConfigError", "LayoutError",
-    "GeneratorSpecError", "ParseError",
+    "GeneratorSpecError", "ParseError", "ConvergenceError",
     "SpectrumResult", "GsvdResult", "svd", "gsvd", "frobenius_energy",
     "truncated_sum",
     "ChannelSet", "EmbedLayout", "EgvProfile", "CutoffResult", "embed",

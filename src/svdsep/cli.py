@@ -126,13 +126,17 @@ def cmd_separate(args) -> RunReport:
         del channels  # the bands are formed from the factors alone
         if args.method == "svd":
             decomp = linalg.svd(a, rank_tolerance=args.rank_tolerance)
+            del a
         else:
             second = fio.read_channels_csv(args.second)
             b = signal.embed(second, _layout_from_args(args, second))
             del second  # gsvd reads only its embedding
-            decomp = linalg.gsvd(a, b)
-            del b
-        del a
+            # Not linalg.gsvd(a, b), whose caller keeps both embeddings alive
+            # beside their stack: here the QR holds the stack, LAPACK's copy and Q.
+            stack, m = linalg._stack(a, b)
+            del a, b
+            decomp = linalg._gsvd_stacked(stack, m)
+            del stack
     if args.method == "svd":
         values = decomp.singular_values[: decomp.numerical_rank]
         values_key = "singular_values"

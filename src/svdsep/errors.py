@@ -22,6 +22,10 @@ class DegeneratePencilError(SvdsepError, ValueError):
     """The stacked matrix of a joint decomposition is rank deficient."""
 
 
+class ConvergenceError(SvdsepError, ValueError):
+    """A LAPACK factorization failed, e.g. an SVD did not converge."""
+
+
 class RangeError(SvdsepError, IndexError):
     """A 1-based index or index range falls outside the valid interval."""
 

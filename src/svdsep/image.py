@@ -24,12 +24,13 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    ConvergenceError,
     InsufficientRankError,
     InvalidInputError,
     OrderError,
     ShapeError,
 )
-from .linalg import SpectrumResult, _rank, _tolerance
+from .linalg import SpectrumResult, _lapack, _rank, _tolerance
 from .validation import check_index_range, check_matrix
 
 __all__ = [
@@ -48,28 +49,30 @@ __all__ = [
 METRIC_SMOOTHNESS = "smoothness"
 METRIC_DENSITY = "information-density"
 
-# Rows per float64 temporary of ``_quantize_u8``: the temporary stays a small
-# fraction of the array being quantized instead of two full-size copies.
-_QUANTIZE_ROWS = 64
+# Entries per float64 temporary of ``_quantize_u8`` (32 KiB): the temporary
+# stays a small fraction of the array being quantized, however wide its rows.
+_QUANTIZE_ENTRIES = 4096
 
 
 def _quantize_u8(arr: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """``np.round((arr - lo) / (hi - lo) * 255.0).astype(np.uint8)``, one row block at a time.
 
-    Every block of ``_QUANTIZE_ROWS`` rows goes through one reused float64
-    buffer, updated in place by the same operations in the same order, so
-    the bytes equal those of the whole-array expression.
+    Every block of ``max(1, _QUANTIZE_ENTRIES // row width)`` rows goes
+    through one reused float64 buffer, updated in place by the same
+    operations in the same order, so the bytes equal those of the
+    whole-array expression.
     """
     out = np.empty(arr.shape, dtype=np.uint8)
-    buf = np.empty((min(_QUANTIZE_ROWS, arr.shape[0]),) + arr.shape[1:])
-    for start in range(0, arr.shape[0], _QUANTIZE_ROWS):
-        block = arr[start : start + _QUANTIZE_ROWS]
+    step = max(1, _QUANTIZE_ENTRIES // arr.shape[1])
+    buf = np.empty((min(step, arr.shape[0]),) + arr.shape[1:])
+    for start in range(0, arr.shape[0], step):
+        block = arr[start : start + step]
         t = buf[: block.shape[0]]
         np.subtract(block, lo, out=t)
         t /= hi - lo
         t *= 255.0
         np.round(t, out=t)
-        out[start : start + _QUANTIZE_ROWS] = t
+        out[start : start + step] = t
     return out
 
 
@@ -257,7 +260,7 @@ def information_density(d, lo: int = 1, hi: int | None = None) -> float:
     within the rank of the fragment.
     """
     arr = check_matrix(d, "D")
-    values = np.linalg.svd(arr, compute_uv=False)
+    values = _lapack("SVD", arr.shape, np.linalg.svd, arr, compute_uv=False)
     rank = int(_rank(values, _tolerance(None, arr.shape)))
     if hi is None:
         hi = rank
@@ -276,7 +279,7 @@ def singular_smoothness(d, n: int = 1, epsilon_guard: float = 1e-6) -> float:
     arr = check_matrix(d, "D")
     if epsilon_guard <= 0:
         raise InvalidInputError(f"epsilon_guard must be positive, got {epsilon_guard}")
-    values = np.linalg.svd(arr, compute_uv=False)
+    values = _lapack("SVD", arr.shape, np.linalg.svd, arr, compute_uv=False)
     if n < 1:
         raise OrderError(f"order must be >= 1, got {n}")
     if n + 1 > values.size:
@@ -323,13 +326,17 @@ def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHN
     grid = np.empty((rows, cols))
     spectra = np.empty((cols, w))
 
-    for i in range(rows):
-        # intensities of one band of rows, the division ``pixels`` makes
-        band = img.samples[i * cfg.stride : i * cfg.stride + w] / img.maxval
-        for j in range(cols):
-            left = j * cfg.stride
-            spectra[j] = np.linalg.svd(band[:, left : left + w], compute_uv=False)
-        grid[i] = _metric(spectra, cfg, metric)
+    # One try around the whole loop: entering it costs nothing per window.
+    try:
+        for i in range(rows):
+            # intensities of one band of rows, the division ``pixels`` makes
+            band = img.samples[i * cfg.stride : i * cfg.stride + w] / img.maxval
+            for j in range(cols):
+                left = j * cfg.stride
+                spectra[j] = np.linalg.svd(band[:, left : left + w], compute_uv=False)
+            grid[i] = _metric(spectra, cfg, metric)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD of the scan window at (row {i}, col {j}) failed: {exc}") from exc
     return SmoothnessMap(grid=grid, config=cfg, metric=metric, decompositions=rows * cols)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError
 from .image import GrayImage, _quantize_u8
 from .signal import ChannelSet
 
@@ -40,9 +40,31 @@ _FLOAT_FMT = "%.17g"
 
 
 def write_channels_csv(path, channels: ChannelSet, header: bool = True) -> None:
-    """One column per channel, comma separated, optional label header row."""
+    """One column per channel, comma separated, optional label header row.
+
+    Raises :class:`InvalidInputError`, before the file is opened, for a
+    header the reader would not give back: labels that all parse as
+    numbers, a label with a comma, CR or LF or with outer whitespace, or a
+    blank header line.
+    """
     labels = channels.labels or tuple(f"ch{j}" for j in range(channels.n_channels))
+    if header:
+        _check_labels(labels)
     _write_rows(path, channels.data, _FLOAT_FMT, ",", ",".join(labels) if header else None)
+
+
+def _check_labels(labels) -> None:
+    """Raise unless :func:`_read_csv`'s header rule reads the header of ``labels`` back as them."""
+    for label in labels:
+        if "," in label or "\r" in label or "\n" in label:
+            raise InvalidInputError(f"channel label {label!r} holds a comma or line break")
+        if label != label.strip():
+            raise InvalidInputError(f"channel label {label!r} has outer whitespace")
+    if labels == ("",):
+        raise InvalidInputError("a lone empty channel label makes a blank header line")
+    if _labels(labels) is None:
+        raise InvalidInputError(f"channel labels {labels!r} all parse as numbers, "
+                                "so the header would read back as data")
 
 
 def read_channels_csv(path) -> ChannelSet:

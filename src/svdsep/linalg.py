@@ -13,7 +13,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegeneratePencilError, InvalidInputError, ShapeError
+from .errors import ConvergenceError, DegeneratePencilError, InvalidInputError, ShapeError
 from .validation import check_index_range, check_matrix
 
 __all__ = [
@@ -140,6 +140,16 @@ def _tolerance(rank_tolerance: float | None, shape: tuple[int, int]) -> float:
     return float(rank_tolerance)
 
 
+def _lapack(name: str, shape: tuple[int, ...], fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, a numpy LAPACK call; its ``LinAlgError`` becomes a
+    :class:`ConvergenceError` naming the factorization and the ``shape`` it was given."""
+    try:
+        return fn(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        dims = "x".join(map(str, shape))
+        raise ConvergenceError(f"{name} of a {dims} matrix failed: {exc}") from exc
+
+
 # Entries of a left basis whose pivots _fix_signs takes in one step: their
 # magnitudes are its only temporary, 32 KiB. A basis of more than 2048 rows
 # goes one column at a time.
@@ -186,10 +196,10 @@ def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
     if arr.shape[0] < arr.shape[1]:
         # LAPACK factors a wide matrix several times slower than its tall
         # transpose, whose left factor is already the (n, k) right basis.
-        v, s, ut = np.linalg.svd(arr.T, full_matrices=False)
+        v, s, ut = _lapack("SVD", arr.shape, np.linalg.svd, arr.T, full_matrices=False)
         u = ut.T.copy()
     else:
-        u, s, vt = np.linalg.svd(arr, full_matrices=False)
+        u, s, vt = _lapack("SVD", arr.shape, np.linalg.svd, arr, full_matrices=False)
         v = vt.T.copy()
     _fix_signs(u, v)
     return SpectrumResult(
@@ -229,14 +239,15 @@ def streamed_svd(xt, rank_tolerance: float | None = None) -> StreamedSpectrum:
     r = None
     for j in range(0, n, step):
         block = xt[j : j + step]
-        r = np.linalg.qr(block if r is None else np.vstack([r, block]), mode="r")
+        r = _lapack("blocked QR", xt.shape, np.linalg.qr,
+                    block if r is None else np.vstack([r, block]), mode="r")
     if r is None:
         raise ShapeError("streamed_svd needs at least one row of X^T")
     # R, not xt: on a window view, a mask of xt is as large as the trajectory.
     if not np.all(np.isfinite(r)):
         raise InvalidInputError("X contains non-finite entries")
     rank_tolerance = _tolerance(rank_tolerance, (m, n))
-    _, s, vt = np.linalg.svd(r, full_matrices=False)
+    _, s, vt = _lapack("SVD", r.shape, np.linalg.svd, r, full_matrices=False)
     u = vt.T.copy()
     _fix_signs(u)
     return StreamedSpectrum(
@@ -266,28 +277,44 @@ def gsvd(a, b) -> GsvdResult:
     DegeneratePencilError
         If [A; B] is rank deficient (the C^T C + S^T S = I normalization
         is unattainable on the null directions).
+    ConvergenceError
+        If LAPACK fails to factor the stack or one of its blocks.
     """
+    return _gsvd_stacked(*_stack(a, b))
+
+
+def _stack(a, b) -> tuple[np.ndarray, int]:
+    """The stack [A; B] of a :func:`gsvd` pair and the row count m of A, once
+    the pair passes :func:`gsvd`'s shape checks."""
     a_arr = check_matrix(a, "A")
     b_arr = check_matrix(b, "B")
     m, n = a_arr.shape
-    s_rows = b_arr.shape[0]
     if b_arr.shape[1] != n:
         raise ShapeError(f"A and B must share a column count, got {n} and {b_arr.shape[1]}")
     if m < n:
         raise ShapeError(f"A must have at least as many rows as columns, got {a_arr.shape}")
+    return np.vstack([a_arr, b_arr]), m
 
-    stacked_size = max(m + s_rows, n)  # the larger dimension of [A; B]
-    # reduced: q is (m+s, n), r is (n, n); the stack is freed once factored
-    q, r_stack = np.linalg.qr(np.vstack([a_arr, b_arr]))
+
+def _gsvd_stacked(stack: np.ndarray, m: int) -> GsvdResult:
+    """:func:`gsvd` of the pair whose :func:`_stack` is ``stack``, A its first ``m`` rows.
+
+    Takes the stack so that a caller can drop A and B before the QR, which
+    then holds the stack, LAPACK's copy of it and Q.
+    """
+    rows, n = stack.shape
+    stacked_size = max(rows, n)  # the larger dimension of [A; B]
+    # reduced: q is (m+s, n), r is (n, n)
+    q, r_stack = _lapack("QR", stack.shape, np.linalg.qr, stack)
     # R has the singular values of [A; B], so it carries the rank check.
-    stack_sv = np.linalg.svd(r_stack, compute_uv=False)
+    stack_sv = _lapack("SVD", r_stack.shape, np.linalg.svd, r_stack, compute_uv=False)
     if stack_sv[-1] <= stacked_size * _EPS * stack_sv[0]:
         raise DegeneratePencilError(
             "stacked matrix [A; B] is rank deficient; the pair has no full generalized decomposition"
         )
     q1, q2 = q[:m], q[m:]
 
-    u, alpha, wt = np.linalg.svd(q1, full_matrices=False)
+    u, alpha, wt = _lapack("SVD", q1.shape, np.linalg.svd, q1, full_matrices=False)
     _fix_signs(u, wt.T)
     # Reorder so alpha ascends: nonzero betas then land on the leading
     # diagonal of S, which is the only representable layout when s < n.
@@ -297,7 +324,7 @@ def gsvd(a, b) -> GsvdResult:
 
     t = q2 @ w  # columns orthogonal with norms beta_i
     del q, q1, q2  # t is the last use of Q
-    v, r_t = np.linalg.qr(t)
+    v, r_t = _lapack("QR", t.shape, np.linalg.qr, t)
     diag = np.diagonal(r_t)
     v[:, diag < 0] *= -1.0
     beta = np.zeros(n)

@@ -5,6 +5,7 @@ than the library's own code paths, so expected values are derived on a
 separate route from the implementation under test.
 """
 
+import contextlib
 import math
 import struct
 import tracemalloc
@@ -75,6 +76,32 @@ def raise_exactly(error, call, match=None):
     with pytest.raises(SvdsepError, match=match) as info:
         call()
     assert type(info.value) is error
+
+
+@contextlib.contextmanager
+def lapack_fails(name, call=1):
+    """Inside the block, ``np.linalg.<name>`` raises ``LinAlgError`` on its
+    ``call``-th call (1-based) and runs as usual on every other call."""
+    real = getattr(np.linalg, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise np.linalg.LinAlgError(f"{name} did not converge")
+        return real(*args, **kwargs)
+
+    setattr(np.linalg, name, failing)
+    try:
+        yield
+    finally:
+        setattr(np.linalg, name, real)
+
+
+def with_failing_lapack(name, call, on_call=1):
+    """``call()`` while ``np.linalg.<name>`` fails on its ``on_call``-th call."""
+    with lapack_fails(name, on_call):
+        return call()
 
 
 def random_rect(rng, min_rows=10, max_rows=24, min_cols=3, max_cols=8):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import encode_png_gray8, short_ihdr_png, traced_peak
+from conftest import encode_png_gray8, lapack_fails, short_ihdr_png, traced_peak
 
 from svdsep import io as fio
 from svdsep import linalg
@@ -62,6 +62,48 @@ class TestSeparate:
         report = read_json(f"{prefix}_report.json")
         assert report["results"]["cutoff"]["method"] == "gsvd-egv"
         assert "generalized_values" in report["results"]
+
+    def test_gsvd_stacked_route_equals_the_public_gsvd(self, tmp_path, mixture_csv, monkeypatch):
+        run("synth", "mixture", "--seed", 2, "--output-prefix", tmp_path / "ref")
+        reference = f"{tmp_path / 'ref'}_signals.csv"
+        body, got = linalg._gsvd_stacked, []
+        monkeypatch.setattr(linalg, "_gsvd_stacked", lambda stack, m: got.append(body(stack, m)) or got[-1])
+        assert run("separate", mixture_csv, "--method", "gsvd", "--second", reference,
+                   "--output-prefix", tmp_path / "g") == 0
+        monkeypatch.undo()
+        a, b = (fio.read_channels_csv(path).data for path in (mixture_csv, reference))
+        want = linalg.gsvd(a, b)
+        for name in ("u_basis", "v_basis", "x_factor", "alpha", "beta", "generalized_values"):
+            assert getattr(got[0], name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("reference, error, message", [
+        ("narrow", "ShapeError", "A and B must share a column count, got 8 and 6"),
+        ("deficient", "DegeneratePencilError", "stacked matrix [A; B] is rank deficient"),
+    ])
+    def test_gsvd_pair_faults_exit_1(self, tmp_path, mixture_csv, capsys, reference, error, message):
+        data = fio.read_channels_csv(mixture_csv).data
+        if reference == "narrow":
+            fio.write_channels_csv(tmp_path / "a.csv", ChannelSet(data))
+            fio.write_channels_csv(tmp_path / "b.csv", ChannelSet(data[:, :6]))
+        else:
+            data[:, 1] = data[:, 0]  # one column twice in A and in B
+            fio.write_channels_csv(tmp_path / "a.csv", ChannelSet(data))
+            fio.write_channels_csv(tmp_path / "b.csv", ChannelSet(data[::-1].copy()))
+        assert run("separate", tmp_path / "a.csv", "--method", "gsvd", "--second", tmp_path / "b.csv",
+                   "--output-prefix", tmp_path / "g") == 1
+        assert f"svdsep: error: {error}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "g_report.json").exists()
+
+    @pytest.mark.parametrize("method, lapack, call", [("svd", "svd", 1), ("gsvd", "qr", 1),
+                                                      ("gsvd", "svd", 2)])
+    def test_lapack_failure_exits_1(self, tmp_path, mixture_csv, capsys, method, lapack, call):
+        run("synth", "mixture", "--seed", 2, "--output-prefix", tmp_path / "ref")
+        route = ["--second", f"{tmp_path / 'ref'}_signals.csv"] if method == "gsvd" else []
+        with lapack_fails(lapack, call):
+            assert run("separate", mixture_csv, "--method", method, *route,
+                       "--output-prefix", tmp_path / "sep") == 1
+        assert "svdsep: error: ConvergenceError: " in capsys.readouterr().err
+        assert not (tmp_path / "sep_report.json").exists()
 
     def test_gsvd_reference_blind_to_a_direction(self, tmp_path, mixture_csv):
         run("synth", "mixture", "--seed", 2, "--output-prefix", tmp_path / "ref")
@@ -190,10 +232,12 @@ class TestSeparate:
                     for name in ("dominant", "weak", "noise"))
         assert np.max(np.abs(parts - wave)) <= 1e-13 * np.max(np.abs(wave))
 
-    @pytest.mark.parametrize("method, bound", [("svd", 2.9), ("gsvd", 8.6)])
+    @pytest.mark.parametrize("method, bound", [("svd", 2.9), ("gsvd", 6.6)])
     def test_channel_columns_peak_is_bounded_by_the_input(self, tmp_path, method, bound):
-        # At 20 000 x 8 the peak is ~2.6x the input (svd) and ~8.0x (gsvd);
+        # At 20 000 x 8 the peak is ~2.6x the input (svd) and ~6.0x (gsvd);
         # with spent temporaries and the previous band kept it was 4.2x and 11x.
+        # The gsvd peak is its QR: the stack [A; B], LAPACK's copy of it and Q,
+        # each twice the input. Holding A and B beside the stack made it ~8.0x.
         inputs = []
         for seed in (1, 2):
             prefix = tmp_path / f"mix{seed}"

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import raise_exactly
+from conftest import raise_exactly, with_failing_lapack
 
 from svdsep import bench, image, linalg
 from svdsep.errors import (
     ConfigError,
+    ConvergenceError,
     InsufficientRankError,
     InvalidInputError,
     OrderError,
@@ -404,3 +405,17 @@ class TestScanParity:
 ])
 def test_typed_errors(call, error):
     raise_exactly(error, call)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: with_failing_lapack("svd", lambda: image.singular_smoothness(np.eye(3))),
+                 "SVD of a 3x3 matrix failed", id="smoothness"),
+    pytest.param(lambda: with_failing_lapack("svd", lambda: image.information_density(np.ones((4, 2)))),
+                 "SVD of a 4x2 matrix failed", id="density"),
+    # a 6 x 6 grid: call 15 is the window of grid row 2, column 2
+    pytest.param(lambda: with_failing_lapack("svd", lambda: image.sliding_scan(
+        GrayImage(np.random.default_rng(3).random((8, 8))), WindowConfig(3)), on_call=15),
+                 r"SVD of the scan window at \(row 2, col 2\) failed", id="scan-window"),
+])
+def test_lapack_failures_are_typed(call, message):
+    raise_exactly(ConvergenceError, call, match=message)

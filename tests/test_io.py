@@ -9,8 +9,8 @@ import pytest
 from conftest import encode_png_gray8, raise_exactly, short_ihdr_png, traced_peak
 
 from svdsep import io as fio
-from svdsep.errors import ParseError
-from svdsep.image import _QUANTIZE_ROWS, GrayImage
+from svdsep.errors import InvalidInputError, ParseError
+from svdsep.image import _QUANTIZE_ENTRIES, GrayImage
 from svdsep.signal import ChannelSet
 
 
@@ -189,24 +189,51 @@ class TestCsvRoundTripProperty:
         settings = hypothesis.settings(derandomize=True, max_examples=120, deadline=None, database=None)
         settings(hypothesis.given(**strategies)(test))()
 
+    @staticmethod
+    def words():
+        """Any text, plus labels near the reader's header rule: numbers, commas,
+        line breaks, outer whitespace and the empty label."""
+        st = pytest.importorskip("hypothesis.strategies")
+        return st.text(max_size=6) | st.sampled_from(
+            ["nan", "-inf", "Infinity", "1", "1e5", "1_0", "x", "a,b", "a\rb", "a\nb", " a", "a\t", ""])
+
+    @staticmethod
+    def round_trips_or_raises(tmp_path, channels, header):
+        """The writer raises exactly when the check-free reference writer's file
+        does not read back as ``channels``; otherwise its file does."""
+        path, plain = tmp_path / "sig.csv", tmp_path / "plain.csv"
+        table = channels.data
+        _reference_channels_csv(plain, channels, header=header)
+        try:
+            plain_back = fio.read_channels_csv(plain)
+        except ParseError:
+            plain_back = None
+        expected = (channels.labels or tuple(f"ch{j}" for j in range(table.shape[1]))) if header else None
+        if plain_back is None or plain_back.labels != expected or plain_back.data.tobytes() != table.tobytes():
+            raise_exactly(InvalidInputError, lambda: fio.write_channels_csv(path, channels, header=header))
+            return
+        fio.write_channels_csv(path, channels, header=header)
+        back = fio.read_channels_csv(path)
+        assert back.data.tobytes() == table.tobytes()
+        assert back.labels == expected
+
     def test_channels(self, tmp_path):
         st = pytest.importorskip("hypothesis.strategies")
-        path = tmp_path / "sig.csv"
-        # a label that parses as a float ("inf", "nan") would make the header a data row
-        word = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True).filter(
-            lambda s: s.lower().lstrip("+-") not in ("inf", "infinity", "nan"))
 
         def round_trip(table, named, header, data):
-            labels = data.draw(st.tuples(*[word] * table.shape[1])) if named else None
-            fio.write_channels_csv(path, ChannelSet(table, labels=labels), header=header)
-            back = fio.read_channels_csv(path)
-            assert back.data.tobytes() == table.tobytes()
-            if header:
-                assert back.labels == (labels or tuple(f"ch{j}" for j in range(table.shape[1])))
-            else:
-                assert back.labels is None
+            labels = data.draw(st.tuples(*[self.words()] * table.shape[1])) if named else None
+            self.round_trips_or_raises(tmp_path, ChannelSet(table, labels=labels), header)
 
         self.run(round_trip, table=self.tables(2), named=st.booleans(), header=st.booleans(), data=st.data())
+
+    def test_labels(self, tmp_path):
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def round_trip(labels):
+            channels = ChannelSet(np.ones((2, len(labels))), labels=labels)
+            self.round_trips_or_raises(tmp_path, channels, header=True)
+
+        self.run(round_trip, labels=st.lists(self.words(), min_size=1, max_size=3))
 
     def test_grid(self, tmp_path):
         path = tmp_path / "map.csv"
@@ -216,6 +243,25 @@ class TestCsvRoundTripProperty:
             assert fio.read_grid_csv(path).tobytes() == table.tobytes()
 
         self.run(round_trip, table=self.tables(1))
+
+
+@pytest.mark.parametrize("labels, message", [
+    (("1", "2"), "all parse as numbers"),
+    (("nan", "-inf"), "all parse as numbers"),
+    (("a,b", "c"), "comma or line break"),
+    (("a", "b\nc"), "comma or line break"),
+    (("a\rb", "c"), "comma or line break"),
+    ((" a", "b"), "outer whitespace"),
+    (("a", "b\t"), "outer whitespace"),
+    (("",), "blank header line"),
+], ids=["numbers", "non-finite", "comma", "lf", "cr", "leading-space", "trailing-tab", "blank"])
+def test_labels_the_reader_cannot_give_back_are_rejected(tmp_path, labels, message):
+    path = tmp_path / "sig.csv"
+    channels = ChannelSet(np.ones((3, len(labels))), labels=labels)
+    raise_exactly(InvalidInputError, lambda: fio.write_channels_csv(path, channels), match=message)
+    assert not path.exists()
+    fio.write_channels_csv(path, channels, header=False)  # no header, nothing to give back
+    assert fio.read_channels_csv(path).data.tobytes() == channels.data.tobytes()
 
 
 # The per-value writers the row writer replaced, kept as the byte-level reference.
@@ -585,8 +631,15 @@ def _to_uint8_reference(pixels):
     return np.round(pixels * 255.0).astype(np.uint8)
 
 
+def _block_rows(cols):
+    """Rows per quantize block at ``cols`` columns."""
+    return max(1, _QUANTIZE_ENTRIES // cols)
+
+
 class TestQuantize:
-    @pytest.mark.parametrize("shape", [(2 * _QUANTIZE_ROWS + 3, 37), (1, 300), (_QUANTIZE_ROWS, 5)])
+    # a partial last block, one row, two whole blocks, and rows wider than a block
+    @pytest.mark.parametrize("shape", [(2 * _block_rows(37) + 3, 37), (1, 300), (2 * _block_rows(5), 5),
+                                       (3, _QUANTIZE_ENTRIES + 1)])
     def test_render_matches_reference(self, shape):
         rng = np.random.default_rng(shape[0])
         for grid in (rng.standard_normal(shape) * 1e3, -rng.random(shape) * 1e-200,
@@ -595,12 +648,12 @@ class TestQuantize:
 
     def test_render_matches_reference_when_range_overflows(self):
         rng = np.random.default_rng(11)
-        grid = rng.uniform(-1.0, 1.0, (_QUANTIZE_ROWS + 5, 9)) * 1.7e308
+        grid = rng.uniform(-1.0, 1.0, (_block_rows(9) + 5, 9)) * 1.7e308
         assert np.isinf(float(grid.max()) - float(grid.min()))
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.array_equal(fio.render_grid_u8(grid), _render_reference(grid))
 
-    @pytest.mark.parametrize("shape", [(2 * _QUANTIZE_ROWS + 3, 41), (2, 300)])
+    @pytest.mark.parametrize("shape", [(2 * _block_rows(41) + 3, 41), (2, 300)])
     def test_to_uint8_matches_reference(self, shape):
         pixels = np.random.default_rng(shape[1]).random(shape)
         pixels[0, :6] = [0.0, 0.5 / 255, 1.0, 1.5 / 255, 254.5 / 255, 0.5]

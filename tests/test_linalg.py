@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import raise_exactly, random_rect, sym_eig_2x2, traced_peak
+from conftest import lapack_fails, raise_exactly, random_rect, sym_eig_2x2, traced_peak
 
 from svdsep import linalg
 from svdsep.errors import (
+    ConvergenceError,
     DegeneratePencilError,
     InvalidInputError,
     RangeError,
@@ -361,6 +362,26 @@ class TestGsvd:
         r1, r2 = linalg.gsvd(a, b), linalg.gsvd(a, b)
         assert r1.x_factor.tobytes() == r2.x_factor.tobytes()
         assert r1.generalized_values.tobytes() == r2.generalized_values.tobytes()
+
+
+_RNG = np.random.default_rng(50)
+_A, _B, _XT = _RNG.standard_normal((8, 3)), _RNG.standard_normal((5, 3)), _RNG.standard_normal((100, 4))
+
+
+@pytest.mark.parametrize("name, call, run, message", [
+    ("svd", 1, lambda: linalg.svd(_A), "SVD of a 8x3 matrix"),
+    ("svd", 1, lambda: linalg.svd(_A.T), "SVD of a 3x8 matrix"),
+    ("qr", 2, lambda: linalg.streamed_svd(_XT), "blocked QR of a 100x4 matrix"),
+    ("svd", 1, lambda: linalg.streamed_svd(_XT), "SVD of a 4x4 matrix"),
+    ("qr", 1, lambda: linalg.gsvd(_A, _B), "QR of a 13x3 matrix"),
+    ("svd", 1, lambda: linalg.gsvd(_A, _B), "SVD of a 3x3 matrix"),
+    ("svd", 2, lambda: linalg.gsvd(_A, _B), "SVD of a 8x3 matrix"),
+    ("qr", 2, lambda: linalg.gsvd(_A, _B), "QR of a 5x3 matrix"),
+], ids=["svd", "svd-wide", "streamed-qr", "streamed-svd", "gsvd-stack-qr", "gsvd-rank-svd",
+        "gsvd-q1-svd", "gsvd-q2w-qr"])
+def test_lapack_failure_is_a_typed_error(name, call, run, message):
+    with lapack_fails(name, call):
+        raise_exactly(ConvergenceError, run, match=f"^{message} failed: {name} did not converge$")
 
 
 class TestEnergies:

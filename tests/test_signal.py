@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import argmax_oracle, chain_oracle, raise_exactly, traced_peak
+from conftest import argmax_oracle, chain_oracle, raise_exactly, traced_peak, with_failing_lapack
 
 from svdsep import linalg, signal, synth
 from svdsep.errors import (
+    ConvergenceError,
     DegenerateSpectrumError,
     InsufficientRankError,
     InvalidInputError,
@@ -757,6 +758,8 @@ class TestLongRecordingMemory:
     pytest.param(lambda: signal.egv_profile([]), InvalidInputError, id="no-values"),
     pytest.param(lambda: signal.cutoff_from_values([1.0]), InsufficientRankError, id="one-value"),
     pytest.param(lambda: signal.cutoff_from_values([1.0, 2.0]), InvalidInputError, id="increasing"),
+    pytest.param(lambda: with_failing_lapack("qr", lambda: signal.hankel_spectrum(
+        ChannelSet(np.arange(50.0)[:, None]), EmbedLayout.hankel(4))), ConvergenceError, id="hankel-qr"),
 ])
 def test_typed_errors(call, error):
     raise_exactly(error, call)
