@@ -13,7 +13,10 @@ Both read only the singular values, so one set of vectorized kernels over
 a ``(..., w)`` array of descending spectra computes them: ``sliding_scan``
 takes one SVD per window and scores a whole grid row at once, and
 ``information_density``, ``singular_smoothness`` and ``select_order`` call
-the same kernels on a batch of one.
+the same kernels on a batch of one. The kernels square each spectrum
+shifted by the binary exponent of its sigma_1 (``linalg._shifted``), so
+fixed-order smoothness and density / c of a window scaled by c hold from
+c = 1e-300 to 1e300.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     OrderError,
     ShapeError,
 )
-from .linalg import SpectrumResult, _lapack, _rank, _tolerance
+from .linalg import SpectrumResult, _lapack, _rank, _shifted, _tolerance
 from .validation import check_index_range, check_matrix
 
 __all__ = [
@@ -145,6 +148,8 @@ class WindowConfig:
 
     ``order`` is a fixed smoothness order n >= 1, or the string "auto" to
     pick the smallest n with sigma_n - sigma_{n+1} <= delta per window.
+    ``delta`` is absolute, so an "auto" map is not scale-invariant: scaling
+    the image can change the order picked and so the values.
     ``epsilon_guard`` floors near-zero denominators at guard^2 sigma_1^2 so
     degenerate (e.g. constant) windows stay finite. ``density_range`` is
     the 1-based inclusive index range of the density metric; an upper
@@ -211,7 +216,9 @@ def _density(values: np.ndarray, lo: int, hi: int | None, rank) -> np.ndarray:
     """Root energy over the 1-based range lo..min(hi, rank); 0 when it is empty."""
     top = np.asarray(rank if hi is None else np.minimum(hi, rank))
     k = np.arange(1, values.shape[-1] + 1)
-    return np.sqrt(_run_sum(values**2, (k >= lo) & (k <= top[..., None])))
+    sq, e = _shifted(values)
+    sq *= sq
+    return np.ldexp(np.sqrt(_run_sum(sq, (k >= lo) & (k <= top[..., None]))), e[..., 0])
 
 
 def _auto_order(values: np.ndarray, rank, delta: float) -> np.ndarray:
@@ -228,10 +235,11 @@ def _smoothness(values: np.ndarray, n, guard: float) -> np.ndarray:
     """
     if np.ndim(n) == 0:
         values = values[..., : n + 1]
-    sq = values**2
+    sq, _ = _shifted(values)
     # the guard floor squares sigma_1 with libm pow, as numpy's scalar ** does;
     # x * x differs from it by one ulp on ~0.1 % of inputs
-    s1_sq = np.float_power(values[..., :1], 2)
+    s1_sq = np.float_power(sq[..., :1], 2)
+    sq *= sq
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = (sq[..., :-1] - sq[..., 1:]) / np.maximum(sq[..., 1:], guard * guard * s1_sq)
         total = _run_sum(terms, np.arange(1, sq.shape[-1]) <= np.asarray(n)[..., None])
@@ -279,11 +287,11 @@ def singular_smoothness(d, n: int = 1, epsilon_guard: float = 1e-6) -> float:
     arr = check_matrix(d, "D")
     if epsilon_guard <= 0:
         raise InvalidInputError(f"epsilon_guard must be positive, got {epsilon_guard}")
-    values = _lapack("SVD", arr.shape, np.linalg.svd, arr, compute_uv=False)
     if n < 1:
         raise OrderError(f"order must be >= 1, got {n}")
-    if n + 1 > values.size:
-        raise OrderError(f"order {n} needs {n + 1} singular values, window has {values.size}")
+    if n + 1 > min(arr.shape):
+        raise OrderError(f"order {n} needs {n + 1} singular values, window has {min(arr.shape)}")
+    values = _lapack("SVD", arr.shape, np.linalg.svd, arr, compute_uv=False)
     return float(_smoothness(values, n, epsilon_guard))
 
 
@@ -292,7 +300,9 @@ def select_order(spectrum: SpectrumResult, delta: float) -> int:
 
     Scans the descending spectrum for the first pair of nearly equal
     neighbors; when the whole spectrum is strictly separated beyond delta
-    the full usable order r - 1 is returned.
+    the full usable order r - 1 is returned. ``delta`` is absolute, not
+    relative to sigma_1, so the order picked can change when the fragment
+    is rescaled.
     """
     if delta < 0:
         raise InvalidInputError(f"delta must be nonnegative, got {delta}")

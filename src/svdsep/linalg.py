@@ -131,6 +131,20 @@ def _rank(values: np.ndarray, rank_tolerance: float) -> np.ndarray:
     return np.count_nonzero(values > rank_tolerance * values[..., :1], axis=-1)
 
 
+def _shifted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each descending spectrum along the last axis times ``2^-e``, and ``e``.
+
+    ``e`` (shape ``(..., 1)``) is the binary exponent of the spectrum's sigma_1,
+    so the shifted sigma_1 lies in [0.5, 1): no square of a shifted value
+    overflows, and only values below about 1e-154 sigma_1, whose squares are
+    negligible next to sigma_1^2, underflow. A power of two keeps every
+    significand: a sum of squares shifted back by ``2^(2e)`` with ``np.ldexp``
+    has the bytes of the unshifted one wherever that is representable.
+    """
+    e = np.frexp(values[..., :1])[1]
+    return np.ldexp(values, -e), e
+
+
 def _tolerance(rank_tolerance: float | None, shape: tuple[int, int]) -> float:
     """The relative rank tolerance to apply: ``max(m, n) * eps`` unless given."""
     if rank_tolerance is None:

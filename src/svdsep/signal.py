@@ -29,7 +29,7 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .linalg import GsvdResult, SpectrumResult, StreamedSpectrum, _band, _stream_step, streamed_svd
+from .linalg import GsvdResult, SpectrumResult, StreamedSpectrum, _band, _shifted, _stream_step, streamed_svd
 from .validation import check_index_range, check_matrix
 
 __all__ = [
@@ -317,14 +317,20 @@ def egv_profile(values, simplified: bool = False) -> EgvProfile:
 
     ``simplified=True`` drops the factor 2 from the gaps; the entropy terms
     depend only on the normalized ratios, so both variants give identical
-    variations.
+    variations. The chain is built from the values shifted by the binary
+    exponent of sigma_1, which is exact, so it does not under- or overflow
+    at any scale; ``gaps`` and ``gamma`` are shifted back and read inf only
+    where the true value is not representable.
     """
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     if v.size < 1:
         raise InvalidInputError("need at least one value")
     scale = 1.0 if simplified else 2.0
-    gaps = scale * np.concatenate([v[1:], [0.0]]) ** 2
+    u, e = _shifted(v)
+    gaps = scale * np.concatenate([u[1:], [0.0]]) ** 2
     se, gamma = singular_energies(gaps)
+    with np.errstate(over="ignore"):  # inf only where the true value is not representable
+        gaps, gamma = np.ldexp(gaps, 2 * e), float(np.ldexp(gamma, 2 * e[0]))
     return EgvProfile(gaps=gaps, singular_energies=se, variations=egv(se), gamma=gamma)
 
 

@@ -9,6 +9,7 @@ import contextlib
 import math
 import struct
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -102,6 +103,30 @@ def with_failing_lapack(name, call, on_call=1):
     """``call()`` while ``np.linalg.<name>`` fails on its ``on_call``-th call."""
     with lapack_fails(name, on_call):
         return call()
+
+
+# Scales at which a square of a raw singular value of an O(1) matrix
+# underflows (1e-170, 1e-300) or overflows (1e160, 1e300).
+SQUARING_SCALES = (1e-300, 1e-170, 1e160, 1e300)
+
+
+def holds_at_every_scale(check, seeds, max_examples=60):
+    """Run ``check(c, seed)`` for hypothesis draws of ``seed`` in
+    ``range(seeds)`` and of c log-uniform over [1e-300, 1e300], and for
+    seed 0 at each of ``SQUARING_SCALES``. Every warning is an error."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def test(c, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check(c, seed)
+
+    for c in SQUARING_SCALES:
+        test = hypothesis.example(c=c, seed=0)(test)
+    test = hypothesis.given(c=st.floats(-300.0, 300.0).map(lambda x: 10.0**x),
+                            seed=st.integers(0, seeds - 1))(test)
+    hypothesis.settings(derandomize=True, max_examples=max_examples, deadline=None, database=None)(test)()
 
 
 def random_rect(rng, min_rows=10, max_rows=24, min_cols=3, max_cols=8):

@@ -2,12 +2,14 @@ import ast
 import importlib
 import pkgutil
 import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
 import svdsep
+from svdsep.cli import main
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(svdsep.__path__, "svdsep."))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -29,6 +31,18 @@ def test_readme_quickstart_runs_and_its_comments_hold():
     assert scope["cut"].m == 2
     assert scope["cut"].f == 4
     assert scope["gcut"].f is None
+
+
+def test_readme_cli_quickstart_runs_and_writes_the_files_it_names(tmp_path, monkeypatch):
+    block = re.search(r"## CLI quickstart\n\n```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = block.group(1).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("svdsep ")]
+    named = [name.strip() for line in lines if line.startswith("# ->") for name in line[4:].split(",")]
+    assert len(commands) == 6 and len(named) == 8
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    assert [name for name in named if not (tmp_path / name).is_file()] == []
 
 
 @pytest.mark.parametrize("path", sorted(Path(svdsep.__file__).parent.glob("*.py")), ids=lambda p: p.name)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import raise_exactly, with_failing_lapack
+from conftest import holds_at_every_scale, raise_exactly, with_failing_lapack
 
 from svdsep import bench, image, linalg
 from svdsep.errors import (
@@ -133,6 +133,22 @@ class TestSingularSmoothness:
     def test_bad_guard_rejected(self):
         with pytest.raises(InvalidInputError):
             image.singular_smoothness(np.eye(3), 1, epsilon_guard=0.0)
+
+
+def test_window_metrics_hold_at_every_scale():
+    """Fixed-order smoothness and density / c of c * D equal those of D for
+    every c in [1e-300, 1e300], without a warning, although the squares of
+    c * sigma under- or overflow."""
+
+    def check(c, seed):
+        rng = np.random.default_rng(seed)
+        side = int(rng.integers(4, 10))
+        n = int(rng.integers(1, side))
+        d = random_window(rng, side)
+        assert image.singular_smoothness(c * d, n) == pytest.approx(image.singular_smoothness(d, n), rel=1e-12)
+        assert image.information_density(c * d) / c == pytest.approx(image.information_density(d), rel=1e-12)
+
+    holds_at_every_scale(check, seeds=1000)
 
 
 class TestSelectOrder:
@@ -401,6 +417,11 @@ class TestScanParity:
     pytest.param(lambda: WindowConfig(5, density_range=(0, None)), ConfigError, id="density-low"),
     pytest.param(lambda: WindowConfig(5, density_range=(3, 2)), ConfigError, id="density-high"),
     pytest.param(lambda: image.singular_smoothness(np.eye(3), n=0), OrderError, id="smoothness-order"),
+    # the order is checked before the SVD, which would raise ConvergenceError here
+    pytest.param(lambda: with_failing_lapack("svd", lambda: image.singular_smoothness(np.eye(3), n=0)),
+                 OrderError, id="smoothness-order-before-svd"),
+    pytest.param(lambda: with_failing_lapack("svd", lambda: image.singular_smoothness(np.eye(3), n=3)),
+                 OrderError, id="smoothness-order-above-rank-before-svd"),
     pytest.param(lambda: bench.run_scan_bench([4], 16, reps=0), InvalidInputError, id="scan-bench-reps"),
 ])
 def test_typed_errors(call, error):

@@ -1,9 +1,17 @@
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from conftest import argmax_oracle, chain_oracle, raise_exactly, traced_peak, with_failing_lapack
+from conftest import (
+    argmax_oracle,
+    chain_oracle,
+    holds_at_every_scale,
+    raise_exactly,
+    traced_peak,
+    with_failing_lapack,
+)
 
 from svdsep import linalg, signal, synth
 from svdsep.errors import (
@@ -621,6 +629,37 @@ class TestCutoff:
         assert cut.method == "gsvd-egv" and cut.f is None
         finite = g.generalized_values[1:]
         assert cut.m == 1 + signal.cutoff_from_values(finite).m
+
+    def test_boundaries_hold_at_every_scale(self):
+        """(m, f) of c * A equal those of A for every c in [1e-300, 1e300],
+        without a warning, although the squares of c * sigma under- or overflow."""
+
+        @functools.cache
+        def mixture(seed):
+            spec = synth.MixtureSpec(samples=400, channels=8, dominant_rank=2, weak_rank_span=2,
+                                     dominant_period=40, seed=seed)
+            a = synth.gen_mixture(spec)[0].data
+            cut = signal.cutoff(linalg.svd(a))
+            return a, (cut.m, cut.f)
+
+        def check(c, seed):
+            a, expected = mixture(seed)
+            cut = signal.cutoff(linalg.svd(c * a))
+            assert (cut.m, cut.f) == expected
+
+        holds_at_every_scale(check, seeds=10)
+
+    def test_profile_reads_inf_only_where_the_true_value_overflows(self):
+        values = np.array([1e150, 1e140, 1e20])
+        profile = signal.egv_profile(values)
+        assert profile.gaps.tolist() == [2.0 * 1e140**2, 2.0 * 1e20**2, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = signal.egv_profile(2.0**70 * values)  # 2 * (2^70 * 1e140)^2 > max float
+        assert scaled.gaps[0] == math.inf and scaled.gaps[1] == 2.0 * (2.0**70 * 1e20) ** 2
+        assert scaled.gamma == math.inf
+        assert np.array_equal(scaled.singular_energies, profile.singular_energies)
+        assert np.array_equal(scaled.variations, profile.variations)
 
 
 class TestSeparate:
