@@ -150,13 +150,11 @@ def cmd_separate(args) -> RunReport:
     outputs = [f"{args.output_prefix}_{name}.csv" for name in ("dominant", "weak", "noise")]
     # Not zip(outputs, bands): zip keeps the previous band in its result
     # tuple while the generator forms the next one.
-    bands = signal.band_signals(decomp, cut, layout, n_samples)
+    bands = signal._band_tables(decomp, cut, layout, n_samples)
     for path in outputs:
-        out = next(bands)
-        if labels:
-            out = signal.ChannelSet(out.data, labels=labels)
-        fio.write_channels_csv(path, out)
-        del out  # free this band before the next one is formed
+        band = next(bands)
+        fio.write_channels_csv(path, band, labels=labels)
+        del band  # free this band before the next one is formed
 
     return RunReport(
         command="separate",

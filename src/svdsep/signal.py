@@ -174,10 +174,7 @@ def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
     diagonal averaging (each sample is the mean of every window entry
     covering it). Positions no window covers are zero."""
     m = check_matrix(matrix, "matrix")
-    out = _unembed(lambda j0, j1: m[:, j0:j1], layout, m.shape, target_length)
-    # A channel-columns layout that covers every sample hands its block back
-    # as the result: here that block is the argument.
-    return ChannelSet(out.data.copy()) if np.may_share_memory(out.data, m) else out
+    return ChannelSet(_unembed(lambda j0, j1: m[:, j0:j1], layout, m.shape, target_length))
 
 
 def hankel_spectrum(signals: ChannelSet, layout: EmbedLayout,
@@ -205,12 +202,12 @@ def _hankel_coverage(layout: EmbedLayout, columns: int, target_length: int) -> n
     return np.maximum(last - first + 1, 0)
 
 
-def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_length: int) -> ChannelSet:
-    """:func:`unembed` of a ``shape`` matrix whose columns ``j0:j1`` are ``block_of(j0, j1)``.
+def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_length: int) -> np.ndarray:
+    """The (samples, channels) array :func:`unembed` gives for a ``shape``
+    matrix whose columns ``j0:j1`` are ``block_of(j0, j1)``.
 
-    Channel-columns takes one block of every column; when every offset is 0
-    and the window spans ``target_length``, that block is the result. A
-    Hankel matrix is diagonal-averaged in the column blocks
+    Channel-columns takes one block of every column and places each column
+    at its offset. A Hankel matrix is diagonal-averaged in the column blocks
     :func:`linalg.streamed_svd` reads (8 L windows): entry (i, j) is sample
     i + j * stride, so each row of a block adds into one strided slice.
     Blocks run from the last window back to the first: a sample's entries
@@ -228,12 +225,10 @@ def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_lengt
             if off + n > target_length:
                 raise LayoutError(f"column {j} at offset {off} does not fit in {target_length} samples")
         block = block_of(0, columns)  # before the output: a band's temporaries are freed by then
-        if n == target_length and not any(offsets):
-            return ChannelSet(block)  # the scatter below would copy it unchanged
         out = np.zeros((target_length, columns))
         for j, off in enumerate(offsets):
             out[off : off + n, j] = block[:, j]
-        return ChannelSet(out)
+        return out
     coverage = _hankel_coverage(layout, columns, target_length)
     acc = np.zeros(target_length)
     step = _stream_step(n)
@@ -245,7 +240,7 @@ def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_lengt
         del block  # free it before the next block is formed
     covered = coverage > 0
     acc[covered] /= coverage[covered]
-    return ChannelSet(acc.reshape(-1, 1))
+    return acc.reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -278,11 +273,15 @@ def energy_gap(spectrum: SpectrumResult, k: int) -> float:
 
     Equals ``2 * sigma_{k+1}^2`` with ``sigma_{r+1}`` taken as zero, which
     matches the four-norm difference of the truncated reconstructions.
+    The square is taken of the significand and shifted back by twice the
+    exponent, so it reads inf, with no warning, where the true value is
+    not representable, and 0 where it is below the least subnormal.
     """
     r = spectrum.numerical_rank
     check_index_range(k, k, r, "split k")
-    s_next = spectrum.singular_values[k] if k < r else 0.0
-    return 2.0 * float(s_next) ** 2
+    significand, e = np.frexp(spectrum.singular_values[k] if k < r else 0.0)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(2.0 * significand * significand, 2 * e))
 
 
 def singular_energies(gaps) -> tuple[np.ndarray, float]:
@@ -455,8 +454,55 @@ def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
     time, so no trajectory-sized part is ever formed; its result agrees
     with the matrix route to rounding, not bitwise.
     """
+    for table in _band_tables(factors, cut, layout, target_length):
+        yield ChannelSet(table[:])
+
+
+def _band_tables(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult,
+                 layout: EmbedLayout, target_length: int):
+    """Yield the signals of :func:`band_signals` as (samples, channels) tables.
+
+    Where a band's matrix is its signals (a channel-columns layout of
+    ``target_length``-sample windows, all at offset 0) and the factors have
+    a right basis, the table is a :class:`_BandRows`: it forms only the rows
+    it is sliced for, so no band-sized array is held. Every other table is
+    the array :func:`_unembed` forms.
+    """
+    rows, columns = factors.shape
+    offsets = layout.source_offsets
+    whole = (layout.mode == MODE_CHANNEL_COLUMNS and not isinstance(factors, StreamedSpectrum)
+             and rows == layout.window_length == target_length
+             and (offsets is None or (len(offsets) == columns and not any(offsets))))
     for lo, hi in _band_ranges(factors, cut):
-        yield _unembed(_band_columns(factors, lo, hi), layout, factors.shape, target_length)
+        if whole:
+            yield _BandRows(*_factors(factors), lo, hi)
+        else:
+            yield _unembed(_band_columns(factors, lo, hi), layout, factors.shape, target_length)
+
+
+@dataclass(frozen=True)
+class _BandRows:
+    """The band ``[lo, hi)`` of ``U diag(w) X^T``, formed a slice of rows at a time."""
+
+    u: np.ndarray
+    w: np.ndarray
+    x: np.ndarray
+    lo: int
+    hi: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.u.shape[0], self.x.shape[0])
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return _band(self.u[rows], self.w, self.x, self.lo, self.hi)
+
+
+def _factors(factors: SpectrumResult | GsvdResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(U, w, X)`` of a factorization whose bands are ``U[:, b] diag(w[b]) X[:, b]^T``."""
+    if isinstance(factors, GsvdResult):
+        return factors.u_basis, factors.alpha, factors.x_factor
+    return factors.left_basis, factors.singular_values, factors.right_basis
 
 
 def _band_columns(factors: SpectrumResult | StreamedSpectrum | GsvdResult, lo: int, hi: int):
@@ -469,10 +515,7 @@ def _band_columns(factors: SpectrumResult | StreamedSpectrum | GsvdResult, lo: i
     if isinstance(factors, StreamedSpectrum):
         u_b, xt = factors.left_basis[:, lo:hi], factors.transposed
         return lambda j0, j1: u_b @ (np.ascontiguousarray(xt[j0:j1]) @ u_b).T
-    if isinstance(factors, GsvdResult):
-        u, w, x = factors.u_basis, factors.alpha, factors.x_factor
-    else:
-        u, w, x = factors.left_basis, factors.singular_values, factors.right_basis
+    u, w, x = _factors(factors)
     return lambda j0, j1: _band(u, w, x[j0:j1], lo, hi)
 
 

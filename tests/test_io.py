@@ -9,8 +9,9 @@ import pytest
 from conftest import encode_png_gray8, raise_exactly, short_ihdr_png, traced_peak
 
 from svdsep import io as fio
-from svdsep.errors import InvalidInputError, ParseError
+from svdsep.errors import InvalidInputError, ParseError, ShapeError
 from svdsep.image import _QUANTIZE_ENTRIES, GrayImage
+from svdsep.io import _WRITE_ENTRIES
 from svdsep.signal import ChannelSet
 
 
@@ -318,6 +319,55 @@ class TestWriterParity:
         fio.write_pgm(tmp_path / "new.pgm", arr, binary=False)
         _reference_p2(tmp_path / "ref.pgm", arr)
         assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+
+
+def _per_row(path, table, cell, sep, head=None):
+    """The row writer before blocks, one ``%`` per row: the byte-level reference of blocks."""
+    fmt = sep.join([cell] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if head is not None:
+            fh.write(head + "\n")
+        for row in table:
+            fh.write(fmt % tuple(row.tolist()))
+
+
+# One row, and one row short of, at and past a whole block, at each width.
+BLOCK_SHAPES = [(rows, width) for width in (1, 3, 8, 600)
+                for rows in sorted({1} | {max(1, _WRITE_ENTRIES // width) + d for d in (-1, 0, 1)} - {0})]
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("rows, width", BLOCK_SHAPES)
+    def test_blocks_write_the_bytes_of_one_format_per_row(self, tmp_path, rows, width):
+        rng = np.random.default_rng(rows * 1000 + width)
+        table = rng.choice([-1.0, 1.0], (rows, width)) * 10.0 ** rng.uniform(-300.0, 300.0, (rows, width))
+        new, ref = tmp_path / "new", tmp_path / "ref"
+
+        def same(write, cell, sep, head=None, data=table):
+            write(new)
+            _per_row(ref, data, cell, sep, head)
+            assert new.read_bytes() == ref.read_bytes()
+
+        labels = tuple(f"lead{j}" for j in range(width))
+        same(lambda p: fio.write_channels_csv(p, table, labels=labels), "%.17g", ",", ",".join(labels))
+        same(lambda p: fio.write_channels_csv(p, table, header=False), "%.17g", ",")
+        same(lambda p: fio.write_grid_csv(p, table), "%.17g", ",")
+        pixels = rng.integers(0, 256, (rows, width), dtype=np.uint8)
+        same(lambda p: fio.write_pgm(p, pixels, binary=False), "%d", " ", f"P2\n{width} {rows}\n255",
+             data=pixels)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_block_is_named_by_its_rows(self, tmp_path, value):
+        table = np.ones((300, 8))  # blocks of 128 rows
+        table[200, 3] = value
+        for write in (fio.write_channels_csv, fio.write_grid_csv):
+            raise_exactly(InvalidInputError, lambda: write(tmp_path / "t.csv", table), match="rows 129-256")
+            assert not (tmp_path / "t.csv").exists()  # its first block would read back as the table
+
+    def test_labels_must_match_the_channels(self, tmp_path):
+        raise_exactly(ShapeError, lambda: fio.write_channels_csv(tmp_path / "t.csv", np.ones((4, 3)),
+                                                                 labels=("a", "b")))
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestPgm:

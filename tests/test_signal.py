@@ -405,6 +405,24 @@ class TestEnergyGap:
                 brute = gap_between(k + 1) - gap_between(k)
                 assert abs(brute - signal.energy_gap(spec, k)) <= 1e-8 * signal.energy_gap(spec, k)
 
+    @pytest.mark.parametrize("c, want", [(1e160, [math.inf, math.inf, 0.0]), (1e-170, [0.0, 0.0, 0.0])])
+    def test_saturates_where_the_square_is_not_representable(self, c, want):
+        # 2 (2e160)^2 exceeds the largest float; 2 (2e-170)^2 = 8e-340 is below the least subnormal
+        spec = linalg.svd(np.diag([3.0, 2.0, 1.0]) * c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [signal.energy_gap(spec, k) for k in (1, 2, 3)]
+        assert got == want
+
+    def test_equals_the_gaps_of_the_profile_at_every_scale(self):
+        def check(c, seed):
+            spec = linalg.svd(c * np.random.default_rng(seed).standard_normal((9, 5)))
+            r = spec.numerical_rank
+            gaps = signal.egv_profile(spec.singular_values[:r]).gaps
+            assert [signal.energy_gap(spec, k) for k in range(1, r + 1)] == gaps.tolist()
+
+        holds_at_every_scale(check, seeds=10)
+
     def test_out_of_range(self):
         spec = spectrum_of([2.0, 1.0])
         with pytest.raises(RangeError):
