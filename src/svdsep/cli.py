@@ -144,7 +144,7 @@ def cmd_separate(args) -> RunReport:
     else:
         values = decomp.generalized_values
         values_key = "generalized_values"
-        rank_info = {"infinite_values": int(np.sum(np.isinf(values)))}
+        rank_info = {"infinite_values": int(np.sum(np.isinf(decomp.balanced_values)))}
     cut = signal.cutoff(decomp, min_separation=min_separation)
 
     outputs = [f"{args.output_prefix}_{name}.csv" for name in ("dominant", "weak", "noise")]
@@ -329,11 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command, then stamp, write and (on ``--json``) echo its report."""
+    """Run one command, then stamp, write and (on ``--json``) echo its report.
+
+    The command's LAPACK calls run on one OpenBLAS thread; the process's
+    thread count is restored however the command ends.
+    """
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        report = args.func(args)
+        with linalg._one_blas_thread():
+            report = args.func(args)
         report.wall_time_ms = (time.perf_counter() - t0) * 1e3
         text = report.to_json()
         with open(f"{args.output_prefix}_report.json", "w", encoding="utf-8") as fh:

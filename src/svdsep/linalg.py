@@ -8,6 +8,9 @@ repeated calls on identical input are bit-identical.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -28,6 +31,57 @@ __all__ = [
 ]
 
 _EPS = np.finfo(np.float64).eps
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    ``ctypes.CDLL`` of a library numpy has already loaded returns that same
+    library, so setting its count steers numpy's own LAPACK calls. Builds
+    without a bundled OpenBLAS (Accelerate, MKL, Windows) give None.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+# Looked up once: a lookup per use allocates ~5 KiB of glob and ctypes objects.
+_OPENBLAS = _openblas_threads()
+
+
+class _one_blas_thread:
+    """Run the block with OpenBLAS on one thread; restore the caller's count after.
+
+    The factorizations here are of tall, narrow matrices (8 channels, or
+    windows of a Hankel block), where a threaded OpenBLAS call is slower than
+    one thread and leaves its worker spinning for ~50 ms afterwards. The
+    thread count is process-wide, so the CLI takes it per command and the
+    library functions keep whatever their caller set. Without an OpenBLAS
+    the block runs as it is.
+
+    A class, not a generator: a generator's frame is ~0.5 KiB that the
+    traced peak of every command would carry; this holds ~0.1 KiB.
+    """
+
+    __slots__ = ("_before",)
+
+    def __enter__(self) -> None:
+        if _OPENBLAS is not None:
+            get, put = _OPENBLAS
+            self._before = get()
+            put(1)
+
+    def __exit__(self, *exc) -> None:
+        if _OPENBLAS is not None:
+            _OPENBLAS[1](self._before)
 
 
 @dataclass(frozen=True)
@@ -88,15 +142,23 @@ class StreamedSpectrum:
 
 @dataclass(frozen=True)
 class GsvdResult:
-    """Thin joint decomposition A = U C X^T, B = V S X^T with C^T C + S^T S = I.
+    """Thin joint decomposition A = U C X^T, 2^k B = V S X^T with C^T C + S^T S = I.
+
+    The pair is balanced before it is factored: B is scaled by the power of
+    two ``2^k``, ``k = b_shift``, that brings its largest |entry| to the
+    binary exponent of A's, so neither matrix is lost next to the other in
+    the stacked QR. The shift is exact, and 0 when the exponents match.
 
     ``alpha`` and ``beta`` are the diagonals of C and S in storage order:
     alpha non-decreasing, beta non-increasing, so that the nonzero betas
     occupy the representable diagonal of S even when B has fewer rows than
-    columns. ``generalized_values`` is the derived sequence alpha/beta
-    sorted non-increasing, with ``inf`` marking directions where beta
-    vanishes (A dominates B completely); those sort first. Only the
-    columns of U and V paired with a diagonal entry are kept.
+    columns. ``balanced_values`` is the derived sequence alpha/beta sorted
+    non-increasing, with ``inf`` marking directions where beta vanishes (A
+    dominates B completely); those sort first. The cutoff reads these.
+    ``generalized_values`` are those of the caller's (A, B), ``2^k`` times
+    the balanced ones: inf or 0 only where the true value is not
+    representable. Only the columns of U and V paired with a diagonal entry
+    are kept.
     """
 
     u_basis: np.ndarray      # (m, n) orthonormal columns
@@ -104,7 +166,8 @@ class GsvdResult:
     x_factor: np.ndarray     # (n, n) nonsingular
     alpha: np.ndarray        # (n,)
     beta: np.ndarray         # (n,)
-    generalized_values: np.ndarray  # (n,) descending, inf first
+    balanced_values: np.ndarray  # (n,) descending, inf first
+    b_shift: int
     # Factorizations one gsvd call performs: QR of [A; B], SVD of R (the rank
     # check), SVD of Q1 and QR of Q2 W.
     factorizations: ClassVar[int] = 4
@@ -113,11 +176,17 @@ class GsvdResult:
     def shape(self) -> tuple[int, int]:
         return (self.u_basis.shape[0], self.x_factor.shape[0])
 
+    @property
+    def generalized_values(self) -> np.ndarray:
+        with np.errstate(over="ignore"):  # inf only where the true value is not representable
+            return np.ldexp(self.balanced_values, self.b_shift)
+
     def reconstruct_a(self) -> np.ndarray:
         return _band(self.u_basis, self.alpha, self.x_factor, 0, self.alpha.size)
 
     def reconstruct_b(self) -> np.ndarray:
-        return _band(self.v_basis, self.beta, self.x_factor, 0, self.v_basis.shape[1])
+        band = _band(self.v_basis, self.beta, self.x_factor, 0, self.v_basis.shape[1])
+        return np.ldexp(band, -self.b_shift, out=band)
 
 
 def _band(u: np.ndarray, w: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -226,9 +295,10 @@ def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
 
 
 # Rows of X^T per QR block, per row of X: 8 m. On the 4000-sample, L = 40
-# hankel benchmark input a whole `separate` run with 4 L, 8 L, 16 L and 32 L
-# windows per block peaks at 0.28, 0.36, 0.55 and 0.92 MiB and takes 56, 49,
-# 51 and 54 ms (median of 30 runs, 2-vCPU host).
+# hankel benchmark input (seed 0) a whole in-process `separate` run, LAPACK on
+# one OpenBLAS thread, with 4 L, 8 L, 16 L and 32 L windows per block peaks at
+# 0.25, 0.34, 0.52 and 0.90 MiB and takes 19, 17, 17 and 20 ms (median of 60
+# runs, 2-vCPU host).
 _STREAM_BLOCK = 8
 
 
@@ -282,7 +352,8 @@ def gsvd(a, b) -> GsvdResult:
     splits the orthonormal factor, takes the thin SVD of the top block,
     and orthogonalizes the image of the bottom block, which is numerically
     stabler than forming A^T A and B^T B. U is (m, n) and V is
-    (s, min(s, n)).
+    (s, min(s, n)). B is first balanced against A by a power of two (see
+    :class:`GsvdResult`), so the result holds at any scale of either matrix.
 
     Raises
     ------
@@ -310,12 +381,24 @@ def _stack(a, b) -> tuple[np.ndarray, int]:
     return np.vstack([a_arr, b_arr]), m
 
 
+def _exponent(x: np.ndarray) -> int:
+    """Binary exponent of the largest |entry| of ``x``, the rule of :func:`_shifted`."""
+    return int(np.frexp(max(x.max(), -x.min()))[1])
+
+
 def _gsvd_stacked(stack: np.ndarray, m: int) -> GsvdResult:
     """:func:`gsvd` of the pair whose :func:`_stack` is ``stack``, A its first ``m`` rows.
 
     Takes the stack so that a caller can drop A and B before the QR, which
-    then holds the stack, LAPACK's copy of it and Q.
+    then holds the stack, LAPACK's copy of it and Q. B's rows are balanced
+    in place.
     """
+    # A power of the radix, as LAPACK's xGGBAL balances a pencil (Ward,
+    # SIAM J. Sci. Stat. Comput. 2(2), 1981). Max |entry|, not a norm: a norm
+    # overflows at 1e160.
+    shift = _exponent(stack[:m]) - _exponent(stack[m:])
+    if shift:
+        np.ldexp(stack[m:], shift, out=stack[m:])
     rows, n = stack.shape
     stacked_size = max(rows, n)  # the larger dimension of [A; B]
     # reduced: q is (m+s, n), r is (n, n)
@@ -355,7 +438,8 @@ def _gsvd_stacked(stack: np.ndarray, m: int) -> GsvdResult:
         x_factor=x,
         alpha=alpha,
         beta=beta,
-        generalized_values=values[::-1].copy(),
+        balanced_values=values[::-1].copy(),
+        b_shift=shift,
     )
 
 

@@ -395,11 +395,12 @@ def find_two_cutoffs(spectrum: SpectrumResult, min_separation: int = 1) -> Cutof
 def cutoff_from_gsvd(result: GsvdResult) -> CutoffResult:
     """Cutoff on the finite generalized values of an existing decomposition.
 
-    Infinite generalized values (directions where B vanishes) cannot enter
-    the logarithmic chain; they are unconditionally counted into the
+    The chain is read from the balanced values, so no rescaling of A or B
+    moves the cutoff. Infinite values (directions where B vanishes) cannot
+    enter the logarithmic chain; they are unconditionally counted into the
     dominant band and a warning is issued.
     """
-    values = result.generalized_values
+    values = result.balanced_values
     finite = values[np.isfinite(values)]
     n_inf = values.size - finite.size
     if n_inf:

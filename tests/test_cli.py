@@ -1,4 +1,6 @@
+import contextlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,3 +605,81 @@ class TestRunReport:
         assert captured.err.startswith("svdsep: ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+def blas_threads():
+    return linalg._OPENBLAS[0]()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The process runs OpenBLAS on two threads (as many as it grants) during the test."""
+    get, put = linalg._OPENBLAS
+    before = get()
+    put(2)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+@pytest.mark.skipif(linalg._OPENBLAS is None,
+                    reason="numpy has no bundled OpenBLAS whose thread count can be set")
+class TestOneBlasThread:
+    def test_a_command_runs_on_one_thread(self, tmp_path, mixture_csv, monkeypatch, two_blas_threads):
+        seen, cutoff = [], signal.cutoff
+        monkeypatch.setattr(signal, "cutoff", lambda *a, **k: seen.append(blas_threads()) or cutoff(*a, **k))
+        assert run("separate", mixture_csv, "--output-prefix", tmp_path / "sep") == 0
+        assert seen == [1]
+
+    @pytest.mark.parametrize("options, fault, status", [
+        ([], contextlib.nullcontext(), 0),
+        ([], lapack_fails("svd"), 1),  # a ConvergenceError
+        (["--method", "gsvd"], contextlib.nullcontext(), 2),  # a ParseError: no --second
+    ], ids=["ok", "SvdsepError", "ParseError"])
+    def test_count_is_restored_on_every_exit(self, tmp_path, mixture_csv, two_blas_threads,
+                                             options, fault, status):
+        before = blas_threads()
+        with fault:
+            assert run("separate", mixture_csv, *options, "--output-prefix", tmp_path / "sep") == status
+        assert blas_threads() == before
+
+    def test_count_is_restored_when_a_command_raises(self, tmp_path, mixture_csv, monkeypatch,
+                                                     two_blas_threads):
+        before = blas_threads()
+
+        def fails(*args, **kwargs):
+            raise RuntimeError("not an svdsep fault")
+
+        monkeypatch.setattr(signal, "cutoff", fails)
+        with pytest.raises(RuntimeError):
+            run("separate", mixture_csv, "--output-prefix", tmp_path / "sep")
+        assert blas_threads() == before
+
+
+def separate_outputs(prefix, *argv):
+    """The bytes of the part CSVs and of the report, less its wall time, of one ``separate``."""
+    assert run("separate", *argv, "--output-prefix", prefix) == 0
+    parts = [Path(f"{prefix}_{name}.csv").read_bytes() for name in ("dominant", "weak", "noise")]
+    report = read_json(f"{prefix}_report.json")
+    del report["wall_time_ms"]
+    return parts, report
+
+
+@pytest.mark.parametrize("method", ["svd", "gsvd"])
+def test_one_blas_thread_keeps_the_bytes_where_openblas_threads(tmp_path, monkeypatch, method):
+    # 2048 x 8 is above OpenBLAS's threading size; 400 x 8 never threads.
+    for seed in (1, 2):
+        run("synth", "mixture", "--samples", 2048, "--seed", seed, "--output-prefix", tmp_path / f"m{seed}")
+    argv = [f"{tmp_path / 'm1'}_signals.csv", "--method", method]
+    if method == "gsvd":
+        argv += ["--second", f"{tmp_path / 'm2'}_signals.csv"]
+    one = separate_outputs(tmp_path / "sep", *argv)
+    monkeypatch.setattr(linalg, "_one_blas_thread", contextlib.nullcontext)
+    assert separate_outputs(tmp_path / "sep", *argv) == one
+
+
+def test_without_openblas_a_command_writes_the_same_bytes(tmp_path, mixture_csv, monkeypatch):
+    one = separate_outputs(tmp_path / "sep", mixture_csv)
+    monkeypatch.setattr(linalg, "_OPENBLAS", None)
+    assert separate_outputs(tmp_path / "sep", mixture_csv) == one

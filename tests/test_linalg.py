@@ -342,6 +342,32 @@ class TestGsvd:
         res = linalg.gsvd(a, b)
         assert np.linalg.norm(res.reconstruct_b() - b) <= 1e-9 * np.linalg.norm(b)
 
+    def test_a_power_of_two_on_b_moves_only_the_shift(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal((9, 4)), rng.standard_normal((6, 4))
+        plain = linalg.gsvd(a, b)
+        assert plain.b_shift == 0
+        res = linalg.gsvd(a, np.ldexp(b, -600))
+        assert res.b_shift == 600
+        for name in ("u_basis", "v_basis", "x_factor", "alpha", "beta", "balanced_values"):
+            assert getattr(res, name).tobytes() == getattr(plain, name).tobytes(), name
+        assert res.generalized_values.tobytes() == np.ldexp(plain.generalized_values, 600).tobytes()
+        assert res.reconstruct_b().tobytes() == np.ldexp(plain.reconstruct_b(), -600).tobytes()
+
+    def test_values_of_the_callers_pair_saturate_only_where_unrepresentable(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal((9, 4)), rng.standard_normal((6, 4))
+        for c, want in ((1e-200, 1e200), (1e300, 1e-300)):
+            res = linalg.gsvd(a, c * b)
+            assert np.max(np.abs(res.alpha**2 + res.beta**2 - 1.0)) <= 1e-10
+            assert np.linalg.norm(res.reconstruct_b() / c - b) <= 1e-9 * np.linalg.norm(b)
+            assert np.allclose(res.generalized_values, want * linalg.gsvd(a, b).generalized_values,
+                               rtol=1e-8, atol=0.0)
+        with np.errstate(over="raise"):
+            res = linalg.gsvd(1e300 * a, 1e-300 * b)
+        assert np.all(np.isfinite(res.balanced_values))
+        assert np.all(np.isinf(res.generalized_values))  # ~1e600: not a float64
+
     def test_column_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             linalg.gsvd(np.eye(3), np.eye(2))

@@ -667,6 +667,31 @@ class TestCutoff:
 
         holds_at_every_scale(check, seeds=10)
 
+    def test_gsvd_cutoff_holds_at_every_scale_of_either_matrix(self):
+        """m of (a A, b B) equals that of (A, B) for every a, b in [1e-300, 1e300],
+        without a warning. Unbalanced, the stacked QR lost B once it was ~1e-160
+        of A, and every beta fell under the infinity tolerance."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        a_mat, b_mat = (synth.gen_mixture(synth.MixtureSpec(
+            samples=400, channels=8, dominant_rank=2, weak_rank_span=2, dominant_period=40,
+            seed=seed))[0].data for seed in (0, 1_000_003))
+        expected = signal.cutoff(linalg.gsvd(a_mat, b_mat)).m
+        scale = st.floats(-300.0, 300.0).map(lambda x: 10.0**x)
+
+        @hypothesis.example(a=1e160, b=1.0)
+        @hypothesis.example(a=1.0, b=1e-170)
+        @hypothesis.example(a=1e300, b=1e-300)
+        @hypothesis.example(a=1e-300, b=1e300)
+        @hypothesis.given(a=scale, b=scale)
+        @hypothesis.settings(derandomize=True, max_examples=60, deadline=None, database=None)
+        def check(a, b):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert signal.cutoff(linalg.gsvd(a * a_mat, b * b_mat)).m == expected
+
+        check()
+
     def test_profile_reads_inf_only_where_the_true_value_overflows(self):
         values = np.array([1e150, 1e140, 1e20])
         profile = signal.egv_profile(values)
