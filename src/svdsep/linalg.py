@@ -233,31 +233,22 @@ def _lapack(name: str, shape: tuple[int, ...], fn, *args, **kwargs):
         raise ConvergenceError(f"{name} of a {dims} matrix failed: {exc}") from exc
 
 
-# Entries of a left basis whose pivots _fix_signs takes in one step: their
-# magnitudes are its only temporary, 32 KiB. A basis of more than 2048 rows
-# goes one column at a time.
-_SIGN_BLOCK = 4096
-
-
 def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
     """Make the largest-magnitude entry of each left vector nonnegative.
 
     ``u`` and ``v`` hold the paired left and right vectors as columns; the
-    sign flip propagates to the right vector, when there is one. In-place,
-    over blocks of ``max(1, _SIGN_BLOCK // m)`` columns of the (m, k) ``u``.
-    The pivot is the first entry of largest magnitude.
+    sign flip propagates to the right vector, when there is one. In-place.
+    The pivot is the first entry of largest magnitude, read from each
+    column's min and max; only a column whose min and max tie in magnitude
+    is searched for which comes first, so only a tie takes a temporary the
+    size of a column.
     """
-    step = max(1, _SIGN_BLOCK // u.shape[0])
-    for j in range(0, u.shape[1], step):
-        block = u[:, j : j + step]
-        # one row per column, so argmax runs along contiguous rows and copies nothing
-        pivots = np.abs(block.T, order="C").argmax(axis=1)
-        flip = block[pivots, np.arange(block.shape[1])] < 0
-        if flip.any():
-            signs = np.where(flip, -1.0, 1.0)
-            block *= signs
+    lo, hi = u.min(axis=0), u.max(axis=0)
+    for j in np.flatnonzero(-lo >= hi):
+        if -lo[j] > hi[j] or u[:, j].argmin() < u[:, j].argmax():
+            u[:, j] *= -1.0
             if v is not None:
-                v[:, j : j + step] *= signs
+                v[:, j] *= -1.0
 
 
 def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:

@@ -191,10 +191,7 @@ def hankel_spectrum(signals: ChannelSet, layout: EmbedLayout,
 
 def _hankel_coverage(layout: EmbedLayout, columns: int, target_length: int) -> np.ndarray:
     """How many entries of a ``columns``-window Hankel matrix fall on each sample."""
-    span = (columns - 1) * layout.stride + 1  # samples from the first to the last window start
     n = layout.window_length
-    if span - 1 + n > target_length:
-        raise LayoutError(f"windows extend to {span - 1 + n} but target_length is {target_length}")
     # sample t is covered by the windows j with t - n < j * stride <= t, 0 <= j < columns
     t = np.arange(target_length, dtype=np.int64)
     first = np.maximum(-((n - 1 - t) // layout.stride), 0)
@@ -229,7 +226,9 @@ def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_lengt
         for j, off in enumerate(offsets):
             out[off : off + n, j] = block[:, j]
         return out
-    coverage = _hankel_coverage(layout, columns, target_length)
+    end = (columns - 1) * stride + n  # one past the last window's last sample
+    if end > target_length:
+        raise LayoutError(f"windows extend to {end} but target_length is {target_length}")
     acc = np.zeros(target_length)
     step = _stream_step(n)
     for j0 in range((columns - 1) // step * step, -1, -step):
@@ -238,6 +237,8 @@ def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_lengt
         for i in range(n):
             acc[i + j0 * stride : i + (j1 - 1) * stride + 1 : stride] += block[i]
         del block  # free it before the next block is formed
+    # counted after the blocks, so the count is not held beside them
+    coverage = _hankel_coverage(layout, columns, target_length)
     covered = coverage > 0
     acc[covered] /= coverage[covered]
     return acc.reshape(-1, 1)

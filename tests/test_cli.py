@@ -235,14 +235,15 @@ class TestSeparate:
                     for name in ("dominant", "weak", "noise"))
         assert np.max(np.abs(parts - wave)) <= 1e-13 * np.max(np.abs(wave))
 
-    @pytest.mark.parametrize("method, bound", [("svd", 2.4), ("gsvd", 6.6)])
+    @pytest.mark.parametrize("method, bound", [("svd", 2.2), ("gsvd", 6.6)])
     def test_channel_columns_peak_is_bounded_by_the_input(self, tmp_path, method, bound):
-        # At 20 000 x 8 the peak is ~2.2x the input (svd) and ~6.0x (gsvd).
+        # At 20 000 x 8 the peak is ~2.05x the input (svd) and ~6.0x (gsvd).
         # The svd peak is the factorization: no band is held, as each is
         # written a block of rows at a time; a whole band held beside the left
-        # basis made it ~2.6x. The gsvd peak is its QR: the stack [A; B],
-        # LAPACK's copy of it and Q, each twice the input. Holding A and B
-        # beside the stack made it ~8.0x.
+        # basis made it ~2.6x, and a sign rule that copied a column of |U|
+        # ~2.17x. The gsvd peak is its QR: the stack [A; B], LAPACK's copy of
+        # it and Q, each twice the input. Holding A and B beside the stack
+        # made it ~8.0x.
         inputs = []
         for seed in (1, 2):
             prefix = tmp_path / f"mix{seed}"

@@ -184,6 +184,16 @@ class TestHankelStrided:
             got = signal._hankel_coverage(layout, columns, target_length)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("window, stride, columns", [(17, 3, 13), (40, 1, 3961), (5, 7, 1)])
+    def test_an_undersized_target_raises_before_any_block_is_formed(self, window, stride, columns):
+        def block_of(j0, j1):
+            raise AssertionError(f"block {j0}:{j1} formed before the target length was checked")
+
+        end = (columns - 1) * stride + window
+        raise_exactly(LayoutError, lambda: signal._unembed(block_of, EmbedLayout.hankel(window, stride),
+                                                           (window, columns), end - 1),
+                      match=f"windows extend to {end} but target_length is {end - 1}$")
+
     def test_peaks_stay_near_the_trajectory_matrix(self):
         # 40 000 samples, L = 200: the trajectory matrix is 60.7 MiB.
         x = np.random.default_rng(3).standard_normal(40_000)
