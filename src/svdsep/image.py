@@ -173,10 +173,10 @@ class WindowConfig:
                 raise ConfigError(f"order must be a positive integer or 'auto', got {self.order!r}")
         elif self.order < 1:
             raise ConfigError(f"order must be >= 1, got {self.order}")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ConfigError(f"delta must be nonnegative, got {self.delta}")
-        if self.epsilon_guard <= 0:
-            raise ConfigError(f"epsilon_guard must be positive, got {self.epsilon_guard}")
+        if not 0 < self.epsilon_guard < np.inf:
+            raise ConfigError(f"epsilon_guard must be finite and positive, got {self.epsilon_guard}")
         lo = self.density_range[0]
         hi = self.density_range[1]
         if lo < 1 or (hi is not None and hi < lo):
@@ -285,8 +285,8 @@ def singular_smoothness(d, n: int = 1, epsilon_guard: float = 1e-6) -> float:
     A zero fragment has no energy at any order and maps to 0.
     """
     arr = check_matrix(d, "D")
-    if epsilon_guard <= 0:
-        raise InvalidInputError(f"epsilon_guard must be positive, got {epsilon_guard}")
+    if not 0 < epsilon_guard < np.inf:
+        raise InvalidInputError(f"epsilon_guard must be finite and positive, got {epsilon_guard}")
     if n < 1:
         raise OrderError(f"order must be >= 1, got {n}")
     if n + 1 > min(arr.shape):
@@ -304,7 +304,7 @@ def select_order(spectrum: SpectrumResult, delta: float) -> int:
     relative to sigma_1, so the order picked can change when the fragment
     is rescaled.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise InvalidInputError(f"delta must be nonnegative, got {delta}")
     r = spectrum.numerical_rank
     if r < 2:
@@ -356,6 +356,8 @@ def threshold_map(smap: SmoothnessMap, theta: float, polarity: str = "above") ->
     ``polarity='above'`` flags values >= theta, ``'below'`` flags <= theta.
     The mask is the comparison's own bool array, viewed as uint8 0/1.
     """
+    if np.isnan(theta):
+        raise ConfigError("threshold must be a number, got nan")
     if polarity == "above":
         return (smap.grid >= theta).view(np.uint8)
     if polarity == "below":

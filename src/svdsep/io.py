@@ -219,8 +219,14 @@ def _read_csv_lines(path, header):
 
 
 def write_pgm(path, gray_u8, binary: bool = True) -> None:
-    """Write an 8-bit grayscale array as PGM (P5 binary or P2 ascii)."""
-    arr = np.ascontiguousarray(np.asarray(gray_u8, dtype=np.uint8))
+    """Write a 2-D array of integers in [0, 255] as an 8-bit PGM (P5 binary or P2 ascii)."""
+    arr = np.asarray(gray_u8)
+    if arr.ndim != 2:
+        raise ShapeError(f"{path}: a PGM image must be 2-D, got ndim={arr.ndim}")
+    if arr.dtype != np.uint8 and not (np.all((arr >= 0) & (arr <= 255))
+                                      and np.array_equal(arr.astype(np.uint8), arr)):
+        raise InvalidInputError(f"{path}: PGM samples must be integers in [0, 255]")
+    arr = np.ascontiguousarray(arr, dtype=np.uint8)
     h, w = arr.shape
     if binary:
         with open(path, "wb") as fh:

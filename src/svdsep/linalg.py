@@ -218,8 +218,8 @@ def _tolerance(rank_tolerance: float | None, shape: tuple[int, int]) -> float:
     """The relative rank tolerance to apply: ``max(m, n) * eps`` unless given."""
     if rank_tolerance is None:
         return max(shape) * _EPS
-    if rank_tolerance < 0:
-        raise InvalidInputError(f"rank_tolerance must be nonnegative, got {rank_tolerance}")
+    if not 0 <= rank_tolerance < np.inf:
+        raise InvalidInputError(f"rank_tolerance must be finite and nonnegative, got {rank_tolerance}")
     return float(rank_tolerance)
 
 

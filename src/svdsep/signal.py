@@ -173,8 +173,7 @@ def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
     """Invert :func:`embed`; overlapping hankel windows are combined by
     diagonal averaging (each sample is the mean of every window entry
     covering it). Positions no window covers are zero."""
-    m = check_matrix(matrix, "matrix")
-    return ChannelSet(_unembed(lambda j0, j1: m[:, j0:j1], layout, m.shape, target_length))
+    return ChannelSet(_unembed(check_matrix(matrix, "matrix"), layout, target_length))
 
 
 def hankel_spectrum(signals: ChannelSet, layout: EmbedLayout,
@@ -199,9 +198,9 @@ def _hankel_coverage(layout: EmbedLayout, columns: int, target_length: int) -> n
     return np.maximum(last - first + 1, 0)
 
 
-def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_length: int) -> np.ndarray:
-    """The (samples, channels) array :func:`unembed` gives for a ``shape``
-    matrix whose columns ``j0:j1`` are ``block_of(j0, j1)``.
+def _unembed(matrix, layout: EmbedLayout, target_length: int) -> np.ndarray:
+    """The (samples, channels) array :func:`unembed` gives for ``matrix``, an
+    array or a :class:`_Band`: only its ``shape`` and ``matrix[:, j0:j1]`` are read.
 
     Channel-columns takes one block of every column and places each column
     at its offset. A Hankel matrix is diagonal-averaged in the column blocks
@@ -210,7 +209,7 @@ def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_lengt
     Blocks run from the last window back to the first: a sample's entries
     then arrive in row order, the order a whole-matrix pass adds them in.
     """
-    rows, columns = shape
+    rows, columns = matrix.shape
     n, stride = layout.window_length, layout.stride
     if rows != n:
         raise LayoutError(f"matrix has {rows} rows but layout window_length is {n}")
@@ -221,7 +220,7 @@ def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_lengt
         for j, off in enumerate(offsets):
             if off + n > target_length:
                 raise LayoutError(f"column {j} at offset {off} does not fit in {target_length} samples")
-        block = block_of(0, columns)  # before the output: a band's temporaries are freed by then
+        block = matrix[:, :]  # before the output: a band's temporaries are freed by then
         out = np.zeros((target_length, columns))
         for j, off in enumerate(offsets):
             out[off : off + n, j] = block[:, j]
@@ -233,7 +232,7 @@ def _unembed(block_of, layout: EmbedLayout, shape: tuple[int, int], target_lengt
     step = _stream_step(n)
     for j0 in range((columns - 1) // step * step, -1, -step):
         j1 = min(j0 + step, columns)
-        block = block_of(j0, j1)
+        block = matrix[:, j0:j1]
         for i in range(n):
             acc[i + j0 * stride : i + (j1 - 1) * stride + 1 : stride] += block[i]
         del block  # free it before the next block is formed
@@ -292,8 +291,8 @@ def singular_energies(gaps) -> tuple[np.ndarray, float]:
     :class:`DegenerateSpectrumError` when every gap is zero (gamma = 0).
     """
     g = np.asarray(gaps, dtype=np.float64).reshape(-1)
-    if g.size == 0 or np.any(g < 0):
-        raise InvalidInputError("gaps must be a non-empty nonnegative sequence")
+    if g.size == 0 or not np.all((g >= 0) & (g < np.inf)):
+        raise InvalidInputError("gaps must be a non-empty finite nonnegative sequence")
     gamma = float(np.sum(g))
     if gamma <= 0.0:
         raise DegenerateSpectrumError("all energy gaps are zero; entropy chain undefined")
@@ -323,8 +322,8 @@ def egv_profile(values, simplified: bool = False) -> EgvProfile:
     where the true value is not representable.
     """
     v = np.asarray(values, dtype=np.float64).reshape(-1)
-    if v.size < 1:
-        raise InvalidInputError("need at least one value")
+    if v.size < 1 or not np.all(np.isfinite(v)):
+        raise InvalidInputError("values must be a non-empty finite sequence")
     scale = 1.0 if simplified else 2.0
     u, e = _shifted(v)
     gaps = scale * np.concatenate([u[1:], [0.0]]) ** 2
@@ -353,8 +352,8 @@ def cutoff_from_values(values, method: str = "svd-egv") -> CutoffResult:
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     if v.size < 2:
         raise InsufficientRankError(f"need at least 2 values for a cutoff, got {v.size}")
-    if np.any(v < 0) or np.any(np.diff(v) > 0):
-        raise InvalidInputError("values must be nonnegative and non-increasing")
+    if not np.all(np.isfinite(v)) or np.any(v < 0) or np.any(np.diff(v) > 0):
+        raise InvalidInputError("values must be finite, nonnegative and non-increasing")
     profile = egv_profile(v)
     m = int(np.argmax(profile.variations)) + 1
     return CutoffResult(m=m, f=None, peak_values=(float(profile.variations[m - 1]),),
@@ -443,8 +442,7 @@ def separate(factors: SpectrumResult | StreamedSpectrum | GsvdResult,
     A generalized decomposition has no rank-one triples: each band keeps
     the columns of U and X inside its range and reconstructs U C_band X^T.
     """
-    n = factors.shape[1]
-    return tuple(_band_columns(factors, lo, hi)(0, n) for lo, hi in _band_ranges(factors, cut))
+    return tuple(_Band(factors, lo, hi)[:, :] for lo, hi in _band_ranges(factors, cut))
 
 
 def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult,
@@ -466,9 +464,10 @@ def _band_tables(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
 
     Where a band's matrix is its signals (a channel-columns layout of
     ``target_length``-sample windows, all at offset 0) and the factors have
-    a right basis, the table is a :class:`_BandRows`: it forms only the rows
-    it is sliced for, so no band-sized array is held. Every other table is
-    the array :func:`_unembed` forms.
+    a right basis, the table is the band's :class:`_Band`: it forms only the
+    rows it is sliced for, so no band-sized array is held. Every other table
+    is the array :func:`_unembed` forms from the band's column blocks; a
+    streamed band is one, as each block of its rows would re-read all of X^T.
     """
     rows, columns = factors.shape
     offsets = layout.source_offsets
@@ -476,49 +475,38 @@ def _band_tables(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
              and rows == layout.window_length == target_length
              and (offsets is None or (len(offsets) == columns and not any(offsets))))
     for lo, hi in _band_ranges(factors, cut):
-        if whole:
-            yield _BandRows(*_factors(factors), lo, hi)
-        else:
-            yield _unembed(_band_columns(factors, lo, hi), layout, factors.shape, target_length)
+        band = _Band(factors, lo, hi)
+        yield band if whole else _unembed(band, layout, target_length)
 
 
 @dataclass(frozen=True)
-class _BandRows:
-    """The band ``[lo, hi)`` of ``U diag(w) X^T``, formed a slice of rows at a time."""
+class _Band:
+    """The band ``[lo, hi)`` of ``factors`` as a matrix that forms only the
+    entries it is sliced for: ``band[rows]`` or ``band[rows, cols]``, slices.
 
-    u: np.ndarray
-    w: np.ndarray
-    x: np.ndarray
+    A band is ``U[:, b] diag(w[b]) X[:, b]^T``. A band of a left-orthonormal
+    factor is the projection ``U_b U_b^T X`` of the matrix it came from, so a
+    streamed spectrum needs no right basis: its columns are projected from a
+    contiguous copy of their rows of X^T.
+    """
+
+    factors: SpectrumResult | StreamedSpectrum | GsvdResult
     lo: int
     hi: int
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.u.shape[0], self.x.shape[0])
+        return self.factors.shape
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return _band(self.u[rows], self.w, self.x, self.lo, self.hi)
-
-
-def _factors(factors: SpectrumResult | GsvdResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``(U, w, X)`` of a factorization whose bands are ``U[:, b] diag(w[b]) X[:, b]^T``."""
-    if isinstance(factors, GsvdResult):
-        return factors.u_basis, factors.alpha, factors.x_factor
-    return factors.left_basis, factors.singular_values, factors.right_basis
-
-
-def _band_columns(factors: SpectrumResult | StreamedSpectrum | GsvdResult, lo: int, hi: int):
-    """``(j0, j1) -> columns j0:j1`` of the band ``[lo, hi)`` of ``factors``.
-
-    A band of a left-orthonormal factor is the projection ``U_b U_b^T X`` of
-    the matrix it came from, so a streamed spectrum needs no right basis:
-    each block is projected from a contiguous copy of its rows of X^T.
-    """
-    if isinstance(factors, StreamedSpectrum):
-        u_b, xt = factors.left_basis[:, lo:hi], factors.transposed
-        return lambda j0, j1: u_b @ (np.ascontiguousarray(xt[j0:j1]) @ u_b).T
-    u, w, x = _factors(factors)
-    return lambda j0, j1: _band(u, w, x[j0:j1], lo, hi)
+    def __getitem__(self, index) -> np.ndarray:
+        rows, cols = index if isinstance(index, tuple) else (index, slice(None))
+        f = self.factors
+        if isinstance(f, StreamedSpectrum):
+            u_b = f.left_basis[:, self.lo : self.hi]
+            return u_b[rows] @ (np.ascontiguousarray(f.transposed[cols]) @ u_b).T
+        if isinstance(f, GsvdResult):
+            return _band(f.u_basis[rows], f.alpha, f.x_factor[cols], self.lo, self.hi)
+        return _band(f.left_basis[rows], f.singular_values, f.right_basis[cols], self.lo, self.hi)
 
 
 def _band_ranges(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult):

@@ -462,6 +462,11 @@ class TestScan:
         assert np.all(mask[:, :2] == 255)  # smooth half flagged
         assert np.all(mask[:, 2:] == 0)
 
+    def test_nan_threshold_fails(self, tmp_path, texture_pgm, capsys):
+        assert run("scan", texture_pgm, "--window-size", 5, "--threshold", "nan",
+                   "--output-prefix", tmp_path / "x") == 1
+        assert "ConfigError: threshold must be a number, got nan" in capsys.readouterr().err
+
     def test_window_larger_than_image_fails(self, tmp_path, texture_pgm):
         assert run("scan", texture_pgm, "--window-size", 50,
                    "--output-prefix", tmp_path / "x") == 1

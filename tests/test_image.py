@@ -413,7 +413,19 @@ class TestScanParity:
     pytest.param(lambda: WindowConfig(5, order="best"), ConfigError, id="order-name"),
     pytest.param(lambda: WindowConfig(5, order=0), ConfigError, id="order"),
     pytest.param(lambda: WindowConfig(5, delta=-1e-9), ConfigError, id="delta"),
+    pytest.param(lambda: WindowConfig(5, delta=math.nan), ConfigError, id="delta-nan"),
     pytest.param(lambda: WindowConfig(5, epsilon_guard=0.0), ConfigError, id="guard"),
+    pytest.param(lambda: WindowConfig(5, epsilon_guard=math.nan), ConfigError, id="guard-nan"),
+    pytest.param(lambda: WindowConfig(5, epsilon_guard=math.inf), ConfigError, id="guard-inf"),
+    pytest.param(lambda: image.singular_smoothness(np.eye(3), 1, math.nan), InvalidInputError,
+                 id="smoothness-guard-nan"),
+    pytest.param(lambda: image.singular_smoothness(np.eye(3), 1, math.inf), InvalidInputError,
+                 id="smoothness-guard-inf"),
+    pytest.param(lambda: image.select_order(linalg.svd(np.diag([3.0, 2.0, 1.0])), math.nan), InvalidInputError,
+                 id="select-order-delta-nan"),
+    pytest.param(lambda: image.threshold_map(image.SmoothnessMap(
+        grid=np.ones((2, 2)), config=WindowConfig(2), metric=image.METRIC_SMOOTHNESS, decompositions=4), math.nan),
+                 ConfigError, id="threshold-nan"),
     pytest.param(lambda: WindowConfig(5, density_range=(0, None)), ConfigError, id="density-low"),
     pytest.param(lambda: WindowConfig(5, density_range=(3, 2)), ConfigError, id="density-high"),
     pytest.param(lambda: image.singular_smoothness(np.eye(3), n=0), OrderError, id="smoothness-order"),

@@ -641,6 +641,29 @@ class TestLoadGrayImage:
         assert img.pixels.tobytes() == (arr / 15.0).tobytes()
         assert img.to_uint8().tobytes() == (arr * 17).tobytes()
 
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_integer_samples_of_any_dtype_are_written(self, tmp_path, binary):
+        arr = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        fio.write_pgm(tmp_path / "u8.pgm", arr, binary=binary)
+        for dtype in (np.int64, np.float64, np.uint16):
+            fio.write_pgm(tmp_path / "other.pgm", arr.astype(dtype), binary=binary)
+            assert (tmp_path / "other.pgm").read_bytes() == (tmp_path / "u8.pgm").read_bytes()
+
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize("value", [300, -1, 0.5, 255.5, np.nan, np.inf])
+    def test_samples_that_are_not_bytes_raise(self, tmp_path, binary, value):
+        arr = np.zeros((2, 3), dtype=np.asarray(value).dtype)
+        arr[1, 2] = value
+        raise_exactly(InvalidInputError, lambda: fio.write_pgm(tmp_path / "x.pgm", arr, binary=binary),
+                      match=r"must be integers in \[0, 255\]$")
+        assert not (tmp_path / "x.pgm").exists()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_non_2d_raises(self, tmp_path, shape):
+        raise_exactly(ShapeError, lambda: fio.write_pgm(tmp_path / "x.pgm", np.zeros(shape, dtype=np.uint8)),
+                      match="must be 2-D")
+        assert not (tmp_path / "x.pgm").exists()
+
     def test_closes_the_file(self, tmp_path):
         path = tmp_path / "img.pgm"
         fio.write_pgm(path, np.zeros((4, 4), dtype=np.uint8))

@@ -76,6 +76,12 @@ class TestSvd:
         with pytest.raises(InvalidInputError):
             linalg.svd(np.eye(2), rank_tolerance=-1.0)
 
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf])
+    def test_rejects_non_finite_tolerance(self, tolerance):
+        for decompose in (linalg.svd, lambda a, rank_tolerance: linalg.streamed_svd(a.T, rank_tolerance)):
+            raise_exactly(InvalidInputError, lambda: decompose(np.eye(2), rank_tolerance=tolerance),
+                          match="rank_tolerance must be finite and nonnegative")
+
     def test_rejects_1d(self):
         with pytest.raises(ShapeError):
             linalg.svd(np.ones(3))

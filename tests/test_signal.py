@@ -186,12 +186,15 @@ class TestHankelStrided:
 
     @pytest.mark.parametrize("window, stride, columns", [(17, 3, 13), (40, 1, 3961), (5, 7, 1)])
     def test_an_undersized_target_raises_before_any_block_is_formed(self, window, stride, columns):
-        def block_of(j0, j1):
-            raise AssertionError(f"block {j0}:{j1} formed before the target length was checked")
+        class Unsliceable:
+            shape = (window, columns)
+
+            def __getitem__(self, index):
+                raise AssertionError(f"block {index} formed before the target length was checked")
 
         end = (columns - 1) * stride + window
-        raise_exactly(LayoutError, lambda: signal._unembed(block_of, EmbedLayout.hankel(window, stride),
-                                                           (window, columns), end - 1),
+        raise_exactly(LayoutError, lambda: signal._unembed(Unsliceable(), EmbedLayout.hankel(window, stride),
+                                                           end - 1),
                       match=f"windows extend to {end} but target_length is {end - 1}$")
 
     def test_peaks_stay_near_the_trajectory_matrix(self):
@@ -798,6 +801,45 @@ class TestGsvdSeparate:
                 signal.separate(g, cut)
 
 
+class TestBand:
+    """A _Band's row and column blocks are the matching slices of separate's part."""
+
+    @staticmethod
+    def factors(kind):
+        rng = np.random.default_rng(31)
+        if kind == "svd-tall":
+            return linalg.svd(rng.standard_normal((300, 12)))
+        if kind == "svd-wide":
+            return linalg.svd(rng.standard_normal((12, 300)))
+        if kind == "streamed":  # 20 x 381: its column blocks are 160 windows
+            return signal.hankel_spectrum(ChannelSet(rng.standard_normal((400, 1))), EmbedLayout.hankel(20))
+        return linalg.gsvd(rng.standard_normal((300, 12)), rng.standard_normal((40, 12)))
+
+    @pytest.mark.parametrize("kind", ["svd-tall", "svd-wide", "streamed", "gsvd"])
+    def test_blocks_are_slices_of_the_part(self, kind):
+        factors = self.factors(kind)
+        cut = signal.CutoffResult(m=3, f=7, peak_values=(0.0, 0.0), method="svd-egv")
+        # A tall band's blocks of two or more rows and columns are its part's
+        # bytes, so its row-block writes are too. A one-row or one-column block
+        # is a matrix-vector product, and a wide band's blocks take other gemm
+        # paths: those round on their own, by at most a few ulps of the part.
+        exact = kind in ("svd-tall", "gsvd")
+        for (lo, hi), part in zip(signal._band_ranges(factors, cut), signal.separate(factors, cut), strict=True):
+            band = signal._Band(factors, lo, hi)
+            rows, cols = band.shape
+            assert part.shape == band.shape
+            blocks = [np.s_[r0:r1] for r0, r1 in ((0, 1), (0, rows), (5, 6), (2, 9), (rows - 3, rows + 5))]
+            for c0, c1 in ((0, 1), (0, cols), (4, 5), (1, 8), (cols - 1, cols), (cols - 7, cols + 2)):
+                blocks += [np.s_[:, c0:c1], np.s_[1:4, c0:c1], np.s_[rows - 2 : rows, c0:c1]]
+            for index in blocks:
+                got, want = band[index], part[index]
+                assert got.shape == want.shape
+                if exact and min(want.shape) > 1:
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(part))
+
+
 class TestLongRecordingMemory:
     """A 40 000 x 8 recording separates with memory a small multiple of the input."""
 
@@ -850,6 +892,13 @@ class TestLongRecordingMemory:
     pytest.param(lambda: signal.egv_profile([]), InvalidInputError, id="no-values"),
     pytest.param(lambda: signal.cutoff_from_values([1.0]), InsufficientRankError, id="one-value"),
     pytest.param(lambda: signal.cutoff_from_values([1.0, 2.0]), InvalidInputError, id="increasing"),
+    pytest.param(lambda: signal.cutoff_from_values([3.0, np.nan, 1.0, 0.5]), InvalidInputError, id="nan-value"),
+    pytest.param(lambda: signal.cutoff_from_values([np.inf, 2.0, 1.0]), InvalidInputError, id="inf-value"),
+    pytest.param(lambda: signal.cutoff_from_values([np.inf, np.inf, 1.0]), InvalidInputError, id="inf-values"),
+    pytest.param(lambda: signal.singular_energies([1.0, np.nan]), InvalidInputError, id="nan-gap"),
+    pytest.param(lambda: signal.singular_energies([1.0, np.inf]), InvalidInputError, id="inf-gap"),
+    pytest.param(lambda: signal.egv_profile([2.0, np.nan, 1.0]), InvalidInputError, id="profile-nan"),
+    pytest.param(lambda: signal.egv_profile([np.inf, 1.0]), InvalidInputError, id="profile-inf"),
     pytest.param(lambda: with_failing_lapack("qr", lambda: signal.hankel_spectrum(
         ChannelSet(np.arange(50.0)[:, None]), EmbedLayout.hankel(4))), ConvergenceError, id="hankel-qr"),
 ])
