@@ -20,7 +20,7 @@ import numpy as np
 from . import io as fio
 from . import linalg, signal
 from .errors import ParseError, SvdsepError
-from .image import METRIC_DENSITY, METRIC_SMOOTHNESS, WindowConfig, sliding_scan, threshold_map
+from .image import METRIC_DENSITY, METRIC_SMOOTHNESS, WindowConfig, _check_threshold, sliding_scan, threshold_map
 from .synth import TAG_CODES, MixtureSpec, Region, TextureSpec, gen_mixture, gen_texture
 
 SCHEMA_VERSION = 1
@@ -182,6 +182,8 @@ def cmd_separate(args) -> RunReport:
 
 
 def cmd_scan(args) -> RunReport:
+    if args.threshold is not None:
+        _check_threshold(args.threshold)  # before the scan writes its map files
     # No local keeps the image: it is freed before the outputs are written.
     smap = sliding_scan(
         fio.load_gray_image(args.input),

@@ -151,9 +151,8 @@ class WindowConfig:
     ``delta`` is absolute, so an "auto" map is not scale-invariant: scaling
     the image can change the order picked and so the values.
     ``epsilon_guard`` floors near-zero denominators at guard^2 sigma_1^2 so
-    degenerate (e.g. constant) windows stay finite. ``density_range`` is
-    the 1-based inclusive index range of the density metric; an upper
-    bound of None means the full numerical rank of each window.
+    degenerate (e.g. constant) windows stay finite. The density metric
+    sums over each window's full numerical rank.
     """
 
     window_size: int
@@ -161,7 +160,6 @@ class WindowConfig:
     order: int | str = 1
     delta: float = 0.0
     epsilon_guard: float = 1e-6
-    density_range: tuple[int, int | None] = (1, None)
 
     def __post_init__(self):
         if self.window_size < 2:
@@ -177,10 +175,6 @@ class WindowConfig:
             raise ConfigError(f"delta must be nonnegative, got {self.delta}")
         if not 0 < self.epsilon_guard < np.inf:
             raise ConfigError(f"epsilon_guard must be finite and positive, got {self.epsilon_guard}")
-        lo = self.density_range[0]
-        hi = self.density_range[1]
-        if lo < 1 or (hi is not None and hi < lo):
-            raise ConfigError(f"invalid density_range {self.density_range}")
 
 
 @dataclass(frozen=True)
@@ -212,13 +206,12 @@ def _run_sum(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.where(keep.all(axis=-1), np.sum(x, axis=-1), np.cumsum(x, axis=-1)[..., -1])
 
 
-def _density(values: np.ndarray, lo: int, hi: int | None, rank) -> np.ndarray:
-    """Root energy over the 1-based range lo..min(hi, rank); 0 when it is empty."""
-    top = np.asarray(rank if hi is None else np.minimum(hi, rank))
+def _density(values: np.ndarray, lo: int, hi) -> np.ndarray:
+    """Root energy over the 1-based range lo..hi (an int, or one per spectrum); 0 when it is empty."""
     k = np.arange(1, values.shape[-1] + 1)
     sq, e = _shifted(values)
     sq *= sq
-    return np.ldexp(np.sqrt(_run_sum(sq, (k >= lo) & (k <= top[..., None]))), e[..., 0])
+    return np.ldexp(np.sqrt(_run_sum(sq, (k >= lo) & (k <= np.asarray(hi)[..., None]))), e[..., 0])
 
 
 def _auto_order(values: np.ndarray, rank, delta: float) -> np.ndarray:
@@ -253,8 +246,7 @@ def _metric(values: np.ndarray, cfg: WindowConfig, metric: str) -> np.ndarray:
     is ``linalg.svd``'s default.
     """
     if metric == METRIC_DENSITY:
-        lo, hi = cfg.density_range
-        return _density(values, lo, hi, _rank(values, _tolerance(None, values.shape[-1:])))
+        return _density(values, 1, _rank(values, _tolerance(None, values.shape[-1:])))
     n = cfg.order
     if n == "auto":
         n = _auto_order(values, _rank(values, _tolerance(None, values.shape[-1:])), cfg.delta)
@@ -273,7 +265,7 @@ def information_density(d, lo: int = 1, hi: int | None = None) -> float:
     if hi is None:
         hi = rank
     check_index_range(lo, hi, rank, "density range")
-    return float(_density(values, lo, hi, rank))
+    return float(_density(values, lo, hi))
 
 
 def singular_smoothness(d, n: int = 1, epsilon_guard: float = 1e-6) -> float:
@@ -350,14 +342,19 @@ def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHN
     return SmoothnessMap(grid=grid, config=cfg, metric=metric, decompositions=rows * cols)
 
 
+def _check_threshold(theta: float) -> None:
+    """Raise :class:`ConfigError` for a threshold no value compares with."""
+    if np.isnan(theta):
+        raise ConfigError("threshold must be a number, got nan")
+
+
 def threshold_map(smap: SmoothnessMap, theta: float, polarity: str = "above") -> np.ndarray:
     """Binary mask of windows at or beyond ``theta``.
 
     ``polarity='above'`` flags values >= theta, ``'below'`` flags <= theta.
     The mask is the comparison's own bool array, viewed as uint8 0/1.
     """
-    if np.isnan(theta):
-        raise ConfigError("threshold must be a number, got nan")
+    _check_threshold(theta)
     if polarity == "above":
         return (smap.grid >= theta).view(np.uint8)
     if polarity == "below":

@@ -39,8 +39,8 @@ __all__ = [
 _FLOAT_FMT = "%.17g"
 
 
-def write_channels_csv(path, channels, header: bool = True, labels=None) -> None:
-    """One column per channel, comma separated, optional label header row.
+def write_channels_csv(path, channels, labels=None) -> None:
+    """One column per channel, comma separated, under a header row of labels.
 
     ``channels`` is a :class:`ChannelSet`, whose labels are written unless
     ``labels`` is given, or any (samples, channels) table with ``.shape`` and
@@ -59,9 +59,8 @@ def write_channels_csv(path, channels, header: bool = True, labels=None) -> None
     if labels is not None and len(labels) != width:
         raise ShapeError(f"got {len(labels)} labels for {width} channels")
     labels = tuple(labels or (f"ch{j}" for j in range(width)))
-    if header:
-        _check_labels(labels)
-    _write_rows(path, channels, _FLOAT_FMT, ",", ",".join(labels) if header else None)
+    _check_labels(labels)
+    _write_rows(path, channels, _FLOAT_FMT, ",", ",".join(labels))
 
 
 def _check_labels(labels) -> None:

@@ -154,7 +154,8 @@ class GsvdResult:
     occupy the representable diagonal of S even when B has fewer rows than
     columns. ``balanced_values`` is the derived sequence alpha/beta sorted
     non-increasing, with ``inf`` marking directions where beta vanishes (A
-    dominates B completely); those sort first. The cutoff reads these.
+    dominates B completely); those sort first. Tied values that round out of
+    order are clamped to the least value before them. The cutoff reads these.
     ``generalized_values`` are those of the caller's (A, B), ``2^k`` times
     the balanced ones: inf or 0 only where the true value is not
     representable. Only the columns of U and V paired with a diagonal entry
@@ -429,7 +430,7 @@ def _gsvd_stacked(stack: np.ndarray, m: int) -> GsvdResult:
         x_factor=x,
         alpha=alpha,
         beta=beta,
-        balanced_values=values[::-1].copy(),
+        balanced_values=np.minimum.accumulate(values[::-1]),
         b_shift=shift,
     )
 

@@ -49,7 +49,6 @@ __all__ = [
     "cutoff_from_gsvd",
     "cutoff",
     "separate",
-    "gsvd_separate",
     "band_signals",
     "hankel_spectrum",
 ]
@@ -306,8 +305,6 @@ def singular_energies(gaps) -> tuple[np.ndarray, float]:
 def egv(singular_energies_seq) -> np.ndarray:
     """Variations V_k = SE_k - SE_{k-1} with SE_0 = 0, for k = 1..r-1."""
     se = np.asarray(singular_energies_seq, dtype=np.float64).reshape(-1)
-    if se.size < 2:
-        return np.zeros(max(se.size - 1, 0))
     return np.diff(se, prepend=0.0)[: se.size - 1]
 
 
@@ -500,6 +497,11 @@ class _Band:
 
     def __getitem__(self, index) -> np.ndarray:
         rows, cols = index if isinstance(index, tuple) else (index, slice(None))
+        start, stop, step = rows.indices(self.shape[0])
+        if len(range(start, stop, step)) == 1 and self.shape[0] >= 2:
+            # a one-row product would be a matrix-vector product, which rounds differently
+            first = min(start, self.shape[0] - 2)
+            return self[first : first + 2, cols][start - first : start - first + 1]
         f = self.factors
         if isinstance(f, StreamedSpectrum):
             u_b = f.left_basis[:, self.lo : self.hi]

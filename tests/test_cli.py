@@ -1,5 +1,9 @@
 import contextlib
+import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +11,7 @@ import pytest
 from conftest import encode_png_gray8, lapack_fails, raise_exactly, short_ihdr_png, traced_peak
 
 from svdsep import io as fio
-from svdsep import linalg, signal
+from svdsep import cli, linalg, signal
 from svdsep.cli import main
 from svdsep.errors import InvalidInputError
 from svdsep.estimators import SubspaceSeparator
@@ -65,6 +69,20 @@ class TestSeparate:
         report = read_json(f"{prefix}_report.json")
         assert report["results"]["cutoff"]["method"] == "gsvd-egv"
         assert "generalized_values" in report["results"]
+
+    @pytest.mark.parametrize("pairing", ["same", "seven-leads-shared", "tripled"])
+    def test_gsvd_of_tied_values(self, tmp_path, mixture_csv, pairing):
+        # alpha/beta of these pairs tie, and rounding leaves them out of order unless clamped
+        a = fio.read_channels_csv(mixture_csv)
+        b = {"same": a.data, "tripled": 3.0 * a.data}.get(pairing)
+        if b is None:
+            b = a.data.copy()
+            b[:, 7] = gen_mixture(MixtureSpec(400, 8, 2, 2, 40, seed=2))[0].data[:, 7]
+        fio.write_channels_csv(tmp_path / "b.csv", ChannelSet(b, labels=a.labels))
+        assert run("separate", mixture_csv, "--method", "gsvd", "--second", tmp_path / "b.csv",
+                   "--output-prefix", tmp_path / "g") == 0
+        parts = [fio.read_channels_csv(tmp_path / f"g_{name}.csv").data for name in ("dominant", "weak", "noise")]
+        assert np.allclose(sum(parts), a.data, atol=1e-8)
 
     def test_gsvd_stacked_route_equals_the_public_gsvd(self, tmp_path, mixture_csv, monkeypatch):
         run("synth", "mixture", "--seed", 2, "--output-prefix", tmp_path / "ref")
@@ -385,23 +403,36 @@ class TestStreamedBands:
         second = cls.mixture(len(data), 2).data
         return linalg.gsvd(a, embed(ChannelSet(second), EmbedLayout.channel_columns(len(data))))
 
+    @classmethod
+    def assert_parts_are_separates(cls, tmp_path, samples, method, labels=None):
+        """The CLI's part files hold the bytes of ``separate``'s parts."""
+        data = cls.mixture(samples, 1).data
+        path = tmp_path / "in.csv"
+        if labels is None:
+            np.savetxt(path, data, fmt="%.17g", delimiter=",")
+        else:
+            fio.write_channels_csv(path, ChannelSet(data, labels=labels))
+        second = []
+        if method == "gsvd":
+            second = ["--second", tmp_path / "ref.csv"]
+            fio.write_channels_csv(second[1], cls.mixture(samples, 2))
+        assert run("separate", path, "--method", method, *second, "--output-prefix", tmp_path / "sep") == 0
+        decomp = cls.factors(data, method)
+        for name, part in zip(cls.PARTS, signal.separate(decomp, signal.cutoff(decomp))):
+            fio.write_channels_csv(tmp_path / "ref_part.csv", ChannelSet(part, labels=labels))
+            assert (tmp_path / f"sep_{name}.csv").read_bytes() == (tmp_path / "ref_part.csv").read_bytes()
+
     @pytest.mark.parametrize("method", ["svd", "gsvd"])
     @pytest.mark.parametrize("labels", [tuple(f"lead{j}" for j in range(8)), None], ids=["labelled", "unlabelled"])
     def test_parts_are_the_written_band_signals(self, tmp_path, method, labels):
         # 1000 rows of 8 channels: seven whole 128-row blocks of the writer and a partial one
-        data = self.mixture(1000, 1).data
-        path = tmp_path / "in.csv"
-        fio.write_channels_csv(path, ChannelSet(data, labels=labels), header=labels is not None)
-        second = []
-        if method == "gsvd":
-            second = ["--second", tmp_path / "ref.csv"]
-            fio.write_channels_csv(second[1], self.mixture(1000, 2))
-        assert run("separate", path, "--method", method, *second, "--output-prefix", tmp_path / "sep") == 0
-        decomp = self.factors(data, method)
-        bands = signal.band_signals(decomp, signal.cutoff(decomp), EmbedLayout.channel_columns(1000), 1000)
-        for name, band in zip(self.PARTS, bands):
-            fio.write_channels_csv(tmp_path / "ref_part.csv", ChannelSet(band.data, labels=labels))
-            assert (tmp_path / f"sep_{name}.csv").read_bytes() == (tmp_path / "ref_part.csv").read_bytes()
+        self.assert_parts_are_separates(tmp_path, 1000, method, labels)
+
+    @pytest.mark.parametrize("method", ["svd", "gsvd"])
+    @pytest.mark.parametrize("samples", [129, 3969, 4097])
+    def test_a_one_row_last_block_is_separates_row(self, tmp_path, method, samples):
+        # one past a multiple of the writer's 128-row blocks: the last block is one row
+        self.assert_parts_are_separates(tmp_path, samples, method)
 
     @pytest.mark.parametrize("method", ["svd", "gsvd"])
     def test_band_writes_hold_no_band(self, tmp_path, method):
@@ -462,10 +493,15 @@ class TestScan:
         assert np.all(mask[:, :2] == 255)  # smooth half flagged
         assert np.all(mask[:, 2:] == 0)
 
-    def test_nan_threshold_fails(self, tmp_path, texture_pgm, capsys):
+    def test_nan_threshold_fails(self, tmp_path, texture_pgm, capsys, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the threshold is checked before the scan")
+
+        monkeypatch.setattr(cli, "sliding_scan", no_scan)
         assert run("scan", texture_pgm, "--window-size", 5, "--threshold", "nan",
                    "--output-prefix", tmp_path / "x") == 1
         assert "ConfigError: threshold must be a number, got nan" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x_*"))
 
     def test_window_larger_than_image_fails(self, tmp_path, texture_pgm):
         assert run("scan", texture_pgm, "--window-size", 50,
@@ -557,6 +593,33 @@ class TestSynth:
         prefix = tmp_path / "m"
         run("synth", "mixture", "--output-prefix", prefix)
         assert run("separate", f"{prefix}_signals.csv", "--output-prefix", tmp_path / "s") == 0
+
+
+class TestEntryPoint:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def module(self, tmp_path, *argv):
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        return subprocess.run([sys.executable, "-m", "svdsep.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_module_runs_a_command(self, tmp_path):
+        done = self.module(tmp_path, "synth", "mixture", "--samples", "40", "--output-prefix", "p")
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "p_signals.csv").is_file()
+        assert (tmp_path / "p_report.json").is_file()
+
+    def test_module_exits_2_on_an_unknown_flag(self, tmp_path):
+        done = self.module(tmp_path, "synth", "mixture", "--bogus", "--output-prefix", "p")
+        assert done.returncode == 2
+        assert "unrecognized arguments: --bogus" in done.stderr
+
+    def test_script_target_is_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(self.ROOT / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["svdsep"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is main
 
 
 def command_argv(tmp_path, command):

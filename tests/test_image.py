@@ -320,13 +320,7 @@ def _ref_select_order_from_values(values, rank, delta):
 def _ref_window_value(win, cfg, metric):
     values = np.linalg.svd(win, compute_uv=False)
     if metric == image.METRIC_DENSITY:
-        rank = _ref_rank_of(values)
-        lo, hi = cfg.density_range
-        if hi is None:
-            hi = rank
-        if rank == 0 or lo > rank:
-            return 0.0
-        return _ref_density_from_values(values, lo, min(hi, rank))
+        return _ref_density_from_values(values, 1, _ref_rank_of(values))
     if cfg.order == "auto":
         rank = _ref_rank_of(values)
         n = _ref_select_order_from_values(values, rank, cfg.delta) if rank >= 2 else 1
@@ -363,7 +357,9 @@ _PARITY_CASES = [
     for metric, extra in (
         [(image.METRIC_SMOOTHNESS, {"order": n}) for n in (1, 3) if n < w]
         + [(image.METRIC_SMOOTHNESS, {"order": "auto", "delta": d}) for d in (0.0, 0.02)]
-        + [(image.METRIC_DENSITY, {"density_range": r}) for r in ((1, None), (2, None), (3, 20))]
+        # the density map reads none of the smoothness options
+        + [(image.METRIC_DENSITY, extra)
+           for extra in ({}, {"order": "auto", "delta": 0.02}, {"epsilon_guard": 0.1})]
     )
 ]
 
@@ -426,8 +422,6 @@ class TestScanParity:
     pytest.param(lambda: image.threshold_map(image.SmoothnessMap(
         grid=np.ones((2, 2)), config=WindowConfig(2), metric=image.METRIC_SMOOTHNESS, decompositions=4), math.nan),
                  ConfigError, id="threshold-nan"),
-    pytest.param(lambda: WindowConfig(5, density_range=(0, None)), ConfigError, id="density-low"),
-    pytest.param(lambda: WindowConfig(5, density_range=(3, 2)), ConfigError, id="density-high"),
     pytest.param(lambda: image.singular_smoothness(np.eye(3), n=0), OrderError, id="smoothness-order"),
     # the order is checked before the SVD, which would raise ConvergenceError here
     pytest.param(lambda: with_failing_lapack("svd", lambda: image.singular_smoothness(np.eye(3), n=0)),

@@ -32,7 +32,7 @@ class TestChannelsCsv:
     def test_headerless_round_trip(self, tmp_path):
         cs = ChannelSet(np.arange(8.0).reshape(4, 2))
         path = tmp_path / "sig.csv"
-        fio.write_channels_csv(path, cs, header=False)
+        np.savetxt(path, cs.data, fmt="%.17g", delimiter=",")
         back = fio.read_channels_csv(path)
         assert back.labels is None
         assert np.array_equal(back.data, cs.data)
@@ -199,21 +199,21 @@ class TestCsvRoundTripProperty:
             ["nan", "-inf", "Infinity", "1", "1e5", "1_0", "x", "a,b", "a\rb", "a\nb", " a", "a\t", ""])
 
     @staticmethod
-    def round_trips_or_raises(tmp_path, channels, header):
+    def round_trips_or_raises(tmp_path, channels):
         """The writer raises exactly when the check-free reference writer's file
         does not read back as ``channels``; otherwise its file does."""
         path, plain = tmp_path / "sig.csv", tmp_path / "plain.csv"
         table = channels.data
-        _reference_channels_csv(plain, channels, header=header)
+        _reference_channels_csv(plain, channels)
         try:
             plain_back = fio.read_channels_csv(plain)
         except ParseError:
             plain_back = None
-        expected = (channels.labels or tuple(f"ch{j}" for j in range(table.shape[1]))) if header else None
+        expected = channels.labels or tuple(f"ch{j}" for j in range(table.shape[1]))
         if plain_back is None or plain_back.labels != expected or plain_back.data.tobytes() != table.tobytes():
-            raise_exactly(InvalidInputError, lambda: fio.write_channels_csv(path, channels, header=header))
+            raise_exactly(InvalidInputError, lambda: fio.write_channels_csv(path, channels))
             return
-        fio.write_channels_csv(path, channels, header=header)
+        fio.write_channels_csv(path, channels)
         back = fio.read_channels_csv(path)
         assert back.data.tobytes() == table.tobytes()
         assert back.labels == expected
@@ -221,18 +221,18 @@ class TestCsvRoundTripProperty:
     def test_channels(self, tmp_path):
         st = pytest.importorskip("hypothesis.strategies")
 
-        def round_trip(table, named, header, data):
+        def round_trip(table, named, data):
             labels = data.draw(st.tuples(*[self.words()] * table.shape[1])) if named else None
-            self.round_trips_or_raises(tmp_path, ChannelSet(table, labels=labels), header)
+            self.round_trips_or_raises(tmp_path, ChannelSet(table, labels=labels))
 
-        self.run(round_trip, table=self.tables(2), named=st.booleans(), header=st.booleans(), data=st.data())
+        self.run(round_trip, table=self.tables(2), named=st.booleans(), data=st.data())
 
     def test_labels(self, tmp_path):
         st = pytest.importorskip("hypothesis.strategies")
 
         def round_trip(labels):
             channels = ChannelSet(np.ones((2, len(labels))), labels=labels)
-            self.round_trips_or_raises(tmp_path, channels, header=True)
+            self.round_trips_or_raises(tmp_path, channels)
 
         self.run(round_trip, labels=st.lists(self.words(), min_size=1, max_size=3))
 
@@ -261,16 +261,13 @@ def test_labels_the_reader_cannot_give_back_are_rejected(tmp_path, labels, messa
     channels = ChannelSet(np.ones((3, len(labels))), labels=labels)
     raise_exactly(InvalidInputError, lambda: fio.write_channels_csv(path, channels), match=message)
     assert not path.exists()
-    fio.write_channels_csv(path, channels, header=False)  # no header, nothing to give back
-    assert fio.read_channels_csv(path).data.tobytes() == channels.data.tobytes()
 
 
 # The per-value writers the row writer replaced, kept as the byte-level reference.
-def _reference_channels_csv(path, channels, header=True):
+def _reference_channels_csv(path, channels):
     labels = channels.labels or tuple(f"ch{j}" for j in range(channels.n_channels))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header:
-            fh.write(",".join(labels) + "\n")
+        fh.write(",".join(labels) + "\n")
         for row in channels.data:
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 
@@ -299,11 +296,10 @@ class TestWriterParity:
         data[:, 0] = np.resize(self.EDGE, 30)
         return data
 
-    @pytest.mark.parametrize("header", [True, False])
-    def test_signal_csv(self, tmp_path, table, header):
+    def test_signal_csv(self, tmp_path, table):
         for cs in (ChannelSet(table), ChannelSet(table, labels=tuple("abcdef"))):
-            fio.write_channels_csv(tmp_path / "new.csv", cs, header=header)
-            _reference_channels_csv(tmp_path / "ref.csv", cs, header=header)
+            fio.write_channels_csv(tmp_path / "new.csv", cs)
+            _reference_channels_csv(tmp_path / "ref.csv", cs)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("shape", [(30, 6), (1, 6), (6,)])
@@ -350,7 +346,6 @@ class TestBlockWriter:
 
         labels = tuple(f"lead{j}" for j in range(width))
         same(lambda p: fio.write_channels_csv(p, table, labels=labels), "%.17g", ",", ",".join(labels))
-        same(lambda p: fio.write_channels_csv(p, table, header=False), "%.17g", ",")
         same(lambda p: fio.write_grid_csv(p, table), "%.17g", ",")
         pixels = rng.integers(0, 256, (rows, width), dtype=np.uint8)
         same(lambda p: fio.write_pgm(p, pixels, binary=False), "%d", " ", f"P2\n{width} {rows}\n255",

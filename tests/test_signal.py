@@ -479,6 +479,9 @@ class TestSingularEnergies:
 class TestEgv:
     def test_direct_differences(self):
         assert np.allclose(signal.egv([0.2, 0.5, 0.1]), [0.2, 0.3])
+        for short in ([], [0.4]):  # no variation before the second value
+            got = signal.egv(short)
+            assert got.shape == (0,) and got.dtype == np.float64
 
     def test_uniform_energies(self):
         assert np.allclose(signal.egv([0.3, 0.3, 0.3, 0.3]), [0.3, 0.0, 0.0])
@@ -661,6 +664,27 @@ class TestCutoff:
         finite = g.generalized_values[1:]
         assert cut.m == 1 + signal.cutoff_from_values(finite).m
 
+    @pytest.mark.parametrize("pairing", ["same", "seven-leads-shared", "tripled"])
+    def test_gsvd_of_tied_values_has_a_cutoff(self, pairing):
+        """Tied alpha/beta round out of order; the balanced values are clamped
+        non-increasing by at most rounding, so the cutoff can read them."""
+
+        def mixture(seed):
+            spec = synth.MixtureSpec(samples=400, channels=8, dominant_rank=2, weak_rank_span=2,
+                                     dominant_period=40, seed=seed)
+            return synth.gen_mixture(spec)[0].data
+
+        for seed in (1, 2, 3):
+            a = mixture(seed)
+            b = {"same": a, "tripled": 3.0 * a}.get(pairing)
+            if b is None:
+                b = a.copy()
+                b[:, 7] = mixture(seed + 1)[:, 7]
+            g = linalg.gsvd(a, b)
+            assert np.all(np.diff(g.balanced_values) <= 0.0)
+            np.testing.assert_allclose(g.balanced_values, (g.alpha / g.beta)[::-1], rtol=1e-15, atol=0.0)
+            assert 1 <= signal.cutoff(g).m < 8
+
     def test_boundaries_hold_at_every_scale(self):
         """(m, f) of c * A equal those of A for every c in [1e-300, 1e300],
         without a warning, although the squares of c * sigma under- or overflow."""
@@ -819,22 +843,24 @@ class TestBand:
     def test_blocks_are_slices_of_the_part(self, kind):
         factors = self.factors(kind)
         cut = signal.CutoffResult(m=3, f=7, peak_values=(0.0, 0.0), method="svd-egv")
-        # A tall band's blocks of two or more rows and columns are its part's
-        # bytes, so its row-block writes are too. A one-row or one-column block
-        # is a matrix-vector product, and a wide band's blocks take other gemm
-        # paths: those round on their own, by at most a few ulps of the part.
+        # A tall band's blocks of two or more columns are its part's bytes, so
+        # its row-block writes are too: a one-row block is taken from a two-row
+        # product. A one-column block is a matrix-vector product, and a wide
+        # band's blocks take other gemm paths: those round on their own, by at
+        # most a few ulps of the part.
         exact = kind in ("svd-tall", "gsvd")
         for (lo, hi), part in zip(signal._band_ranges(factors, cut), signal.separate(factors, cut), strict=True):
             band = signal._Band(factors, lo, hi)
             rows, cols = band.shape
             assert part.shape == band.shape
-            blocks = [np.s_[r0:r1] for r0, r1 in ((0, 1), (0, rows), (5, 6), (2, 9), (rows - 3, rows + 5))]
+            blocks = [np.s_[r0:r1] for r0, r1 in ((0, 1), (0, rows), (5, 6), (2, 9), (rows - 1, rows),
+                                                  (rows - 3, rows + 5))]
             for c0, c1 in ((0, 1), (0, cols), (4, 5), (1, 8), (cols - 1, cols), (cols - 7, cols + 2)):
                 blocks += [np.s_[:, c0:c1], np.s_[1:4, c0:c1], np.s_[rows - 2 : rows, c0:c1]]
             for index in blocks:
                 got, want = band[index], part[index]
                 assert got.shape == want.shape
-                if exact and min(want.shape) > 1:
+                if exact and want.shape[1] > 1:
                     assert got.tobytes() == want.tobytes()
                 else:
                     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(part))
