@@ -117,33 +117,25 @@ def cmd_separate(args) -> RunReport:
     n_samples, labels = channels.n_samples, channels.labels
 
     min_separation = 1 if args.min_separation is None else args.min_separation
-    # A hankel SVD never forms the trajectory: it reads blocks of windows of
-    # the input, which stays the only signal-sized array.
-    if args.method == "svd" and args.layout == "hankel":
-        decomp = signal.hankel_spectrum(channels, layout, rank_tolerance=args.rank_tolerance)
-    else:
-        a = signal.embed(channels, layout)
-        del channels  # the bands are formed from the factors alone
-        if args.method == "svd":
-            decomp = linalg.svd(a, rank_tolerance=args.rank_tolerance)
-            del a
-        else:
-            second = fio.read_channels_csv(args.second)
-            b = signal.embed(second, _layout_from_args(args, second))
-            del second  # gsvd reads only its embedding
-            # Not linalg.gsvd(a, b), whose caller keeps both embeddings alive
-            # beside their stack: here the QR holds the stack, LAPACK's copy and Q.
-            stack, m = linalg._stack(a, b)
-            del a, b
-            decomp = linalg._gsvd_stacked(stack, m)
-            del stack
+    a = signal.embed(channels, layout)
+    del channels  # the bands are formed from the factors alone
     if args.method == "svd":
-        values = decomp.singular_values[: decomp.numerical_rank]
-        values_key = "singular_values"
+        decomp = (linalg.streamed_svd(a.T, rank_tolerance=args.rank_tolerance) if args.layout == "hankel"
+                  else linalg.svd(a, rank_tolerance=args.rank_tolerance))
+        del a
+        values, values_key = decomp.singular_values[: decomp.numerical_rank], "singular_values"
         rank_info = {"numerical_rank": decomp.numerical_rank}
     else:
-        values = decomp.generalized_values
-        values_key = "generalized_values"
+        second = fio.read_channels_csv(args.second)
+        b = signal.embed(second, _layout_from_args(args, second))
+        del second  # gsvd reads only its embedding
+        # Not linalg.gsvd(a, b), whose caller keeps both embeddings alive
+        # beside their stack: here the QR holds the stack, LAPACK's copy and Q.
+        stack, m = linalg._stack(a, b)
+        del a, b
+        decomp = linalg._gsvd_stacked(stack, m)
+        del stack
+        values, values_key = decomp.generalized_values, "generalized_values"
         rank_info = {"infinite_values": int(np.sum(np.isinf(decomp.balanced_values)))}
     cut = signal.cutoff(decomp, min_separation=min_separation)
 

@@ -62,10 +62,13 @@ class SubspaceSeparator(BaseEstimator):
     rank_tolerance : float or None
         Relative numerical-rank tolerance; None for the default.
 
-    After ``fit``, ``transform(X)`` projects data onto the learned weak
-    subspace (for the svd method this works for any matrix with the fitted
-    column count; the gsvd factorization has no projection form, so
-    transform reconstructs the fitted matrix's weak band).
+    After ``fit``, ``transform(X)`` maps any matrix with the fitted column
+    count onto the learned weak band: the coefficients of X on the band's
+    column directions, times those directions. For svd the directions are
+    the right singular vectors V_b, so the result is ``X V_b V_b^T``. For
+    gsvd, A = U C X^T gives U_b C_b X_b^T = A X^{-T}[:, b] X[:, b]^T, so
+    the result is ``X X^{-T}[:, b] X[:, b]^T`` with X the fitted factor.
+    Either way, transform of the fitted matrix is its weak band.
     """
 
     def __init__(self, method="svd", min_separation=1, rank_tolerance=None):
@@ -103,17 +106,21 @@ class SubspaceSeparator(BaseEstimator):
         return self.cutoff_.m, self.cutoff_.f
 
     def transform(self, X):
-        """Project onto the weak subspace learned during ``fit``."""
+        """Map X onto the weak band learned during ``fit``."""
         self._check_fitted()
         X = check_matrix(X, "X")
         if X.shape[1] != self.n_features_in_:
             raise ConfigError(f"X has {X.shape[1]} columns, fitted with {self.n_features_in_}")
-        if self.method == "gsvd":
-            return self.subspaces()[1]
+        factors = self.spectrum_ if self.method == "svd" else self.gsvd_
         # the weak band, as separate() takes it
-        lo, hi = signal._band_ranges(self.spectrum_, self.cutoff_)[1]
-        basis = self.spectrum_.right_basis[:, lo:hi]
-        return X @ basis @ basis.T
+        lo, hi = signal._band_ranges(factors, self.cutoff_)[1]
+        if self.method == "svd":
+            directions = factors.right_basis
+            coefficients = X @ directions[:, lo:hi]
+        else:
+            directions = factors.x_factor
+            coefficients = np.linalg.solve(directions, X.T).T[:, lo:hi]
+        return coefficients @ directions[:, lo:hi].T
 
     def fit_transform(self, X, B=None):
         return self.fit(X, B=B).transform(X)

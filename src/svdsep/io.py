@@ -281,8 +281,10 @@ def _read_pgm(path) -> tuple[np.ndarray, int]:
             raise ParseError(f"{path}: PGM sample out of range [0, {maxval}]")
         return pixels.reshape(height, width).copy(), maxval
     # P2: each token goes straight into the result; the range is reported
-    # after the count, so a file with both faults names the count
-    samples = bytearray(size)
+    # after the count, so a file with both faults names the count. A sample
+    # takes a digit and a separator after maxval, so no more than that many
+    # bytes are allocated, whatever the header claims.
+    samples = bytearray(min(size, (len(raw) - end) // 2))
     count = 0
     in_range = True
     for tok, _ in tokens:
@@ -290,7 +292,7 @@ def _read_pgm(path) -> tuple[np.ndarray, int]:
             value = int(tok)
         except ValueError:
             raise ParseError(f"{path}: non-integer PGM sample {tok!r}") from None
-        if count < size:
+        if count < len(samples):
             if 0 <= value <= maxval:
                 samples[count] = value
             else:
@@ -322,9 +324,10 @@ def read_png(path) -> np.ndarray:
     pos = 8
     width = height = None
     # Each IDAT chunk goes straight into one decompressor: the compressed
-    # stream is never gathered into a buffer of its own.
+    # stream is never gathered into a buffer of its own. It is inflated to
+    # at most one byte past the length IHDR gives, enough to tell it is too long.
     inflate = zlib.decompressobj()
-    pieces, corrupt = [], None
+    pieces, corrupt, room = [], None, 0
     while pos + 8 <= len(raw):
         length, ctype = struct.unpack(">I4s", raw[pos : pos + 8])
         if pos + 12 + length > len(raw):
@@ -343,9 +346,11 @@ def read_png(path) -> np.ndarray:
                                  f"(depth={depth}, color type={color})")
             if comp != 0 or filt != 0 or interlace != 0:
                 raise ParseError(f"{path}: unsupported PNG compression/filter/interlace settings")
-        elif ctype == b"IDAT" and corrupt is None:
+            room = height * (width + 1) + 1
+        elif ctype == b"IDAT" and corrupt is None and room:  # no room: before IHDR, or too long
             try:
-                pieces.append(inflate.decompress(chunk))
+                pieces.append(inflate.decompress(chunk, room))
+                room -= len(pieces[-1])
             except zlib.error as exc:  # reported after every chunk's own checks
                 corrupt = exc
         elif ctype == b"IEND":
@@ -353,7 +358,7 @@ def read_png(path) -> np.ndarray:
     raw = chunk = None  # the file's bytes are freed before the stream is filtered
     if width is None:
         raise ParseError(f"{path}: missing IHDR chunk")
-    if corrupt is None and not inflate.eof:
+    if corrupt is None and not inflate.eof and room:
         corrupt = "incomplete or truncated stream"
     if corrupt is not None:
         raise ParseError(f"{path}: corrupt PNG stream ({corrupt})")

@@ -311,6 +311,7 @@ def streamed_svd(xt, rank_tolerance: float | None = None) -> StreamedSpectrum:
     held. The rank rule is :func:`svd`'s.
     """
     n, m = xt.shape
+    rank_tolerance = _tolerance(rank_tolerance, (m, n))  # before any block is factored
     step = _stream_step(m)
     r = None
     for j in range(0, n, step):
@@ -322,7 +323,6 @@ def streamed_svd(xt, rank_tolerance: float | None = None) -> StreamedSpectrum:
     # R, not xt: on a window view, a mask of xt is as large as the trajectory.
     if not np.all(np.isfinite(r)):
         raise InvalidInputError("X contains non-finite entries")
-    rank_tolerance = _tolerance(rank_tolerance, (m, n))
     _, s, vt = _lapack("SVD", r.shape, np.linalg.svd, r, full_matrices=False)
     u = vt.T.copy()
     _fix_signs(u)

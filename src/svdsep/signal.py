@@ -29,7 +29,7 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .linalg import GsvdResult, SpectrumResult, StreamedSpectrum, _band, _shifted, _stream_step, streamed_svd
+from .linalg import GsvdResult, SpectrumResult, StreamedSpectrum, _band, _shifted, _stream_step
 from .validation import check_index_range, check_matrix
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "cutoff",
     "separate",
     "band_signals",
-    "hankel_spectrum",
 ]
 
 MODE_CHANNEL_COLUMNS = "channel-columns"
@@ -145,7 +144,12 @@ class EmbedLayout:
 
 
 def embed(signals: ChannelSet, layout: EmbedLayout) -> np.ndarray:
-    """Reshape signals into the trajectory matrix described by ``layout``."""
+    """Reshape signals into the trajectory matrix described by ``layout``.
+
+    A channel-columns layout gives a new array. A hankel layout gives a
+    read-only view of the signal, column j the window at sample j * stride:
+    a sample appears in up to L entries, so no copy of the trajectory is made.
+    """
     n = layout.window_length
     if layout.mode == MODE_CHANNEL_COLUMNS:
         offsets = layout.source_offsets or (0,) * signals.n_channels
@@ -155,17 +159,12 @@ def embed(signals: ChannelSet, layout: EmbedLayout) -> np.ndarray:
             if off + n > signals.n_samples:
                 raise RangeError(f"window [{off}, {off + n}) of column {j} exceeds {signals.n_samples} samples")
         return np.column_stack([signals.data[off : off + n, j] for j, off in enumerate(offsets)])
-    return _hankel_windows(signals, layout).T.copy()
-
-
-def _hankel_windows(signals: ChannelSet, layout: EmbedLayout) -> np.ndarray:
-    """The windows of a hankel layout as rows of a zero-copy view: its transpose is the trajectory."""
     if signals.n_channels != 1:
         raise LayoutError("hankel-sliding layout expects a single channel")
     x = signals.channel(0)
-    if layout.window_length > x.size:
-        raise RangeError(f"window_length {layout.window_length} exceeds signal length {x.size}")
-    return np.lib.stride_tricks.sliding_window_view(x, layout.window_length)[:: layout.stride]
+    if n > x.size:
+        raise RangeError(f"window_length {n} exceeds signal length {x.size}")
+    return np.lib.stride_tricks.sliding_window_view(x, n)[:: layout.stride].T
 
 
 def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
@@ -173,18 +172,6 @@ def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
     diagonal averaging (each sample is the mean of every window entry
     covering it). Positions no window covers are zero."""
     return ChannelSet(_unembed(check_matrix(matrix, "matrix"), layout, target_length))
-
-
-def hankel_spectrum(signals: ChannelSet, layout: EmbedLayout,
-                    rank_tolerance: float | None = None) -> StreamedSpectrum:
-    """Singular values and left basis of the hankel trajectory of ``signals``,
-    without forming it: :func:`linalg.streamed_svd` of the zero-copy window view.
-
-    The values and rank are those of ``linalg.svd(embed(signals, layout))``
-    to rounding; the default rank tolerance is ``max(L, K) * eps`` for L
-    samples per window and K windows.
-    """
-    return streamed_svd(_hankel_windows(signals, layout), rank_tolerance=rank_tolerance)
 
 
 def _hankel_coverage(layout: EmbedLayout, columns: int, target_length: int) -> np.ndarray:

@@ -74,7 +74,7 @@ class MixtureSpec:
             raise GeneratorSpecError(f"dominant_period must be >= 2, got {self.dominant_period}")
         if self.weak_period is not None and self.weak_period < 2:
             raise GeneratorSpecError(f"weak_period must be >= 2, got {self.weak_period}")
-        if self.energy_ratio_dominant_weak < 1 or self.energy_ratio_weak_noise < 1:
+        if not (self.energy_ratio_dominant_weak >= 1 and self.energy_ratio_weak_noise >= 1):  # nan too
             raise GeneratorSpecError("energy ratios must be >= 1")
 
     @property
@@ -185,7 +185,7 @@ class TextureSpec:
         for tag, amp in amps.items():
             if tag not in TAG_CODES:
                 raise GeneratorSpecError(f"unknown amplitude tag {tag!r}")
-            if amp < 0:
+            if not amp >= 0:  # nan too
                 raise GeneratorSpecError(f"noise amplitude for {tag!r} must be nonnegative")
         object.__setattr__(self, "noise_amplitude", amps)
         object.__setattr__(self, "regions", tuple(self.regions))

@@ -54,3 +54,16 @@ def test_numpy_is_the_only_runtime_dependency(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert imported - sys.stdlib_module_names - {"numpy", "svdsep"} == set()
+
+
+# The tier-1 command: the whole suite, tests/ and perfbench/, from the source tree.
+TIER_1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
+
+
+def test_ci_runs_the_tier_1_command_on_each_supported_python():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8"))
+    (job,) = workflow["jobs"].values()
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    assert runs == ["pip install .[test]", TIER_1]

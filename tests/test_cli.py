@@ -589,6 +589,18 @@ class TestSynth:
         assert run("synth", "mixture", "--dominant-rank", 5, "--weak-rank-span", 5,
                    "--channels", "8", "--output-prefix", tmp_path / "x") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["mixture", "--ratio-weak-noise", "nan"],
+        ["mixture", "--ratio-dominant-weak", "nan"],
+        ["texture", "--noise-smooth", "nan"],
+        ["texture", "--noise-rough", "nan"],
+        ["texture", "--noise-anomaly", "nan"],
+    ])
+    def test_nan_spec_fails(self, tmp_path, capsys, argv):
+        assert run("synth", *argv, "--output-prefix", tmp_path / "x") == 1
+        assert "GeneratorSpecError" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_default_mixture_feeds_separate(self, tmp_path):
         prefix = tmp_path / "m"
         run("synth", "mixture", "--output-prefix", prefix)

@@ -84,8 +84,23 @@ class TestSubspaceSeparator:
         assert m >= 1 and f is None
         dom, weak, noise = sep.subspaces()
         assert np.linalg.norm(dom + weak + noise - x) <= 1e-8 * np.linalg.norm(x)
-        # no projection form: transform is the fitted matrix's weak band
-        assert np.array_equal(sep.transform(x), weak)
+        # A X^{-T}[:, b] X[:, b]^T is U_b C_b X_b^T, the fitted matrix's weak band
+        assert np.allclose(sep.transform(x), weak, rtol=0.0, atol=1e-12 * np.abs(weak).max())
+
+    def test_gsvd_transform_maps_new_rows(self):
+        x, _ = mixture_matrix(seed=9)
+        b, _ = mixture_matrix(seed=10)
+        sep = SubspaceSeparator(method="gsvd").fit(x, B=b)
+        new = np.random.default_rng(11).standard_normal((100, 8))
+        got = sep.transform(new)
+        assert got.shape == (100, 8)
+        # rows are mapped one by one: a row of the fitted matrix maps to its weak band's row
+        weak = sep.subspaces()[1]
+        stacked = sep.transform(np.vstack([new, x[:5]]))
+        assert np.allclose(stacked[:100], got, rtol=0.0, atol=1e-12 * np.abs(got).max())
+        assert np.allclose(stacked[100:], weak[:5], rtol=0.0, atol=1e-12 * np.abs(weak).max())
+        # the map is a projection: mapping its result again changes nothing
+        assert np.allclose(sep.transform(got), got, rtol=0.0, atol=1e-10 * np.abs(got).max())
 
     def test_gsvd_requires_reference(self):
         x, _ = mixture_matrix()

@@ -441,6 +441,14 @@ class TestPgm:
         assert np.array_equal(got, arr)
         assert peak <= 2 * path.stat().st_size
 
+    def test_a_header_larger_than_the_file_allocates_only_the_file(self, tmp_path):
+        # 5000 x 5000 would be a 23.8 MiB sample buffer for a 23-byte file.
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P2\n5000 5000\n255\n1 2 3\n")
+        error, peak = traced_peak(lambda: pytest.raises(ParseError, fio.read_pgm, path))
+        assert error.match("expected 25000000 samples, got 3$")
+        assert peak <= 16 * 1024
+
 
 class TestPng:
     @pytest.mark.parametrize("filter_type", [0, 1, 2, 3, 4])
@@ -579,6 +587,21 @@ class TestPngStream:
         with pytest.raises(ParseError, match="missing IHDR"):
             corrupt = png_of(8, 6, [b"not a zlib stream"])
             self.read(tmp_path, corrupt[:8] + corrupt[8 + 25:])  # IHDR is 25 bytes
+
+    def test_a_stream_longer_than_the_header_is_inflated_one_byte_past_it(self, tmp_path):
+        # 30 MiB of zeros deflate to ~30 KB; read whole, the stream of a 4x4 image would be 30 MiB.
+        deflate = zlib.compressobj(9)
+        stream = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(30)) + deflate.flush()
+        path = tmp_path / "img.png"
+        path.write_bytes(png_of(4, 4, [stream[:1000], stream[1000:]]))
+        error, peak = traced_peak(lambda: pytest.raises(ParseError, fio.read_png, path))
+        assert error.match("PNG stream length 21 does not match 4x4$")
+        assert peak <= 4 * path.stat().st_size
+
+    def test_an_idat_before_ihdr_is_not_inflated(self, tmp_path):
+        idat = png_of(8, 6, [zlib.compress(self.scanlines())])[8 + 25 : -12]
+        with pytest.raises(ParseError, match="corrupt PNG stream .*incomplete or truncated"):
+            self.read(tmp_path, png_of(8, 6, [], chunks_before=[idat]))
 
     @pytest.mark.parametrize("filter_type", [0, 4])
     def test_peak_stays_under_four_planes(self, tmp_path, filter_type):

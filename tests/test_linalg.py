@@ -289,6 +289,15 @@ class TestStreamedSvd:
         with pytest.raises(InvalidInputError):
             linalg.streamed_svd(a.T, rank_tolerance=-1.0)
 
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1.0])
+    def test_rejects_a_bad_tolerance_before_any_block(self, monkeypatch, tolerance):
+        calls = []
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(args))
+        xt = np.random.default_rng(12).standard_normal((4000, 40))
+        raise_exactly(InvalidInputError, lambda: linalg.streamed_svd(xt, rank_tolerance=tolerance),
+                      match="rank_tolerance must be finite and nonnegative")
+        assert calls == []
+
     def test_rejects_non_finite_and_no_blocks(self):
         a = np.ones((4, 9))
         a[2, 5] = np.nan

@@ -73,6 +73,7 @@ class TestEmbed:
         cs = ChannelSet.from_channels([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
         a = signal.embed(cs, EmbedLayout.channel_columns(2, offsets=(1, 2)))
         assert np.array_equal(a, [[2.0, 7.0], [3.0, 8.0]])
+        assert a.flags.writeable and not np.shares_memory(a, cs.data)  # a new array, unlike hankel's view
 
     def test_out_of_bounds_window(self):
         cs = ChannelSet.from_channels([[1.0, 2.0, 3.0]])
@@ -166,7 +167,9 @@ class TestHankelStrided:
         layout = EmbedLayout.hankel(window, stride=stride)
         want, unembed_ref = hankel_reference(x, layout)
         got = signal.embed(ChannelSet(x[:, np.newaxis]), layout)
-        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        # a read-only view of the signal, not a copy of the trajectory
+        assert np.shares_memory(got, x) and not got.flags.writeable
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
         part = got * 1.5 - 0.25
         back = signal.unembed(part, layout, samples).data[:, 0]
         assert back.tobytes() == unembed_ref(part, samples).tobytes()
@@ -198,13 +201,13 @@ class TestHankelStrided:
                       match=f"windows extend to {end} but target_length is {end - 1}$")
 
     def test_peaks_stay_near_the_trajectory_matrix(self):
-        # 40 000 samples, L = 200: the trajectory matrix is 60.7 MiB.
+        # 40 000 samples, L = 200: the trajectory matrix is 60.7 MiB, and embed copies none of it.
         x = np.random.default_rng(3).standard_normal(40_000)
         layout = EmbedLayout.hankel(200)
         signals = ChannelSet(x[:, np.newaxis])
         matrix, embed_peak = traced_peak(lambda: signal.embed(signals, layout))
         back, unembed_peak = traced_peak(lambda: signal.unembed(matrix, layout, x.size))
-        assert embed_peak <= 1.1 * matrix.nbytes
+        assert embed_peak <= 4 * 1024
         assert unembed_peak <= 0.25 * matrix.nbytes
         assert np.allclose(back.data[:, 0], x, rtol=1e-12, atol=0.0)
 
@@ -304,8 +307,8 @@ class TestBandSignals:
 
 
 class TestHankelStreamed:
-    """separate and band_signals of hankel_spectrum against the definitional
-    route: unembed(separate(linalg.svd(embed(...))))."""
+    """separate and band_signals of a streamed hankel spectrum against the
+    definitional route: unembed(separate(linalg.svd(embed(...))))."""
 
     SHAPES = [(4000, 40, 1), (4000, 40, 3), (50, 50, 1), (1003, 17, 7), (60, 45, 1),
               (100, 80, 2), (300, 20, 3), (1000, 30, 7)]
@@ -323,7 +326,7 @@ class TestHankelStreamed:
         signals = ChannelSet(x[:, np.newaxis])
         layout = EmbedLayout.hankel(window, stride=stride)
         want = linalg.svd(signal.embed(signals, layout), rank_tolerance=rank_tolerance)
-        got = signal.hankel_spectrum(signals, layout, rank_tolerance=rank_tolerance)
+        got = linalg.streamed_svd(signal.embed(signals, layout).T, rank_tolerance=rank_tolerance)
         s = want.singular_values
         assert got.singular_values.shape == s.shape
         assert np.max(np.abs(got.singular_values - s)) <= 1e-14 * s[0]
@@ -368,20 +371,20 @@ class TestHankelStreamed:
         signals, layout = ChannelSet(x[:, np.newaxis]), EmbedLayout.hankel(30)
         trajectory = signal.embed(signals, layout)
         for tol in (None, 1e-3, 1e-6):
-            got = signal.hankel_spectrum(signals, layout, rank_tolerance=tol)
+            got = linalg.streamed_svd(trajectory.T, rank_tolerance=tol)
             want = linalg.svd(trajectory, rank_tolerance=tol)
             assert (got.numerical_rank, got.rank_tolerance) == (want.numerical_rank, want.rank_tolerance)
-        assert signal.hankel_spectrum(signals, layout, rank_tolerance=1e-3).numerical_rank == 2
+        assert linalg.streamed_svd(trajectory.T, rank_tolerance=1e-3).numerical_rank == 2
 
     def test_layout_errors_are_embed_s(self):
         with pytest.raises(LayoutError, match="single channel"):
-            signal.hankel_spectrum(ChannelSet(np.ones((40, 2))), EmbedLayout.hankel(5))
+            signal.embed(ChannelSet(np.ones((40, 2))), EmbedLayout.hankel(5))
         with pytest.raises(RangeError, match="exceeds signal length"):
-            signal.hankel_spectrum(ChannelSet(np.ones((40, 1))), EmbedLayout.hankel(41))
+            signal.embed(ChannelSet(np.ones((40, 1))), EmbedLayout.hankel(41))
 
     def test_rejects_a_spectrum_of_another_layout(self):
         x = np.random.default_rng(23).standard_normal((100, 1))
-        spec = signal.hankel_spectrum(ChannelSet(x), EmbedLayout.hankel(10))
+        spec = linalg.streamed_svd(signal.embed(ChannelSet(x), EmbedLayout.hankel(10)).T)
         cut = TestBandSignals.cut_for(spec.numerical_rank)
         with pytest.raises(LayoutError):
             next(signal.band_signals(spec, cut, EmbedLayout.hankel(12), 100))
@@ -836,7 +839,8 @@ class TestBand:
         if kind == "svd-wide":
             return linalg.svd(rng.standard_normal((12, 300)))
         if kind == "streamed":  # 20 x 381: its column blocks are 160 windows
-            return signal.hankel_spectrum(ChannelSet(rng.standard_normal((400, 1))), EmbedLayout.hankel(20))
+            x = ChannelSet(rng.standard_normal((400, 1)))
+            return linalg.streamed_svd(signal.embed(x, EmbedLayout.hankel(20)).T)
         return linalg.gsvd(rng.standard_normal((300, 12)), rng.standard_normal((40, 12)))
 
     @pytest.mark.parametrize("kind", ["svd-tall", "svd-wide", "streamed", "gsvd"])
@@ -925,8 +929,8 @@ class TestLongRecordingMemory:
     pytest.param(lambda: signal.singular_energies([1.0, np.inf]), InvalidInputError, id="inf-gap"),
     pytest.param(lambda: signal.egv_profile([2.0, np.nan, 1.0]), InvalidInputError, id="profile-nan"),
     pytest.param(lambda: signal.egv_profile([np.inf, 1.0]), InvalidInputError, id="profile-inf"),
-    pytest.param(lambda: with_failing_lapack("qr", lambda: signal.hankel_spectrum(
-        ChannelSet(np.arange(50.0)[:, None]), EmbedLayout.hankel(4))), ConvergenceError, id="hankel-qr"),
+    pytest.param(lambda: with_failing_lapack("qr", lambda: linalg.streamed_svd(signal.embed(
+        ChannelSet(np.arange(50.0)[:, None]), EmbedLayout.hankel(4)).T)), ConvergenceError, id="hankel-qr"),
 ])
 def test_typed_errors(call, error):
     raise_exactly(error, call)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import raise_exactly
@@ -5,7 +7,7 @@ from conftest import raise_exactly
 from svdsep import image, linalg, signal
 from svdsep.errors import GeneratorSpecError
 from svdsep.image import WindowConfig
-from svdsep.synth import MixtureSpec, Region, TextureSpec, gen_mixture, gen_texture, mixture_components
+from svdsep.synth import TAG_CODES, MixtureSpec, Region, TextureSpec, gen_mixture, gen_texture, mixture_components
 
 
 def base_spec(**overrides):
@@ -168,6 +170,10 @@ class TestGenTexture:
     pytest.param(lambda: TextureSpec(width=4, height=4, noise_amplitude={"bumpy": 0.1}), id="amplitude-tag"),
     pytest.param(lambda: TextureSpec(width=4, height=4, noise_amplitude={"rough": -0.1}),
                  id="negative-amplitude"),
+    pytest.param(lambda: base_spec(energy_ratio_dominant_weak=math.nan), id="nan-dominant-weak"),
+    pytest.param(lambda: base_spec(energy_ratio_weak_noise=math.nan), id="nan-weak-noise"),
+    *[pytest.param(lambda tag=tag: TextureSpec(width=4, height=4, noise_amplitude={tag: math.nan}),
+                   id=f"nan-{tag}-amplitude") for tag in TAG_CODES],
 ])
 def test_typed_errors(call):
     raise_exactly(GeneratorSpecError, call)
