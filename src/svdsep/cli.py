@@ -61,13 +61,6 @@ def _jsonable(obj):
     return obj
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
-
-
 def _order_arg(text: str):
     if text == "auto":
         return "auto"
@@ -94,9 +87,8 @@ def _layout_from_args(args, channels: signal.ChannelSet) -> signal.EmbedLayout:
             raise ParseError("hankel layout requires --window-length")
         return signal.EmbedLayout.hankel(args.window_length,
                                          stride=1 if args.stride is None else args.stride)
-    window = args.window_length if args.window_length is not None else channels.n_samples
-    offsets = tuple(args.offsets) if args.offsets else None
-    return signal.EmbedLayout.channel_columns(window, offsets=offsets)
+    return signal.EmbedLayout.channel_columns(
+        args.window_length if args.window_length is not None else channels.n_samples)
 
 
 def cmd_separate(args) -> RunReport:
@@ -106,7 +98,6 @@ def cmd_separate(args) -> RunReport:
         ("--rank-tolerance", args.rank_tolerance, "method", "svd"),
         ("--second", args.second, "method", "gsvd"),
         ("--stride", args.stride, "layout", "hankel"),
-        ("--offsets", args.offsets, "layout", "channel-columns"),
     ):
         if value is not None and getattr(args, option) != route:
             raise ParseError(f"{flag} applies to --{option} {route} only")
@@ -118,7 +109,7 @@ def cmd_separate(args) -> RunReport:
 
     min_separation = 1 if args.min_separation is None else args.min_separation
     a = signal.embed(channels, layout)
-    del channels  # the bands are formed from the factors alone
+    del channels  # leave a, a view, the only holder of the samples
     if args.method == "svd":
         decomp = (linalg.streamed_svd(a.T, rank_tolerance=args.rank_tolerance) if args.layout == "hankel"
                   else linalg.svd(a, rank_tolerance=args.rank_tolerance))
@@ -128,7 +119,7 @@ def cmd_separate(args) -> RunReport:
     else:
         second = fio.read_channels_csv(args.second)
         b = signal.embed(second, _layout_from_args(args, second))
-        del second  # gsvd reads only its embedding
+        del second  # leave b, a view, the only holder of its samples
         # Not linalg.gsvd(a, b), whose caller keeps both embeddings alive
         # beside their stack: here the QR holds the stack, LAPACK's copy and Q.
         stack, m = linalg._stack(a, b)
@@ -156,7 +147,6 @@ def cmd_separate(args) -> RunReport:
             "layout": args.layout,
             "window_length": layout.window_length,
             "stride": layout.stride,
-            "offsets": list(layout.source_offsets) if layout.source_offsets else None,
             "min_separation": min_separation if args.method == "svd" else None,
             "rank_tolerance": args.rank_tolerance,
             "output_prefix": args.output_prefix,
@@ -270,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--window-length", type=int, default=None)
     p_sep.add_argument("--stride", type=int, default=None,
                        help="hankel layout only: samples between columns (default 1)")
-    p_sep.add_argument("--offsets", type=_int_list, default=None,
-                       help="channel-columns layout only: comma-separated per-column start offsets")
     p_sep.add_argument("--min-separation", type=int, default=None,
                        help="svd method only: least index gap between the two cutoffs (default 1)")
     p_sep.add_argument("--rank-tolerance", type=float, default=None, help="svd method only")

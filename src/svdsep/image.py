@@ -21,6 +21,7 @@ c = 1e-300 to 1e300.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +163,11 @@ class WindowConfig:
     epsilon_guard: float = 1e-6
 
     def __post_init__(self):
+        for name in ("window_size", "stride") + (() if isinstance(self.order, str) else ("order",)):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.window_size < 2:
             raise ConfigError(f"window_size must be >= 2, got {self.window_size}")
         if self.stride < 1:

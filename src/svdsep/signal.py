@@ -16,6 +16,7 @@ the spike is negative and only |V| exposes it.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -108,8 +109,8 @@ class ChannelSet:
 class EmbedLayout:
     """How signals are reshaped into a matrix and back.
 
-    channel-columns mode: column j holds ``window_length`` consecutive
-    samples of channel j starting at ``source_offsets[j]``.
+    channel-columns mode: column j holds the first ``window_length``
+    samples of channel j.
 
     hankel-sliding mode: columns are overlapping windows of a single
     channel, advancing by ``stride`` samples.
@@ -118,25 +119,23 @@ class EmbedLayout:
     mode: str
     window_length: int
     stride: int = 1
-    source_offsets: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.mode not in (MODE_CHANNEL_COLUMNS, MODE_HANKEL):
             raise LayoutError(f"unknown layout mode {self.mode!r}")
+        for name in ("window_length", "stride"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise LayoutError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.window_length < 2:
             raise LayoutError(f"window_length must be >= 2, got {self.window_length}")
         if self.stride < 1:
             raise LayoutError(f"stride must be >= 1, got {self.stride}")
-        if self.source_offsets is not None:
-            offsets = tuple(int(o) for o in self.source_offsets)
-            if any(o < 0 for o in offsets):
-                raise LayoutError("source offsets must be nonnegative")
-            object.__setattr__(self, "source_offsets", offsets)
 
     @classmethod
-    def channel_columns(cls, window_length: int, offsets=None) -> "EmbedLayout":
-        return cls(MODE_CHANNEL_COLUMNS, window_length,
-                   source_offsets=None if offsets is None else tuple(offsets))
+    def channel_columns(cls, window_length: int) -> "EmbedLayout":
+        return cls(MODE_CHANNEL_COLUMNS, window_length)
 
     @classmethod
     def hankel(cls, window_length: int, stride: int = 1) -> "EmbedLayout":
@@ -144,27 +143,24 @@ class EmbedLayout:
 
 
 def embed(signals: ChannelSet, layout: EmbedLayout) -> np.ndarray:
-    """Reshape signals into the trajectory matrix described by ``layout``.
+    """The trajectory matrix of ``signals`` described by ``layout``, as a
+    read-only view of the samples: neither layout copies them.
 
-    A channel-columns layout gives a new array. A hankel layout gives a
-    read-only view of the signal, column j the window at sample j * stride:
-    a sample appears in up to L entries, so no copy of the trajectory is made.
+    A channel-columns matrix is the first ``window_length`` rows of the
+    (samples, channels) data. A hankel matrix has column j the window of
+    the single channel at sample j * stride, so a sample appears in up to
+    L entries.
     """
     n = layout.window_length
-    if layout.mode == MODE_CHANNEL_COLUMNS:
-        offsets = layout.source_offsets or (0,) * signals.n_channels
-        if len(offsets) != signals.n_channels:
-            raise LayoutError(f"{len(offsets)} offsets for {signals.n_channels} channels")
-        for j, off in enumerate(offsets):
-            if off + n > signals.n_samples:
-                raise RangeError(f"window [{off}, {off + n}) of column {j} exceeds {signals.n_samples} samples")
-        return np.column_stack([signals.data[off : off + n, j] for j, off in enumerate(offsets)])
-    if signals.n_channels != 1:
+    if layout.mode == MODE_HANKEL and signals.n_channels != 1:
         raise LayoutError("hankel-sliding layout expects a single channel")
-    x = signals.channel(0)
-    if n > x.size:
-        raise RangeError(f"window_length {n} exceeds signal length {x.size}")
-    return np.lib.stride_tricks.sliding_window_view(x, n)[:: layout.stride].T
+    if n > signals.n_samples:
+        raise RangeError(f"window_length {n} exceeds signal length {signals.n_samples}")
+    if layout.mode == MODE_HANKEL:
+        return np.lib.stride_tricks.sliding_window_view(signals.channel(0), n)[:: layout.stride].T
+    matrix = signals.data[:n]
+    matrix.flags.writeable = False
+    return matrix
 
 
 def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
@@ -188,8 +184,8 @@ def _unembed(matrix, layout: EmbedLayout, target_length: int) -> np.ndarray:
     """The (samples, channels) array :func:`unembed` gives for ``matrix``, an
     array or a :class:`_Band`: only its ``shape`` and ``matrix[:, j0:j1]`` are read.
 
-    Channel-columns takes one block of every column and places each column
-    at its offset. A Hankel matrix is diagonal-averaged in the column blocks
+    Channel-columns takes one block of the whole matrix as the first rows.
+    A Hankel matrix is diagonal-averaged in the column blocks
     :func:`linalg.streamed_svd` reads (8 L windows): entry (i, j) is sample
     i + j * stride, so each row of a block adds into one strided slice.
     Blocks run from the last window back to the first: a sample's entries
@@ -199,21 +195,15 @@ def _unembed(matrix, layout: EmbedLayout, target_length: int) -> np.ndarray:
     n, stride = layout.window_length, layout.stride
     if rows != n:
         raise LayoutError(f"matrix has {rows} rows but layout window_length is {n}")
-    if layout.mode == MODE_CHANNEL_COLUMNS:
-        offsets = layout.source_offsets or (0,) * columns
-        if len(offsets) != columns:
-            raise LayoutError(f"{len(offsets)} offsets for {columns} columns")
-        for j, off in enumerate(offsets):
-            if off + n > target_length:
-                raise LayoutError(f"column {j} at offset {off} does not fit in {target_length} samples")
-        block = matrix[:, :]  # before the output: a band's temporaries are freed by then
-        out = np.zeros((target_length, columns))
-        for j, off in enumerate(offsets):
-            out[off : off + n, j] = block[:, j]
-        return out
-    end = (columns - 1) * stride + n  # one past the last window's last sample
+    hankel = layout.mode == MODE_HANKEL
+    end = (columns - 1) * stride + n if hankel else n  # one past the last sample a column holds
     if end > target_length:
         raise LayoutError(f"windows extend to {end} but target_length is {target_length}")
+    if not hankel:
+        block = matrix[:, :]  # before the output: a band's temporaries are freed by then
+        out = np.zeros((target_length, columns))
+        out[:n] = block
+        return out
     acc = np.zeros(target_length)
     step = _stream_step(n)
     for j0 in range((columns - 1) // step * step, -1, -step):
@@ -447,17 +437,14 @@ def _band_tables(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
     """Yield the signals of :func:`band_signals` as (samples, channels) tables.
 
     Where a band's matrix is its signals (a channel-columns layout of
-    ``target_length``-sample windows, all at offset 0) and the factors have
-    a right basis, the table is the band's :class:`_Band`: it forms only the
-    rows it is sliced for, so no band-sized array is held. Every other table
-    is the array :func:`_unembed` forms from the band's column blocks; a
-    streamed band is one, as each block of its rows would re-read all of X^T.
+    ``target_length``-sample windows) and the factors have a right basis,
+    the table is the band's :class:`_Band`: it forms only the rows it is
+    sliced for, so no band-sized array is held. Every other table is the
+    array :func:`_unembed` forms from the band's column blocks; a streamed
+    band is one, as each block of its rows would re-read all of X^T.
     """
-    rows, columns = factors.shape
-    offsets = layout.source_offsets
     whole = (layout.mode == MODE_CHANNEL_COLUMNS and not isinstance(factors, StreamedSpectrum)
-             and rows == layout.window_length == target_length
-             and (offsets is None or (len(offsets) == columns and not any(offsets))))
+             and factors.shape[0] == layout.window_length == target_length)
     for lo, hi in _band_ranges(factors, cut):
         band = _Band(factors, lo, hi)
         yield band if whole else _unembed(band, layout, target_length)

@@ -74,8 +74,9 @@ class MixtureSpec:
             raise GeneratorSpecError(f"dominant_period must be >= 2, got {self.dominant_period}")
         if self.weak_period is not None and self.weak_period < 2:
             raise GeneratorSpecError(f"weak_period must be >= 2, got {self.weak_period}")
-        if not (self.energy_ratio_dominant_weak >= 1 and self.energy_ratio_weak_noise >= 1):  # nan too
-            raise GeneratorSpecError("energy ratios must be >= 1")
+        # nan fails both tests; an infinite weak/noise ratio means no noise
+        if not (1 <= self.energy_ratio_dominant_weak < math.inf and self.energy_ratio_weak_noise >= 1):
+            raise GeneratorSpecError("energy ratios must be >= 1, and the dominant/weak one finite")
 
     @property
     def weak_rank_end(self) -> int:
@@ -185,8 +186,8 @@ class TextureSpec:
         for tag, amp in amps.items():
             if tag not in TAG_CODES:
                 raise GeneratorSpecError(f"unknown amplitude tag {tag!r}")
-            if not amp >= 0:  # nan too
-                raise GeneratorSpecError(f"noise amplitude for {tag!r} must be nonnegative")
+            if not 0 <= amp < math.inf:  # nan too
+                raise GeneratorSpecError(f"noise amplitude for {tag!r} must be finite and nonnegative")
         object.__setattr__(self, "noise_amplitude", amps)
         object.__setattr__(self, "regions", tuple(self.regions))
         for reg in self.regions:

@@ -160,7 +160,6 @@ class TestSeparate:
         ([], ["--second", "ref.csv"]),
         (["--method", "gsvd", "--second", "ref.csv"], ["--rank-tolerance", "1e-9"]),
         ([], ["--stride", "2"]),
-        (["--layout", "hankel", "--window-length", "30"], ["--offsets", "0"]),
     ])
     def test_flags_the_route_never_reads_are_rejected(self, tmp_path, capsys, route, flag):
         absent = tmp_path / "absent.csv"  # rejected before any input is opened
@@ -601,6 +600,15 @@ class TestSynth:
         assert "GeneratorSpecError" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["mixture", "--ratio-dominant-weak", "inf"],
+        ["texture", "--region", "0,0,10,10,rough", "--width", "20", "--height", "20", "--noise-rough", "inf"],
+    ])
+    def test_infinite_spec_fails(self, tmp_path, capsys, argv):
+        assert run("synth", *argv, "--output-prefix", tmp_path / "x") == 1
+        assert "GeneratorSpecError" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_default_mixture_feeds_separate(self, tmp_path):
         prefix = tmp_path / "m"
         run("synth", "mixture", "--output-prefix", prefix)
@@ -647,7 +655,7 @@ def command_argv(tmp_path, command):
 
 @pytest.mark.parametrize("argv, message", [
     (["scan", "img.pgm", "--order", "x"], "order must be an integer or 'auto', got 'x'"),
-    (["separate", "a.csv", "--offsets", "1,x"], "expected a comma-separated integer list, got '1,x'"),
+    (["separate", "a.csv", "--offsets", "0"], "unrecognized arguments: --offsets 0"),
     (["synth", "texture", "--region", "1,2,3"], "region must be x,y,width,height,tag"),
     (["synth", "texture", "--region", "1,2,x,4,rough"], "region coordinates must be integers"),
 ])

@@ -181,6 +181,13 @@ class TestSlidingScan:
         assert smap.grid.shape == (4, 4)
         assert smap.decompositions == 16
 
+    def test_numpy_integer_geometry(self):
+        img = GrayImage(np.random.default_rng(5).uniform(size=(20, 20)))
+        want = image.sliding_scan(img, WindowConfig(window_size=5, stride=5, order=2))
+        got = image.sliding_scan(img, WindowConfig(window_size=np.int64(5), stride=np.int32(5),
+                                                   order=np.int16(2)))
+        assert got.grid.tobytes() == want.grid.tobytes()
+
     def test_geometry_formula_sweep(self):
         rng = np.random.default_rng(6)
         img = GrayImage(rng.uniform(size=(37, 61)))
@@ -406,6 +413,9 @@ class TestScanParity:
     pytest.param(lambda: GrayImage(np.zeros((2, 2, 2))), ShapeError, id="image-3d"),
     pytest.param(lambda: GrayImage(np.full((2, 2), np.nan)), InvalidInputError, id="image-nan"),
     pytest.param(lambda: WindowConfig(5, stride=0), ConfigError, id="stride"),
+    pytest.param(lambda: WindowConfig(5, stride=1.5), ConfigError, id="stride-float"),
+    pytest.param(lambda: WindowConfig(5.0), ConfigError, id="window-float"),
+    pytest.param(lambda: WindowConfig(5, order=1.5), ConfigError, id="order-float"),
     pytest.param(lambda: WindowConfig(5, order="best"), ConfigError, id="order-name"),
     pytest.param(lambda: WindowConfig(5, order=0), ConfigError, id="order"),
     pytest.param(lambda: WindowConfig(5, delta=-1e-9), ConfigError, id="delta"),

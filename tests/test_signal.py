@@ -68,17 +68,22 @@ class TestEmbed:
         cs = ChannelSet.from_channels([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         a = signal.embed(cs, EmbedLayout.channel_columns(3))
         assert np.array_equal(a, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+        short = signal.embed(cs, EmbedLayout.channel_columns(2))
+        assert np.array_equal(short, [[1.0, 4.0], [2.0, 5.0]])
+        for view in (a, short):  # a read-only view, as on the hankel layout
+            assert np.shares_memory(view, cs.data) and not view.flags.writeable
+        assert cs.data.flags.writeable
 
-    def test_channel_columns_offsets(self):
-        cs = ChannelSet.from_channels([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-        a = signal.embed(cs, EmbedLayout.channel_columns(2, offsets=(1, 2)))
-        assert np.array_equal(a, [[2.0, 7.0], [3.0, 8.0]])
-        assert a.flags.writeable and not np.shares_memory(a, cs.data)  # a new array, unlike hankel's view
+    def test_numpy_integer_geometry(self):
+        cs = ChannelSet.from_channels([[1.0, 2.0, 3.0, 4.0]])
+        a = signal.embed(cs, EmbedLayout.hankel(np.int64(2), stride=np.int32(2)))
+        assert np.array_equal(a, [[1.0, 3.0], [2.0, 4.0]])
+        assert np.array_equal(signal.embed(cs, EmbedLayout.channel_columns(np.int64(3))), [[1.0], [2.0], [3.0]])
 
     def test_out_of_bounds_window(self):
         cs = ChannelSet.from_channels([[1.0, 2.0, 3.0]])
         with pytest.raises(RangeError):
-            signal.embed(cs, EmbedLayout.channel_columns(3, offsets=(1,)))
+            signal.embed(cs, EmbedLayout.channel_columns(4))
 
     def test_hankel_needs_single_channel(self):
         cs = ChannelSet(np.ones((4, 2)))
@@ -130,7 +135,7 @@ class TestUnembed:
 
     @pytest.mark.parametrize("layout, target_length", [
         pytest.param(EmbedLayout.channel_columns(10), 10, id="identity"),
-        pytest.param(EmbedLayout.channel_columns(10, offsets=(0, 2, 5)), 15, id="offsets"),
+        pytest.param(EmbedLayout.channel_columns(10), 15, id="offsets"),
         pytest.param(EmbedLayout.hankel(10, stride=10), 30, id="hankel"),
     ])
     def test_never_shares_memory_with_its_argument(self, layout, target_length):
@@ -279,22 +284,32 @@ class TestBandSignals:
             assert band.data.tobytes() == signal.unembed(part, layout, 30).data.tobytes()
 
     def test_channel_columns_with_offsets_are_the_matrix_route(self):
-        # A window shorter than the recording, placed at --offsets-style offsets.
+        # A 200-sample window of a 300-sample recording: the rows past it are zero.
         data = np.random.default_rng(24).standard_normal((300, 6))
-        layout = EmbedLayout.channel_columns(200, offsets=(0, 10, 50, 100, 0, 99))
+        layout = EmbedLayout.channel_columns(200)
         spec = linalg.svd(signal.embed(ChannelSet(data), layout))
         cut = self.cut_for(spec.numerical_rank)
         bands = list(signal.band_signals(spec, cut, layout, 300))
         for part, band in zip(signal.separate(spec, cut), bands):
             assert band.data.tobytes() == signal.unembed(part, layout, 300).data.tobytes()
-        assert len(bands) == 3 and np.all(bands[0].data[:10, 1] == 0.0)
+            assert np.array_equal(band.data[:200], part) and not np.any(band.data[200:])
+        assert len(bands) == 3
 
     def test_offset_that_does_not_fit_is_a_layout_error(self):
+        # A window longer than the target is rejected before any block of a band is formed.
+        class Unsliceable:
+            shape = (200, 3)
+
+            def __getitem__(self, index):
+                raise AssertionError(f"block {index} formed before the target length was checked")
+
+        raise_exactly(LayoutError, lambda: signal._unembed(Unsliceable(), EmbedLayout.channel_columns(200), 150),
+                      match="windows extend to 200 but target_length is 150$")
         data = np.random.default_rng(25).standard_normal((300, 3))
-        layout = EmbedLayout.channel_columns(200, offsets=(0, 99, 10))
+        layout = EmbedLayout.channel_columns(200)
         spec = linalg.svd(signal.embed(ChannelSet(data), layout))
-        with pytest.raises(LayoutError, match="column 1 at offset 99"):
-            next(signal.band_signals(spec, self.cut_for(spec.numerical_rank), layout, 250))
+        with pytest.raises(LayoutError, match="windows extend to 200 but target_length is 150$"):
+            next(signal.band_signals(spec, self.cut_for(spec.numerical_rank), layout, 150))
 
     def test_rejects_mismatched_layout_and_cut(self):
         x = np.random.default_rng(23).standard_normal(100)
@@ -911,11 +926,9 @@ class TestLongRecordingMemory:
     pytest.param(lambda: ChannelSet.from_channels([]), ShapeError, id="no-channels"),
     pytest.param(lambda: EmbedLayout.hankel(1), LayoutError, id="window"),
     pytest.param(lambda: EmbedLayout.hankel(4, stride=0), LayoutError, id="stride"),
-    pytest.param(lambda: EmbedLayout.channel_columns(4, offsets=(0, -1)), LayoutError, id="offset"),
-    pytest.param(lambda: signal.embed(ChannelSet(np.zeros((8, 2))), EmbedLayout.channel_columns(4, (0,))),
-                 LayoutError, id="embed-offset-count"),
-    pytest.param(lambda: signal.unembed(np.zeros((4, 3)), EmbedLayout.channel_columns(4, (0, 0)), 8),
-                 LayoutError, id="unembed-offset-count"),
+    pytest.param(lambda: EmbedLayout.hankel(5, stride=2.5), LayoutError, id="stride-float"),
+    pytest.param(lambda: EmbedLayout.hankel(5.0), LayoutError, id="window-float"),
+    pytest.param(lambda: EmbedLayout.channel_columns(5.0), LayoutError, id="columns-window-float"),
     pytest.param(lambda: signal.unembed(np.zeros((4, 3)), EmbedLayout.hankel(4), 5),
                  LayoutError, id="hankel-coverage"),
     pytest.param(lambda: signal.singular_energies([]), InvalidInputError, id="no-gaps"),

@@ -174,6 +174,9 @@ class TestGenTexture:
     pytest.param(lambda: base_spec(energy_ratio_weak_noise=math.nan), id="nan-weak-noise"),
     *[pytest.param(lambda tag=tag: TextureSpec(width=4, height=4, noise_amplitude={tag: math.nan}),
                    id=f"nan-{tag}-amplitude") for tag in TAG_CODES],
+    pytest.param(lambda: base_spec(energy_ratio_dominant_weak=math.inf), id="inf-dominant-weak"),
+    *[pytest.param(lambda tag=tag: TextureSpec(width=4, height=4, noise_amplitude={tag: math.inf}),
+                   id=f"inf-{tag}-amplitude") for tag in TAG_CODES],
 ])
 def test_typed_errors(call):
     raise_exactly(GeneratorSpecError, call)
