@@ -120,12 +120,7 @@ def cmd_separate(args) -> RunReport:
         second = fio.read_channels_csv(args.second)
         b = signal.embed(second, _layout_from_args(args, second))
         del second  # leave b, a view, the only holder of its samples
-        # Not linalg.gsvd(a, b), whose caller keeps both embeddings alive
-        # beside their stack: here the QR holds the stack, LAPACK's copy and Q.
-        stack, m = linalg._stack(a, b)
-        del a, b
-        decomp = linalg._gsvd_stacked(stack, m)
-        del stack
+        decomp = linalg.gsvd(a, b)  # holds a and b: its bands are read from a
         values, values_key = decomp.generalized_values, "generalized_values"
         rank_info = {"infinite_values": int(np.sum(np.isinf(decomp.balanced_values)))}
     cut = signal.cutoff(decomp, min_separation=min_separation)
@@ -334,8 +329,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"svdsep: {exc}", file=sys.stderr)
         return 2
-    except SvdsepError as exc:
-        print(f"svdsep: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (SvdsepError, MemoryError) as exc:
+        # numpy's MemoryError is a subclass with a private name
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"svdsep: error: {kind}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -114,13 +114,10 @@ class SubspaceSeparator(BaseEstimator):
         factors = self.spectrum_ if self.method == "svd" else self.gsvd_
         # the weak band, as separate() takes it
         lo, hi = signal._band_ranges(factors, self.cutoff_)[1]
-        if self.method == "svd":
-            directions = factors.right_basis
-            coefficients = X @ directions[:, lo:hi]
-        else:
-            directions = factors.x_factor
-            coefficients = np.linalg.solve(directions, X.T).T[:, lo:hi]
-        return coefficients @ directions[:, lo:hi].T
+        if self.method == "gsvd":
+            return X @ factors.band_matrix(lo, hi)
+        directions = factors.right_basis[:, lo:hi]
+        return (X @ directions) @ directions.T
 
     def fit_transform(self, X, B=None):
         return self.fit(X, B=B).transform(X)

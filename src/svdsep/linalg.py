@@ -147,7 +147,7 @@ class GsvdResult:
     The pair is balanced before it is factored: B is scaled by the power of
     two ``2^k``, ``k = b_shift``, that brings its largest |entry| to the
     binary exponent of A's, so neither matrix is lost next to the other in
-    the stacked QR. The shift is exact, and 0 when the exponents match.
+    the stacked triangles. The shift is exact, and 0 when the exponents match.
 
     ``alpha`` and ``beta`` are the diagonals of C and S in storage order:
     alpha non-decreasing, beta non-increasing, so that the nonzero betas
@@ -158,35 +158,60 @@ class GsvdResult:
     order are clamped to the least value before them. The cutoff reads these.
     ``generalized_values`` are those of the caller's (A, B), ``2^k`` times
     the balanced ones: inf or 0 only where the true value is not
-    representable. Only the columns of U and V paired with a diagonal entry
-    are kept.
+    representable. Beside ``a`` and ``b``, the arrays or views the pair was
+    read from, only n x n factors are held: a band of A is A times one of
+    them (:meth:`band_matrix`), and U = Q_A ``u_factor`` and V, the
+    orthonormal factor of Q_B ``v_factor``, are formed on read from a QR of
+    A or of B, keeping the columns paired with a diagonal entry.
     """
 
-    u_basis: np.ndarray      # (m, n) orthonormal columns
-    v_basis: np.ndarray      # (s, min(s, n)) orthonormal columns
+    a: np.ndarray            # (m, n) as given
+    b: np.ndarray            # (s, n) as given, unscaled
     x_factor: np.ndarray     # (n, n) nonsingular
+    x_dual: np.ndarray       # (n, n) X^{-T}
+    u_factor: np.ndarray     # (n, n) orthogonal
+    v_factor: np.ndarray     # (min(s, n), n) orthogonal columns of norms beta
     alpha: np.ndarray        # (n,)
     beta: np.ndarray         # (n,)
     balanced_values: np.ndarray  # (n,) descending, inf first
     b_shift: int
-    # Factorizations one gsvd call performs: QR of [A; B], SVD of R (the rank
-    # check), SVD of Q1 and QR of Q2 W.
+    # Factorizations one gsvd call performs: QR of A, QR of B, SVD of the
+    # stacked triangles (the rank check) and SVD of its top block.
     factorizations: ClassVar[int] = 4
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.u_basis.shape[0], self.x_factor.shape[0])
+        return (self.a.shape[0], self.x_factor.shape[0])
+
+    @property
+    def u_basis(self) -> np.ndarray:
+        """U, (m, n) orthonormal columns."""
+        return _lapack("QR", self.a.shape, np.linalg.qr, self.a)[0] @ self.u_factor
+
+    @property
+    def v_basis(self) -> np.ndarray:
+        """V, (s, min(s, n)) orthonormal columns."""
+        q = _lapack("QR", self.b.shape, np.linalg.qr, self.b)[0]
+        t = q @ self.v_factor
+        v, r = _lapack("QR", t.shape, np.linalg.qr, t)
+        v[:, np.diagonal(r) < 0] *= -1.0
+        return v
 
     @property
     def generalized_values(self) -> np.ndarray:
         with np.errstate(over="ignore"):  # inf only where the true value is not representable
             return np.ldexp(self.balanced_values, self.b_shift)
 
+    def band_matrix(self, lo: int, hi: int) -> np.ndarray:
+        """The (n, n) matrix ``X^{-T}[:, lo:hi] X[:, lo:hi]^T``: A times it is
+        the band ``U[:, lo:hi] C[lo:hi] X[:, lo:hi]^T`` of A."""
+        return self.x_dual[:, lo:hi] @ self.x_factor[:, lo:hi].T
+
     def reconstruct_a(self) -> np.ndarray:
         return _band(self.u_basis, self.alpha, self.x_factor, 0, self.alpha.size)
 
     def reconstruct_b(self) -> np.ndarray:
-        band = _band(self.v_basis, self.beta, self.x_factor, 0, self.v_basis.shape[1])
+        band = _band(self.v_basis, self.beta, self.x_factor, 0, self.v_factor.shape[0])
         return np.ldexp(band, -self.b_shift, out=band)
 
 
@@ -337,14 +362,16 @@ def streamed_svd(xt, rank_tolerance: float | None = None) -> StreamedSpectrum:
 
 
 def gsvd(a, b) -> GsvdResult:
-    """Generalized SVD of the pair (A, B) via the CS-decomposition route.
+    """Generalized SVD of the pair (A, B) from the n x n triangles of A and B.
 
     Requires A with at least as many rows as columns and a stacked matrix
-    [A; B] of full column rank. The construction QR-factors the stack,
-    splits the orthonormal factor, takes the thin SVD of the top block,
-    and orthogonalizes the image of the bottom block, which is numerically
-    stabler than forming A^T A and B^T B. U is (m, n) and V is
-    (s, min(s, n)). B is first balanced against A by a power of two (see
+    [A; B] of full column rank, which is never formed: A = Q_A R_A and
+    B = Q_B R_B are factored apart, as LAPACK's xGGSVP3 begins (Bai and
+    Demmel, SIAM J. Sci. Comput. 14(6), 1993). The SVD P Sigma Z^T of
+    [R_A; R_B] carries the rank check; the SVD of the top block of P gives
+    alpha and W, and beta is the column norms of its bottom block times W.
+    Then X = Z Sigma W and X^{-T} = Z Sigma^{-1} W, with no solve. B is first
+    balanced against A by a power of two, applied to R_B (see
     :class:`GsvdResult`), so the result holds at any scale of either matrix.
 
     Raises
@@ -355,55 +382,31 @@ def gsvd(a, b) -> GsvdResult:
         If [A; B] is rank deficient (the C^T C + S^T S = I normalization
         is unattainable on the null directions).
     ConvergenceError
-        If LAPACK fails to factor the stack or one of its blocks.
+        If LAPACK fails to factor A, B, the stacked triangles or its top block.
     """
-    return _gsvd_stacked(*_stack(a, b))
-
-
-def _stack(a, b) -> tuple[np.ndarray, int]:
-    """The stack [A; B] of a :func:`gsvd` pair and the row count m of A, once
-    the pair passes :func:`gsvd`'s shape checks."""
     a_arr = check_matrix(a, "A")
     b_arr = check_matrix(b, "B")
-    m, n = a_arr.shape
+    (m, n), s = a_arr.shape, b_arr.shape[0]
     if b_arr.shape[1] != n:
         raise ShapeError(f"A and B must share a column count, got {n} and {b_arr.shape[1]}")
     if m < n:
         raise ShapeError(f"A must have at least as many rows as columns, got {a_arr.shape}")
-    return np.vstack([a_arr, b_arr]), m
-
-
-def _exponent(x: np.ndarray) -> int:
-    """Binary exponent of the largest |entry| of ``x``, the rule of :func:`_shifted`."""
-    return int(np.frexp(max(x.max(), -x.min()))[1])
-
-
-def _gsvd_stacked(stack: np.ndarray, m: int) -> GsvdResult:
-    """:func:`gsvd` of the pair whose :func:`_stack` is ``stack``, A its first ``m`` rows.
-
-    Takes the stack so that a caller can drop A and B before the QR, which
-    then holds the stack, LAPACK's copy of it and Q. B's rows are balanced
-    in place.
-    """
+    r_a = _lapack("QR", a_arr.shape, np.linalg.qr, a_arr, mode="r")
+    r_b = _lapack("QR", b_arr.shape, np.linalg.qr, b_arr, mode="r")
     # A power of the radix, as LAPACK's xGGBAL balances a pencil (Ward,
     # SIAM J. Sci. Stat. Comput. 2(2), 1981). Max |entry|, not a norm: a norm
-    # overflows at 1e160.
-    shift = _exponent(stack[:m]) - _exponent(stack[m:])
-    if shift:
-        np.ldexp(stack[m:], shift, out=stack[m:])
-    rows, n = stack.shape
-    stacked_size = max(rows, n)  # the larger dimension of [A; B]
-    # reduced: q is (m+s, n), r is (n, n)
-    q, r_stack = _lapack("QR", stack.shape, np.linalg.qr, stack)
-    # R has the singular values of [A; B], so it carries the rank check.
-    stack_sv = _lapack("SVD", r_stack.shape, np.linalg.svd, r_stack, compute_uv=False)
-    if stack_sv[-1] <= stacked_size * _EPS * stack_sv[0]:
+    # overflows at 1e160. QR commutes exactly with it, so R_B takes it, not B.
+    shift = _exponent(a_arr) - _exponent(b_arr)
+    stack = np.vstack([r_a, np.ldexp(r_b, shift)])
+    stacked_size = max(m + s, n)  # the larger dimension of [A; B]
+    p, sigma, zt = _lapack("SVD", stack.shape, np.linalg.svd, stack, full_matrices=False)
+    # The triangles have the singular values of [A; 2^k B]: they carry the rank check.
+    if sigma[-1] <= stacked_size * _EPS * sigma[0]:
         raise DegeneratePencilError(
             "stacked matrix [A; B] is rank deficient; the pair has no full generalized decomposition"
         )
-    q1, q2 = q[:m], q[m:]
 
-    u, alpha, wt = _lapack("SVD", q1.shape, np.linalg.svd, q1, full_matrices=False)
+    u, alpha, wt = _lapack("SVD", (n, n), np.linalg.svd, p[:n])
     _fix_signs(u, wt.T)
     # Reorder so alpha ascends: nonzero betas then land on the leading
     # diagonal of S, which is the only representable layout when s < n.
@@ -411,28 +414,30 @@ def _gsvd_stacked(stack: np.ndarray, m: int) -> GsvdResult:
     u = u[:, ::-1]
     w = wt[::-1].T
 
-    t = q2 @ w  # columns orthogonal with norms beta_i
-    del q, q1, q2  # t is the last use of Q
-    v, r_t = _lapack("QR", t.shape, np.linalg.qr, t)
-    diag = np.diagonal(r_t)
-    v[:, diag < 0] *= -1.0
+    t = p[n:] @ w  # columns orthogonal with norms beta_i
     beta = np.zeros(n)
-    beta[: diag.size] = np.abs(diag)
-
-    x = r_stack.T @ w
+    beta[: t.shape[0]] = np.linalg.norm(t[:, : t.shape[0]], axis=0)
 
     inf_tol = stacked_size * _EPS
     with np.errstate(divide="ignore"):
         values = np.where(beta > inf_tol, alpha / np.maximum(beta, inf_tol), np.inf)
     return GsvdResult(
-        u_basis=u,
-        v_basis=v,
-        x_factor=x,
+        a=a_arr,
+        b=b_arr,
+        x_factor=(zt.T * sigma) @ w,
+        x_dual=(zt.T / sigma) @ w,
+        u_factor=u,
+        v_factor=t,
         alpha=alpha,
         beta=beta,
         balanced_values=np.minimum.accumulate(values[::-1]),
         b_shift=shift,
     )
+
+
+def _exponent(x: np.ndarray) -> int:
+    """Binary exponent of the largest |entry| of ``x``, the rule of :func:`_shifted`."""
+    return int(np.frexp(max(x.max(), -x.min()))[1])
 
 
 def frobenius_energy(a) -> float:

@@ -458,7 +458,8 @@ class _Band:
     A band is ``U[:, b] diag(w[b]) X[:, b]^T``. A band of a left-orthonormal
     factor is the projection ``U_b U_b^T X`` of the matrix it came from, so a
     streamed spectrum needs no right basis: its columns are projected from a
-    contiguous copy of their rows of X^T.
+    contiguous copy of their rows of X^T. A generalized band is rows of A
+    times an n x n band matrix, so no (m, n) basis is formed.
     """
 
     factors: SpectrumResult | StreamedSpectrum | GsvdResult
@@ -481,7 +482,7 @@ class _Band:
             u_b = f.left_basis[:, self.lo : self.hi]
             return u_b[rows] @ (np.ascontiguousarray(f.transposed[cols]) @ u_b).T
         if isinstance(f, GsvdResult):
-            return _band(f.u_basis[rows], f.alpha, f.x_factor[cols], self.lo, self.hi)
+            return f.a[rows] @ f.band_matrix(self.lo, self.hi)[:, cols]
         return _band(f.left_basis[rows], f.singular_values, f.right_basis[cols], self.lo, self.hi)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import lapack_fails, raise_exactly, random_rect, sym_eig_2x2, traced_peak
 
-from svdsep import linalg
+from svdsep import linalg, signal
 from svdsep.errors import (
     ConvergenceError,
     DegeneratePencilError,
@@ -11,6 +11,8 @@ from svdsep.errors import (
     ShapeError,
 )
 from svdsep.validation import check_matrix
+
+_EPS = np.finfo(np.float64).eps
 
 
 class TestSvd:
@@ -238,8 +240,9 @@ class TestPeakMemory:
         assert peak <= 1.02 * res.left_basis.nbytes
 
     def test_gsvd_peak_is_set_by_its_qr(self):
-        # The QR of [A; B] holds the stack and Q: ~3.0x the pair. The
-        # whole-array sign rule on the (m, n) U pushed the peak to ~3.9x.
+        # The peak is the copy LAPACK's QR makes of A: ~0.57x the pair. A
+        # QR of the stack [A; B], holding the stack and Q, made it ~3.0x,
+        # and a whole-array sign rule on an (m, n) U ~3.9x.
         rng = np.random.default_rng(41)
         a, b = rng.standard_normal((40_000, 8)), rng.standard_normal((30_000, 8))
         res, peak = traced_peak(lambda: linalg.gsvd(a, b))
@@ -427,6 +430,26 @@ class TestGsvd:
         assert r1.x_factor.tobytes() == r2.x_factor.tobytes()
         assert r1.generalized_values.tobytes() == r2.generalized_values.tobytes()
 
+    @pytest.mark.parametrize("kappa", [1e2, 1e5, 1e8, 1e10])
+    def test_dominant_band_of_a_planted_pencil(self, kappa):
+        # A = U_a C X^T and B = V_b S X^T with cond(X) = kappa and two
+        # planted dominant directions; rounding A and B moves the band by
+        # about kappa eps, so that is the error to expect, with no more.
+        values = np.array([100.0, 50.0, 1.0, 0.8, 0.6, 0.4, 0.2, 0.1])
+        alpha, beta = values / np.hypot(values, 1.0), 1.0 / np.hypot(values, 1.0)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            x_left, x_right, u_a, v_b = (np.linalg.qr(rng.standard_normal((rows, 8)))[0]
+                                         for rows in (8, 8, 400, 300))
+            x = x_left @ np.diag(np.geomspace(1.0, 1.0 / kappa, 8)) @ x_right.T
+            a, b = (u_a * alpha) @ x.T, (v_b * beta) @ x.T
+            res = linalg.gsvd(a, b)
+            cut = signal.cutoff(res)
+            assert cut.m == 2
+            dominant = signal.separate(res, cut)[0]
+            planted = (u_a[:, :2] * alpha[:2]) @ x[:, :2].T
+            assert np.max(np.abs(dominant - planted)) <= 10 * kappa * _EPS * np.max(np.abs(a)), seed
+
 
 _RNG = np.random.default_rng(50)
 _A, _B, _XT = _RNG.standard_normal((8, 3)), _RNG.standard_normal((5, 3)), _RNG.standard_normal((100, 4))
@@ -437,12 +460,12 @@ _A, _B, _XT = _RNG.standard_normal((8, 3)), _RNG.standard_normal((5, 3)), _RNG.s
     ("svd", 1, lambda: linalg.svd(_A.T), "SVD of a 3x8 matrix"),
     ("qr", 2, lambda: linalg.streamed_svd(_XT), "blocked QR of a 100x4 matrix"),
     ("svd", 1, lambda: linalg.streamed_svd(_XT), "SVD of a 4x4 matrix"),
-    ("qr", 1, lambda: linalg.gsvd(_A, _B), "QR of a 13x3 matrix"),
-    ("svd", 1, lambda: linalg.gsvd(_A, _B), "SVD of a 3x3 matrix"),
-    ("svd", 2, lambda: linalg.gsvd(_A, _B), "SVD of a 8x3 matrix"),
+    ("qr", 1, lambda: linalg.gsvd(_A, _B), "QR of a 8x3 matrix"),
     ("qr", 2, lambda: linalg.gsvd(_A, _B), "QR of a 5x3 matrix"),
-], ids=["svd", "svd-wide", "streamed-qr", "streamed-svd", "gsvd-stack-qr", "gsvd-rank-svd",
-        "gsvd-q1-svd", "gsvd-q2w-qr"])
+    ("svd", 1, lambda: linalg.gsvd(_A, _B), "SVD of a 6x3 matrix"),
+    ("svd", 2, lambda: linalg.gsvd(_A, _B), "SVD of a 3x3 matrix"),
+], ids=["svd", "svd-wide", "streamed-qr", "streamed-svd", "gsvd-a-qr", "gsvd-b-qr",
+        "gsvd-rank-svd", "gsvd-q1-svd"])
 def test_lapack_failure_is_a_typed_error(name, call, run, message):
     with lapack_fails(name, call):
         raise_exactly(ConvergenceError, run, match=f"^{message} failed: {name} did not converge$")
