@@ -3,8 +3,9 @@
 Wall times are machine dependent, so downstream assertions should be
 ordinal only (suite A slower than suite B); decomposition counts are exact
 and deterministic. One warm-up repetition runs before anything is
-recorded. End-to-end benchmarking of the CLI pipelines lives in
-``perfbench/``.
+recorded. Each record's wall time is the least of three calls (the
+``timeit`` rule): load from other processes only ever adds time.
+End-to-end benchmarking of the CLI pipelines lives in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -47,32 +48,47 @@ def _mixture_matrix(samples: int, seed: int):
     return channels.data
 
 
-def run_cutoff_bench(sizes, reps: int, seed: int = 0) -> list[BenchRecord]:
-    """Time both cutoff routes, as the CLI runs them (``signal.cutoff``), on
-    seeded mixtures of each sample count.
+def _least_ms(call):
+    """Least wall time of three calls of ``call``, in ms, and the last call's result."""
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3, result
 
-    Produces ``2 * len(sizes) * reps`` records, each counting the
-    factorizations of the decomposition it timed.
+
+def _decompose_and_cut(decompose, args):
+    factors = decompose(*args)
+    signal.cutoff(factors)
+    return factors
+
+
+def run_cutoff_bench(sizes, reps: int, seed: int = 0) -> list[BenchRecord]:
+    """Time both cutoff routes as the CLI runs them (``signal.cutoff``, LAPACK
+    on one OpenBLAS thread) on seeded mixtures of each sample count.
+
+    Each repetition times every size in turn, so a spell of load from other
+    processes falls on all sizes alike. Produces ``2 * len(sizes) * reps``
+    records, each counting the factorizations of the decomposition it timed.
     """
     sizes = [int(s) for s in sizes]
     if any(s < 8 for s in sizes):
         raise InvalidInputError("benchmark sizes must be >= 8")
     if reps < 3:
         raise InvalidInputError(f"need reps >= 3, got {reps}")
-    records = []
+    routes = []
     for size in sizes:
-        a = _mixture_matrix(size, seed)
-        b = _mixture_matrix(size, seed + 1)
-        routes = ((SUITE_CUTOFF_SVD, linalg.svd, (a,)), (SUITE_CUTOFF_GSVD, linalg.gsvd, (a, b)))
-        for _, decompose, args in routes:
+        a, b = _mixture_matrix(size, seed), _mixture_matrix(size, seed + 1)
+        routes += [(SUITE_CUTOFF_SVD, size, linalg.svd, (a,)), (SUITE_CUTOFF_GSVD, size, linalg.gsvd, (a, b))]
+    records = []
+    with linalg._one_blas_thread():
+        for _, _, decompose, args in routes:
             signal.cutoff(decompose(*args))  # warm-up, discarded
         for rep in range(reps):
-            for suite, decompose, args in routes:
-                t0 = time.perf_counter()
-                factors = decompose(*args)
-                signal.cutoff(factors)
-                records.append(BenchRecord(suite, size, rep, (time.perf_counter() - t0) * 1e3,
-                                           factors.factorizations))
+            for suite, size, decompose, args in routes:
+                ms, factors = _least_ms(lambda: _decompose_and_cut(decompose, args))
+                records.append(BenchRecord(suite, size, rep, ms, factors.factorizations))
     return records
 
 
@@ -94,8 +110,6 @@ def run_scan_bench(window_sizes, image_side: int, reps: int, seed: int = 0) -> l
         cfg = WindowConfig(window_size=w, stride=w)
         sliding_scan(img, cfg)  # warm-up, discarded
         for rep in range(reps):
-            t0 = time.perf_counter()
-            smap = sliding_scan(img, cfg)
-            records.append(BenchRecord(SUITE_SCAN, w, rep,
-                                       (time.perf_counter() - t0) * 1e3, smap.decompositions))
+            ms, smap = _least_ms(lambda: sliding_scan(img, cfg))
+            records.append(BenchRecord(SUITE_SCAN, w, rep, ms, smap.decompositions))
     return records

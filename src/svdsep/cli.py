@@ -81,33 +81,27 @@ def _region_arg(text: str) -> Region:
     return Region(x=x, y=y, width=w, height=h, tag=parts[4].strip())
 
 
-def _layout_from_args(args, channels: signal.ChannelSet) -> signal.EmbedLayout:
-    if args.layout == "hankel":
-        if args.window_length is None:
-            raise ParseError("hankel layout requires --window-length")
-        return signal.EmbedLayout.hankel(args.window_length,
-                                         stride=1 if args.stride is None else args.stride)
-    return signal.EmbedLayout.channel_columns(
-        args.window_length if args.window_length is not None else channels.n_samples)
-
-
 def cmd_separate(args) -> RunReport:
+    # Three routes: svd or gsvd on channel columns, svd on a hankel layout.
     # A flag that the chosen route never reads is an error, not a silent no-op.
-    for flag, value, option, route in (
-        ("--min-separation", args.min_separation, "method", "svd"),
-        ("--rank-tolerance", args.rank_tolerance, "method", "svd"),
-        ("--second", args.second, "method", "gsvd"),
-        ("--stride", args.stride, "layout", "hankel"),
+    for flag, given, option, route in (
+        ("--rank-tolerance", args.rank_tolerance is not None, "method", "svd"),
+        ("--second", args.second is not None, "method", "gsvd"),
+        ("--method gsvd", args.method == "gsvd", "layout", "channel-columns"),
+        ("--window-length", args.window_length is not None, "layout", "hankel"),
+        ("--stride", args.stride is not None, "layout", "hankel"),
     ):
-        if value is not None and getattr(args, option) != route:
+        if given and getattr(args, option) != route:
             raise ParseError(f"{flag} applies to --{option} {route} only")
     if args.method == "gsvd" and args.second is None:
         raise ParseError("--method gsvd requires --second CSV")
+    if args.layout == "hankel" and args.window_length is None:
+        raise ParseError("hankel layout requires --window-length")
     channels = fio.read_channels_csv(args.input)
-    layout = _layout_from_args(args, channels)
     n_samples, labels = channels.n_samples, channels.labels
+    layout = (signal.EmbedLayout.hankel(args.window_length, stride=1 if args.stride is None else args.stride)
+              if args.layout == "hankel" else signal.EmbedLayout.channel_columns(n_samples))
 
-    min_separation = 1 if args.min_separation is None else args.min_separation
     a = signal.embed(channels, layout)
     del channels  # leave a, a view, the only holder of the samples
     if args.method == "svd":
@@ -118,12 +112,12 @@ def cmd_separate(args) -> RunReport:
         rank_info = {"numerical_rank": decomp.numerical_rank}
     else:
         second = fio.read_channels_csv(args.second)
-        b = signal.embed(second, _layout_from_args(args, second))
+        b = signal.embed(second, signal.EmbedLayout.channel_columns(second.n_samples))
         del second  # leave b, a view, the only holder of its samples
         decomp = linalg.gsvd(a, b)  # holds a and b: its bands are read from a
         values, values_key = decomp.generalized_values, "generalized_values"
         rank_info = {"infinite_values": int(np.sum(np.isinf(decomp.balanced_values)))}
-    cut = signal.cutoff(decomp, min_separation=min_separation)
+    cut = signal.cutoff(decomp)
 
     outputs = [f"{args.output_prefix}_{name}.csv" for name in ("dominant", "weak", "noise")]
     # Not zip(outputs, bands): zip keeps the previous band in its result
@@ -142,7 +136,6 @@ def cmd_separate(args) -> RunReport:
             "layout": args.layout,
             "window_length": layout.window_length,
             "stride": layout.stride,
-            "min_separation": min_separation if args.method == "svd" else None,
             "rank_tolerance": args.rank_tolerance,
             "output_prefix": args.output_prefix,
         },
@@ -252,11 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--method", choices=["svd", "gsvd"], default="svd")
     p_sep.add_argument("--second", help="gsvd method only: reference CSV")
     p_sep.add_argument("--layout", choices=["channel-columns", "hankel"], default="channel-columns")
-    p_sep.add_argument("--window-length", type=int, default=None)
+    p_sep.add_argument("--window-length", type=int, default=None,
+                       help="hankel layout only (required there): samples per window")
     p_sep.add_argument("--stride", type=int, default=None,
                        help="hankel layout only: samples between columns (default 1)")
-    p_sep.add_argument("--min-separation", type=int, default=None,
-                       help="svd method only: least index gap between the two cutoffs (default 1)")
     p_sep.add_argument("--rank-tolerance", type=float, default=None, help="svd method only")
     p_sep.set_defaults(func=cmd_separate)
 

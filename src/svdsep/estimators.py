@@ -54,11 +54,9 @@ class SubspaceSeparator(BaseEstimator):
     ----------
     method : {"svd", "gsvd"}
         "svd" fits the spectrum of X alone; "gsvd" compares X against a
-        reference matrix passed to ``fit``.
-    min_separation : int
-        Minimum index distance between the two boundaries (svd method
-        only). The boundaries follow :func:`svdsep.signal.cutoff`: two when
-        the spectrum has rank >= 3, otherwise one.
+        reference matrix passed to ``fit``. The boundaries follow
+        :func:`svdsep.signal.cutoff`: two when the spectrum has rank >= 3,
+        otherwise one.
     rank_tolerance : float or None
         Relative numerical-rank tolerance; None for the default.
 
@@ -71,9 +69,8 @@ class SubspaceSeparator(BaseEstimator):
     Either way, transform of the fitted matrix is its weak band.
     """
 
-    def __init__(self, method="svd", min_separation=1, rank_tolerance=None):
+    def __init__(self, method="svd", rank_tolerance=None):
         self.method = method
-        self.min_separation = min_separation
         self.rank_tolerance = rank_tolerance
 
     def fit(self, X, B=None):
@@ -87,7 +84,7 @@ class SubspaceSeparator(BaseEstimator):
             if B is None:
                 raise ConfigError("gsvd method requires the reference matrix B")
             self.gsvd_ = factors = linalg.gsvd(X, B)
-        self.cutoff_ = signal.cutoff(factors, min_separation=self.min_separation)
+        self.cutoff_ = signal.cutoff(factors)
         return self
 
     def _check_fitted(self):

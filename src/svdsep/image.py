@@ -262,13 +262,16 @@ def _metric(values: np.ndarray, cfg: WindowConfig, metric: str) -> np.ndarray:
 def information_density(d, lo: int = 1, hi: int | None = None) -> float:
     """Root energy of the window spectrum over the 1-based range [lo, hi].
 
-    ``hi=None`` selects the full numerical rank. The range must fall
-    within the rank of the fragment.
+    ``hi=None`` selects the full numerical rank, so a fragment of rank 0
+    has density 0, as in the scan's density map. An explicit range must
+    fall within the rank of the fragment.
     """
     arr = check_matrix(d, "D")
     values = _lapack("SVD", arr.shape, np.linalg.svd, arr, compute_uv=False)
     rank = int(_rank(values, _tolerance(None, arr.shape)))
     if hi is None:
+        if rank == 0:
+            return 0.0
         hi = rank
     check_index_range(lo, hi, rank, "density range")
     return float(_density(values, lo, hi))

@@ -307,16 +307,6 @@ def egv_profile(values, simplified: bool = False) -> EgvProfile:
     return EgvProfile(gaps=gaps, singular_energies=se, variations=egv(se), gamma=gamma)
 
 
-def _abs_local_maxima(variations: np.ndarray) -> list[int]:
-    """1-based indices of strict local maxima of |V|; boundaries one-sided."""
-    a = np.abs(variations)
-    out = []
-    for i in range(a.size):
-        if (i == 0 or a[i] > a[i - 1]) and (i == a.size - 1 or a[i] > a[i + 1]):
-            out.append(i + 1)
-    return out
-
-
 def cutoff_from_values(values, method: str = "svd-egv") -> CutoffResult:
     """Dominant/weak boundary of a plain descending value sequence.
 
@@ -342,27 +332,28 @@ def find_cutoff(spectrum: SpectrumResult) -> CutoffResult:
     return cutoff_from_values(spectrum.singular_values[:r], method="svd-egv")
 
 
-def find_two_cutoffs(spectrum: SpectrumResult, min_separation: int = 1) -> CutoffResult:
+def find_two_cutoffs(spectrum: SpectrumResult) -> CutoffResult:
     """Both boundaries (dominant/weak and weak/noise) of a spectrum.
 
     ``m`` is that of :func:`find_cutoff`; ``f`` is the strict local maximum
-    of |V| of largest magnitude at an index >= m + min_separation. It is
-    absent, with a warning, when no peak qualifies, which also covers
-    noise-free spectra whose weak band runs to the end of the spectrum.
+    of |V| of largest magnitude past m. It is absent, with a warning, when
+    no peak qualifies, which also covers noise-free spectra whose weak band
+    runs to the end of the spectrum.
     """
     r = spectrum.numerical_rank
     if r < 3:
         raise InsufficientRankError(f"numerical rank {r} < 3: two cutoffs need at least three values")
-    if min_separation < 1:
-        raise InvalidInputError(f"min_separation must be >= 1, got {min_separation}")
     cut = find_cutoff(spectrum)
     var = cut.profile.variations
-    candidates = [k for k in _abs_local_maxima(var) if k >= cut.m + min_separation]
+    a = np.abs(var)
+    # 1-based k > m >= 1, so a[k - 2] exists; the last index is a peak one-sided
+    candidates = [k for k in range(cut.m + 1, a.size + 1)
+                  if a[k - 1] > a[k - 2] and (k == a.size or a[k - 1] > a[k])]
     if not candidates:
         warnings.warn("no second variation peak found; treating spectrum as single-source",
                       RuntimeWarning, stacklevel=2)
         return cut
-    f = max(candidates, key=lambda k: abs(var[k - 1]))
+    f = max(candidates, key=lambda k: a[k - 1])
     return replace(cut, f=f, peak_values=cut.peak_values + (float(var[f - 1]),))
 
 
@@ -386,20 +377,18 @@ def cutoff_from_gsvd(result: GsvdResult) -> CutoffResult:
     return replace(inner, m=n_inf + inner.m)
 
 
-def cutoff(factors: SpectrumResult | StreamedSpectrum | GsvdResult,
-           min_separation: int = 1) -> CutoffResult:
+def cutoff(factors: SpectrumResult | StreamedSpectrum | GsvdResult) -> CutoffResult:
     """The band boundaries :func:`separate` splits a decomposition at.
 
     A spectrum of numerical rank >= 3 gets both boundaries
     (:func:`find_two_cutoffs`), a rank-2 spectrum only the dominant/weak
     one (:func:`find_cutoff`). A generalized decomposition gets the
-    dominant/weak boundary of its finite values (:func:`cutoff_from_gsvd`);
-    ``min_separation`` does not apply to it.
+    dominant/weak boundary of its finite values (:func:`cutoff_from_gsvd`).
     """
     if isinstance(factors, GsvdResult):
         return cutoff_from_gsvd(factors)
     if factors.numerical_rank >= 3:
-        return find_two_cutoffs(factors, min_separation=min_separation)
+        return find_two_cutoffs(factors)
     return find_cutoff(factors)
 
 

@@ -1,5 +1,5 @@
 import contextlib
-import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import encode_png_gray8, lapack_fails, raise_exactly, short_ihdr_png, traced_peak
 
+import svdsep
 from svdsep import io as fio
 from svdsep import cli, linalg, signal
 from svdsep.cli import main
@@ -47,8 +48,8 @@ class TestSeparate:
         assert report["work_counters"]["decompositions"] == 1
         assert report["wall_time_ms"] >= 0.0
         # every flag echoed
-        for key in ("method", "layout", "window_length", "min_separation", "output_prefix"):
-            assert key in report["parameters"]
+        assert set(report["parameters"]) == {"method", "layout", "window_length", "stride",
+                                             "rank_tolerance", "output_prefix"}
 
     def test_component_files_written_and_additive(self, tmp_path, mixture_csv):
         prefix = tmp_path / "sep"
@@ -148,31 +149,17 @@ class TestSeparate:
         assert run("separate", mixture_csv, "--layout", "hankel", "--output-prefix", tmp_path / "x") == 2
         assert "hankel layout requires --window-length" in capsys.readouterr().err
 
-    def test_gsvd_rejects_min_separation(self, tmp_path, mixture_csv, capsys):
-        second_prefix = tmp_path / "mix2"
-        run("synth", "mixture", "--seed", 2, "--output-prefix", second_prefix)
-        code = run("separate", mixture_csv, "--method", "gsvd", "--second",
-                   f"{second_prefix}_signals.csv", "--min-separation", 1,
-                   "--output-prefix", tmp_path / "g")
-        assert code == 2
-        assert "--min-separation" in capsys.readouterr().err
-        assert not (tmp_path / "g_report.json").exists()
-
     @pytest.mark.parametrize("route, flag", [
         ([], ["--second", "ref.csv"]),
         (["--method", "gsvd", "--second", "ref.csv"], ["--rank-tolerance", "1e-9"]),
         ([], ["--stride", "2"]),
+        ([], ["--window-length", "40"]),
     ])
     def test_flags_the_route_never_reads_are_rejected(self, tmp_path, capsys, route, flag):
         absent = tmp_path / "absent.csv"  # rejected before any input is opened
         assert run("separate", absent, *route, *flag, "--output-prefix", tmp_path / "x") == 2
         assert f"{flag[0]} applies to" in capsys.readouterr().err
         assert not (tmp_path / "x_report.json").exists()
-
-    def test_svd_min_separation_defaults_to_one(self, tmp_path, mixture_csv):
-        prefix = tmp_path / "sep"
-        assert run("separate", mixture_csv, "--output-prefix", prefix) == 0
-        assert read_json(f"{prefix}_report.json")["parameters"]["min_separation"] == 1
 
     def test_gsvd_without_second_fails(self, tmp_path, mixture_csv, capsys):
         assert run("separate", mixture_csv, "--method", "gsvd",
@@ -318,22 +305,6 @@ class TestSeparate:
         assert results["numerical_rank"] == want.numerical_rank == 4
         assert len(results["singular_values"]) == want.numerical_rank
 
-    def test_hankel_gsvd(self, tmp_path, capsys):
-        path, reference = tmp_path / "wave.csv", tmp_path / "ref.csv"
-        wave = self.long_wave(path, 60)
-        self.long_wave(reference, 60, noise=0.5)
-        prefix = tmp_path / "g"
-        # L = 40: a 40 x 21 trajectory, tall enough for the generalized decomposition
-        assert run("separate", path, "--method", "gsvd", "--second", reference, "--layout", "hankel",
-                   "--window-length", 40, "--output-prefix", prefix) == 0
-        parts = sum(fio.read_channels_csv(f"{prefix}_{name}.csv").data[:, 0]
-                    for name in ("dominant", "weak", "noise"))
-        assert np.max(np.abs(parts - wave)) <= 1e-12 * np.max(np.abs(wave))
-        # L = 20: a wide 20 x 41 trajectory
-        assert run("separate", path, "--method", "gsvd", "--second", reference, "--layout", "hankel",
-                   "--window-length", 20, "--output-prefix", tmp_path / "w") == 1
-        assert "ShapeError" in capsys.readouterr().err
-
     @pytest.mark.parametrize("method", ["svd", "gsvd", "hankel"])
     def test_decompositions_counts_the_factorizations_run(self, tmp_path, mixture_csv,
                                                           monkeypatch, method):
@@ -382,6 +353,50 @@ class TestSeparate:
         for name, part in zip(("dominant", "weak", "noise"), sep.subspaces()):
             # %.17g round-trips every float64, so the files hold the parts exactly
             assert np.array_equal(fio.read_channels_csv(f"{prefix}_{name}.csv").data, part)
+
+
+@pytest.fixture(scope="module")
+def benchmarked_routes(tmp_path_factory):
+    """The argv of each perfbench ``separate`` workload, by its (method, layout,
+    window given) route, with the workload's inputs written beside it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", TestEntryPoint.ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+        spec.loader.exec_module(workloads)
+    routes = {}
+    for name in workloads.NAMES:
+        workdir = tmp_path_factory.mktemp(name)
+        argv = workloads.command(name, workdir)
+        if argv[0] == "separate":
+            workloads.write_inputs(svdsep, workloads.generate(svdsep, name, 0, workloads.SMOKE), workdir)
+            args = cli.build_parser().parse_args(argv)
+            routes[args.method, args.layout, args.window_length is not None] = argv
+    return routes
+
+
+@pytest.mark.parametrize("windowed", [False, True], ids=["no-window", "window"])
+@pytest.mark.parametrize("layout", ["channel-columns", "hankel"])
+@pytest.mark.parametrize("method", ["svd", "gsvd"])
+def test_separate_runs_only_the_benchmarked_routes(tmp_path, capsys, monkeypatch, benchmarked_routes,
+                                                  method, layout, windowed):
+    # A route that no perfbench workload measures is a parse error.
+    argv = benchmarked_routes.get((method, layout, windowed))
+    if argv is not None:
+        assert main(argv) == 0
+        return
+
+    def no_read(path):
+        raise AssertionError(f"{path} was opened")
+
+    monkeypatch.setattr(fio, "read_channels_csv", no_read)
+    route = ["--method", method, "--layout", layout]
+    route += ["--second", tmp_path / "b.csv"] if method == "gsvd" else []
+    route += ["--window-length", 40] if windowed else []
+    assert run("separate", tmp_path / "a.csv", *route, "--output-prefix", tmp_path / "x") == 2
+    assert capsys.readouterr().err.startswith("svdsep: parse error: ")
+    assert not list(tmp_path.iterdir())
 
 
 class TestStreamedBands:
@@ -676,6 +691,7 @@ def command_argv(tmp_path, command):
     (["separate", "a.csv", "--offsets", "0"], "unrecognized arguments: --offsets 0"),
     (["synth", "texture", "--region", "1,2,3"], "region must be x,y,width,height,tag"),
     (["synth", "texture", "--region", "1,2,x,4,rough"], "region coordinates must be integers"),
+    (["separate", "a.csv", "--min-separation", "1"], "unrecognized arguments: --min-separation 1"),
 ])
 def test_malformed_option_value_exits_2(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:

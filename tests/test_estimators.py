@@ -17,9 +17,9 @@ def mixture_matrix(seed=0):
 
 class TestParamProtocol:
     def test_get_params_round_trip(self):
-        sep = SubspaceSeparator(method="svd", min_separation=2)
+        sep = SubspaceSeparator(method="svd", rank_tolerance=1e-9)
         params = sep.get_params()
-        assert params["min_separation"] == 2
+        assert params == {"method": "svd", "rank_tolerance": 1e-9}
         clone = SubspaceSeparator(**params)
         assert clone.get_params() == params
 
@@ -38,9 +38,9 @@ class TestParamProtocol:
 
     def test_sklearn_clone_compatible(self):
         base = pytest.importorskip("sklearn.base")
-        sep = SubspaceSeparator(min_separation=3)
+        sep = SubspaceSeparator(rank_tolerance=1e-9)
         cloned = base.clone(sep)
-        assert cloned.min_separation == 3
+        assert cloned.rank_tolerance == 1e-9
         scan = base.clone(SmoothnessScanner(window_size=9))
         assert scan.window_size == 9
 
@@ -70,9 +70,12 @@ class TestSubspaceSeparator:
         sep = SubspaceSeparator().fit(x)
         weak_direct = sep.subspaces()[1]
         assert np.allclose(sep.transform(x), weak_direct, atol=1e-9)
-        # No second boundary: the weak band runs to the numerical rank.
-        with pytest.warns(RuntimeWarning):
-            sep = SubspaceSeparator(min_separation=7).fit(x)
+        # No second boundary: the weak band runs to the numerical rank. A
+        # geometric spectrum's |V| has one peak, so f is absent.
+        u, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((400, 3)))
+        x = u * [2.0**-1, 2.0**-2, 2.0**-3]
+        with pytest.warns(RuntimeWarning, match="no second variation peak"):
+            sep = SubspaceSeparator().fit(x)
         assert sep.cutoffs()[1] is None
         assert np.allclose(sep.transform(x), sep.subspaces()[1], atol=1e-9)
 

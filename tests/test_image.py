@@ -94,6 +94,19 @@ class TestInformationDensity:
         with pytest.raises(RangeError):
             image.information_density(np.diag([3.0, 0.0]), 1, 2)  # rank 1
 
+    def test_zero_window_matches_the_density_map(self):
+        # an 8-bit image, black but for its right third: rank-0 windows read 0 in the map
+        samples = np.zeros((12, 12), dtype=np.uint8)
+        samples[:, 8:] = np.random.default_rng(5).integers(1, 256, size=(12, 4))
+        img = GrayImage.from_uint8(samples)
+        grid = image.sliding_scan(img, WindowConfig(window_size=4, stride=2), metric=image.METRIC_DENSITY).grid
+        assert grid[0, 0] == 0.0 and np.all(grid[:, -1] > 0.0)
+        for i, j in np.ndindex(grid.shape):
+            window = img.pixels[2 * i : 2 * i + 4, 2 * j : 2 * j + 4]
+            assert image.information_density(window) == grid[i, j], (i, j)
+        with pytest.raises(RangeError):
+            image.information_density(np.zeros((3, 3)), 1, 1)  # an explicit range must fall within the rank
+
     def test_scales_linearly(self):
         rng = np.random.default_rng(3)
         d = random_window(rng)

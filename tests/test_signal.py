@@ -591,12 +591,6 @@ class TestFindTwoCutoffs:
         assert cut.m == 1
         assert cut.f is None
 
-    def test_min_separation_filters_close_peaks(self):
-        spec = spectrum_of([10.0, 9.0, 1.0, 0.9, 0.01])
-        with pytest.warns(RuntimeWarning):
-            cut = signal.find_two_cutoffs(spec, min_separation=3)
-        assert cut.m == 2 and cut.f is None
-
     def test_m_agrees_with_single_cutoff(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -607,10 +601,6 @@ class TestFindTwoCutoffs:
     def test_rank_two_rejected(self):
         with pytest.raises(InsufficientRankError):
             signal.find_two_cutoffs(spectrum_of([2.0, 1.0]))
-
-    def test_bad_separation_rejected(self):
-        with pytest.raises(InvalidInputError):
-            signal.find_two_cutoffs(spectrum_of([3.0, 2.0, 1.0]), min_separation=0)
 
 
 class TestGsvdCutoff:
@@ -649,7 +639,7 @@ class TestCutoff:
         spec = spectrum_of([3.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cut = signal.cutoff(spec, min_separation=0)  # no second boundary to separate
+            cut = signal.cutoff(spec)
         assert cut == signal.find_cutoff(spec)
         assert cut.f is None
 
@@ -659,23 +649,18 @@ class TestCutoff:
             cut = signal.cutoff(spec)
         with pytest.warns(RuntimeWarning):
             assert cut == signal.find_two_cutoffs(spec)
-        with pytest.raises(InvalidInputError):
-            signal.cutoff(spec, min_separation=0)
 
     def test_two_drop_spectrum(self):
         spec = spectrum_of([10.0, 9.0, 1.0, 0.9, 0.01])
         cut = signal.cutoff(spec)
         assert (cut.m, cut.f) == (2, 4)
-        with pytest.warns(RuntimeWarning):
-            cut = signal.cutoff(spec, min_separation=3)
-        assert (cut.m, cut.f) == (2, None)
 
     def test_gsvd_with_an_infinite_value(self):
         a = np.diag([5.0, 4.0, 0.5, 0.4])
         b = np.diag([0.0, 1.0, 1.0, 1.0])  # first direction unseen by B
         g = linalg.gsvd(a, b)
         with pytest.warns(RuntimeWarning, match="infinite"):
-            cut = signal.cutoff(g, min_separation=3)
+            cut = signal.cutoff(g)
         with pytest.warns(RuntimeWarning):
             assert cut == signal.cutoff_from_gsvd(g)
         assert cut.method == "gsvd-egv" and cut.f is None
@@ -758,6 +743,53 @@ class TestCutoff:
         assert scaled.gamma == math.inf
         assert np.array_equal(scaled.singular_energies, profile.singular_energies)
         assert np.array_equal(scaled.variations, profile.variations)
+
+
+class TestArgmaxOperatingRange:
+    """Where the variation argmax finds a planted dominant tier today.
+
+    This pins the rule's present answers, not the answers it should give:
+    a near-equal pair of dominant values is split (m = 1) unless the
+    dominant tier is far stronger than the weak one. A change to the rule
+    shows up as a change to this table.
+    """
+
+    @staticmethod
+    def mixture(samples, seed, ratio=100.0):
+        spec = synth.MixtureSpec(samples=samples, channels=8, dominant_rank=2, weak_rank_span=2,
+                                 dominant_period=40, energy_ratio_dominant_weak=ratio, seed=seed)
+        return synth.gen_mixture(spec)[0].data
+
+    def test_two_flat_tiers_split_below_the_analytic_threshold(self):
+        # Values [sqrt(R), sqrt(R), 1, 1]: the gaps 2R, 2, 2, 0 give
+        # V_1 = SE_1, V_2 = SE_2 - SE_1 and V_3 = 0, so m = 2 needs SE_2 > 2 SE_1,
+        # that is ln(R + 2) > 2 R ln(1 + 2 / R).
+        def excess(ratio):
+            return math.log(ratio + 2.0) - 2.0 * ratio * math.log1p(2.0 / ratio)
+
+        lo, hi = 2.0, 1000.0
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            lo, hi = (lo, mid) if excess(mid) > 0.0 else (mid, hi)
+        assert round(lo, 2) == 48.38
+        for ratio, m in ((48.0, 1), (lo - 0.01, 1), (lo + 0.01, 2), (49.0, 2)):
+            assert signal.cutoff_from_values([math.sqrt(ratio)] * 2 + [1.0, 1.0]).m == m, ratio
+
+    @pytest.mark.parametrize("ratio, want", [(100.0, (2, 4)), (30.0, (1, 4)), (10.0, (1, 4)),
+                                             (3.0, (1, 4))])
+    def test_channel_column_mixtures(self, ratio, want):
+        # 4000 x 8 mixtures with a planted (2, 4): found only at the default ratio of 100
+        for seed in range(20):
+            cut = signal.cutoff(linalg.svd(self.mixture(4000, seed, ratio)))
+            assert (cut.m, cut.f) == want, seed
+
+    def test_hankel_channel_splits_its_dominant_pair(self):
+        # channel 0 of the mixture, L = 40, as separate --layout hankel factors it
+        for seed in (*range(10), 11):
+            channel = ChannelSet(self.mixture(4000, seed)[:, :1])
+            trajectory = signal.embed(channel, EmbedLayout.hankel(40))
+            cut = signal.cutoff(linalg.streamed_svd(trajectory.T))
+            assert (cut.m, cut.f) == (1, 4), seed
 
 
 class TestSeparate:
