@@ -81,32 +81,35 @@ def _region_arg(text: str) -> Region:
     return Region(x=x, y=y, width=w, height=h, tag=parts[4].strip())
 
 
+def _refuse_unread(rules) -> None:
+    """Refuse, before any input is opened, each rule's flag that was ``given``
+    but is not ``read``: a flag the run ignores is an error, not a silent no-op."""
+    for flag, given, read, scope in rules:
+        if given and not read:
+            raise ParseError(f"{flag} applies to {scope} only")
+
+
 def cmd_separate(args) -> RunReport:
     # Three routes: svd or gsvd on channel columns, svd on a hankel layout.
-    # A flag that the chosen route never reads is an error, not a silent no-op.
-    for flag, given, option, route in (
-        ("--rank-tolerance", args.rank_tolerance is not None, "method", "svd"),
-        ("--second", args.second is not None, "method", "gsvd"),
-        ("--method gsvd", args.method == "gsvd", "layout", "channel-columns"),
-        ("--window-length", args.window_length is not None, "layout", "hankel"),
-        ("--stride", args.stride is not None, "layout", "hankel"),
-    ):
-        if given and getattr(args, option) != route:
-            raise ParseError(f"{flag} applies to --{option} {route} only")
+    _refuse_unread((
+        ("--second", args.second is not None, args.method == "gsvd", "--method gsvd"),
+        ("--method gsvd", args.method == "gsvd", args.layout == "channel-columns",
+         "--layout channel-columns"),
+        ("--window-length", args.window_length is not None, args.layout == "hankel", "--layout hankel"),
+    ))
     if args.method == "gsvd" and args.second is None:
         raise ParseError("--method gsvd requires --second CSV")
     if args.layout == "hankel" and args.window_length is None:
         raise ParseError("hankel layout requires --window-length")
     channels = fio.read_channels_csv(args.input)
     n_samples, labels = channels.n_samples, channels.labels
-    layout = (signal.EmbedLayout.hankel(args.window_length, stride=1 if args.stride is None else args.stride)
-              if args.layout == "hankel" else signal.EmbedLayout.channel_columns(n_samples))
+    layout = (signal.EmbedLayout.hankel(args.window_length) if args.layout == "hankel"
+              else signal.EmbedLayout.channel_columns(n_samples))
 
     a = signal.embed(channels, layout)
     del channels  # leave a, a view, the only holder of the samples
     if args.method == "svd":
-        decomp = (linalg.streamed_svd(a.T, rank_tolerance=args.rank_tolerance) if args.layout == "hankel"
-                  else linalg.svd(a, rank_tolerance=args.rank_tolerance))
+        decomp = linalg.streamed_svd(a.T) if args.layout == "hankel" else linalg.svd(a)
         del a
         values, values_key = decomp.singular_values[: decomp.numerical_rank], "singular_values"
         rank_info = {"numerical_rank": decomp.numerical_rank}
@@ -135,8 +138,6 @@ def cmd_separate(args) -> RunReport:
             "method": args.method,
             "layout": args.layout,
             "window_length": layout.window_length,
-            "stride": layout.stride,
-            "rank_tolerance": args.rank_tolerance,
             "output_prefix": args.output_prefix,
         },
         results={
@@ -152,15 +153,22 @@ def cmd_separate(args) -> RunReport:
 
 
 def cmd_scan(args) -> RunReport:
+    smoothness = args.metric == METRIC_SMOOTHNESS
+    _refuse_unread((
+        ("--order", args.order is not None, smoothness, f"--metric {METRIC_SMOOTHNESS}"),
+        ("--delta", args.delta is not None, args.order == "auto", "--order auto"),
+        ("--epsilon-guard", args.epsilon_guard is not None, smoothness, f"--metric {METRIC_SMOOTHNESS}"),
+        ("--polarity", args.polarity is not None, args.threshold is not None, "runs with --threshold"),
+    ))
     if args.threshold is not None:
         _check_threshold(args.threshold)  # before the scan writes its map files
+    # WindowConfig's defaults stand in for the options not given.
+    knobs = {name: getattr(args, name) for name in ("order", "delta", "epsilon_guard")
+             if getattr(args, name) is not None}
+    cfg = WindowConfig(window_size=args.window_size, stride=args.stride, **knobs)
+    polarity = "above" if args.polarity is None else args.polarity
     # No local keeps the image: it is freed before the outputs are written.
-    smap = sliding_scan(
-        fio.load_gray_image(args.input),
-        WindowConfig(window_size=args.window_size, stride=args.stride,
-                     order=args.order, delta=args.delta, epsilon_guard=args.epsilon_guard),
-        metric=args.metric,
-    )
+    smap = sliding_scan(fio.load_gray_image(args.input), cfg, metric=args.metric)
 
     fio.write_grid_csv(f"{args.output_prefix}_map.csv", smap.grid)
     fio.write_pgm(f"{args.output_prefix}_map.pgm", fio.render_grid_u8(smap.grid))
@@ -168,7 +176,7 @@ def cmd_scan(args) -> RunReport:
 
     mask_stats = None
     if args.threshold is not None:
-        mask = threshold_map(smap, args.threshold, polarity=args.polarity)
+        mask = threshold_map(smap, args.threshold, polarity=polarity)
         mask_stats = {"flagged": int(mask.sum()), "total": int(mask.size)}
         mask *= np.uint8(255)  # in place: no second mask-sized plane
         fio.write_pgm(f"{args.output_prefix}_mask.pgm", mask)
@@ -179,8 +187,8 @@ def cmd_scan(args) -> RunReport:
         inputs=[args.input],
         parameters={
             "window_size": args.window_size, "stride": args.stride, "metric": args.metric,
-            "order": args.order, "delta": args.delta, "epsilon_guard": args.epsilon_guard,
-            "threshold": args.threshold, "polarity": args.polarity,
+            "order": cfg.order, "delta": cfg.delta, "epsilon_guard": cfg.epsilon_guard,
+            "threshold": args.threshold, "polarity": polarity,
             "output_prefix": args.output_prefix,
         },
         results={
@@ -247,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--layout", choices=["channel-columns", "hankel"], default="channel-columns")
     p_sep.add_argument("--window-length", type=int, default=None,
                        help="hankel layout only (required there): samples per window")
-    p_sep.add_argument("--stride", type=int, default=None,
-                       help="hankel layout only: samples between columns (default 1)")
-    p_sep.add_argument("--rank-tolerance", type=float, default=None, help="svd method only")
     p_sep.set_defaults(func=cmd_separate)
 
     p_scan = sub.add_parser("scan", parents=[common], help="sliding-window texture metric over a grayscale image")
@@ -258,13 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--stride", type=int, default=1)
     p_scan.add_argument("--metric", choices=[METRIC_SMOOTHNESS, METRIC_DENSITY],
                         default=METRIC_SMOOTHNESS)
-    p_scan.add_argument("--order", type=_order_arg, default=1,
-                        help="smoothness order n, or 'auto'")
-    p_scan.add_argument("--delta", type=float, default=0.0,
-                        help="near-equality threshold for auto order selection")
-    p_scan.add_argument("--epsilon-guard", type=float, default=1e-6)
+    # None marks an option not given: the flags below are refused where unread.
+    p_scan.add_argument("--order", type=_order_arg, default=None,
+                        help="smoothness metric only: order n, or 'auto' (default 1)")
+    p_scan.add_argument("--delta", type=float, default=None,
+                        help="--order auto only: near-equality threshold (default 0)")
+    p_scan.add_argument("--epsilon-guard", type=float, default=None,
+                        help="smoothness metric only (default 1e-6)")
     p_scan.add_argument("--threshold", type=float, default=None)
-    p_scan.add_argument("--polarity", choices=["above", "below"], default="above")
+    p_scan.add_argument("--polarity", choices=["above", "below"], default=None,
+                        help="--threshold only (default above)")
     p_scan.set_defaults(func=cmd_scan)
 
     p_synth = sub.add_parser("synth", help="generate seeded synthetic data with ground truth")

@@ -56,9 +56,8 @@ class SubspaceSeparator(BaseEstimator):
         "svd" fits the spectrum of X alone; "gsvd" compares X against a
         reference matrix passed to ``fit``. The boundaries follow
         :func:`svdsep.signal.cutoff`: two when the spectrum has rank >= 3,
-        otherwise one.
-    rank_tolerance : float or None
-        Relative numerical-rank tolerance; None for the default.
+        otherwise one. The svd rank is :func:`svdsep.linalg.svd`'s,
+        ``max(m, n) * eps * sigma_1``.
 
     After ``fit``, ``transform(X)`` maps any matrix with the fitted column
     count onto the learned weak band: the coefficients of X on the band's
@@ -69,9 +68,8 @@ class SubspaceSeparator(BaseEstimator):
     Either way, transform of the fitted matrix is its weak band.
     """
 
-    def __init__(self, method="svd", rank_tolerance=None):
+    def __init__(self, method="svd"):
         self.method = method
-        self.rank_tolerance = rank_tolerance
 
     def fit(self, X, B=None):
         if self.method not in ("svd", "gsvd"):
@@ -79,7 +77,7 @@ class SubspaceSeparator(BaseEstimator):
         X = check_matrix(X, "X")
         self.n_features_in_ = X.shape[1]
         if self.method == "svd":
-            self.spectrum_ = factors = linalg.svd(X, rank_tolerance=self.rank_tolerance)
+            self.spectrum_ = factors = linalg.svd(X)
         else:
             if B is None:
                 raise ConfigError("gsvd method requires the reference matrix B")

@@ -21,7 +21,6 @@ c = 1e-300 to 1e300.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +33,8 @@ from .errors import (
     OrderError,
     ShapeError,
 )
-from .linalg import SpectrumResult, _lapack, _rank, _shifted, _tolerance
-from .validation import check_index_range, check_matrix
+from .linalg import SpectrumResult, _lapack, _rank, _shifted
+from .validation import check_index_range, check_integer, check_matrix
 
 __all__ = [
     "GrayImage",
@@ -164,10 +163,7 @@ class WindowConfig:
 
     def __post_init__(self):
         for name in ("window_size", "stride") + (() if isinstance(self.order, str) else ("order",)):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            check_integer(getattr(self, name), name, ConfigError)
         if self.window_size < 2:
             raise ConfigError(f"window_size must be >= 2, got {self.window_size}")
         if self.stride < 1:
@@ -248,14 +244,14 @@ def _smoothness(values: np.ndarray, n, guard: float) -> np.ndarray:
 def _metric(values: np.ndarray, cfg: WindowConfig, metric: str) -> np.ndarray:
     """The ``cfg`` window metric of each descending spectrum along the last axis.
 
-    A square window's spectrum length is max(m, n), so the rank tolerance
-    is ``linalg.svd``'s default.
+    A square window's spectrum length is max(m, n), so the rank is
+    ``linalg.svd``'s.
     """
     if metric == METRIC_DENSITY:
-        return _density(values, 1, _rank(values, _tolerance(None, values.shape[-1:])))
+        return _density(values, 1, _rank(values, values.shape[-1]))
     n = cfg.order
     if n == "auto":
-        n = _auto_order(values, _rank(values, _tolerance(None, values.shape[-1:])), cfg.delta)
+        n = _auto_order(values, _rank(values, values.shape[-1]), cfg.delta)
     return _smoothness(values, n, cfg.epsilon_guard)
 
 
@@ -268,7 +264,7 @@ def information_density(d, lo: int = 1, hi: int | None = None) -> float:
     """
     arr = check_matrix(d, "D")
     values = _lapack("SVD", arr.shape, np.linalg.svd, arr, compute_uv=False)
-    rank = int(_rank(values, _tolerance(None, arr.shape)))
+    rank = int(_rank(values, max(arr.shape)))
     if hi is None:
         if rank == 0:
             return 0.0
@@ -288,6 +284,7 @@ def singular_smoothness(d, n: int = 1, epsilon_guard: float = 1e-6) -> float:
     arr = check_matrix(d, "D")
     if not 0 < epsilon_guard < np.inf:
         raise InvalidInputError(f"epsilon_guard must be finite and positive, got {epsilon_guard}")
+    check_integer(n, "order", OrderError)
     if n < 1:
         raise OrderError(f"order must be >= 1, got {n}")
     if n + 1 > min(arr.shape):

@@ -97,9 +97,7 @@ class SpectrumResult:
     singular_values : ndarray, shape (k,)
         Nonnegative values in non-increasing order.
     numerical_rank : int
-        Count of singular values above ``rank_tolerance * singular_values[0]``.
-    rank_tolerance : float
-        The relative tolerance that was applied.
+        Count of singular values above ``max(m, n) * eps * singular_values[0]``.
     factorizations : int
         Factorizations one call of :func:`svd` performs (a class constant).
     """
@@ -108,7 +106,6 @@ class SpectrumResult:
     right_basis: np.ndarray
     singular_values: np.ndarray
     numerical_rank: int
-    rank_tolerance: float
     factorizations: ClassVar[int] = 1
 
     @property
@@ -121,17 +118,16 @@ class StreamedSpectrum:
     """Singular values and left basis of an (m, n) matrix X read from its
     transpose in row blocks, k = min(m, n); no right basis is formed.
 
-    ``left_basis``, ``singular_values``, ``numerical_rank`` and
-    ``rank_tolerance`` are as in :class:`SpectrumResult`. ``transposed`` is
-    the (n, m) array or view X^T was read from; a band of X is its
-    projection ``U_b U_b^T X``. ``factorizations`` counts the QR
-    factorizations run, one per block, plus the final SVD.
+    ``left_basis``, ``singular_values`` and ``numerical_rank`` are as in
+    :class:`SpectrumResult`. ``transposed`` is the (n, m) array or view X^T
+    was read from; a band of X is its projection ``U_b U_b^T X``.
+    ``factorizations`` counts the QR factorizations run, one per block, plus
+    the final SVD.
     """
 
     left_basis: np.ndarray
     singular_values: np.ndarray
     numerical_rank: int
-    rank_tolerance: float
     transposed: np.ndarray
     factorizations: int
 
@@ -220,10 +216,11 @@ def _band(u: np.ndarray, w: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.n
     return (u[:, lo:hi] * w[lo:hi]) @ x[:, lo:hi].T
 
 
-def _rank(values: np.ndarray, rank_tolerance: float) -> np.ndarray:
-    """Count of values above ``rank_tolerance * sigma_1`` in each descending
-    spectrum along the last axis."""
-    return np.count_nonzero(values > rank_tolerance * values[..., :1], axis=-1)
+def _rank(values: np.ndarray, size: int) -> np.ndarray:
+    """Numerical rank of each descending spectrum along the last axis: the
+    count of values above ``size * eps * sigma_1``, where ``size`` is the
+    larger dimension, max(m, n), of the matrix the values came from."""
+    return np.count_nonzero(values > size * _EPS * values[..., :1], axis=-1)
 
 
 def _shifted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,15 +235,6 @@ def _shifted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     e = np.frexp(values[..., :1])[1]
     return np.ldexp(values, -e), e
-
-
-def _tolerance(rank_tolerance: float | None, shape: tuple[int, int]) -> float:
-    """The relative rank tolerance to apply: ``max(m, n) * eps`` unless given."""
-    if rank_tolerance is None:
-        return max(shape) * _EPS
-    if not 0 <= rank_tolerance < np.inf:
-        raise InvalidInputError(f"rank_tolerance must be finite and nonnegative, got {rank_tolerance}")
-    return float(rank_tolerance)
 
 
 def _lapack(name: str, shape: tuple[int, ...], fn, *args, **kwargs):
@@ -277,22 +265,19 @@ def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
                 v[:, j] *= -1.0
 
 
-def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
+def svd(a) -> SpectrumResult:
     """Thin SVD with deterministic signs and a numerical rank.
 
     The bases hold only the k = min(m, n) singular vectors paired with a
     singular value: ``left_basis`` is (m, k), ``right_basis`` is (n, k).
+    The rank counts the values above ``max(m, n) * eps * sigma_1``.
 
     Parameters
     ----------
     a : array-like, shape (m, n)
         Real matrix with finite entries.
-    rank_tolerance : float, optional
-        Relative tolerance: rank counts values above
-        ``rank_tolerance * sigma_1``. Defaults to ``max(m, n) * eps``.
     """
     arr = check_matrix(a, "A")
-    rank_tolerance = _tolerance(rank_tolerance, arr.shape)
     if arr.shape[0] < arr.shape[1]:
         # LAPACK factors a wide matrix several times slower than its tall
         # transpose, whose left factor is already the (n, k) right basis.
@@ -306,8 +291,7 @@ def svd(a, rank_tolerance: float | None = None) -> SpectrumResult:
         left_basis=u,
         right_basis=v,
         singular_values=s,
-        numerical_rank=int(_rank(s, rank_tolerance)),
-        rank_tolerance=rank_tolerance,
+        numerical_rank=int(_rank(s, max(arr.shape))),
     )
 
 
@@ -324,7 +308,7 @@ def _stream_step(m: int) -> int:
     return max(1, int(_STREAM_BLOCK * m))
 
 
-def streamed_svd(xt, rank_tolerance: float | None = None) -> StreamedSpectrum:
+def streamed_svd(xt) -> StreamedSpectrum:
     """Singular values and left basis of X, read from X^T in row blocks.
 
     ``xt`` is X^T, (n, m): an array or a strided view such as a window view,
@@ -333,10 +317,9 @@ def streamed_svd(xt, rank_tolerance: float | None = None) -> StreamedSpectrum:
     ones of X (Chan's R-SVD). R is built one block at a time as the R factor
     of [R; block] (sequential TSQR), which is backward stable, unlike
     forming X X^T; so neither a copy of X nor its (n, k) right basis is ever
-    held. The rank rule is :func:`svd`'s.
+    held. The rank rule is :func:`svd`'s, ``max(m, n) * eps * sigma_1``.
     """
     n, m = xt.shape
-    rank_tolerance = _tolerance(rank_tolerance, (m, n))  # before any block is factored
     step = _stream_step(m)
     r = None
     for j in range(0, n, step):
@@ -354,8 +337,7 @@ def streamed_svd(xt, rank_tolerance: float | None = None) -> StreamedSpectrum:
     return StreamedSpectrum(
         left_basis=u,
         singular_values=s,
-        numerical_rank=int(_rank(s, rank_tolerance)),
-        rank_tolerance=rank_tolerance,
+        numerical_rank=int(_rank(s, max(m, n))),
         transposed=xt,
         factorizations=-(-n // step) + 1,
     )

@@ -16,7 +16,6 @@ the spike is negative and only |V| exposes it.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -31,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .linalg import GsvdResult, SpectrumResult, StreamedSpectrum, _band, _shifted, _stream_step
-from .validation import check_index_range, check_matrix
+from .validation import check_index_range, check_integer, check_matrix
 
 __all__ = [
     "ChannelSet",
@@ -124,10 +123,7 @@ class EmbedLayout:
         if self.mode not in (MODE_CHANNEL_COLUMNS, MODE_HANKEL):
             raise LayoutError(f"unknown layout mode {self.mode!r}")
         for name in ("window_length", "stride"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise LayoutError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            check_integer(getattr(self, name), name, LayoutError)
         if self.window_length < 2:
             raise LayoutError(f"window_length must be >= 2, got {self.window_length}")
         if self.stride < 1:

@@ -7,9 +7,11 @@ specific exception instead of letting NaNs propagate.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .errors import InvalidInputError, RangeError, ShapeError
+from .errors import InvalidInputError, RangeError, ShapeError, SvdsepError
 
 
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -27,7 +29,17 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def check_integer(value, name: str, error: type[SvdsepError]) -> None:
+    """Raise ``error`` unless ``value`` is an integer: a Python or numpy int, not a float."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_index_range(first: int, last: int, upper: int, name: str = "index range") -> None:
-    """Validate a 1-based inclusive index range against an upper bound."""
+    """Validate a 1-based inclusive index range of integers against an upper bound."""
+    for bound in (first, last):
+        check_integer(bound, f"{name} bound", RangeError)
     if not (1 <= first <= last <= upper):
         raise RangeError(f"{name} [{first}, {last}] must satisfy 1 <= first <= last <= {upper}")

@@ -6,10 +6,14 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import raise_exactly
 
 import svdsep
+from svdsep import image, linalg, signal
 from svdsep.cli import main
+from svdsep.errors import OrderError, RangeError
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(svdsep.__path__, "svdsep."))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -43,6 +47,20 @@ def test_readme_cli_quickstart_runs_and_writes_the_files_it_names(tmp_path, monk
     for argv in commands:
         assert main(argv[1:]) == 0, argv
     assert [name for name in named if not (tmp_path / name).is_file()] == []
+
+
+_D = np.random.default_rng(3).uniform(size=(5, 5))
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: image.singular_smoothness(_D, 1.5), OrderError, id="smoothness-order"),
+    pytest.param(lambda: signal.energy_gap(linalg.svd(_D), 1.5), RangeError, id="energy-gap-split"),
+    pytest.param(lambda: linalg.truncated_sum(linalg.svd(_D), 1, 2.5), RangeError, id="truncated-sum-last"),
+    pytest.param(lambda: image.information_density(_D, 1.5), RangeError, id="density-lo"),
+    pytest.param(lambda: image.information_density(_D, 1, 2.5), RangeError, id="density-hi"),
+])
+def test_a_non_integer_index_or_order_is_a_typed_error(call, error):
+    raise_exactly(error, call)
 
 
 @pytest.mark.parametrize("path", sorted(Path(svdsep.__file__).parent.glob("*.py")), ids=lambda p: p.name)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import json
@@ -48,8 +49,7 @@ class TestSeparate:
         assert report["work_counters"]["decompositions"] == 1
         assert report["wall_time_ms"] >= 0.0
         # every flag echoed
-        assert set(report["parameters"]) == {"method", "layout", "window_length", "stride",
-                                             "rank_tolerance", "output_prefix"}
+        assert set(report["parameters"]) == {"method", "layout", "window_length", "output_prefix"}
 
     def test_component_files_written_and_additive(self, tmp_path, mixture_csv):
         prefix = tmp_path / "sep"
@@ -151,8 +151,8 @@ class TestSeparate:
 
     @pytest.mark.parametrize("route, flag", [
         ([], ["--second", "ref.csv"]),
-        (["--method", "gsvd", "--second", "ref.csv"], ["--rank-tolerance", "1e-9"]),
-        ([], ["--stride", "2"]),
+        (["--layout", "hankel", "--window-length", "40"], ["--second", "ref.csv"]),
+        (["--layout", "channel-columns"], ["--window-length", "40"]),
         ([], ["--window-length", "40"]),
     ])
     def test_flags_the_route_never_reads_are_rejected(self, tmp_path, capsys, route, flag):
@@ -197,14 +197,12 @@ class TestSeparate:
         t = np.arange(200.0)
         wave = np.sin(2 * np.pi * t / 20) + 0.01 * rng.standard_normal(200)
         sig.write_text("\n".join("%.17g" % v for v in wave) + "\n")
-        for name, stride in (("h", ["--stride", 1]), ("unset", [])):
-            prefix = tmp_path / name
-            code = run("separate", sig, "--layout", "hankel", "--window-length", 30,
-                       *stride, "--output-prefix", prefix)
-            assert code == 0
-            assert read_json(f"{prefix}_report.json")["parameters"]["stride"] == 1
-            dom = fio.read_channels_csv(f"{prefix}_dominant.csv")
-            assert dom.n_samples == 200 and dom.n_channels == 1
+        prefix = tmp_path / "h"
+        assert run("separate", sig, "--layout", "hankel", "--window-length", 30,
+                   "--output-prefix", prefix) == 0
+        assert read_json(f"{prefix}_report.json")["parameters"]["window_length"] == 30
+        dom = fio.read_channels_csv(f"{prefix}_dominant.csv")
+        assert dom.n_samples == 200 and dom.n_channels == 1
 
     def test_hankel_layout_keeps_the_input_label(self, tmp_path):
         sig = tmp_path / "ecg.csv"
@@ -277,34 +275,6 @@ class TestSeparate:
         err = capsys.readouterr().err
         assert "RangeError" in err and "exceeds signal length 50" in err
 
-    def test_hankel_stride_three(self, tmp_path):
-        path = tmp_path / "wave.csv"
-        wave = self.long_wave(path, 1000)
-        prefix = tmp_path / "h"
-        assert run("separate", path, "--layout", "hankel", "--window-length", 40,
-                   "--stride", 3, "--output-prefix", prefix) == 0
-        report = read_json(f"{prefix}_report.json")
-        assert report["parameters"]["stride"] == 3
-        assert report["results"]["numerical_rank"] == 40
-        parts = sum(fio.read_channels_csv(f"{prefix}_{name}.csv").data[:, 0]
-                    for name in ("dominant", "weak", "noise"))
-        covered = (1000 - 40) // 3 * 3 + 40  # samples some window reaches
-        assert np.max(np.abs(parts[:covered] - wave[:covered])) <= 1e-13
-        assert np.all(parts[covered:] == 0.0)
-
-    def test_hankel_rank_tolerance_is_the_trajectory_rule(self, tmp_path):
-        path = tmp_path / "wave.csv"
-        wave = self.long_wave(path, 600, noise=1e-4)  # two sinusoids: rank 4 at 1e-3
-        prefix = tmp_path / "h"
-        with pytest.warns(RuntimeWarning, match="no second variation peak"):
-            assert run("separate", path, "--layout", "hankel", "--window-length", 30,
-                       "--rank-tolerance", 1e-3, "--output-prefix", prefix) == 0
-        results = read_json(f"{prefix}_report.json")["results"]
-        trajectory = embed(ChannelSet(wave[:, np.newaxis]), EmbedLayout.hankel(30))
-        want = linalg.svd(trajectory, rank_tolerance=1e-3)
-        assert results["numerical_rank"] == want.numerical_rank == 4
-        assert len(results["singular_values"]) == want.numerical_rank
-
     @pytest.mark.parametrize("method", ["svd", "gsvd", "hankel"])
     def test_decompositions_counts_the_factorizations_run(self, tmp_path, mixture_csv,
                                                           monkeypatch, method):
@@ -355,16 +325,57 @@ class TestSeparate:
             assert np.array_equal(fio.read_channels_csv(f"{prefix}_{name}.csv").data, part)
 
 
+class TestPartsSumToTheInput:
+    """On every route, the three part files that separate writes add back up
+    to the recording it read."""
+
+    @staticmethod
+    def assert_parts_sum_to(path, prefix):
+        x = fio.read_channels_csv(path).data
+        parts = sum(fio.read_channels_csv(f"{prefix}_{name}.csv").data for name in ("dominant", "weak", "noise"))
+        assert parts.shape == x.shape
+        assert np.max(np.abs(parts - x)) <= 1e-12 * np.max(np.abs(x))
+
+    # the cutoff warns when a chain has no second peak, or a gsvd value is infinite
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("route", ["svd", "gsvd", "hankel"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("samples", [401, 997, 4001])
+    def test_parts_sum_to_the_input(self, tmp_path, samples, seed, route):
+        recording = TestStreamedBands.mixture(samples, seed)
+        path, prefix = tmp_path / "in.csv", tmp_path / "sep"
+        if route == "hankel":
+            fio.write_channels_csv(path, ChannelSet(recording.data[:, :1], labels=recording.labels[:1]))
+            for window in (2, 37, 40, samples // 2, samples - 3):
+                assert run("separate", path, "--layout", "hankel", "--window-length", window,
+                           "--output-prefix", prefix) == 0
+                self.assert_parts_sum_to(path, prefix)
+            return
+        fio.write_channels_csv(path, recording)
+        second = []
+        if route == "gsvd":
+            second = ["--second", tmp_path / "ref.csv"]
+            fio.write_channels_csv(second[1], TestStreamedBands.mixture(samples, seed + 3))
+        assert run("separate", path, "--method", route, *second, "--output-prefix", prefix) == 0
+        self.assert_parts_sum_to(path, prefix)
+
+
 @pytest.fixture(scope="module")
-def benchmarked_routes(tmp_path_factory):
-    """The argv of each perfbench ``separate`` workload, by its (method, layout,
-    window given) route, with the workload's inputs written beside it."""
+def workloads():
+    """``perfbench/workloads.py``, loaded as a module; the tests only read it."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", TestEntryPoint.ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
-        spec.loader.exec_module(workloads)
+        patch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def benchmarked_routes(tmp_path_factory, workloads):
+    """The argv of each perfbench ``separate`` workload, by its (method, layout,
+    window given) route, with the workload's inputs written beside it."""
     routes = {}
     for name in workloads.NAMES:
         workdir = tmp_path_factory.mktemp(name)
@@ -397,6 +408,16 @@ def test_separate_runs_only_the_benchmarked_routes(tmp_path, capsys, monkeypatch
     assert run("separate", tmp_path / "a.csv", *route, "--output-prefix", tmp_path / "x") == 2
     assert capsys.readouterr().err.startswith("svdsep: parse error: ")
     assert not list(tmp_path.iterdir())
+
+
+def test_every_separate_option_is_reached_by_a_workload(tmp_path, workloads):
+    # An option that no perfbench workload passes is never measured: add its workload with it.
+    parser = cli.build_parser()
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in subcommands.choices["separate"]._actions for s in a.option_strings}
+    argvs = [workloads.command(name, tmp_path) for name in workloads.NAMES]
+    passed = {arg for argv in argvs if argv[0] == "separate" for arg in argv if arg.startswith("-")}
+    assert options - {"-h", "--help", "--json"} - passed == set()
 
 
 class TestStreamedBands:
@@ -472,8 +493,7 @@ class TestStreamedBands:
         spec = self.factors(data, "svd")
         left = spec.left_basis.copy()
         left[200] = np.nan  # row 200 lies in the second 128-row block
-        spec = linalg.SpectrumResult(left, spec.right_basis, spec.singular_values,
-                                     spec.numerical_rank, spec.rank_tolerance)
+        spec = linalg.SpectrumResult(left, spec.right_basis, spec.singular_values, spec.numerical_rank)
         bands = signal._band_tables(spec, signal.cutoff(spec), EmbedLayout.channel_columns(300), 300)
         raise_exactly(InvalidInputError, lambda: fio.write_channels_csv(tmp_path / "d.csv", next(bands)),
                       match="rows 129-256")
@@ -500,6 +520,26 @@ class TestScan:
         report = read_json(f"{prefix}_report.json")
         assert report["results"]["grid_rows"] == 4
         assert report["work_counters"]["decompositions"] == 16
+        # the options not given echo the values the scan ran with
+        assert {k: report["parameters"][k] for k in ("order", "delta", "epsilon_guard", "polarity")} == \
+            {"order": 1, "delta": 0.0, "epsilon_guard": 1e-6, "polarity": "above"}
+
+    @pytest.mark.parametrize("route, flag, scope", [
+        (["--metric", "information-density"], ["--order", "2"], "--metric smoothness"),
+        (["--metric", "information-density"], ["--epsilon-guard", "1e-3"], "--metric smoothness"),
+        (["--metric", "information-density"], ["--delta", "0.1"], "--order auto"),
+        (["--order", "2"], ["--delta", "0.1"], "--order auto"),
+        ([], ["--delta", "0.1"], "--order auto"),
+        ([], ["--polarity", "below"], "runs with --threshold"),
+    ])
+    def test_flags_the_metric_never_reads_are_rejected(self, tmp_path, capsys, monkeypatch, route, flag, scope):
+        def no_load(path):
+            raise AssertionError(f"{path} was opened")
+
+        monkeypatch.setattr(fio, "load_gray_image", no_load)
+        assert run("scan", tmp_path / "absent.pgm", *route, *flag, "--output-prefix", tmp_path / "x") == 2
+        assert capsys.readouterr().err == f"svdsep: parse error: {flag[0]} applies to {scope} only\n"
+        assert not list(tmp_path.iterdir())
 
     def test_threshold_writes_mask(self, tmp_path, texture_pgm):
         prefix = tmp_path / "scan"
@@ -692,12 +732,18 @@ def command_argv(tmp_path, command):
     (["synth", "texture", "--region", "1,2,3"], "region must be x,y,width,height,tag"),
     (["synth", "texture", "--region", "1,2,x,4,rough"], "region coordinates must be integers"),
     (["separate", "a.csv", "--min-separation", "1"], "unrecognized arguments: --min-separation 1"),
+    # a stride past 1 left the samples after the last window at zero in every part
+    (["separate", "a.csv", "--layout", "hankel", "--window-length", "40", "--stride", "7"],
+     "unrecognized arguments: --stride 7"),
+    # a rank tolerance could drop the noise band, so the parts missed the input
+    (["separate", "a.csv", "--rank-tolerance", "0.05"], "unrecognized arguments: --rank-tolerance 0.05"),
 ])
 def test_malformed_option_value_exits_2(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
         run(*argv, "--output-prefix", tmp_path / "x")
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 class TestRunReport:

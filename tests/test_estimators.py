@@ -17,9 +17,9 @@ def mixture_matrix(seed=0):
 
 class TestParamProtocol:
     def test_get_params_round_trip(self):
-        sep = SubspaceSeparator(method="svd", rank_tolerance=1e-9)
+        sep = SubspaceSeparator(method="gsvd")
         params = sep.get_params()
-        assert params == {"method": "svd", "rank_tolerance": 1e-9}
+        assert params == {"method": "gsvd"}
         clone = SubspaceSeparator(**params)
         assert clone.get_params() == params
 
@@ -38,9 +38,9 @@ class TestParamProtocol:
 
     def test_sklearn_clone_compatible(self):
         base = pytest.importorskip("sklearn.base")
-        sep = SubspaceSeparator(rank_tolerance=1e-9)
+        sep = SubspaceSeparator(method="gsvd")
         cloned = base.clone(sep)
-        assert cloned.rank_tolerance == 1e-9
+        assert cloned.method == "gsvd"
         scan = base.clone(SmoothnessScanner(window_size=9))
         assert scan.window_size == 9
 

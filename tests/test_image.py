@@ -166,15 +166,15 @@ def test_window_metrics_hold_at_every_scale():
 
 class TestSelectOrder:
     def test_first_qualifying_gap(self):
-        spec = linalg.svd(np.diag([5.0, 1.0, 0.99, 0.5]), rank_tolerance=1e-12)
+        spec = linalg.svd(np.diag([5.0, 1.0, 0.99, 0.5]))
         assert image.select_order(spec, 0.05) == 2
 
     def test_huge_delta_gives_order_one(self):
-        spec = linalg.svd(np.diag([5.0, 1.0, 0.5]), rank_tolerance=1e-12)
+        spec = linalg.svd(np.diag([5.0, 1.0, 0.5]))
         assert image.select_order(spec, 10.0) == 1
 
     def test_fallback_full_order(self):
-        spec = linalg.svd(np.diag([5.0, 3.0, 1.0]), rank_tolerance=1e-12)
+        spec = linalg.svd(np.diag([5.0, 3.0, 1.0]))
         assert image.select_order(spec, 0.0) == 2  # r - 1
 
     def test_rank_one_rejected(self):
