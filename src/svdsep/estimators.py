@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg, signal
 from .errors import ConfigError
-from .image import GrayImage, WindowConfig, sliding_scan, threshold_map
+from .image import METRIC_SMOOTHNESS, GrayImage, WindowConfig, sliding_scan, threshold_map
 from .validation import check_matrix
 
 __all__ = ["BaseEstimator", "SubspaceSeparator", "SmoothnessScanner"]
@@ -123,11 +123,15 @@ class SmoothnessScanner(BaseEstimator):
 
     ``transform`` maps a grayscale image (array in [0, 1] or
     :class:`GrayImage`) to the per-window metric grid; ``predict``
-    thresholds the grid into a binary anomaly mask.
+    thresholds the grid into a binary anomaly mask. ``order``, ``delta``
+    and ``epsilon_guard`` left as None take :class:`WindowConfig`'s
+    defaults. A knob the scan would not read is a :class:`ConfigError`, as
+    in CLI ``scan``: ``order`` and ``epsilon_guard`` apply to
+    ``metric="smoothness"`` only, ``delta`` to ``order="auto"`` only.
     """
 
-    def __init__(self, window_size=5, stride=1, metric="smoothness", order=1,
-                 delta=0.0, epsilon_guard=1e-6, threshold=None, polarity="above"):
+    def __init__(self, window_size=5, stride=1, metric="smoothness", order=None,
+                 delta=None, epsilon_guard=None, threshold=None, polarity="above"):
         self.window_size = window_size
         self.stride = stride
         self.metric = metric
@@ -138,9 +142,15 @@ class SmoothnessScanner(BaseEstimator):
         self.polarity = polarity
 
     def _config(self) -> WindowConfig:
-        return WindowConfig(window_size=self.window_size, stride=self.stride,
-                            order=self.order, delta=self.delta,
-                            epsilon_guard=self.epsilon_guard)
+        smoothness = self.metric == METRIC_SMOOTHNESS
+        for name, read, scope in (("order", smoothness, f"metric={METRIC_SMOOTHNESS!r}"),
+                                  ("delta", self.order == "auto", "order='auto'"),
+                                  ("epsilon_guard", smoothness, f"metric={METRIC_SMOOTHNESS!r}")):
+            if getattr(self, name) is not None and not read:
+                raise ConfigError(f"{name} applies to {scope} only")
+        knobs = {name: getattr(self, name) for name in ("order", "delta", "epsilon_guard")
+                 if getattr(self, name) is not None}
+        return WindowConfig(window_size=self.window_size, stride=self.stride, **knobs)
 
     def fit(self, X=None, y=None):
         self._config()  # validate parameters; the scanner itself is stateless

@@ -121,8 +121,9 @@ class StreamedSpectrum:
     ``left_basis``, ``singular_values`` and ``numerical_rank`` are as in
     :class:`SpectrumResult`. ``transposed`` is the (n, m) array or view X^T
     was read from; a band of X is its projection ``U_b U_b^T X``.
-    ``factorizations`` counts the QR factorizations run, one per block, plus
-    the final SVD.
+    ``factorizations`` counts the factorizations run: a QR per block, a QR
+    per merge of two triangles (one fewer than the blocks) and the final
+    SVD, so twice the block count.
     """
 
     left_basis: np.ndarray
@@ -298,8 +299,9 @@ def svd(a) -> SpectrumResult:
 # Rows of X^T per QR block, per row of X: 8 m. On the 4000-sample, L = 40
 # hankel benchmark input (seed 0) a whole in-process `separate` run, LAPACK on
 # one OpenBLAS thread, with 4 L, 8 L, 16 L and 32 L windows per block peaks at
-# 0.25, 0.34, 0.52 and 0.90 MiB and takes 19, 17, 17 and 20 ms (median of 60
-# runs, 2-vCPU host).
+# 0.22, 0.22, 0.31 and 0.51 MiB and takes 14, 13, 13 and 13 ms (median of 60
+# runs, 2-vCPU host). At 40 000 samples and L = 200 it peaks at 2.5, 3.7, 6.2
+# and 11.1 MiB and takes 324, 329, 333 and 447 ms (median of 5).
 _STREAM_BLOCK = 8
 
 
@@ -314,18 +316,21 @@ def streamed_svd(xt) -> StreamedSpectrum:
     ``xt`` is X^T, (n, m): an array or a strided view such as a window view,
     read ``8 m`` rows at a time. The triangular factor R of X^T = QR holds
     the singular values of X, and its right singular vectors are the left
-    ones of X (Chan's R-SVD). R is built one block at a time as the R factor
-    of [R; block] (sequential TSQR), which is backward stable, unlike
-    forming X X^T; so neither a copy of X nor its (n, k) right basis is ever
-    held. The rank rule is :func:`svd`'s, ``max(m, n) * eps * sigma_1``.
+    ones of X (Chan's R-SVD). R is built by sequential TSQR (Demmel,
+    Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34(1), 2012): each
+    block is QR-factored alone, which copies it once for LAPACK, and its
+    triangle is merged into R as the R factor of the 2m x m stack
+    [R; R_block]. This is backward stable, unlike forming X X^T, and holds
+    neither a copy of X nor its (n, k) right basis. The rank rule is
+    :func:`svd`'s, ``max(m, n) * eps * sigma_1``.
     """
     n, m = xt.shape
     step = _stream_step(m)
     r = None
     for j in range(0, n, step):
-        block = xt[j : j + step]
-        r = _lapack("blocked QR", xt.shape, np.linalg.qr,
-                    block if r is None else np.vstack([r, block]), mode="r")
+        r_block = _lapack("blocked QR", xt.shape, np.linalg.qr, xt[j : j + step], mode="r")
+        r = r_block if r is None else _lapack("blocked QR", xt.shape, np.linalg.qr,
+                                               np.vstack([r, r_block]), mode="r")
     if r is None:
         raise ShapeError("streamed_svd needs at least one row of X^T")
     # R, not xt: on a window view, a mask of xt is as large as the trajectory.
@@ -339,7 +344,7 @@ def streamed_svd(xt) -> StreamedSpectrum:
         singular_values=s,
         numerical_rank=int(_rank(s, max(m, n))),
         transposed=xt,
-        factorizations=-(-n // step) + 1,
+        factorizations=2 * -(-n // step),
     )
 
 

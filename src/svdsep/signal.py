@@ -166,14 +166,48 @@ def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
     return ChannelSet(_unembed(check_matrix(matrix, "matrix"), layout, target_length))
 
 
-def _hankel_coverage(layout: EmbedLayout, columns: int, target_length: int) -> np.ndarray:
-    """How many entries of a ``columns``-window Hankel matrix fall on each sample."""
+def _layout_end(shape: tuple[int, int], layout: EmbedLayout, target_length: int) -> int:
+    """One past the last sample a matrix of ``shape`` holds under ``layout``.
+
+    Raises :class:`LayoutError` when its rows are not the layout's window
+    length or its windows run past ``target_length``.
+    """
+    rows, columns = shape
     n = layout.window_length
-    # sample t is covered by the windows j with t - n < j * stride <= t, 0 <= j < columns
-    t = np.arange(target_length, dtype=np.int64)
-    first = np.maximum(-((n - 1 - t) // layout.stride), 0)
-    last = np.minimum(t // layout.stride, columns - 1)
-    return np.maximum(last - first + 1, 0)
+    if rows != n:
+        raise LayoutError(f"matrix has {rows} rows but layout window_length is {n}")
+    end = (columns - 1) * layout.stride + n if layout.mode == MODE_HANKEL else n
+    if end > target_length:
+        raise LayoutError(f"windows extend to {end} but target_length is {target_length}")
+    return end
+
+
+def _upsampled(w: np.ndarray, stride: int) -> np.ndarray:
+    """``w`` with ``stride - 1`` zeros between its entries; ``w`` itself at stride 1."""
+    if stride == 1:
+        return w
+    up = np.zeros((w.size - 1) * stride + 1)
+    up[::stride] = w
+    return up
+
+
+def _hankel_counts(layout: EmbedLayout, columns: int) -> np.ndarray:
+    """How many entries of a ``columns``-window Hankel matrix fall on each
+    sample it spans, as floats.
+
+    The count is the diagonal sum of a matrix of ones: the convolution of a
+    window of ones with a one at each window start. Its terms are 0 and 1,
+    so it is exact.
+    """
+    return np.convolve(np.ones(layout.window_length), _upsampled(np.ones(columns), layout.stride))
+
+
+def _hankel_coverage(layout: EmbedLayout, columns: int, target_length: int) -> np.ndarray:
+    """:func:`_hankel_counts` over ``target_length`` samples, as integers."""
+    coverage = np.zeros(target_length, dtype=np.int64)
+    counts = _hankel_counts(layout, columns)
+    coverage[: counts.size] = counts
+    return coverage
 
 
 def _unembed(matrix, layout: EmbedLayout, target_length: int) -> np.ndarray:
@@ -181,21 +215,16 @@ def _unembed(matrix, layout: EmbedLayout, target_length: int) -> np.ndarray:
     array or a :class:`_Band`: only its ``shape`` and ``matrix[:, j0:j1]`` are read.
 
     Channel-columns takes one block of the whole matrix as the first rows.
-    A Hankel matrix is diagonal-averaged in the column blocks
-    :func:`linalg.streamed_svd` reads (8 L windows): entry (i, j) is sample
-    i + j * stride, so each row of a block adds into one strided slice.
-    Blocks run from the last window back to the first: a sample's entries
-    then arrive in row order, the order a whole-matrix pass adds them in.
+    A Hankel matrix is diagonal-averaged in column blocks of 8 L windows:
+    entry (i, j) is sample i + j * stride, so each row of a block adds into
+    one strided slice. Blocks run from the last window back to the first: a
+    sample's entries then arrive in row order, the order a whole-matrix pass
+    adds them in.
     """
-    rows, columns = matrix.shape
+    columns = matrix.shape[1]
     n, stride = layout.window_length, layout.stride
-    if rows != n:
-        raise LayoutError(f"matrix has {rows} rows but layout window_length is {n}")
-    hankel = layout.mode == MODE_HANKEL
-    end = (columns - 1) * stride + n if hankel else n  # one past the last sample a column holds
-    if end > target_length:
-        raise LayoutError(f"windows extend to {end} but target_length is {target_length}")
-    if not hankel:
+    _layout_end(matrix.shape, layout, target_length)
+    if layout.mode != MODE_HANKEL:
         block = matrix[:, :]  # before the output: a band's temporaries are freed by then
         out = np.zeros((target_length, columns))
         out[:n] = block
@@ -210,9 +239,53 @@ def _unembed(matrix, layout: EmbedLayout, target_length: int) -> np.ndarray:
         del block  # free it before the next block is formed
     # counted after the blocks, so the count is not held beside them
     coverage = _hankel_coverage(layout, columns, target_length)
-    covered = coverage > 0
-    acc[covered] /= coverage[covered]
+    acc /= np.maximum(coverage, 1, out=coverage)  # an uncovered sample keeps its 0
     return acc.reshape(-1, 1)
+
+
+def _hankelized_tables(spec: StreamedSpectrum, cut: CutoffResult, layout: EmbedLayout,
+                       target_length: int):
+    """Yield the dominant, weak and noise tables of a streamed Hankel
+    spectrum by rank-one hankelization, with no block of X^T read.
+
+    X is the Hankel trajectory of a signal x, so ``w_k = u_k^T X`` is
+    ``np.correlate(x, u_k, "valid")`` at every stride-th lag, and the
+    diagonal sums of a band ``U_b W_b`` are the sum over its ranks of
+    ``np.convolve(u_k, w_k)`` with w_k upsampled by the stride (Korobeynikov,
+    Statistics and Its Interface 3(3), 2010): O(N L) time per rank and O(N)
+    memory. The noise is the complement, x less the other two, on the
+    samples the windows cover, and 0 elsewhere.
+
+    ``spec.transposed`` must be a window view: a row stride of ``stride``
+    times its column stride puts entry (j, i) at the one memory location of
+    sample j * stride + i, so the view is Hankel by construction, and x is
+    read in place as a 1-D view of that memory.
+    """
+    ranges = _band_ranges(spec, cut)
+    xt, stride = spec.transposed, layout.stride
+    n, windows = spec.shape
+    end = _layout_end(spec.shape, layout, target_length)
+    pitch = xt.strides[1]  # bytes from one sample to the next
+    if xt.strides[0] != stride * pitch:
+        raise LayoutError(f"a streamed spectrum on a hankel layout must be read from a "
+                          f"stride-{stride} window view of one signal")
+    x = np.lib.stride_tricks.as_strided(xt, shape=(end,), strides=(pitch,), writeable=False)
+    noise = np.zeros(target_length)
+    noise[:end] = x
+    noise[: (windows - 1) * stride].reshape(windows - 1, stride)[:, n:] = 0.0  # between windows
+    for lo, hi in ranges[:2]:
+        acc = np.zeros(target_length)
+        for u in spec.left_basis[:, lo:hi].T:
+            w = np.correlate(x, u, "valid")[::stride]
+            acc[:end] += np.convolve(u, _upsampled(w, stride))
+            del w  # free it before the next rank's is formed
+        counts = _hankel_counts(layout, windows)
+        acc[:end] /= np.maximum(counts, 1.0, out=counts)  # a sample between windows keeps its 0
+        del counts
+        noise -= acc
+        yield acc.reshape(-1, 1)
+        del acc  # the caller may free its band before the next is formed
+    yield noise.reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -409,9 +482,16 @@ def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
     """Yield the dominant, weak and noise signals, one band at a time.
 
     Each equals ``unembed(part, layout, target_length)`` of the matching
-    :func:`separate` part. A hankel band is averaged one column block at a
-    time, so no trajectory-sized part is ever formed; its result agrees
-    with the matrix route to rounding, not bitwise.
+    :func:`separate` part, but for a streamed spectrum on a hankel layout.
+    There the dominant and weak bands are formed by rank, with no block of
+    the trajectory read, and agree with the matrix route to rounding, not
+    bitwise. Its noise is the complement: the input less the other two on
+    the samples the windows cover, and 0 on the rest. So the three signals
+    sum to the input, and the noise keeps the residual past the numerical
+    rank r when r < min(L, K). Such a spectrum must be read from the window
+    view ``embed(...).T`` (a :class:`LayoutError` otherwise). Any other
+    hankel band is averaged one column block at a time, so no
+    trajectory-sized part is ever formed.
     """
     for table in _band_tables(factors, cut, layout, target_length):
         yield ChannelSet(table[:])
@@ -421,14 +501,19 @@ def _band_tables(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
                  layout: EmbedLayout, target_length: int):
     """Yield the signals of :func:`band_signals` as (samples, channels) tables.
 
+    A streamed spectrum on a hankel layout, the hankel route of ``separate``,
+    is hankelized by rank (:func:`_hankelized_tables`), in O(N) memory.
     Where a band's matrix is its signals (a channel-columns layout of
     ``target_length``-sample windows) and the factors have a right basis,
     the table is the band's :class:`_Band`: it forms only the rows it is
     sliced for, so no band-sized array is held. Every other table is the
-    array :func:`_unembed` forms from the band's column blocks; a streamed
-    band is one, as each block of its rows would re-read all of X^T.
+    array :func:`_unembed` forms from the band's column blocks.
     """
-    whole = (layout.mode == MODE_CHANNEL_COLUMNS and not isinstance(factors, StreamedSpectrum)
+    streamed = isinstance(factors, StreamedSpectrum)
+    if streamed and layout.mode == MODE_HANKEL:
+        yield from _hankelized_tables(factors, cut, layout, target_length)
+        return
+    whole = (layout.mode == MODE_CHANNEL_COLUMNS and not streamed
              and factors.shape[0] == layout.window_length == target_length)
     for lo, hi in _band_ranges(factors, cut):
         band = _Band(factors, lo, hi)

@@ -303,9 +303,10 @@ class TestSeparate:
         assert run("separate", mixture_csv, *route, "--output-prefix", prefix) == 0
         report = read_json(f"{prefix}_report.json")
         assert report["work_counters"] == {"decompositions": calls["svd"] + calls["qr"]}
-        # hankel: one QR per block of 8 L = 240 of the 371 windows, then one SVD
+        # hankel: one QR per block of 8 L = 240 of the 371 windows, one QR
+        # merging the second block's triangle into the first's, then one SVD
         assert calls == {"svd": {"svd": 1, "qr": 0}, "gsvd": {"svd": 2, "qr": 2},
-                         "hankel": {"svd": 1, "qr": 2}}[method]
+                         "hankel": {"svd": 1, "qr": 3}}[method]
 
     @pytest.mark.parametrize("method", ["svd", "gsvd"])
     def test_parts_equal_the_estimator_subspaces(self, tmp_path, mixture_csv, method):

@@ -155,3 +155,34 @@ class TestSmoothnessScanner:
     def test_fit_validates_params(self):
         with pytest.raises(ConfigError):
             SmoothnessScanner(window_size=1).fit()
+
+    def test_default_knobs_are_the_window_config_s(self):
+        img = np.random.default_rng(3).uniform(size=(20, 20))
+        got = SmoothnessScanner().fit_transform(img)
+        want = image.sliding_scan(GrayImage(img), WindowConfig(window_size=5)).grid
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("params, message", [
+        ({"metric": "information-density", "order": 3}, "order applies to metric='smoothness' only"),
+        ({"metric": "information-density", "epsilon_guard": 0.1},
+         "epsilon_guard applies to metric='smoothness' only"),
+        ({"metric": "information-density", "order": 3, "delta": 0.5, "epsilon_guard": 0.1},
+         "order applies to metric='smoothness' only"),
+        ({"delta": 0.5}, "delta applies to order='auto' only"),
+        ({"order": 2, "delta": 0.7}, "delta applies to order='auto' only"),
+    ])
+    def test_refuses_knobs_the_scan_does_not_read(self, params, message):
+        # Ignoring any of these would give the grid of the scanner without it.
+        img = np.random.default_rng(4).uniform(size=(20, 20))
+        for call in (lambda: SmoothnessScanner(**params).fit(), lambda: SmoothnessScanner(**params).transform(img)):
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                call()
+
+    def test_reads_the_knobs_of_its_metric_and_order(self):
+        img = np.random.default_rng(5).uniform(size=(20, 20))
+        for params in ({"order": "auto", "delta": 0.5}, {"order": 2, "epsilon_guard": 0.1},
+                       {"metric": "information-density"}):
+            got = SmoothnessScanner(**params).fit_transform(img)
+            metric = params.pop("metric", image.METRIC_SMOOTHNESS)
+            want = image.sliding_scan(GrayImage(img), WindowConfig(window_size=5, **params), metric=metric)
+            assert got.tobytes() == want.grid.tobytes()

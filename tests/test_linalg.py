@@ -258,7 +258,7 @@ class TestStreamedSvd:
         assert np.linalg.norm(u @ (u.T @ a) - a) <= 1e-13 * np.linalg.norm(a)
         for col in u.T:
             assert col[np.argmax(np.abs(col))] >= 0
-        assert got.factorizations == -(-a.shape[1] // step) + 1
+        assert got.factorizations == 2 * -(-a.shape[1] // step)
 
     @pytest.mark.parametrize("shape, step", [
         ((40, 397), 397), ((40, 397), 13), ((40, 397), 1), ((12, 5), 2), ((6, 6), 4)])
@@ -272,6 +272,14 @@ class TestStreamedSvd:
         # 481 windows of 20 samples, 160 rows per block: four blocks
         x = np.random.default_rng(9).standard_normal(500)
         self.assert_matches_the_dense_svd(np.lib.stride_tricks.sliding_window_view(x, 20), 160)
+
+    def test_holds_one_block_and_the_triangles(self):
+        # 19 901 windows of L = 100 in blocks of 8 L: each block's QR copies
+        # it once, and merging two triangles stacks 2 L x L.
+        window = 100
+        xt = np.lib.stride_tricks.sliding_window_view(np.random.default_rng(12).standard_normal(20_000), window)
+        _, peak = traced_peak(lambda: linalg.streamed_svd(xt))
+        assert peak <= 1.2 * (8 * window * window + 4 * window * window) * 8
 
     def test_rank_tolerance_rule_is_svd_s(self):
         # rank 1 plus 1e-9 sigma_1 in seven more directions, and that rank-1

@@ -369,7 +369,7 @@ class TestHankelStreamed:
         windows = (samples - window) // stride + 1
         step = 8 * window
         assert got.shape == (window, windows)
-        assert got.factorizations == -(-windows // step) + 1
+        assert got.factorizations == 2 * -(-windows // step)
 
     @pytest.mark.parametrize("samples, window, stride", SHAPES)
     def test_many_blocks_match_the_trajectory_route(self, monkeypatch, samples, window, stride):
@@ -378,7 +378,51 @@ class TestHankelStreamed:
         monkeypatch.setattr(linalg, "_STREAM_BLOCK", 0.1)
         got = self.assert_matches_trajectory_route(samples, window, stride)
         step = max(1, int(0.1 * window))
-        assert got.factorizations == -(-got.shape[1] // step) + 1
+        assert got.factorizations == 2 * -(-got.shape[1] // step)
+
+    @pytest.mark.parametrize("stride", sorted({stride for _, _, stride in SHAPES}))
+    def test_bands_sum_to_the_input(self, stride):
+        for samples, window, _ in (shape for shape in self.SHAPES if shape[2] == stride):
+            x = np.random.default_rng(samples + window).standard_normal(samples)
+            layout = EmbedLayout.hankel(window, stride=stride)
+            spec = linalg.streamed_svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout).T)
+            cut = signal.CutoffResult(m=max(1, spec.numerical_rank // 3), f=None,
+                                      peak_values=(0.0,), method="svd-egv")
+            total = sum(band.data[:, 0] for band in signal.band_signals(spec, cut, layout, samples))
+            covered_to = (samples - window) // stride * stride + window
+            assert np.max(np.abs(total[:covered_to] - x[:covered_to])) <= 4 * np.finfo(float).eps * np.max(np.abs(x))
+            assert np.all(total[covered_to:] == 0.0)
+
+    def test_samples_between_windows_are_zero(self):
+        # stride 7 > L = 5: two of every seven samples lie in no window
+        samples, window, stride = 61, 5, 7
+        self.assert_matches_trajectory_route(samples, window, stride)
+        x = np.random.default_rng(samples + window + stride).standard_normal(samples)
+        layout = EmbedLayout.hankel(window, stride=stride)
+        spec = linalg.streamed_svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout).T)
+        between = np.arange(samples) % stride >= window
+        for band in signal.band_signals(spec, TestBandSignals.cut_for(spec.numerical_rank), layout, samples):
+            assert np.all(band.data[between] == 0.0)
+
+    def test_band_signals_hold_the_signal_not_the_trajectory(self):
+        # N = 20 000, L = 200: the three signals and the temporaries of one
+        # rank are O(N); a block of 8 L windows alone would be 2.4 MiB.
+        samples = 20_000
+        x = np.random.default_rng(13).standard_normal(samples)
+        layout = EmbedLayout.hankel(200)
+        spec = linalg.streamed_svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout).T)
+        cut = TestBandSignals.cut_for(spec.numerical_rank)
+        bands, peak = traced_peak(lambda: list(signal.band_signals(spec, cut, layout, samples)))
+        assert len(bands) == 3
+        assert peak <= 8 * samples * 8
+
+    def test_rejects_a_copy_of_the_windows(self):
+        # A copy of the trajectory is not read as a window view of one signal.
+        x = np.random.default_rng(14).standard_normal(100)
+        layout = EmbedLayout.hankel(10)
+        spec = linalg.streamed_svd(np.array(signal.embed(ChannelSet(x[:, np.newaxis]), layout).T))
+        with pytest.raises(LayoutError, match="window view"):
+            next(signal.band_signals(spec, TestBandSignals.cut_for(spec.numerical_rank), layout, 100))
 
     def test_layout_errors_are_embed_s(self):
         with pytest.raises(LayoutError, match="single channel"):
