@@ -296,18 +296,14 @@ def svd(a) -> SpectrumResult:
     )
 
 
-# Rows of X^T per QR block, per row of X: 8 m. On the 4000-sample, L = 40
-# hankel benchmark input (seed 0) a whole in-process `separate` run, LAPACK on
-# one OpenBLAS thread, with 4 L, 8 L, 16 L and 32 L windows per block peaks at
-# 0.22, 0.22, 0.31 and 0.51 MiB and takes 14, 13, 13 and 13 ms (median of 60
-# runs, 2-vCPU host). At 40 000 samples and L = 200 it peaks at 2.5, 3.7, 6.2
-# and 11.1 MiB and takes 324, 329, 333 and 447 ms (median of 5).
+# Rows of X^T per QR block of streamed_svd's TSQR, per row of X: 8 m; no
+# other code reads it. On the 4000-sample, L = 40 hankel benchmark input
+# (seed 0) a whole in-process `separate` run, LAPACK on one OpenBLAS thread,
+# with 4 L, 8 L, 16 L and 32 L windows per block peaks at 0.22, 0.22, 0.31
+# and 0.51 MiB and takes 14, 13, 13 and 13 ms (median of 60 runs, 2-vCPU
+# host). At 40 000 samples and L = 200 it peaks at 2.5, 3.7, 6.2 and 11.1
+# MiB and takes 324, 329, 333 and 447 ms (median of 5).
 _STREAM_BLOCK = 8
-
-
-def _stream_step(m: int) -> int:
-    """Rows of X^T per block for an X of ``m`` rows; Hankel averages use it too."""
-    return max(1, int(_STREAM_BLOCK * m))
 
 
 def streamed_svd(xt) -> StreamedSpectrum:
@@ -325,7 +321,7 @@ def streamed_svd(xt) -> StreamedSpectrum:
     :func:`svd`'s, ``max(m, n) * eps * sigma_1``.
     """
     n, m = xt.shape
-    step = _stream_step(m)
+    step = max(1, int(_STREAM_BLOCK * m))
     r = None
     for j in range(0, n, step):
         r_block = _lapack("blocked QR", xt.shape, np.linalg.qr, xt[j : j + step], mode="r")

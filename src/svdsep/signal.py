@@ -29,7 +29,7 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .linalg import GsvdResult, SpectrumResult, StreamedSpectrum, _band, _shifted, _stream_step
+from .linalg import GsvdResult, SpectrumResult, StreamedSpectrum, _band, _shifted
 from .validation import check_index_range, check_integer, check_matrix
 
 __all__ = [
@@ -202,44 +202,26 @@ def _hankel_counts(layout: EmbedLayout, columns: int) -> np.ndarray:
     return np.convolve(np.ones(layout.window_length), _upsampled(np.ones(columns), layout.stride))
 
 
-def _hankel_coverage(layout: EmbedLayout, columns: int, target_length: int) -> np.ndarray:
-    """:func:`_hankel_counts` over ``target_length`` samples, as integers."""
-    coverage = np.zeros(target_length, dtype=np.int64)
-    counts = _hankel_counts(layout, columns)
-    coverage[: counts.size] = counts
-    return coverage
+def _unembed(matrix: np.ndarray, layout: EmbedLayout, target_length: int) -> np.ndarray:
+    """The (samples, channels) array :func:`unembed` gives for ``matrix``.
 
-
-def _unembed(matrix, layout: EmbedLayout, target_length: int) -> np.ndarray:
-    """The (samples, channels) array :func:`unembed` gives for ``matrix``, an
-    array or a :class:`_Band`: only its ``shape`` and ``matrix[:, j0:j1]`` are read.
-
-    Channel-columns takes one block of the whole matrix as the first rows.
-    A Hankel matrix is diagonal-averaged in column blocks of 8 L windows:
-    entry (i, j) is sample i + j * stride, so each row of a block adds into
-    one strided slice. Blocks run from the last window back to the first: a
-    sample's entries then arrive in row order, the order a whole-matrix pass
-    adds them in.
+    Channel-columns puts the matrix in the first rows. A Hankel matrix is
+    diagonal-averaged in one pass over its rows: entry (i, j) is sample
+    i + j * stride, so each row adds into one strided slice, and a sample
+    receives its entries in row order.
     """
+    end = _layout_end(matrix.shape, layout, target_length)
     columns = matrix.shape[1]
-    n, stride = layout.window_length, layout.stride
-    _layout_end(matrix.shape, layout, target_length)
     if layout.mode != MODE_HANKEL:
-        block = matrix[:, :]  # before the output: a band's temporaries are freed by then
         out = np.zeros((target_length, columns))
-        out[:n] = block
+        out[:end] = matrix
         return out
+    span = (columns - 1) * layout.stride + 1
     acc = np.zeros(target_length)
-    step = _stream_step(n)
-    for j0 in range((columns - 1) // step * step, -1, -step):
-        j1 = min(j0 + step, columns)
-        block = matrix[:, j0:j1]
-        for i in range(n):
-            acc[i + j0 * stride : i + (j1 - 1) * stride + 1 : stride] += block[i]
-        del block  # free it before the next block is formed
-    # counted after the blocks, so the count is not held beside them
-    coverage = _hankel_coverage(layout, columns, target_length)
-    acc /= np.maximum(coverage, 1, out=coverage)  # an uncovered sample keeps its 0
+    for i, row in enumerate(matrix):
+        acc[i : i + span : layout.stride] += row
+    counts = _hankel_counts(layout, columns)
+    acc[:end] /= np.maximum(counts, 1.0, out=counts)  # a sample between windows keeps its 0
     return acc.reshape(-1, 1)
 
 
@@ -474,7 +456,7 @@ def separate(factors: SpectrumResult | StreamedSpectrum | GsvdResult,
     A generalized decomposition has no rank-one triples: each band keeps
     the columns of U and X inside its range and reconstructs U C_band X^T.
     """
-    return tuple(_Band(factors, lo, hi)[:, :] for lo, hi in _band_ranges(factors, cut))
+    return tuple(_Band(factors, lo, hi)[:] for lo, hi in _band_ranges(factors, cut))
 
 
 def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult,
@@ -490,8 +472,8 @@ def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
     sum to the input, and the noise keeps the residual past the numerical
     rank r when r < min(L, K). Such a spectrum must be read from the window
     view ``embed(...).T`` (a :class:`LayoutError` otherwise). Any other
-    hankel band is averaged one column block at a time, so no
-    trajectory-sized part is ever formed.
+    hankel band is unembedded from its whole L x K part, one band at a time:
+    ``streamed_svd`` is the hankel route in O(N) memory.
     """
     for table in _band_tables(factors, cut, layout, target_length):
         yield ChannelSet(table[:])
@@ -501,35 +483,36 @@ def _band_tables(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
                  layout: EmbedLayout, target_length: int):
     """Yield the signals of :func:`band_signals` as (samples, channels) tables.
 
-    A streamed spectrum on a hankel layout, the hankel route of ``separate``,
-    is hankelized by rank (:func:`_hankelized_tables`), in O(N) memory.
-    Where a band's matrix is its signals (a channel-columns layout of
-    ``target_length``-sample windows) and the factors have a right basis,
-    the table is the band's :class:`_Band`: it forms only the rows it is
-    sliced for, so no band-sized array is held. Every other table is the
-    array :func:`_unembed` forms from the band's column blocks.
+    A streamed spectrum on a hankel layout, the CLI's hankel route, is
+    hankelized by rank (:func:`_hankelized_tables`), in O(N) memory. Where a
+    band's matrix is its signals (channel columns of ``target_length``-sample
+    windows) and the factors have a right basis, the table is the band's
+    :class:`_Band`, which forms only the rows it is sliced for. Every other
+    table is :func:`_unembed` of the band's part, formed one band at a time
+    once the layout is checked.
     """
     streamed = isinstance(factors, StreamedSpectrum)
     if streamed and layout.mode == MODE_HANKEL:
         yield from _hankelized_tables(factors, cut, layout, target_length)
         return
+    _layout_end(factors.shape, layout, target_length)
     whole = (layout.mode == MODE_CHANNEL_COLUMNS and not streamed
              and factors.shape[0] == layout.window_length == target_length)
     for lo, hi in _band_ranges(factors, cut):
         band = _Band(factors, lo, hi)
-        yield band if whole else _unembed(band, layout, target_length)
+        yield band if whole else _unembed(band[:], layout, target_length)
 
 
 @dataclass(frozen=True)
 class _Band:
     """The band ``[lo, hi)`` of ``factors`` as a matrix that forms only the
-    entries it is sliced for: ``band[rows]`` or ``band[rows, cols]``, slices.
+    rows it is sliced for: ``band[rows]``, a slice; ``band[:]`` is the part.
 
     A band is ``U[:, b] diag(w[b]) X[:, b]^T``. A band of a left-orthonormal
     factor is the projection ``U_b U_b^T X`` of the matrix it came from, so a
-    streamed spectrum needs no right basis: its columns are projected from a
-    contiguous copy of their rows of X^T. A generalized band is rows of A
-    times an n x n band matrix, so no (m, n) basis is formed.
+    streamed spectrum needs no right basis: its part is projected from a
+    contiguous copy of X^T. A generalized band is rows of A times an n x n
+    band matrix, so no (m, n) basis is formed.
     """
 
     factors: SpectrumResult | StreamedSpectrum | GsvdResult
@@ -540,20 +523,19 @@ class _Band:
     def shape(self) -> tuple[int, int]:
         return self.factors.shape
 
-    def __getitem__(self, index) -> np.ndarray:
-        rows, cols = index if isinstance(index, tuple) else (index, slice(None))
+    def __getitem__(self, rows: slice) -> np.ndarray:
         start, stop, step = rows.indices(self.shape[0])
         if len(range(start, stop, step)) == 1 and self.shape[0] >= 2:
             # a one-row product would be a matrix-vector product, which rounds differently
             first = min(start, self.shape[0] - 2)
-            return self[first : first + 2, cols][start - first : start - first + 1]
+            return self[first : first + 2][start - first : start - first + 1]
         f = self.factors
         if isinstance(f, StreamedSpectrum):
             u_b = f.left_basis[:, self.lo : self.hi]
-            return u_b[rows] @ (np.ascontiguousarray(f.transposed[cols]) @ u_b).T
+            return u_b[rows] @ (np.ascontiguousarray(f.transposed) @ u_b).T
         if isinstance(f, GsvdResult):
-            return f.a[rows] @ f.band_matrix(self.lo, self.hi)[:, cols]
-        return _band(f.left_basis[rows], f.singular_values, f.right_basis[cols], self.lo, self.hi)
+            return f.a[rows] @ f.band_matrix(self.lo, self.hi)
+        return _band(f.left_basis[rows], f.singular_values, f.right_basis, self.lo, self.hi)
 
 
 def _band_ranges(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult):

@@ -184,13 +184,11 @@ class TestHankelStrided:
     @pytest.mark.parametrize("columns", [1, 2, 6, 13])
     def test_coverage_matches_a_pass_per_window_row(self, window, stride, columns):
         span = (columns - 1) * stride + 1
-        layout = EmbedLayout.hankel(window, stride=stride)
-        for target_length in (span - 1 + window, span - 1 + window + 1, span - 1 + window + 23):
-            want = np.zeros(target_length, dtype=np.int64)
-            for i in range(window):
-                want[i : i + span : stride] += 1
-            got = signal._hankel_coverage(layout, columns, target_length)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        want = np.zeros(span - 1 + window)
+        for i in range(window):
+            want[i : i + span : stride] += 1
+        got = signal._hankel_counts(EmbedLayout.hankel(window, stride=stride), columns)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("window, stride, columns", [(17, 3, 13), (40, 1, 3961), (5, 7, 1)])
     def test_an_undersized_target_raises_before_any_block_is_formed(self, window, stride, columns):
@@ -228,14 +226,13 @@ class TestBandSignals:
                                    method="svd-egv")
 
     @staticmethod
-    def assert_matches_matrix_route(factors, cut, layout, samples, scale):
+    def assert_matches_matrix_route(factors, cut, layout, samples):
         parts = signal.separate(factors, cut)
         bands = list(signal.band_signals(factors, cut, layout, samples))
         assert len(bands) == 3
         for part, band in zip(parts, bands):
             want = signal.unembed(part, layout, samples).data
-            assert band.data.shape == want.shape
-            assert np.max(np.abs(band.data - want)) <= 1e-13 * scale
+            assert band.data.shape == want.shape and band.data.tobytes() == want.tobytes()
         return bands
 
     @pytest.mark.parametrize("samples, window, stride", [
@@ -245,7 +242,7 @@ class TestBandSignals:
         layout = EmbedLayout.hankel(window, stride=stride)
         spec = linalg.svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout))
         cut = self.cut_for(spec.numerical_rank)
-        bands = self.assert_matches_matrix_route(spec, cut, layout, samples, np.max(np.abs(x)))
+        bands = self.assert_matches_matrix_route(spec, cut, layout, samples)
         covered_to = (samples - window) // stride * stride + window
         for band in bands:
             assert np.all(band.data[covered_to:] == 0.0)
@@ -257,22 +254,32 @@ class TestBandSignals:
         g = linalg.gsvd(signal.embed(ChannelSet(x[:, np.newaxis]), layout),
                         signal.embed(ChannelSet(z[:, np.newaxis]), layout))
         cut = signal.CutoffResult(m=3, f=10, peak_values=(0.0, 0.0), method="gsvd-egv")
-        self.assert_matches_matrix_route(g, cut, layout, 60, np.max(np.abs(x)))
+        self.assert_matches_matrix_route(g, cut, layout, 60)
 
-    def test_column_blocks_keep_the_row_order(self, monkeypatch):
-        # Three windows per block (3.5 L / L, truncated): blocks must not change
-        # the order in which each sample receives its entries, so unembed stays
-        # bitwise exact.
-        for samples, window, stride in ((4000, 40, 1), (1003, 17, 7)):
-            monkeypatch.setattr(linalg, "_STREAM_BLOCK", 3.5 / window)
-            x = np.random.default_rng(samples + stride).standard_normal(samples)
-            layout = EmbedLayout.hankel(window, stride=stride)
-            matrix, unembed_ref = hankel_reference(x, layout)
-            back = signal.unembed(matrix, layout, samples).data[:, 0]
-            assert back.tobytes() == unembed_ref(matrix, samples).tobytes()
-            spec = linalg.svd(matrix)
-            self.assert_matches_matrix_route(spec, self.cut_for(spec.numerical_rank),
-                                             layout, samples, np.max(np.abs(x)))
+    def test_hankel_undersized_target_raises_before_any_band_is_formed(self, monkeypatch):
+        x = np.random.default_rng(26).standard_normal(100)
+        layout = EmbedLayout.hankel(10, stride=3)
+        spec = linalg.svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout))
+
+        def unformable(band, rows):
+            raise AssertionError(f"band rows {rows} formed before the target length was checked")
+
+        monkeypatch.setattr(signal._Band, "__getitem__", unformable)
+        bands = signal.band_signals(spec, self.cut_for(spec.numerical_rank), layout, 99)
+        raise_exactly(LayoutError, lambda: next(bands), match="windows extend to 100 but target_length is 99$")
+
+    def test_hankel_svd_factors_hold_one_part_at_a_time(self):
+        # linalg.svd of a trajectory has no streamed route: each band's L x K
+        # part is formed whole, then averaged; the signals are O(N).
+        samples, window = 10_000, 100
+        x = np.random.default_rng(27).standard_normal(samples)
+        layout = EmbedLayout.hankel(window)
+        spec = linalg.svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout))
+        cut = self.cut_for(spec.numerical_rank)
+        bands, peak = traced_peak(lambda: list(signal.band_signals(spec, cut, layout, samples)))
+        assert len(bands) == 3
+        part_bytes = window * spec.shape[1] * 8
+        assert peak <= 1.1 * part_bytes + 8 * samples * 8
 
     def test_channel_columns_bands_are_the_matrix_route(self):
         a = np.random.default_rng(22).standard_normal((30, 6))
@@ -909,7 +916,7 @@ class TestGsvdSeparate:
 
 
 class TestBand:
-    """A _Band's row and column blocks are the matching slices of separate's part."""
+    """A _Band's row blocks are the matching slices of separate's part."""
 
     @staticmethod
     def factors(kind):
@@ -918,7 +925,7 @@ class TestBand:
             return linalg.svd(rng.standard_normal((300, 12)))
         if kind == "svd-wide":
             return linalg.svd(rng.standard_normal((12, 300)))
-        if kind == "streamed":  # 20 x 381: its column blocks are 160 windows
+        if kind == "streamed":  # 20 x 381
             x = ChannelSet(rng.standard_normal((400, 1)))
             return linalg.streamed_svd(signal.embed(x, EmbedLayout.hankel(20)).T)
         return linalg.gsvd(rng.standard_normal((300, 12)), rng.standard_normal((40, 12)))
@@ -927,24 +934,19 @@ class TestBand:
     def test_blocks_are_slices_of_the_part(self, kind):
         factors = self.factors(kind)
         cut = signal.CutoffResult(m=3, f=7, peak_values=(0.0, 0.0), method="svd-egv")
-        # A tall band's blocks of two or more columns are its part's bytes, so
-        # its row-block writes are too: a one-row block is taken from a two-row
-        # product. A one-column block is a matrix-vector product, and a wide
-        # band's blocks take other gemm paths: those round on their own, by at
-        # most a few ulps of the part.
+        # A tall band's row blocks are its part's bytes, so its row-block
+        # writes are too: a one-row block is taken from a two-row product. A
+        # wide band's blocks take other gemm paths: those round on their own,
+        # by at most a few ulps of the part.
         exact = kind in ("svd-tall", "gsvd")
         for (lo, hi), part in zip(signal._band_ranges(factors, cut), signal.separate(factors, cut), strict=True):
             band = signal._Band(factors, lo, hi)
-            rows, cols = band.shape
+            rows = band.shape[0]
             assert part.shape == band.shape
-            blocks = [np.s_[r0:r1] for r0, r1 in ((0, 1), (0, rows), (5, 6), (2, 9), (rows - 1, rows),
-                                                  (rows - 3, rows + 5))]
-            for c0, c1 in ((0, 1), (0, cols), (4, 5), (1, 8), (cols - 1, cols), (cols - 7, cols + 2)):
-                blocks += [np.s_[:, c0:c1], np.s_[1:4, c0:c1], np.s_[rows - 2 : rows, c0:c1]]
-            for index in blocks:
-                got, want = band[index], part[index]
+            for r0, r1 in ((0, 1), (0, rows), (5, 6), (2, 9), (rows - 1, rows), (rows - 3, rows + 5)):
+                got, want = band[r0:r1], part[r0:r1]
                 assert got.shape == want.shape
-                if exact and want.shape[1] > 1:
+                if exact:
                     assert got.tobytes() == want.tobytes()
                 else:
                     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(part))
