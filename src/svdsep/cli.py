@@ -153,20 +153,18 @@ def cmd_separate(args) -> RunReport:
 
 
 def cmd_scan(args) -> RunReport:
-    smoothness = args.metric == METRIC_SMOOTHNESS
     _refuse_unread((
-        ("--order", args.order is not None, smoothness, f"--metric {METRIC_SMOOTHNESS}"),
+        ("--order", args.order is not None, args.metric == METRIC_SMOOTHNESS, f"--metric {METRIC_SMOOTHNESS}"),
         ("--delta", args.delta is not None, args.order == "auto", "--order auto"),
-        ("--epsilon-guard", args.epsilon_guard is not None, smoothness, f"--metric {METRIC_SMOOTHNESS}"),
         ("--polarity", args.polarity is not None, args.threshold is not None, "runs with --threshold"),
     ))
-    if args.threshold is not None:
-        _check_threshold(args.threshold)  # before the scan writes its map files
-    # WindowConfig's defaults stand in for the options not given.
-    knobs = {name: getattr(args, name) for name in ("order", "delta", "epsilon_guard")
-             if getattr(args, name) is not None}
-    cfg = WindowConfig(window_size=args.window_size, stride=args.stride, **knobs)
     polarity = "above" if args.polarity is None else args.polarity
+    if args.threshold is not None:
+        _check_threshold(args.threshold, polarity)  # before the scan writes its map files
+    # WindowConfig's defaults stand in for the options not given; it checks
+    # the order against the window before the image is read.
+    knobs = {name: getattr(args, name) for name in ("order", "delta") if getattr(args, name) is not None}
+    cfg = WindowConfig(window_size=args.window_size, stride=args.stride, **knobs)
     # No local keeps the image: it is freed before the outputs are written.
     smap = sliding_scan(fio.load_gray_image(args.input), cfg, metric=args.metric)
 
@@ -187,7 +185,7 @@ def cmd_scan(args) -> RunReport:
         inputs=[args.input],
         parameters={
             "window_size": args.window_size, "stride": args.stride, "metric": args.metric,
-            "order": cfg.order, "delta": cfg.delta, "epsilon_guard": cfg.epsilon_guard,
+            "order": cfg.order, "delta": cfg.delta,
             "threshold": args.threshold, "polarity": polarity,
             "output_prefix": args.output_prefix,
         },
@@ -268,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="smoothness metric only: order n, or 'auto' (default 1)")
     p_scan.add_argument("--delta", type=float, default=None,
                         help="--order auto only: near-equality threshold (default 0)")
-    p_scan.add_argument("--epsilon-guard", type=float, default=None,
-                        help="smoothness metric only (default 1e-6)")
     p_scan.add_argument("--threshold", type=float, default=None)
     p_scan.add_argument("--polarity", choices=["above", "below"], default=None,
                         help="--threshold only (default above)")

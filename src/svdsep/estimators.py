@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg, signal
 from .errors import ConfigError
-from .image import METRIC_SMOOTHNESS, GrayImage, WindowConfig, sliding_scan, threshold_map
+from .image import METRIC_SMOOTHNESS, GrayImage, WindowConfig, _check_threshold, sliding_scan, threshold_map
 from .validation import check_matrix
 
 __all__ = ["BaseEstimator", "SubspaceSeparator", "SmoothnessScanner"]
@@ -123,33 +123,31 @@ class SmoothnessScanner(BaseEstimator):
 
     ``transform`` maps a grayscale image (array in [0, 1] or
     :class:`GrayImage`) to the per-window metric grid; ``predict``
-    thresholds the grid into a binary anomaly mask. ``order``, ``delta``
-    and ``epsilon_guard`` left as None take :class:`WindowConfig`'s
-    defaults. A knob the scan would not read is a :class:`ConfigError`, as
-    in CLI ``scan``: ``order`` and ``epsilon_guard`` apply to
-    ``metric="smoothness"`` only, ``delta`` to ``order="auto"`` only.
+    thresholds the grid into a binary anomaly mask. ``order`` and ``delta``
+    left as None take :class:`WindowConfig`'s defaults. A knob the scan
+    would not read is a :class:`ConfigError`, as in CLI ``scan``: ``order``
+    applies to ``metric="smoothness"`` only, ``delta`` to ``order="auto"``
+    only. ``fit`` raises whatever ``predict`` would for the parameters.
     """
 
     def __init__(self, window_size=5, stride=1, metric="smoothness", order=None,
-                 delta=None, epsilon_guard=None, threshold=None, polarity="above"):
+                 delta=None, threshold=None, polarity="above"):
         self.window_size = window_size
         self.stride = stride
         self.metric = metric
         self.order = order
         self.delta = delta
-        self.epsilon_guard = epsilon_guard
         self.threshold = threshold
         self.polarity = polarity
 
     def _config(self) -> WindowConfig:
-        smoothness = self.metric == METRIC_SMOOTHNESS
-        for name, read, scope in (("order", smoothness, f"metric={METRIC_SMOOTHNESS!r}"),
-                                  ("delta", self.order == "auto", "order='auto'"),
-                                  ("epsilon_guard", smoothness, f"metric={METRIC_SMOOTHNESS!r}")):
+        for name, read, scope in (("order", self.metric == METRIC_SMOOTHNESS, f"metric={METRIC_SMOOTHNESS!r}"),
+                                  ("delta", self.order == "auto", "order='auto'")):
             if getattr(self, name) is not None and not read:
                 raise ConfigError(f"{name} applies to {scope} only")
-        knobs = {name: getattr(self, name) for name in ("order", "delta", "epsilon_guard")
-                 if getattr(self, name) is not None}
+        if self.threshold is not None:
+            _check_threshold(self.threshold, self.polarity)
+        knobs = {name: getattr(self, name) for name in ("order", "delta") if getattr(self, name) is not None}
         return WindowConfig(window_size=self.window_size, stride=self.stride, **knobs)
 
     def fit(self, X=None, y=None):

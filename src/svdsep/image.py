@@ -5,9 +5,9 @@ Two metrics are offered per window fragment D:
 * information density  sqrt(sum of selected sigma_i^2) -- scales with
   brightness;
 * singular smoothness  sqrt(sum_{i<=n} (sigma_i^2 - sigma_{i+1}^2) /
-  max(sigma_{i+1}^2, guard^2 sigma_1^2)) -- a ratio form that is invariant
-  under rescaling the window, high for near-rank-1 (smooth) fragments and
-  low for textured ones.
+  max(sigma_{i+1}^2, g^2 sigma_1^2)) with the fixed guard g = 1e-6 -- a
+  ratio form that is invariant under rescaling the window, high for
+  near-rank-1 (smooth) fragments and low for textured ones.
 
 Both read only the singular values, so one set of vectorized kernels over
 a ``(..., w)`` array of descending spectra computes them: ``sliding_scan``
@@ -55,6 +55,9 @@ METRIC_DENSITY = "information-density"
 # Entries per float64 temporary of ``_quantize_u8`` (32 KiB): the temporary
 # stays a small fraction of the array being quantized, however wide its rows.
 _QUANTIZE_ENTRIES = 4096
+
+# Smoothness guard g: each sigma_{i+1}^2 denominator is floored at (g sigma_1)^2.
+_GUARD = 1e-6
 
 
 def _quantize_u8(arr: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -149,17 +152,16 @@ class WindowConfig:
     ``order`` is a fixed smoothness order n >= 1, or the string "auto" to
     pick the smallest n with sigma_n - sigma_{n+1} <= delta per window.
     ``delta`` is absolute, so an "auto" map is not scale-invariant: scaling
-    the image can change the order picked and so the values.
-    ``epsilon_guard`` floors near-zero denominators at guard^2 sigma_1^2 so
-    degenerate (e.g. constant) windows stay finite. The density metric
-    sums over each window's full numerical rank.
+    the image can change the order picked and so the values. A fixed order
+    needs order + 1 singular values, so ``order >= window_size`` is an
+    :class:`OrderError` here, whichever metric the config is scanned with.
+    The density metric sums over each window's full numerical rank.
     """
 
     window_size: int
     stride: int = 1
     order: int | str = 1
     delta: float = 0.0
-    epsilon_guard: float = 1e-6
 
     def __post_init__(self):
         for name in ("window_size", "stride") + (() if isinstance(self.order, str) else ("order",)):
@@ -173,10 +175,11 @@ class WindowConfig:
                 raise ConfigError(f"order must be a positive integer or 'auto', got {self.order!r}")
         elif self.order < 1:
             raise ConfigError(f"order must be >= 1, got {self.order}")
+        elif self.order + 1 > self.window_size:
+            raise OrderError(f"order {self.order} needs {self.order + 1} singular values, "
+                             f"window has {self.window_size}")
         if not self.delta >= 0:
             raise ConfigError(f"delta must be nonnegative, got {self.delta}")
-        if not 0 < self.epsilon_guard < np.inf:
-            raise ConfigError(f"epsilon_guard must be finite and positive, got {self.epsilon_guard}")
 
 
 @dataclass(frozen=True)
@@ -223,7 +226,7 @@ def _auto_order(values: np.ndarray, rank, delta: float) -> np.ndarray:
     return np.maximum(np.where(hit.any(axis=-1), hit.argmax(axis=-1) + 1, rank - 1), 1)
 
 
-def _smoothness(values: np.ndarray, n, guard: float) -> np.ndarray:
+def _smoothness(values: np.ndarray, n) -> np.ndarray:
     """Order-n smoothness of each spectrum; ``n`` is an int or one order per spectrum.
 
     A spectrum with sigma_1 = 0 has no energy at any order and maps to 0.
@@ -236,7 +239,7 @@ def _smoothness(values: np.ndarray, n, guard: float) -> np.ndarray:
     s1_sq = np.float_power(sq[..., :1], 2)
     sq *= sq
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = (sq[..., :-1] - sq[..., 1:]) / np.maximum(sq[..., 1:], guard * guard * s1_sq)
+        terms = (sq[..., :-1] - sq[..., 1:]) / np.maximum(sq[..., 1:], _GUARD * _GUARD * s1_sq)
         total = _run_sum(terms, np.arange(1, sq.shape[-1]) <= np.asarray(n)[..., None])
         return np.where(s1_sq[..., 0] == 0.0, 0.0, np.sqrt(total))
 
@@ -252,7 +255,7 @@ def _metric(values: np.ndarray, cfg: WindowConfig, metric: str) -> np.ndarray:
     n = cfg.order
     if n == "auto":
         n = _auto_order(values, _rank(values, values.shape[-1]), cfg.delta)
-    return _smoothness(values, n, cfg.epsilon_guard)
+    return _smoothness(values, n)
 
 
 def information_density(d, lo: int = 1, hi: int | None = None) -> float:
@@ -273,24 +276,22 @@ def information_density(d, lo: int = 1, hi: int | None = None) -> float:
     return float(_density(values, lo, hi))
 
 
-def singular_smoothness(d, n: int = 1, epsilon_guard: float = 1e-6) -> float:
+def singular_smoothness(d, n: int = 1) -> float:
     """Order-n smoothness of a window fragment.
 
     The n-th order form relates consecutive squared singular values, so it
     does not change when the fragment is rescaled; a fragment of exact
-    rank <= n caps at sqrt-of-1/guard^2-scale values instead of diverging.
-    A zero fragment has no energy at any order and maps to 0.
+    rank <= n caps at about 1/g (g = 1e-6, the scan's guard) instead of
+    diverging. A zero fragment has no energy at any order and maps to 0.
     """
     arr = check_matrix(d, "D")
-    if not 0 < epsilon_guard < np.inf:
-        raise InvalidInputError(f"epsilon_guard must be finite and positive, got {epsilon_guard}")
     check_integer(n, "order", OrderError)
     if n < 1:
         raise OrderError(f"order must be >= 1, got {n}")
     if n + 1 > min(arr.shape):
         raise OrderError(f"order {n} needs {n + 1} singular values, window has {min(arr.shape)}")
     values = _lapack("SVD", arr.shape, np.linalg.svd, arr, compute_uv=False)
-    return float(_smoothness(values, n, epsilon_guard))
+    return float(_smoothness(values, n))
 
 
 def select_order(spectrum: SpectrumResult, delta: float) -> int:
@@ -327,8 +328,6 @@ def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHN
     w = cfg.window_size
     if w > min(img.width, img.height):
         raise ConfigError(f"window_size {w} exceeds image sides {img.width}x{img.height}")
-    if metric == METRIC_SMOOTHNESS and isinstance(cfg.order, int) and cfg.order + 1 > w:
-        raise OrderError(f"order {cfg.order} needs {cfg.order + 1} singular values, window has {w}")
     rows = (img.height - w) // cfg.stride + 1
     cols = (img.width - w) // cfg.stride + 1
     grid = np.empty((rows, cols))
@@ -348,10 +347,12 @@ def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHN
     return SmoothnessMap(grid=grid, config=cfg, metric=metric, decompositions=rows * cols)
 
 
-def _check_threshold(theta: float) -> None:
-    """Raise :class:`ConfigError` for a threshold no value compares with."""
+def _check_threshold(theta: float, polarity: str) -> None:
+    """Raise :class:`ConfigError` for a threshold no value compares with or an unknown polarity."""
     if np.isnan(theta):
         raise ConfigError("threshold must be a number, got nan")
+    if polarity not in ("above", "below"):
+        raise ConfigError(f"polarity must be 'above' or 'below', got {polarity!r}")
 
 
 def threshold_map(smap: SmoothnessMap, theta: float, polarity: str = "above") -> np.ndarray:
@@ -360,9 +361,7 @@ def threshold_map(smap: SmoothnessMap, theta: float, polarity: str = "above") ->
     ``polarity='above'`` flags values >= theta, ``'below'`` flags <= theta.
     The mask is the comparison's own bool array, viewed as uint8 0/1.
     """
-    _check_threshold(theta)
+    _check_threshold(theta, polarity)
     if polarity == "above":
         return (smap.grid >= theta).view(np.uint8)
-    if polarity == "below":
-        return (smap.grid <= theta).view(np.uint8)
-    raise ConfigError(f"polarity must be 'above' or 'below', got {polarity!r}")
+    return (smap.grid <= theta).view(np.uint8)

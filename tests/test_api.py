@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 import shlex
@@ -11,9 +13,10 @@ import pytest
 from conftest import raise_exactly
 
 import svdsep
-from svdsep import image, linalg, signal
+from svdsep import cli, image, linalg, signal
 from svdsep.cli import main
 from svdsep.errors import OrderError, RangeError
+from svdsep.estimators import SmoothnessScanner
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(svdsep.__path__, "svdsep."))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -63,6 +66,15 @@ def test_a_non_integer_index_or_order_is_a_typed_error(call, error):
     raise_exactly(error, call)
 
 
+def test_the_window_settings_have_one_home():
+    # a window knob added to one surface only would be a setting the others cannot reach
+    config = {f.name for f in dataclasses.fields(image.WindowConfig)}
+    scanner = set(inspect.signature(SmoothnessScanner).parameters) - {"metric", "threshold", "polarity"}
+    args = vars(cli.build_parser().parse_args(["scan", "x.pgm", "--output-prefix", "p"]))
+    flags = set(args) - {"command", "func", "input", "output_prefix", "json", "metric", "threshold", "polarity"}
+    assert config == scanner == flags
+
+
 @pytest.mark.parametrize("path", sorted(Path(svdsep.__file__).parent.glob("*.py")), ids=lambda p: p.name)
 def test_numpy_is_the_only_runtime_dependency(path):
     imported = set()
@@ -82,6 +94,7 @@ def test_ci_runs_the_tier_1_command_on_each_supported_python():
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8"))
     (job,) = workflow["jobs"].values()
+    assert job["timeout-minutes"] == 30
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs == ["pip install .[test]", TIER_1]

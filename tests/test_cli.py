@@ -522,12 +522,12 @@ class TestScan:
         assert report["results"]["grid_rows"] == 4
         assert report["work_counters"]["decompositions"] == 16
         # the options not given echo the values the scan ran with
-        assert {k: report["parameters"][k] for k in ("order", "delta", "epsilon_guard", "polarity")} == \
-            {"order": 1, "delta": 0.0, "epsilon_guard": 1e-6, "polarity": "above"}
+        assert {k: report["parameters"][k] for k in ("order", "delta", "polarity")} == \
+            {"order": 1, "delta": 0.0, "polarity": "above"}
 
     @pytest.mark.parametrize("route, flag, scope", [
         (["--metric", "information-density"], ["--order", "2"], "--metric smoothness"),
-        (["--metric", "information-density"], ["--epsilon-guard", "1e-3"], "--metric smoothness"),
+        (["--metric", "information-density"], ["--order", "auto"], "--metric smoothness"),
         (["--metric", "information-density"], ["--delta", "0.1"], "--order auto"),
         (["--order", "2"], ["--delta", "0.1"], "--order auto"),
         ([], ["--delta", "0.1"], "--order auto"),
@@ -560,6 +560,17 @@ class TestScan:
                    "--output-prefix", tmp_path / "x") == 1
         assert "ConfigError: threshold must be a number, got nan" in capsys.readouterr().err
         assert not list(tmp_path.glob("x_*"))
+
+    def test_order_too_large_for_the_window_fails_before_the_image_is_read(self, tmp_path, capsys, monkeypatch):
+        def no_load(path):
+            raise AssertionError(f"{path} was opened")
+
+        monkeypatch.setattr(fio, "load_gray_image", no_load)
+        assert run("scan", tmp_path / "absent.pgm", "--window-size", 5, "--order", 5,
+                   "--output-prefix", tmp_path / "x") == 1
+        assert capsys.readouterr().err == \
+            "svdsep: error: OrderError: order 5 needs 6 singular values, window has 5\n"
+        assert not list(tmp_path.iterdir())
 
     def test_window_larger_than_image_fails(self, tmp_path, texture_pgm):
         assert run("scan", texture_pgm, "--window-size", 50,
@@ -738,6 +749,8 @@ def command_argv(tmp_path, command):
      "unrecognized arguments: --stride 7"),
     # a rank tolerance could drop the noise band, so the parts missed the input
     (["separate", "a.csv", "--rank-tolerance", "0.05"], "unrecognized arguments: --rank-tolerance 0.05"),
+    # the smoothness guard is fixed at 1e-6
+    (["scan", "img.pgm", "--epsilon-guard", "1e-3"], "unrecognized arguments: --epsilon-guard 1e-3"),
 ])
 def test_malformed_option_value_exits_2(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:

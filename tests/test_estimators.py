@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from svdsep import image, linalg
-from svdsep.errors import ConfigError
+from svdsep import estimators, image, linalg
+from svdsep.errors import ConfigError, OrderError
 from svdsep.estimators import SmoothnessScanner, SubspaceSeparator
 from svdsep.image import GrayImage, WindowConfig
 from svdsep.synth import MixtureSpec, Region, TextureSpec, gen_mixture, gen_texture
@@ -152,9 +154,28 @@ class TestSmoothnessScanner:
         with pytest.raises(ConfigError):
             SmoothnessScanner().fit(img).predict(img)
 
+    # parameters that ``predict`` refuses; ``fit`` refuses them first
+    BAD_PARAMS = [
+        ({"window_size": 1}, ConfigError),
+        ({"window_size": 5, "order": 5}, OrderError),
+        ({"threshold": math.nan}, ConfigError),
+        ({"threshold": 0.5, "polarity": "sideways"}, ConfigError),
+    ]
+
     def test_fit_validates_params(self):
-        with pytest.raises(ConfigError):
-            SmoothnessScanner(window_size=1).fit()
+        for params, error in self.BAD_PARAMS:
+            with pytest.raises(error):
+                SmoothnessScanner(**params).fit()
+
+    @pytest.mark.parametrize("params, error", BAD_PARAMS)
+    def test_predict_raises_before_any_scan(self, monkeypatch, params, error):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the parameters are checked before the scan")
+
+        monkeypatch.setattr(estimators, "sliding_scan", no_scan)
+        scanner = SmoothnessScanner(**{"threshold": 1.0, **params})
+        with pytest.raises(error):
+            scanner.predict(np.full((8, 8), 0.5))
 
     def test_default_knobs_are_the_window_config_s(self):
         img = np.random.default_rng(3).uniform(size=(20, 20))
@@ -164,9 +185,8 @@ class TestSmoothnessScanner:
 
     @pytest.mark.parametrize("params, message", [
         ({"metric": "information-density", "order": 3}, "order applies to metric='smoothness' only"),
-        ({"metric": "information-density", "epsilon_guard": 0.1},
-         "epsilon_guard applies to metric='smoothness' only"),
-        ({"metric": "information-density", "order": 3, "delta": 0.5, "epsilon_guard": 0.1},
+        ({"metric": "information-density", "order": "auto"}, "order applies to metric='smoothness' only"),
+        ({"metric": "information-density", "order": 3, "delta": 0.5},
          "order applies to metric='smoothness' only"),
         ({"delta": 0.5}, "delta applies to order='auto' only"),
         ({"order": 2, "delta": 0.7}, "delta applies to order='auto' only"),
@@ -180,7 +200,7 @@ class TestSmoothnessScanner:
 
     def test_reads_the_knobs_of_its_metric_and_order(self):
         img = np.random.default_rng(5).uniform(size=(20, 20))
-        for params in ({"order": "auto", "delta": 0.5}, {"order": 2, "epsilon_guard": 0.1},
+        for params in ({"order": "auto", "delta": 0.5}, {"order": 2},
                        {"metric": "information-density"}):
             got = SmoothnessScanner(**params).fit_transform(img)
             metric = params.pop("metric", image.METRIC_SMOOTHNESS)

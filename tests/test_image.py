@@ -127,9 +127,7 @@ class TestSingularSmoothness:
 
     def test_constant_window_capped_by_guard(self):
         d = np.full((5, 5), 0.37)  # rank 1, sigma_2 = 0
-        guard = 1e-6
-        got = image.singular_smoothness(d, 1, epsilon_guard=guard)
-        assert got == pytest.approx(1.0 / guard, rel=1e-9)
+        assert image.singular_smoothness(d, 1) == pytest.approx(1.0 / 1e-6, rel=1e-9)
 
     def test_zero_window(self):
         assert image.singular_smoothness(np.zeros((4, 4)), 1) == 0.0
@@ -142,10 +140,6 @@ class TestSingularSmoothness:
     def test_order_exceeding_window_rejected(self):
         with pytest.raises(OrderError):
             image.singular_smoothness(np.eye(3), 3)
-
-    def test_bad_guard_rejected(self):
-        with pytest.raises(InvalidInputError):
-            image.singular_smoothness(np.eye(3), 1, epsilon_guard=0.0)
 
 
 def test_window_metrics_hold_at_every_scale():
@@ -346,7 +340,7 @@ def _ref_window_value(win, cfg, metric):
         n = _ref_select_order_from_values(values, rank, cfg.delta) if rank >= 2 else 1
     else:
         n = cfg.order
-    return _ref_smoothness_from_values(values, n, cfg.epsilon_guard)
+    return _ref_smoothness_from_values(values, n, 1e-6)
 
 
 def _ref_scan(img, cfg, metric):
@@ -377,9 +371,10 @@ _PARITY_CASES = [
     for metric, extra in (
         [(image.METRIC_SMOOTHNESS, {"order": n}) for n in (1, 3) if n < w]
         + [(image.METRIC_SMOOTHNESS, {"order": "auto", "delta": d}) for d in (0.0, 0.02)]
-        # the density map reads none of the smoothness options
+        # the density map reads none of the smoothness options, not even the
+        # largest fixed order the window admits
         + [(image.METRIC_DENSITY, extra)
-           for extra in ({}, {"order": "auto", "delta": 0.02}, {"epsilon_guard": 0.1})]
+           for extra in ({}, {"order": "auto", "delta": 0.02}, {"order": w - 1})]
     )
 ]
 
@@ -399,12 +394,11 @@ class TestScanParity:
 
     @pytest.mark.parametrize("order", [1, 3, "auto"])
     def test_constant_image_hits_guard_floor(self, order):
-        guard = 1e-4
-        cfg = WindowConfig(window_size=6, stride=2, order=order, epsilon_guard=guard)
+        cfg = WindowConfig(window_size=6, stride=2, order=order)
         img = GrayImage(np.full((14, 14), 0.6))
         got = image.sliding_scan(img, cfg).grid
         assert np.array_equal(got, _ref_scan(img, cfg, image.METRIC_SMOOTHNESS))
-        assert np.allclose(got, 1.0 / guard, rtol=1e-9)
+        assert np.allclose(got, 1.0 / 1e-6, rtol=1e-9)
 
     def test_scalar_api_matches_reference(self):
         rng = np.random.default_rng(11)
@@ -431,15 +425,10 @@ class TestScanParity:
     pytest.param(lambda: WindowConfig(5, order=1.5), ConfigError, id="order-float"),
     pytest.param(lambda: WindowConfig(5, order="best"), ConfigError, id="order-name"),
     pytest.param(lambda: WindowConfig(5, order=0), ConfigError, id="order"),
+    # a fixed order needs order + 1 singular values, whichever metric reads the config
+    pytest.param(lambda: WindowConfig(5, order=5), OrderError, id="order-above-window"),
     pytest.param(lambda: WindowConfig(5, delta=-1e-9), ConfigError, id="delta"),
     pytest.param(lambda: WindowConfig(5, delta=math.nan), ConfigError, id="delta-nan"),
-    pytest.param(lambda: WindowConfig(5, epsilon_guard=0.0), ConfigError, id="guard"),
-    pytest.param(lambda: WindowConfig(5, epsilon_guard=math.nan), ConfigError, id="guard-nan"),
-    pytest.param(lambda: WindowConfig(5, epsilon_guard=math.inf), ConfigError, id="guard-inf"),
-    pytest.param(lambda: image.singular_smoothness(np.eye(3), 1, math.nan), InvalidInputError,
-                 id="smoothness-guard-nan"),
-    pytest.param(lambda: image.singular_smoothness(np.eye(3), 1, math.inf), InvalidInputError,
-                 id="smoothness-guard-inf"),
     pytest.param(lambda: image.select_order(linalg.svd(np.diag([3.0, 2.0, 1.0])), math.nan), InvalidInputError,
                  id="select-order-delta-nan"),
     pytest.param(lambda: image.threshold_map(image.SmoothnessMap(
