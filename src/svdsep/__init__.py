@@ -61,7 +61,6 @@ from .image import (
 )
 from .synth import MixtureSpec, Region, TextureSpec, gen_mixture, gen_texture, mixture_components
 from .bench import BenchRecord, run_cutoff_bench, run_scan_bench
-from .estimators import SmoothnessScanner, SubspaceSeparator
 
 __version__ = "0.1.0"
 
@@ -81,6 +80,5 @@ __all__ = [
     "MixtureSpec", "TextureSpec", "Region", "gen_mixture", "gen_texture",
     "mixture_components",
     "BenchRecord", "run_cutoff_bench", "run_scan_bench",
-    "SubspaceSeparator", "SmoothnessScanner",
     "__version__",
 ]

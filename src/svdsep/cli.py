@@ -20,7 +20,7 @@ import numpy as np
 from . import io as fio
 from . import linalg, signal
 from .errors import ParseError, SvdsepError
-from .image import METRIC_DENSITY, METRIC_SMOOTHNESS, WindowConfig, _check_threshold, sliding_scan, threshold_map
+from .image import WindowConfig, _check_threshold, sliding_scan, threshold_map
 from .synth import TAG_CODES, MixtureSpec, Region, TextureSpec, gen_mixture, gen_texture
 
 SCHEMA_VERSION = 1
@@ -154,7 +154,6 @@ def cmd_separate(args) -> RunReport:
 
 def cmd_scan(args) -> RunReport:
     _refuse_unread((
-        ("--order", args.order is not None, args.metric == METRIC_SMOOTHNESS, f"--metric {METRIC_SMOOTHNESS}"),
         ("--delta", args.delta is not None, args.order == "auto", "--order auto"),
         ("--polarity", args.polarity is not None, args.threshold is not None, "runs with --threshold"),
     ))
@@ -166,7 +165,7 @@ def cmd_scan(args) -> RunReport:
     knobs = {name: getattr(args, name) for name in ("order", "delta") if getattr(args, name) is not None}
     cfg = WindowConfig(window_size=args.window_size, stride=args.stride, **knobs)
     # No local keeps the image: it is freed before the outputs are written.
-    smap = sliding_scan(fio.load_gray_image(args.input), cfg, metric=args.metric)
+    smap = sliding_scan(fio.load_gray_image(args.input), cfg)
 
     fio.write_grid_csv(f"{args.output_prefix}_map.csv", smap.grid)
     fio.write_pgm(f"{args.output_prefix}_map.pgm", fio.render_grid_u8(smap.grid))
@@ -184,7 +183,7 @@ def cmd_scan(args) -> RunReport:
         command="scan",
         inputs=[args.input],
         parameters={
-            "window_size": args.window_size, "stride": args.stride, "metric": args.metric,
+            "window_size": args.window_size, "stride": args.stride,
             "order": cfg.order, "delta": cfg.delta,
             "threshold": args.threshold, "polarity": polarity,
             "output_prefix": args.output_prefix,
@@ -255,15 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hankel layout only (required there): samples per window")
     p_sep.set_defaults(func=cmd_separate)
 
-    p_scan = sub.add_parser("scan", parents=[common], help="sliding-window texture metric over a grayscale image")
+    p_scan = sub.add_parser("scan", parents=[common], help="sliding-window smoothness map of a grayscale image")
     p_scan.add_argument("input", help="PGM or 8-bit grayscale PNG image")
     p_scan.add_argument("--window-size", type=int, default=5)
     p_scan.add_argument("--stride", type=int, default=1)
-    p_scan.add_argument("--metric", choices=[METRIC_SMOOTHNESS, METRIC_DENSITY],
-                        default=METRIC_SMOOTHNESS)
-    # None marks an option not given: the flags below are refused where unread.
+    # None marks an option not given: WindowConfig's default stands in for it,
+    # and --delta and --polarity are refused where unread.
     p_scan.add_argument("--order", type=_order_arg, default=None,
-                        help="smoothness metric only: order n, or 'auto' (default 1)")
+                        help="smoothness order n, or 'auto' (default 1)")
     p_scan.add_argument("--delta", type=float, default=None,
                         help="--order auto only: near-equality threshold (default 0)")
     p_scan.add_argument("--threshold", type=float, default=None)

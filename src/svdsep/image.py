@@ -1,16 +1,14 @@
 """Window-level texture metrics and the sliding-window scanner.
 
-Two metrics are offered per window fragment D:
+The scan scores each window fragment D by its singular smoothness
+sqrt(sum_{i<=n} (sigma_i^2 - sigma_{i+1}^2) / max(sigma_{i+1}^2, g^2 sigma_1^2))
+with the fixed guard g = 1e-6 -- a ratio form that is invariant under
+rescaling the window, high for near-rank-1 (smooth) fragments and low for
+textured ones. The scalar ``information_density`` gives one fragment's
+root energy sqrt(sum of selected sigma_i^2), which scales with brightness.
 
-* information density  sqrt(sum of selected sigma_i^2) -- scales with
-  brightness;
-* singular smoothness  sqrt(sum_{i<=n} (sigma_i^2 - sigma_{i+1}^2) /
-  max(sigma_{i+1}^2, g^2 sigma_1^2)) with the fixed guard g = 1e-6 -- a
-  ratio form that is invariant under rescaling the window, high for
-  near-rank-1 (smooth) fragments and low for textured ones.
-
-Both read only the singular values, so one set of vectorized kernels over
-a ``(..., w)`` array of descending spectra computes them: ``sliding_scan``
+Both read only the singular values, so vectorized kernels over a
+``(..., w)`` array of descending spectra compute them: ``sliding_scan``
 takes one SVD per window and scores a whole grid row at once, and
 ``information_density``, ``singular_smoothness`` and ``select_order`` call
 the same kernels on a batch of one. The kernels square each spectrum
@@ -45,12 +43,7 @@ __all__ = [
     "select_order",
     "sliding_scan",
     "threshold_map",
-    "METRIC_SMOOTHNESS",
-    "METRIC_DENSITY",
 ]
-
-METRIC_SMOOTHNESS = "smoothness"
-METRIC_DENSITY = "information-density"
 
 # Entries per float64 temporary of ``_quantize_u8`` (32 KiB): the temporary
 # stays a small fraction of the array being quantized, however wide its rows.
@@ -147,15 +140,14 @@ class GrayImage:
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Square sliding-window geometry and metric options.
+    """Square sliding-window geometry and smoothness order.
 
     ``order`` is a fixed smoothness order n >= 1, or the string "auto" to
     pick the smallest n with sigma_n - sigma_{n+1} <= delta per window.
     ``delta`` is absolute, so an "auto" map is not scale-invariant: scaling
     the image can change the order picked and so the values. A fixed order
     needs order + 1 singular values, so ``order >= window_size`` is an
-    :class:`OrderError` here, whichever metric the config is scanned with.
-    The density metric sums over each window's full numerical rank.
+    :class:`OrderError` here, before any image is read.
     """
 
     window_size: int
@@ -184,11 +176,10 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class SmoothnessMap:
-    """Grid of per-window metric values plus the geometry that produced it."""
+    """Grid of per-window smoothness values plus the geometry that produced it."""
 
     grid: np.ndarray
     config: WindowConfig
-    metric: str
     decompositions: int
 
     @property
@@ -244,14 +235,12 @@ def _smoothness(values: np.ndarray, n) -> np.ndarray:
         return np.where(s1_sq[..., 0] == 0.0, 0.0, np.sqrt(total))
 
 
-def _metric(values: np.ndarray, cfg: WindowConfig, metric: str) -> np.ndarray:
-    """The ``cfg`` window metric of each descending spectrum along the last axis.
+def _metric(values: np.ndarray, cfg: WindowConfig) -> np.ndarray:
+    """The ``cfg`` smoothness of each descending spectrum along the last axis.
 
-    A square window's spectrum length is max(m, n), so the rank is
-    ``linalg.svd``'s.
+    A square window's spectrum length is max(m, n), so the rank that
+    ``order="auto"`` reads is ``linalg.svd``'s.
     """
-    if metric == METRIC_DENSITY:
-        return _density(values, 1, _rank(values, values.shape[-1]))
     n = cfg.order
     if n == "auto":
         n = _auto_order(values, _rank(values, values.shape[-1]), cfg.delta)
@@ -262,8 +251,8 @@ def information_density(d, lo: int = 1, hi: int | None = None) -> float:
     """Root energy of the window spectrum over the 1-based range [lo, hi].
 
     ``hi=None`` selects the full numerical rank, so a fragment of rank 0
-    has density 0, as in the scan's density map. An explicit range must
-    fall within the rank of the fragment.
+    has density 0. An explicit range must fall within the rank of the
+    fragment.
     """
     arr = check_matrix(d, "D")
     values = _lapack("SVD", arr.shape, np.linalg.svd, arr, compute_uv=False)
@@ -311,20 +300,18 @@ def select_order(spectrum: SpectrumResult, delta: float) -> int:
     return int(_auto_order(spectrum.singular_values, r, delta))
 
 
-def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHNESS) -> SmoothnessMap:
-    """Evaluate a metric on every window position of a moving-window grid.
+def sliding_scan(img: GrayImage, cfg: WindowConfig) -> SmoothnessMap:
+    """Evaluate the smoothness on every window position of a moving-window grid.
 
     The window at grid cell (i, j) covers pixels
     ``[j*stride, j*stride + w) x [i*stride, i*stride + w)`` and the grid has
     ``floor((side - w) / stride) + 1`` cells per dimension. Each window
     takes one singular-value decomposition (values only, no bases); the
     spectra of a grid row are then scored together by the same
-    values-to-metric kernel that ``information_density`` and
-    ``singular_smoothness`` use. Intensities are formed one band of w rows
-    at a time, so an 8-bit image is never widened to float64 as a whole.
+    values-to-smoothness kernel that ``singular_smoothness`` uses.
+    Intensities are formed one band of w rows at a time, so an 8-bit image
+    is never widened to float64 as a whole.
     """
-    if metric not in (METRIC_SMOOTHNESS, METRIC_DENSITY):
-        raise ConfigError(f"unknown metric {metric!r}")
     w = cfg.window_size
     if w > min(img.width, img.height):
         raise ConfigError(f"window_size {w} exceeds image sides {img.width}x{img.height}")
@@ -341,10 +328,10 @@ def sliding_scan(img: GrayImage, cfg: WindowConfig, metric: str = METRIC_SMOOTHN
             for j in range(cols):
                 left = j * cfg.stride
                 spectra[j] = np.linalg.svd(band[:, left : left + w], compute_uv=False)
-            grid[i] = _metric(spectra, cfg, metric)
+            grid[i] = _metric(spectra, cfg)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD of the scan window at (row {i}, col {j}) failed: {exc}") from exc
-    return SmoothnessMap(grid=grid, config=cfg, metric=metric, decompositions=rows * cols)
+    return SmoothnessMap(grid=grid, config=cfg, decompositions=rows * cols)
 
 
 def _check_threshold(theta: float, polarity: str) -> None:

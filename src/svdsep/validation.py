@@ -1,8 +1,7 @@
 """Input validation helpers shared by all modules.
 
-These mirror the conventions of scikit-learn's ``check_array``: accept
-anything array-like, hand back a float64 ndarray, and fail loudly with a
-specific exception instead of letting NaNs propagate.
+They accept anything array-like, hand back a float64 ndarray, and fail
+loudly with a specific exception instead of letting NaNs propagate.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 import ast
 import dataclasses
 import importlib
-import inspect
 import pkgutil
 import re
 import shlex
@@ -16,7 +15,6 @@ import svdsep
 from svdsep import cli, image, linalg, signal
 from svdsep.cli import main
 from svdsep.errors import OrderError, RangeError
-from svdsep.estimators import SmoothnessScanner
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(svdsep.__path__, "svdsep."))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -30,11 +28,9 @@ def test_every_exported_name_resolves(module):
 
 
 def test_readme_quickstart_runs_and_its_comments_hold():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-    assert len(blocks) == 2
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     scope = {}
-    for block in blocks:  # the second block uses names the first one binds
-        exec(compile(block, str(README), "exec"), scope)
+    exec(compile(block, str(README), "exec"), scope)
     assert scope["cut"].m == 2
     assert scope["cut"].f == 4
     assert scope["gcut"].f is None
@@ -67,12 +63,11 @@ def test_a_non_integer_index_or_order_is_a_typed_error(call, error):
 
 
 def test_the_window_settings_have_one_home():
-    # a window knob added to one surface only would be a setting the others cannot reach
+    # a window knob added to the config or to the scan flags only would be a setting the other cannot reach
     config = {f.name for f in dataclasses.fields(image.WindowConfig)}
-    scanner = set(inspect.signature(SmoothnessScanner).parameters) - {"metric", "threshold", "polarity"}
     args = vars(cli.build_parser().parse_args(["scan", "x.pgm", "--output-prefix", "p"]))
-    flags = set(args) - {"command", "func", "input", "output_prefix", "json", "metric", "threshold", "polarity"}
-    assert config == scanner == flags
+    flags = set(args) - {"command", "func", "input", "output_prefix", "json", "threshold", "polarity"}
+    assert config == flags
 
 
 @pytest.mark.parametrize("path", sorted(Path(svdsep.__file__).parent.glob("*.py")), ids=lambda p: p.name)

@@ -16,7 +16,6 @@ from svdsep import io as fio
 from svdsep import cli, linalg, signal
 from svdsep.cli import main
 from svdsep.errors import InvalidInputError
-from svdsep.estimators import SubspaceSeparator
 from svdsep.signal import ChannelSet, EmbedLayout, embed
 from svdsep.synth import TAG_ROUGH, MixtureSpec, Region, TextureSpec, gen_mixture, gen_texture
 
@@ -309,7 +308,7 @@ class TestSeparate:
                          "hankel": {"svd": 1, "qr": 3}}[method]
 
     @pytest.mark.parametrize("method", ["svd", "gsvd"])
-    def test_parts_equal_the_estimator_subspaces(self, tmp_path, mixture_csv, method):
+    def test_parts_equal_the_library_separation(self, tmp_path, mixture_csv, method):
         run("synth", "mixture", "--seed", 2, "--output-prefix", tmp_path / "ref")
         reference = f"{tmp_path / 'ref'}_signals.csv"
         route = ["--second", reference] if method == "gsvd" else []
@@ -317,11 +316,11 @@ class TestSeparate:
         assert run("separate", mixture_csv, "--method", method, *route,
                    "--output-prefix", prefix) == 0
         x = fio.read_channels_csv(mixture_csv).data
-        b = fio.read_channels_csv(reference).data if method == "gsvd" else None
-        sep = SubspaceSeparator(method=method).fit(x, B=b)
+        f = linalg.gsvd(x, fio.read_channels_csv(reference).data) if method == "gsvd" else linalg.svd(x)
+        want = signal.cutoff(f)
         cut = read_json(f"{prefix}_report.json")["results"]["cutoff"]
-        assert (cut["m"], cut["f"]) == sep.cutoffs()
-        for name, part in zip(("dominant", "weak", "noise"), sep.subspaces()):
+        assert (cut["m"], cut["f"]) == (want.m, want.f)
+        for name, part in zip(("dominant", "weak", "noise"), signal.separate(f, want)):
             # %.17g round-trips every float64, so the files hold the parts exactly
             assert np.array_equal(fio.read_channels_csv(f"{prefix}_{name}.csv").data, part)
 
@@ -526,12 +525,9 @@ class TestScan:
             {"order": 1, "delta": 0.0, "polarity": "above"}
 
     @pytest.mark.parametrize("route, flag, scope", [
-        (["--metric", "information-density"], ["--order", "2"], "--metric smoothness"),
-        (["--metric", "information-density"], ["--order", "auto"], "--metric smoothness"),
-        (["--metric", "information-density"], ["--delta", "0.1"], "--order auto"),
-        (["--order", "2"], ["--delta", "0.1"], "--order auto"),
-        ([], ["--delta", "0.1"], "--order auto"),
-        ([], ["--polarity", "below"], "runs with --threshold"),
+        pytest.param(["--order", "2"], ["--delta", "0.1"], "--order auto", id="route3-flag3---order auto"),
+        pytest.param([], ["--delta", "0.1"], "--order auto", id="route4-flag4---order auto"),
+        pytest.param([], ["--polarity", "below"], "runs with --threshold", id="route5-flag5-runs with --threshold"),
     ])
     def test_flags_the_metric_never_reads_are_rejected(self, tmp_path, capsys, monkeypatch, route, flag, scope):
         def no_load(path):
@@ -577,8 +573,6 @@ class TestScan:
                    "--output-prefix", tmp_path / "x") == 1
 
     def test_density_metric_and_auto_order(self, tmp_path, texture_pgm):
-        assert run("scan", texture_pgm, "--window-size", 5, "--stride", 5,
-                   "--metric", "information-density", "--output-prefix", tmp_path / "d") == 0
         assert run("scan", texture_pgm, "--window-size", 5, "--stride", 5,
                    "--order", "auto", "--delta", "0.05", "--output-prefix", tmp_path / "a") == 0
         assert run("scan", texture_pgm, "--window-size", 5, "--stride", 5,
@@ -751,6 +745,8 @@ def command_argv(tmp_path, command):
     (["separate", "a.csv", "--rank-tolerance", "0.05"], "unrecognized arguments: --rank-tolerance 0.05"),
     # the smoothness guard is fixed at 1e-6
     (["scan", "img.pgm", "--epsilon-guard", "1e-3"], "unrecognized arguments: --epsilon-guard 1e-3"),
+    # the scan maps smoothness only
+    (["scan", "img.pgm", "--metric", "information-density"], "unrecognized arguments: --metric information-density"),
 ])
 def test_malformed_option_value_exits_2(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import holds_at_every_scale, raise_exactly, with_failing_lapack
 
-from svdsep import bench, image, linalg
+from svdsep import bench, image, linalg, synth
 from svdsep.errors import (
     ConfigError,
     ConvergenceError,
@@ -95,15 +95,8 @@ class TestInformationDensity:
             image.information_density(np.diag([3.0, 0.0]), 1, 2)  # rank 1
 
     def test_zero_window_matches_the_density_map(self):
-        # an 8-bit image, black but for its right third: rank-0 windows read 0 in the map
-        samples = np.zeros((12, 12), dtype=np.uint8)
-        samples[:, 8:] = np.random.default_rng(5).integers(1, 256, size=(12, 4))
-        img = GrayImage.from_uint8(samples)
-        grid = image.sliding_scan(img, WindowConfig(window_size=4, stride=2), metric=image.METRIC_DENSITY).grid
-        assert grid[0, 0] == 0.0 and np.all(grid[:, -1] > 0.0)
-        for i, j in np.ndindex(grid.shape):
-            window = img.pixels[2 * i : 2 * i + 4, 2 * j : 2 * j + 4]
-            assert image.information_density(window) == grid[i, j], (i, j)
+        # the full-rank default of a rank-0 window is the empty range, whose density is 0
+        assert image.information_density(np.zeros((4, 4))) == 0.0
         with pytest.raises(RangeError):
             image.information_density(np.zeros((3, 3)), 1, 1)  # an explicit range must fall within the rank
 
@@ -206,18 +199,15 @@ class TestSlidingScan:
                 assert smap.decompositions == smap.grid_rows * smap.grid_cols
 
     def test_constant_image_uniform_map(self):
-        img = GrayImage(np.full((12, 12), 0.25))
-        for metric in (image.METRIC_SMOOTHNESS, image.METRIC_DENSITY):
-            smap = image.sliding_scan(img, WindowConfig(window_size=4, stride=2), metric=metric)
-            assert np.all(smap.grid == smap.grid[0, 0])
-            assert np.all(np.isfinite(smap.grid))
+        smap = image.sliding_scan(GrayImage(np.full((12, 12), 0.25)), WindowConfig(window_size=4, stride=2))
+        assert np.all(smap.grid == smap.grid[0, 0])
+        assert np.all(np.isfinite(smap.grid))
 
     def test_window_placement(self):
-        # windows must tile row-major with the top-left at (i*stride, j*stride)
+        # windows must tile row-major with the top-left at (i*stride, j*stride); a zero window reads 0
         px = np.zeros((8, 8))
         px[4:8, 0:4] = np.random.default_rng(7).uniform(0.2, 1.0, size=(4, 4))
-        smap = image.sliding_scan(GrayImage(px), WindowConfig(window_size=4, stride=4),
-                                  metric=image.METRIC_DENSITY)
+        smap = image.sliding_scan(GrayImage(px), WindowConfig(window_size=4, stride=4))
         assert smap.grid[0, 0] == 0.0
         assert smap.grid[1, 0] > 0.0
         assert smap.grid[0, 1] == 0.0
@@ -239,31 +229,22 @@ class TestSlidingScan:
         with pytest.raises(OrderError):
             image.sliding_scan(img, WindowConfig(window_size=3, order=3))
 
-    def test_unknown_metric_rejected(self):
-        img = GrayImage(np.full((6, 6), 0.5))
-        with pytest.raises(ConfigError):
-            image.sliding_scan(img, WindowConfig(window_size=3), metric="entropy")
-
-    @pytest.mark.parametrize("metric, extra", [
-        (image.METRIC_SMOOTHNESS, {}),
-        (image.METRIC_SMOOTHNESS, {"order": "auto", "delta": 0.02}),
-        (image.METRIC_DENSITY, {}),
-    ])
+    @pytest.mark.parametrize("extra", [{}, {"order": "auto", "delta": 0.02}],
+                             ids=["smoothness-extra0", "smoothness-extra1"])
     @pytest.mark.parametrize("w, stride", [(5, 1), (8, 4), (32, 8)])
-    def test_uint8_image_scans_like_its_intensities(self, w, stride, metric, extra):
+    def test_uint8_image_scans_like_its_intensities(self, w, stride, extra):
         arr = np.random.default_rng(w + stride).integers(0, 256, size=(48, 56), dtype=np.uint8)
         arr[:20, :24] = 128  # a flat block, so degenerate windows are met too
         cfg = WindowConfig(window_size=w, stride=stride, **extra)
-        got = image.sliding_scan(GrayImage.from_uint8(arr), cfg, metric=metric).grid
-        want = image.sliding_scan(GrayImage(arr / 255.0), cfg, metric=metric).grid
+        got = image.sliding_scan(GrayImage.from_uint8(arr), cfg).grid
+        want = image.sliding_scan(GrayImage(arr / 255.0), cfg).grid
         assert got.tobytes() == want.tobytes()
 
 
 class TestThresholdMap:
     def _map(self):
         grid = np.array([[1.0, 2.0], [3.0, 4.0]])
-        return image.SmoothnessMap(grid=grid, config=WindowConfig(window_size=2),
-                                   metric=image.METRIC_SMOOTHNESS, decompositions=4)
+        return image.SmoothnessMap(grid=grid, config=WindowConfig(window_size=2), decompositions=4)
 
     def test_theta_below_min_all_ones(self):
         assert np.all(image.threshold_map(self._map(), 0.5) == 1)
@@ -296,6 +277,60 @@ class TestThresholdMap:
         truth = np.zeros_like(mask)
         truth[:, :4] = 1
         assert (mask == truth).mean() >= 0.95
+
+
+class TestScanOperatingRange:
+    """Where the order-1 scan tells a smooth band from rough texture today.
+
+    A 32 x 32 ``anomaly-band`` of noise amplitude a sits at (48, 48) in a
+    128 x 128 rough texture of amplitude 0.8, quantized to 8 bits as a PGM
+    holds it, and is scanned at w = 5, stride 1. A band window lies wholly
+    inside the band; a rough window does not touch it. Like
+    ``TestArgmaxOperatingRange`` in ``test_signal.py``, this pins the
+    present answers, so a change to the scan shows up as a change to the
+    table.
+    """
+
+    W, ORIGIN, SIDE, THETA = 5, 48, 32, 100.0
+
+    def classes(self, a, seed):
+        """The band windows' and the rough windows' smoothness values."""
+        spec = synth.TextureSpec(
+            width=128, height=128, seed=seed, noise_amplitude={"anomaly-band": a},
+            regions=(synth.Region(0, 0, 128, 128, "rough"),
+                     synth.Region(self.ORIGIN, self.ORIGIN, self.SIDE, self.SIDE, "anomaly-band")))
+        img = GrayImage.from_uint8(synth.gen_texture(spec)[0].to_uint8())
+        grid = image.sliding_scan(img, WindowConfig(window_size=self.W)).grid
+        start = np.arange(grid.shape[0])  # a window's first row or column
+        end = start + self.W
+        inside = (start >= self.ORIGIN) & (end <= self.ORIGIN + self.SIDE)
+        touches = (end > self.ORIGIN) & (start < self.ORIGIN + self.SIDE)
+        return grid[np.ix_(inside, inside)], grid[~np.outer(touches, touches)]
+
+    # Per a: a floor under the least band value, and the range of the share
+    # of band windows that theta = 100 flags.
+    # Measured on seeds 0-2: band min 299 / 155 / 62.4 / 19.0 / 6.05, rough
+    # max 9.37-9.71, flagged 100 / 100 / 30-33 / 0 / 0 %.
+    @pytest.mark.parametrize("a, band_min, flagged", [
+        (1e-3, 150.0, (1.0, 1.0)),
+        (1e-2, 100.0, (1.0, 1.0)),
+        (3e-2, 30.0, (0.1, 0.6)),
+        (1e-1, 12.0, (0.0, 0.0)),
+        (3e-1, 3.0, (0.0, 0.0)),
+    ])
+    def test_band_against_rough(self, a, band_min, flagged):
+        for seed in range(3):
+            band, rough = self.classes(a, seed)
+            assert 6.0 < rough.max() < 15.0, seed  # theta = 100 flags no rough window
+            assert band.min() > band_min, seed
+            # every band window scores above every rough window up to a = 0.1
+            assert (band.min() > rough.max()) == (a <= 0.1), seed
+            assert flagged[0] <= (band >= self.THETA).mean() <= flagged[1], seed
+            if a >= 1e-2:
+                # smoothness ~ b sqrt(3 w) / a at band level b = 0.5 (README, scan --threshold);
+                # medians run 1.27-1.43x above it. At a = 1e-3 the 8-bit step, not a, sets the noise.
+                ratio = np.median(band) / (0.5 * math.sqrt(3 * self.W) / a)
+                assert 1.0 < ratio < 2.0, seed
 
 
 # Reference: the per-window metric loop that ``sliding_scan`` used before the
@@ -331,10 +366,8 @@ def _ref_select_order_from_values(values, rank, delta):
     return rank - 1
 
 
-def _ref_window_value(win, cfg, metric):
+def _ref_window_value(win, cfg):
     values = np.linalg.svd(win, compute_uv=False)
-    if metric == image.METRIC_DENSITY:
-        return _ref_density_from_values(values, 1, _ref_rank_of(values))
     if cfg.order == "auto":
         rank = _ref_rank_of(values)
         n = _ref_select_order_from_values(values, rank, cfg.delta) if rank >= 2 else 1
@@ -343,11 +376,11 @@ def _ref_window_value(win, cfg, metric):
     return _ref_smoothness_from_values(values, n, 1e-6)
 
 
-def _ref_scan(img, cfg, metric):
+def _ref_scan(img, cfg):
     w, s = cfg.window_size, cfg.stride
     rows = (img.height - w) // s + 1
     cols = (img.width - w) // s + 1
-    return np.array([[_ref_window_value(img.pixels[i * s : i * s + w, j * s : j * s + w], cfg, metric)
+    return np.array([[_ref_window_value(img.pixels[i * s : i * s + w, j * s : j * s + w], cfg)
                       for j in range(cols)] for i in range(rows)])
 
 
@@ -364,30 +397,28 @@ def _parity_texture(seed, side=44):
     return GrayImage(px)
 
 
-_PARITY_CASES = [
-    (w, stride, metric, extra)
-    for w, strides in ((2, (1, 3)), (5, (1, 2)), (8, (1, 3)), (12, (3, 5)), (32, (4, 8)))
-    for stride in strides
-    for metric, extra in (
-        [(image.METRIC_SMOOTHNESS, {"order": n}) for n in (1, 3) if n < w]
-        + [(image.METRIC_SMOOTHNESS, {"order": "auto", "delta": d}) for d in (0.0, 0.02)]
-        # the density map reads none of the smoothness options, not even the
-        # largest fixed order the window admits
-        + [(image.METRIC_DENSITY, extra)
-           for extra in ({}, {"order": "auto", "delta": 0.02}, {"order": w - 1})]
-    )
-]
+def _parity_cases():
+    # each case keeps its id: the numbering skips the three slots per geometry
+    # that the retired density-map cases held
+    k = 0
+    for w, strides in ((2, (1, 3)), (5, (1, 2)), (8, (1, 3)), (12, (3, 5)), (32, (4, 8))):
+        for stride in strides:
+            for extra in ([{"order": n} for n in (1, 3) if n < w]
+                          + [{"order": "auto", "delta": d} for d in (0.0, 0.02)]):
+                yield pytest.param(w, stride, extra, id=f"{w}-{stride}-smoothness-extra{k}")
+                k += 1
+            k += 3
 
 
 class TestScanParity:
-    @pytest.mark.parametrize("w,stride,metric,extra", _PARITY_CASES)
-    def test_matches_per_window_loop(self, w, stride, metric, extra):
+    @pytest.mark.parametrize("w,stride,extra", _parity_cases())
+    def test_matches_per_window_loop(self, w, stride, extra):
         cfg = WindowConfig(window_size=w, stride=stride, **extra)
         for seed in (0, 1):
             img = _parity_texture(seed)
-            got = image.sliding_scan(img, cfg, metric=metric).grid
-            want = _ref_scan(img, cfg, metric)
-            if w <= 8 or (metric == image.METRIC_SMOOTHNESS and isinstance(cfg.order, int)):
+            got = image.sliding_scan(img, cfg).grid
+            want = _ref_scan(img, cfg)
+            if w <= 8 or isinstance(cfg.order, int):
                 assert np.array_equal(got, want)
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
@@ -397,7 +428,7 @@ class TestScanParity:
         cfg = WindowConfig(window_size=6, stride=2, order=order)
         img = GrayImage(np.full((14, 14), 0.6))
         got = image.sliding_scan(img, cfg).grid
-        assert np.array_equal(got, _ref_scan(img, cfg, image.METRIC_SMOOTHNESS))
+        assert np.array_equal(got, _ref_scan(img, cfg))
         assert np.allclose(got, 1.0 / 1e-6, rtol=1e-9)
 
     def test_scalar_api_matches_reference(self):
@@ -425,14 +456,14 @@ class TestScanParity:
     pytest.param(lambda: WindowConfig(5, order=1.5), ConfigError, id="order-float"),
     pytest.param(lambda: WindowConfig(5, order="best"), ConfigError, id="order-name"),
     pytest.param(lambda: WindowConfig(5, order=0), ConfigError, id="order"),
-    # a fixed order needs order + 1 singular values, whichever metric reads the config
+    # a fixed order needs order + 1 singular values
     pytest.param(lambda: WindowConfig(5, order=5), OrderError, id="order-above-window"),
     pytest.param(lambda: WindowConfig(5, delta=-1e-9), ConfigError, id="delta"),
     pytest.param(lambda: WindowConfig(5, delta=math.nan), ConfigError, id="delta-nan"),
     pytest.param(lambda: image.select_order(linalg.svd(np.diag([3.0, 2.0, 1.0])), math.nan), InvalidInputError,
                  id="select-order-delta-nan"),
     pytest.param(lambda: image.threshold_map(image.SmoothnessMap(
-        grid=np.ones((2, 2)), config=WindowConfig(2), metric=image.METRIC_SMOOTHNESS, decompositions=4), math.nan),
+        grid=np.ones((2, 2)), config=WindowConfig(2), decompositions=4), math.nan),
                  ConfigError, id="threshold-nan"),
     pytest.param(lambda: image.singular_smoothness(np.eye(3), n=0), OrderError, id="smoothness-order"),
     # the order is checked before the SVD, which would raise ConvergenceError here
