@@ -54,7 +54,6 @@ from .image import (
     SmoothnessMap,
     WindowConfig,
     information_density,
-    select_order,
     singular_smoothness,
     sliding_scan,
     threshold_map,
@@ -76,7 +75,7 @@ __all__ = [
     "cutoff_from_values", "find_cutoff", "find_two_cutoffs",
     "cutoff_from_gsvd", "cutoff", "separate", "band_signals",
     "GrayImage", "WindowConfig", "SmoothnessMap", "information_density",
-    "singular_smoothness", "select_order", "sliding_scan", "threshold_map",
+    "singular_smoothness", "sliding_scan", "threshold_map",
     "MixtureSpec", "TextureSpec", "Region", "gen_mixture", "gen_texture",
     "mixture_components",
     "BenchRecord", "run_cutoff_bench", "run_scan_bench",

@@ -61,15 +61,6 @@ def _jsonable(obj):
     return obj
 
 
-def _order_arg(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"order must be an integer or 'auto', got {text!r}")
-
-
 def _region_arg(text: str) -> Region:
     parts = text.split(",")
     if len(parts) != 5:
@@ -154,7 +145,6 @@ def cmd_separate(args) -> RunReport:
 
 def cmd_scan(args) -> RunReport:
     _refuse_unread((
-        ("--delta", args.delta is not None, args.order == "auto", "--order auto"),
         ("--polarity", args.polarity is not None, args.threshold is not None, "runs with --threshold"),
     ))
     polarity = "above" if args.polarity is None else args.polarity
@@ -162,7 +152,7 @@ def cmd_scan(args) -> RunReport:
         _check_threshold(args.threshold, polarity)  # before the scan writes its map files
     # WindowConfig's defaults stand in for the options not given; it checks
     # the order against the window before the image is read.
-    knobs = {name: getattr(args, name) for name in ("order", "delta") if getattr(args, name) is not None}
+    knobs = {"order": args.order} if args.order is not None else {}
     cfg = WindowConfig(window_size=args.window_size, stride=args.stride, **knobs)
     # No local keeps the image: it is freed before the outputs are written.
     smap = sliding_scan(fio.load_gray_image(args.input), cfg)
@@ -184,7 +174,7 @@ def cmd_scan(args) -> RunReport:
         inputs=[args.input],
         parameters={
             "window_size": args.window_size, "stride": args.stride,
-            "order": cfg.order, "delta": cfg.delta,
+            "order": cfg.order,
             "threshold": args.threshold, "polarity": polarity,
             "output_prefix": args.output_prefix,
         },
@@ -259,11 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--window-size", type=int, default=5)
     p_scan.add_argument("--stride", type=int, default=1)
     # None marks an option not given: WindowConfig's default stands in for it,
-    # and --delta and --polarity are refused where unread.
-    p_scan.add_argument("--order", type=_order_arg, default=None,
-                        help="smoothness order n, or 'auto' (default 1)")
-    p_scan.add_argument("--delta", type=float, default=None,
-                        help="--order auto only: near-equality threshold (default 0)")
+    # and --polarity is refused where unread.
+    p_scan.add_argument("--order", type=int, default=None,
+                        help="smoothness order n, 1 <= n < window size (default 1)")
     p_scan.add_argument("--threshold", type=float, default=None)
     p_scan.add_argument("--polarity", choices=["above", "below"], default=None,
                         help="--threshold only (default above)")

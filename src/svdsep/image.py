@@ -1,20 +1,19 @@
 """Window-level texture metrics and the sliding-window scanner.
 
-The scan scores each window fragment D by its singular smoothness
+The scan scores each window fragment D by its order-n singular smoothness
 sqrt(sum_{i<=n} (sigma_i^2 - sigma_{i+1}^2) / max(sigma_{i+1}^2, g^2 sigma_1^2))
-with the fixed guard g = 1e-6 -- a ratio form that is invariant under
-rescaling the window, high for near-rank-1 (smooth) fragments and low for
-textured ones. The scalar ``information_density`` gives one fragment's
-root energy sqrt(sum of selected sigma_i^2), which scales with brightness.
+at one fixed integer order n, with the fixed guard g = 1e-6 -- a ratio
+form that is invariant under rescaling the window, high for near-rank-1
+(smooth) fragments and low for textured ones. The scalar
+``information_density`` gives one fragment's root energy
+sqrt(sum of selected sigma_i^2), which scales with brightness.
 
-Both read only the singular values, so vectorized kernels over a
-``(..., w)`` array of descending spectra compute them: ``sliding_scan``
-takes one SVD per window and scores a whole grid row at once, and
-``information_density``, ``singular_smoothness`` and ``select_order`` call
-the same kernels on a batch of one. The kernels square each spectrum
-shifted by the binary exponent of its sigma_1 (``linalg._shifted``), so
-fixed-order smoothness and density / c of a window scaled by c hold from
-c = 1e-300 to 1e300.
+Both read only the singular values. ``sliding_scan`` takes one SVD per
+window and scores a whole grid row at once with the kernel that
+``singular_smoothness`` calls on a batch of one. The kernels square each
+spectrum shifted by the binary exponent of its sigma_1
+(``linalg._shifted``), so smoothness and density / c of a window scaled
+by c hold from c = 1e-300 to 1e300.
 """
 
 from __future__ import annotations
@@ -23,15 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    InsufficientRankError,
-    InvalidInputError,
-    OrderError,
-    ShapeError,
-)
-from .linalg import SpectrumResult, _lapack, _rank, _shifted
+from .errors import ConfigError, ConvergenceError, InvalidInputError, OrderError, ShapeError
+from .linalg import _lapack, _rank, _shifted
 from .validation import check_index_range, check_integer, check_matrix
 
 __all__ = [
@@ -40,7 +32,6 @@ __all__ = [
     "SmoothnessMap",
     "information_density",
     "singular_smoothness",
-    "select_order",
     "sliding_scan",
     "threshold_map",
 ]
@@ -142,36 +133,26 @@ class GrayImage:
 class WindowConfig:
     """Square sliding-window geometry and smoothness order.
 
-    ``order`` is a fixed smoothness order n >= 1, or the string "auto" to
-    pick the smallest n with sigma_n - sigma_{n+1} <= delta per window.
-    ``delta`` is absolute, so an "auto" map is not scale-invariant: scaling
-    the image can change the order picked and so the values. A fixed order
-    needs order + 1 singular values, so ``order >= window_size`` is an
-    :class:`OrderError` here, before any image is read.
+    The order n >= 1 needs n + 1 singular values, so ``order >= window_size``
+    is an :class:`OrderError` here, before any image is read.
     """
 
     window_size: int
     stride: int = 1
-    order: int | str = 1
-    delta: float = 0.0
+    order: int = 1
 
     def __post_init__(self):
-        for name in ("window_size", "stride") + (() if isinstance(self.order, str) else ("order",)):
+        for name in ("window_size", "stride", "order"):
             check_integer(getattr(self, name), name, ConfigError)
         if self.window_size < 2:
             raise ConfigError(f"window_size must be >= 2, got {self.window_size}")
         if self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if isinstance(self.order, str):
-            if self.order != "auto":
-                raise ConfigError(f"order must be a positive integer or 'auto', got {self.order!r}")
-        elif self.order < 1:
+        if self.order < 1:
             raise ConfigError(f"order must be >= 1, got {self.order}")
-        elif self.order + 1 > self.window_size:
+        if self.order + 1 > self.window_size:
             raise OrderError(f"order {self.order} needs {self.order + 1} singular values, "
                              f"window has {self.window_size}")
-        if not self.delta >= 0:
-            raise ConfigError(f"delta must be nonnegative, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -191,60 +172,26 @@ class SmoothnessMap:
         return self.grid.shape[1]
 
 
-def _run_sum(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Sum of ``x`` over the contiguous run ``keep`` of each last-axis row.
-
-    np.sum adds fewer than 8 values in order and 8 or more pairwise, so a
-    run shorter than its row is added in order (cumsum) and a full row by
-    np.sum: both match np.sum of the run alone whenever it has < 8 values.
-    """
-    x = np.where(keep, x, 0.0)
-    return np.where(keep.all(axis=-1), np.sum(x, axis=-1), np.cumsum(x, axis=-1)[..., -1])
-
-
-def _density(values: np.ndarray, lo: int, hi) -> np.ndarray:
-    """Root energy over the 1-based range lo..hi (an int, or one per spectrum); 0 when it is empty."""
-    k = np.arange(1, values.shape[-1] + 1)
+def _density(values: np.ndarray, lo: int, hi: int) -> np.floating:
+    """Root energy of one spectrum over the 1-based range lo..hi."""
     sq, e = _shifted(values)
     sq *= sq
-    return np.ldexp(np.sqrt(_run_sum(sq, (k >= lo) & (k <= np.asarray(hi)[..., None]))), e[..., 0])
+    return np.ldexp(np.sqrt(np.sum(sq[lo - 1 : hi])), e[0])
 
 
-def _auto_order(values: np.ndarray, rank, delta: float) -> np.ndarray:
-    """Smallest n < rank with sigma_n - sigma_{n+1} <= delta, else rank - 1; 1 when rank < 2."""
-    n = np.arange(1, values.shape[-1])
-    hit = (values[..., :-1] - values[..., 1:] <= delta) & (n < np.asarray(rank)[..., None])
-    return np.maximum(np.where(hit.any(axis=-1), hit.argmax(axis=-1) + 1, rank - 1), 1)
-
-
-def _smoothness(values: np.ndarray, n) -> np.ndarray:
-    """Order-n smoothness of each spectrum; ``n`` is an int or one order per spectrum.
+def _smoothness(values: np.ndarray, n: int) -> np.ndarray:
+    """Order-n smoothness of each descending spectrum along the last axis.
 
     A spectrum with sigma_1 = 0 has no energy at any order and maps to 0.
     """
-    if np.ndim(n) == 0:
-        values = values[..., : n + 1]
-    sq, _ = _shifted(values)
+    sq, _ = _shifted(values[..., : n + 1])
     # the guard floor squares sigma_1 with libm pow, as numpy's scalar ** does;
     # x * x differs from it by one ulp on ~0.1 % of inputs
     s1_sq = np.float_power(sq[..., :1], 2)
     sq *= sq
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = (sq[..., :-1] - sq[..., 1:]) / np.maximum(sq[..., 1:], _GUARD * _GUARD * s1_sq)
-        total = _run_sum(terms, np.arange(1, sq.shape[-1]) <= np.asarray(n)[..., None])
-        return np.where(s1_sq[..., 0] == 0.0, 0.0, np.sqrt(total))
-
-
-def _metric(values: np.ndarray, cfg: WindowConfig) -> np.ndarray:
-    """The ``cfg`` smoothness of each descending spectrum along the last axis.
-
-    A square window's spectrum length is max(m, n), so the rank that
-    ``order="auto"`` reads is ``linalg.svd``'s.
-    """
-    n = cfg.order
-    if n == "auto":
-        n = _auto_order(values, _rank(values, values.shape[-1]), cfg.delta)
-    return _smoothness(values, n)
+        return np.where(s1_sq[..., 0] == 0.0, 0.0, np.sqrt(np.sum(terms, axis=-1)))
 
 
 def information_density(d, lo: int = 1, hi: int | None = None) -> float:
@@ -283,23 +230,6 @@ def singular_smoothness(d, n: int = 1) -> float:
     return float(_smoothness(values, n))
 
 
-def select_order(spectrum: SpectrumResult, delta: float) -> int:
-    """Smallest n >= 1 with sigma_n - sigma_{n+1} <= delta; r - 1 if none.
-
-    Scans the descending spectrum for the first pair of nearly equal
-    neighbors; when the whole spectrum is strictly separated beyond delta
-    the full usable order r - 1 is returned. ``delta`` is absolute, not
-    relative to sigma_1, so the order picked can change when the fragment
-    is rescaled.
-    """
-    if not delta >= 0:
-        raise InvalidInputError(f"delta must be nonnegative, got {delta}")
-    r = spectrum.numerical_rank
-    if r < 2:
-        raise InsufficientRankError(f"numerical rank {r} < 2: no order can be selected")
-    return int(_auto_order(spectrum.singular_values, r, delta))
-
-
 def sliding_scan(img: GrayImage, cfg: WindowConfig) -> SmoothnessMap:
     """Evaluate the smoothness on every window position of a moving-window grid.
 
@@ -328,7 +258,7 @@ def sliding_scan(img: GrayImage, cfg: WindowConfig) -> SmoothnessMap:
             for j in range(cols):
                 left = j * cfg.stride
                 spectra[j] = np.linalg.svd(band[:, left : left + w], compute_uv=False)
-            grid[i] = _metric(spectra, cfg)
+            grid[i] = _smoothness(spectra, cfg.order)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD of the scan window at (row {i}, col {j}) failed: {exc}") from exc
     return SmoothnessMap(grid=grid, config=cfg, decompositions=rows * cols)

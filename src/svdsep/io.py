@@ -77,9 +77,17 @@ def _check_labels(labels) -> None:
                                 "so the header would read back as data")
 
 
+def _named(path, build, *args):
+    """``build(*args)``, with ``path: `` before the message of a :class:`ShapeError` it raises."""
+    try:
+        return build(*args)
+    except ShapeError as exc:
+        raise ShapeError(f"{path}: {exc}") from None
+
+
 def read_channels_csv(path) -> ChannelSet:
     """Parse a signal CSV; a non-numeric first row is taken as the header."""
-    return ChannelSet(*_read_csv(path, header=True))
+    return _named(path, ChannelSet, *_read_csv(path, header=True))
 
 
 def write_grid_csv(path, grid) -> None:
@@ -399,9 +407,9 @@ def load_gray_image(path) -> GrayImage:
     with open(path, "rb") as fh:
         head = fh.read(8)
     if head[:8] == _PNG_SIGNATURE:
-        return GrayImage.from_uint8(read_png(path))
+        return _named(path, GrayImage.from_uint8, read_png(path))
     if head[:2] in (b"P2", b"P5"):
-        return GrayImage(*_read_pgm(path))
+        return _named(path, GrayImage, *_read_pgm(path))
     raise ParseError(f"{path}: unrecognized image format (expected PGM or PNG)")
 
 

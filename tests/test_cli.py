@@ -117,6 +117,15 @@ class TestSeparate:
         assert f"svdsep: error: {error}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "g_report.json").exists()
 
+    def test_a_short_reference_is_named(self, tmp_path, mixture_csv, capsys):
+        short = tmp_path / "one.csv"
+        short.write_text("1.0,2.0,3.0\n")
+        assert run("separate", mixture_csv, "--method", "gsvd", "--second", short,
+                   "--output-prefix", tmp_path / "g") == 1
+        assert capsys.readouterr().err == \
+            f"svdsep: error: ShapeError: {short}: need at least 2 samples and 1 channel, got (1, 3)\n"
+        assert not list(tmp_path.glob("g_*"))
+
     @pytest.mark.parametrize("method, lapack, call", [("svd", "svd", 1), ("gsvd", "qr", 1),
                                                       ("gsvd", "svd", 2)])
     def test_lapack_failure_exits_1(self, tmp_path, mixture_csv, capsys, method, lapack, call):
@@ -521,12 +530,9 @@ class TestScan:
         assert report["results"]["grid_rows"] == 4
         assert report["work_counters"]["decompositions"] == 16
         # the options not given echo the values the scan ran with
-        assert {k: report["parameters"][k] for k in ("order", "delta", "polarity")} == \
-            {"order": 1, "delta": 0.0, "polarity": "above"}
+        assert {k: report["parameters"][k] for k in ("order", "polarity")} == {"order": 1, "polarity": "above"}
 
     @pytest.mark.parametrize("route, flag, scope", [
-        pytest.param(["--order", "2"], ["--delta", "0.1"], "--order auto", id="route3-flag3---order auto"),
-        pytest.param([], ["--delta", "0.1"], "--order auto", id="route4-flag4---order auto"),
         pytest.param([], ["--polarity", "below"], "runs with --threshold", id="route5-flag5-runs with --threshold"),
     ])
     def test_flags_the_metric_never_reads_are_rejected(self, tmp_path, capsys, monkeypatch, route, flag, scope):
@@ -568,13 +574,19 @@ class TestScan:
             "svdsep: error: OrderError: order 5 needs 6 singular values, window has 5\n"
         assert not list(tmp_path.iterdir())
 
+    def test_an_image_below_2x2_is_named(self, tmp_path, capsys):
+        pgm = tmp_path / "row.pgm"
+        fio.write_pgm(pgm, np.zeros((1, 5), dtype=np.uint8))
+        assert run("scan", pgm, "--window-size", 2, "--output-prefix", tmp_path / "x") == 1
+        assert capsys.readouterr().err == \
+            f"svdsep: error: ShapeError: {pgm}: image must be at least 2x2, got (1, 5)\n"
+        assert not list(tmp_path.glob("x_*"))
+
     def test_window_larger_than_image_fails(self, tmp_path, texture_pgm):
         assert run("scan", texture_pgm, "--window-size", 50,
                    "--output-prefix", tmp_path / "x") == 1
 
-    def test_density_metric_and_auto_order(self, tmp_path, texture_pgm):
-        assert run("scan", texture_pgm, "--window-size", 5, "--stride", 5,
-                   "--order", "auto", "--delta", "0.05", "--output-prefix", tmp_path / "a") == 0
+    def test_order_3_runs_and_is_reported(self, tmp_path, texture_pgm):
         assert run("scan", texture_pgm, "--window-size", 5, "--stride", 5,
                    "--order", 3, "--output-prefix", tmp_path / "o") == 0
         assert read_json(f"{tmp_path / 'o'}_report.json")["parameters"]["order"] == 3
@@ -733,7 +745,7 @@ def command_argv(tmp_path, command):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["scan", "img.pgm", "--order", "x"], "order must be an integer or 'auto', got 'x'"),
+    (["scan", "img.pgm", "--order", "x"], "invalid int value: 'x'"),
     (["separate", "a.csv", "--offsets", "0"], "unrecognized arguments: --offsets 0"),
     (["synth", "texture", "--region", "1,2,3"], "region must be x,y,width,height,tag"),
     (["synth", "texture", "--region", "1,2,x,4,rough"], "region coordinates must be integers"),
@@ -747,6 +759,9 @@ def command_argv(tmp_path, command):
     (["scan", "img.pgm", "--epsilon-guard", "1e-3"], "unrecognized arguments: --epsilon-guard 1e-3"),
     # the scan maps smoothness only
     (["scan", "img.pgm", "--metric", "information-density"], "unrecognized arguments: --metric information-density"),
+    # the scan scores every window at one fixed integer order
+    (["scan", "img.pgm", "--order", "auto"], "invalid int value: 'auto'"),
+    (["scan", "img.pgm", "--delta", "0.1"], "unrecognized arguments: --delta 0.1"),
 ])
 def test_malformed_option_value_exits_2(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:

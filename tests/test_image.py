@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from conftest import holds_at_every_scale, raise_exactly, with_failing_lapack
 
-from svdsep import bench, image, linalg, synth
+from svdsep import bench, image, synth
 from svdsep.errors import (
     ConfigError,
     ConvergenceError,
-    InsufficientRankError,
     InvalidInputError,
     OrderError,
     RangeError,
@@ -136,9 +135,10 @@ class TestSingularSmoothness:
 
 
 def test_window_metrics_hold_at_every_scale():
-    """Fixed-order smoothness and density / c of c * D equal those of D for
-    every c in [1e-300, 1e300], without a warning, although the squares of
-    c * sigma under- or overflow."""
+    """Smoothness and density / c of c * D equal those of D for every c in
+    [1e-300, 1e300], without a warning, although the squares of c * sigma
+    under- or overflow; so does the scan map of an image scaled by c <= 1,
+    which keeps its intensities in [0, 1]."""
 
     def check(c, seed):
         rng = np.random.default_rng(seed)
@@ -147,31 +147,12 @@ def test_window_metrics_hold_at_every_scale():
         d = random_window(rng, side)
         assert image.singular_smoothness(c * d, n) == pytest.approx(image.singular_smoothness(d, n), rel=1e-12)
         assert image.information_density(c * d) / c == pytest.approx(image.information_density(d), rel=1e-12)
+        px = rng.uniform(size=(side + 2, side + 3))
+        cfg = WindowConfig(window_size=side, order=n)
+        scaled = image.sliding_scan(GrayImage(min(c, 1.0) * px), cfg).grid
+        assert scaled == pytest.approx(image.sliding_scan(GrayImage(px), cfg).grid, rel=1e-12)
 
     holds_at_every_scale(check, seeds=1000)
-
-
-class TestSelectOrder:
-    def test_first_qualifying_gap(self):
-        spec = linalg.svd(np.diag([5.0, 1.0, 0.99, 0.5]))
-        assert image.select_order(spec, 0.05) == 2
-
-    def test_huge_delta_gives_order_one(self):
-        spec = linalg.svd(np.diag([5.0, 1.0, 0.5]))
-        assert image.select_order(spec, 10.0) == 1
-
-    def test_fallback_full_order(self):
-        spec = linalg.svd(np.diag([5.0, 3.0, 1.0]))
-        assert image.select_order(spec, 0.0) == 2  # r - 1
-
-    def test_rank_one_rejected(self):
-        with pytest.raises(InsufficientRankError):
-            image.select_order(linalg.svd(np.ones((4, 4))), 0.1)
-
-    def test_negative_delta_rejected(self):
-        spec = linalg.svd(np.diag([5.0, 1.0]))
-        with pytest.raises(InvalidInputError):
-            image.select_order(spec, -0.1)
 
 
 class TestSlidingScan:
@@ -212,13 +193,6 @@ class TestSlidingScan:
         assert smap.grid[1, 0] > 0.0
         assert smap.grid[0, 1] == 0.0
 
-    def test_auto_order_handles_degenerate_windows(self):
-        px = np.full((10, 10), 0.5)
-        px[:5, :5] = np.random.default_rng(8).uniform(size=(5, 5))
-        cfg = WindowConfig(window_size=5, stride=5, order="auto", delta=0.01)
-        smap = image.sliding_scan(GrayImage(px), cfg)
-        assert np.all(np.isfinite(smap.grid))
-
     def test_oversized_window_rejected(self):
         img = GrayImage(np.full((6, 6), 0.5))
         with pytest.raises(ConfigError):
@@ -229,13 +203,12 @@ class TestSlidingScan:
         with pytest.raises(OrderError):
             image.sliding_scan(img, WindowConfig(window_size=3, order=3))
 
-    @pytest.mark.parametrize("extra", [{}, {"order": "auto", "delta": 0.02}],
-                             ids=["smoothness-extra0", "smoothness-extra1"])
+    @pytest.mark.parametrize("highest", [False, True], ids=["smoothness-extra0", "smoothness-extra1"])
     @pytest.mark.parametrize("w, stride", [(5, 1), (8, 4), (32, 8)])
-    def test_uint8_image_scans_like_its_intensities(self, w, stride, extra):
+    def test_uint8_image_scans_like_its_intensities(self, w, stride, highest):
         arr = np.random.default_rng(w + stride).integers(0, 256, size=(48, 56), dtype=np.uint8)
         arr[:20, :24] = 128  # a flat block, so degenerate windows are met too
-        cfg = WindowConfig(window_size=w, stride=stride, **extra)
+        cfg = WindowConfig(window_size=w, stride=stride, order=w - 1 if highest else 1)
         got = image.sliding_scan(GrayImage.from_uint8(arr), cfg).grid
         want = image.sliding_scan(GrayImage(arr / 255.0), cfg).grid
         assert got.tobytes() == want.tobytes()
@@ -338,11 +311,9 @@ class TestScanOperatingRange:
 _EPS = np.finfo(np.float64).eps
 
 
-def _ref_rank_of(values, dim=None):
+def _ref_rank_of(values, dim):
     if values.size == 0 or values[0] <= 0.0:
         return 0
-    if dim is None:
-        dim = values.size
     return int(np.count_nonzero(values > dim * _EPS * values[0]))
 
 
@@ -359,21 +330,8 @@ def _ref_smoothness_from_values(values, n, guard):
     return float(np.sqrt(np.sum((sq[:-1] - sq[1:]) / den)))
 
 
-def _ref_select_order_from_values(values, rank, delta):
-    for n in range(1, rank):
-        if values[n - 1] - values[n] <= delta:
-            return n
-    return rank - 1
-
-
 def _ref_window_value(win, cfg):
-    values = np.linalg.svd(win, compute_uv=False)
-    if cfg.order == "auto":
-        rank = _ref_rank_of(values)
-        n = _ref_select_order_from_values(values, rank, cfg.delta) if rank >= 2 else 1
-    else:
-        n = cfg.order
-    return _ref_smoothness_from_values(values, n, 1e-6)
+    return _ref_smoothness_from_values(np.linalg.svd(win, compute_uv=False), cfg.order, 1e-6)
 
 
 def _ref_scan(img, cfg):
@@ -399,31 +357,30 @@ def _parity_texture(seed, side=44):
 
 def _parity_cases():
     # each case keeps its id: the numbering skips the three slots per geometry
-    # that the retired density-map cases held
+    # that the retired density-map cases held. The two slots of the retired
+    # auto-order cases hold orders 2 and w - 1; on w = 2 neither is a new
+    # order, so both stay empty.
     k = 0
     for w, strides in ((2, (1, 3)), (5, (1, 2)), (8, (1, 3)), (12, (3, 5)), (32, (4, 8))):
         for stride in strides:
-            for extra in ([{"order": n} for n in (1, 3) if n < w]
-                          + [{"order": "auto", "delta": d} for d in (0.0, 0.02)]):
-                yield pytest.param(w, stride, extra, id=f"{w}-{stride}-smoothness-extra{k}")
+            seen = set()
+            for n in [n for n in (1, 3) if n < w] + [2, w - 1]:
+                if n < w and n not in seen:
+                    seen.add(n)
+                    yield pytest.param(w, stride, n, id=f"{w}-{stride}-smoothness-extra{k}")
                 k += 1
             k += 3
 
 
 class TestScanParity:
-    @pytest.mark.parametrize("w,stride,extra", _parity_cases())
-    def test_matches_per_window_loop(self, w, stride, extra):
-        cfg = WindowConfig(window_size=w, stride=stride, **extra)
+    @pytest.mark.parametrize("w,stride,order", _parity_cases())
+    def test_matches_per_window_loop(self, w, stride, order):
+        cfg = WindowConfig(window_size=w, stride=stride, order=order)
         for seed in (0, 1):
             img = _parity_texture(seed)
-            got = image.sliding_scan(img, cfg).grid
-            want = _ref_scan(img, cfg)
-            if w <= 8 or isinstance(cfg.order, int):
-                assert np.array_equal(got, want)
-            else:
-                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+            assert np.array_equal(image.sliding_scan(img, cfg).grid, _ref_scan(img, cfg))
 
-    @pytest.mark.parametrize("order", [1, 3, "auto"])
+    @pytest.mark.parametrize("order", [1, 3, 5])
     def test_constant_image_hits_guard_floor(self, order):
         cfg = WindowConfig(window_size=6, stride=2, order=order)
         img = GrayImage(np.full((14, 14), 0.6))
@@ -433,18 +390,16 @@ class TestScanParity:
 
     def test_scalar_api_matches_reference(self):
         rng = np.random.default_rng(11)
-        for side in (2, 5, 8):
+        # at side 12, runs of 8 to 11 values shorter than the spectrum are summed like the reference's
+        for side in (2, 5, 8, 12):
             d = rng.uniform(size=(side, side + 3))
             values = np.linalg.svd(d, compute_uv=False)
             rank = _ref_rank_of(values, max(d.shape))
-            for hi in range(1, rank + 1):
-                assert image.information_density(d, 1, hi) == _ref_density_from_values(values, 1, hi)
+            for lo in range(1, rank + 1):
+                for hi in range(lo, rank + 1):
+                    assert image.information_density(d, lo, hi) == _ref_density_from_values(values, lo, hi)
             for n in range(1, side):
                 assert image.singular_smoothness(d, n) == _ref_smoothness_from_values(values, n, 1e-6)
-            spec = linalg.svd(d)
-            for delta in (0.0, 0.05, 10.0):
-                assert image.select_order(spec, delta) == _ref_select_order_from_values(
-                    spec.singular_values, spec.numerical_rank, delta)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -458,10 +413,6 @@ class TestScanParity:
     pytest.param(lambda: WindowConfig(5, order=0), ConfigError, id="order"),
     # a fixed order needs order + 1 singular values
     pytest.param(lambda: WindowConfig(5, order=5), OrderError, id="order-above-window"),
-    pytest.param(lambda: WindowConfig(5, delta=-1e-9), ConfigError, id="delta"),
-    pytest.param(lambda: WindowConfig(5, delta=math.nan), ConfigError, id="delta-nan"),
-    pytest.param(lambda: image.select_order(linalg.svd(np.diag([3.0, 2.0, 1.0])), math.nan), InvalidInputError,
-                 id="select-order-delta-nan"),
     pytest.param(lambda: image.threshold_map(image.SmoothnessMap(
         grid=np.ones((2, 2)), config=WindowConfig(2), decompositions=4), math.nan),
                  ConfigError, id="threshold-nan"),
