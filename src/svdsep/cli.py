@@ -92,10 +92,11 @@ def cmd_separate(args) -> RunReport:
         raise ParseError("--method gsvd requires --second CSV")
     if args.layout == "hankel" and args.window_length is None:
         raise ParseError("hankel layout requires --window-length")
+    # A hankel layout checks --window-length before the input is read.
+    hankel = signal.EmbedLayout.hankel(args.window_length) if args.layout == "hankel" else None
     channels = fio.read_channels_csv(args.input)
     n_samples, labels = channels.n_samples, channels.labels
-    layout = (signal.EmbedLayout.hankel(args.window_length) if args.layout == "hankel"
-              else signal.EmbedLayout.channel_columns(n_samples))
+    layout = hankel or signal.EmbedLayout.channel_columns(n_samples)
 
     a = signal.embed(channels, layout)
     del channels  # leave a, a view, the only holder of the samples

@@ -182,24 +182,20 @@ def _layout_end(shape: tuple[int, int], layout: EmbedLayout, target_length: int)
     return end
 
 
-def _upsampled(w: np.ndarray, stride: int) -> np.ndarray:
-    """``w`` with ``stride - 1`` zeros between its entries; ``w`` itself at stride 1."""
-    if stride == 1:
-        return w
-    up = np.zeros((w.size - 1) * stride + 1)
-    up[::stride] = w
-    return up
-
-
 def _hankel_counts(layout: EmbedLayout, columns: int) -> np.ndarray:
     """How many entries of a ``columns``-window Hankel matrix fall on each
     sample it spans, as floats.
 
-    The count is the diagonal sum of a matrix of ones: the convolution of a
-    window of ones with a one at each window start. Its terms are 0 and 1,
-    so it is exact.
+    Window j covers samples [j * stride, j * stride + L): a difference array
+    adds 1 at each window's start and takes 1 off one past its end, and its
+    running sum is the count. Its terms are small integers, so it is exact.
     """
-    return np.convolve(np.ones(layout.window_length), _upsampled(np.ones(columns), layout.stride))
+    n, stride = layout.window_length, layout.stride
+    span = (columns - 1) * stride + 1
+    counts = np.zeros(span - 1 + n)
+    counts[:span:stride] += 1.0
+    counts[n::stride] -= 1.0  # the last window ends past the array
+    return np.cumsum(counts, out=counts)
 
 
 def _unembed(matrix: np.ndarray, layout: EmbedLayout, target_length: int) -> np.ndarray:
@@ -230,39 +226,36 @@ def _hankelized_tables(spec: StreamedSpectrum, cut: CutoffResult, layout: EmbedL
     """Yield the dominant, weak and noise tables of a streamed Hankel
     spectrum by rank-one hankelization, with no block of X^T read.
 
-    X is the Hankel trajectory of a signal x, so ``w_k = u_k^T X`` is
-    ``np.correlate(x, u_k, "valid")`` at every stride-th lag, and the
-    diagonal sums of a band ``U_b W_b`` are the sum over its ranks of
-    ``np.convolve(u_k, w_k)`` with w_k upsampled by the stride (Korobeynikov,
-    Statistics and Its Interface 3(3), 2010): O(N L) time per rank and O(N)
-    memory. The noise is the complement, x less the other two, on the
-    samples the windows cover, and 0 elsewhere.
+    X is the stride-1 Hankel trajectory of a signal x, so ``w_k = u_k^T X``
+    is ``np.correlate(x, u_k, "valid")``, and the diagonal sums of a band
+    ``U_b W_b`` are the sum over its ranks of ``np.convolve(u_k, w_k)``
+    (Korobeynikov, Statistics and Its Interface 3(3), 2010): O(N L) time per
+    rank and O(N) memory. The noise is the complement, x less the other two,
+    on the samples the windows cover, and 0 past them.
 
-    ``spec.transposed`` must be a window view: a row stride of ``stride``
-    times its column stride puts entry (j, i) at the one memory location of
-    sample j * stride + i, so the view is Hankel by construction, and x is
-    read in place as a 1-D view of that memory.
+    ``spec.transposed`` must be the window view ``embed(...).T``: a row
+    stride equal to its column stride puts entry (j, i) at the one memory
+    location of sample j + i, so the view is Hankel by construction, and x
+    is read in place as a 1-D view of that memory.
     """
     ranges = _band_ranges(spec, cut)
-    xt, stride = spec.transposed, layout.stride
-    n, windows = spec.shape
-    end = _layout_end(spec.shape, layout, target_length)
+    xt = spec.transposed
     pitch = xt.strides[1]  # bytes from one sample to the next
-    if xt.strides[0] != stride * pitch:
-        raise LayoutError(f"a streamed spectrum on a hankel layout must be read from a "
-                          f"stride-{stride} window view of one signal")
+    if layout.mode != MODE_HANKEL or layout.stride != 1 or xt.strides[0] != pitch:
+        raise LayoutError("a streamed spectrum forms its bands on a stride-1 hankel layout only, "
+                          "read from its window view embed(...).T")
+    end = _layout_end(spec.shape, layout, target_length)
     x = np.lib.stride_tricks.as_strided(xt, shape=(end,), strides=(pitch,), writeable=False)
     noise = np.zeros(target_length)
     noise[:end] = x
-    noise[: (windows - 1) * stride].reshape(windows - 1, stride)[:, n:] = 0.0  # between windows
     for lo, hi in ranges[:2]:
         acc = np.zeros(target_length)
         for u in spec.left_basis[:, lo:hi].T:
-            w = np.correlate(x, u, "valid")[::stride]
-            acc[:end] += np.convolve(u, _upsampled(w, stride))
+            w = np.correlate(x, u, "valid")
+            acc[:end] += np.convolve(u, w)
             del w  # free it before the next rank's is formed
-        counts = _hankel_counts(layout, windows)
-        acc[:end] /= np.maximum(counts, 1.0, out=counts)  # a sample between windows keeps its 0
+        counts = _hankel_counts(layout, spec.shape[1])
+        acc[:end] /= counts  # at stride 1 every covered sample counts at least 1
         del counts
         noise -= acc
         yield acc.reshape(-1, 1)
@@ -443,7 +436,7 @@ def cutoff(factors: SpectrumResult | StreamedSpectrum | GsvdResult) -> CutoffRes
     return find_cutoff(factors)
 
 
-def separate(factors: SpectrumResult | StreamedSpectrum | GsvdResult,
+def separate(factors: SpectrumResult | GsvdResult,
              cut: CutoffResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split a matrix into dominant, weak and noise reconstructions.
 
@@ -455,25 +448,27 @@ def separate(factors: SpectrumResult | StreamedSpectrum | GsvdResult,
 
     A generalized decomposition has no rank-one triples: each band keeps
     the columns of U and X inside its range and reconstructs U C_band X^T.
+    A streamed spectrum, with no right basis, is a :class:`LayoutError`.
     """
+    if isinstance(factors, StreamedSpectrum):
+        raise LayoutError("a streamed spectrum forms no matrix parts: take its band_signals")
     return tuple(_Band(factors, lo, hi)[:] for lo, hi in _band_ranges(factors, cut))
 
 
 def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult,
                  layout: EmbedLayout, target_length: int):
-    """Yield the dominant, weak and noise signals, one band at a time.
+    """Yield the dominant, weak and noise signals, one band at a time, on
+    the two routes the CLI runs. Any other pairing is a :class:`LayoutError`
+    before any band is formed: ``unembed(part, layout, target_length)`` of
+    :func:`separate`'s parts gives its signals.
 
-    Each equals ``unembed(part, layout, target_length)`` of the matching
-    :func:`separate` part, but for a streamed spectrum on a hankel layout.
-    There the dominant and weak bands are formed by rank, with no block of
-    the trajectory read, and agree with the matrix route to rounding, not
-    bitwise. Its noise is the complement: the input less the other two on
-    the samples the windows cover, and 0 on the rest. So the three signals
-    sum to the input, and the noise keeps the residual past the numerical
-    rank r when r < min(L, K). Such a spectrum must be read from the window
-    view ``embed(...).T`` (a :class:`LayoutError` otherwise). Any other
-    hankel band is unembedded from its whole L x K part, one band at a time:
-    ``streamed_svd`` is the hankel route in O(N) memory.
+    An SVD or GSVD of whole channel columns (``target_length`` rows) yields
+    :func:`separate`'s parts, bitwise. A streamed spectrum of the window
+    view ``embed(...).T`` on a stride-1 hankel layout is formed by rank,
+    with no block of the trajectory read, and agrees with the matrix route
+    to rounding. Its noise is the input less the other two (0 past the last
+    window), so the three sum to the input, and the noise keeps the residual
+    past the numerical rank r when r < min(L, K).
     """
     for table in _band_tables(factors, cut, layout, target_length):
         yield ChannelSet(table[:])
@@ -483,24 +478,21 @@ def _band_tables(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
                  layout: EmbedLayout, target_length: int):
     """Yield the signals of :func:`band_signals` as (samples, channels) tables.
 
-    A streamed spectrum on a hankel layout, the CLI's hankel route, is
-    hankelized by rank (:func:`_hankelized_tables`), in O(N) memory. Where a
-    band's matrix is its signals (channel columns of ``target_length``-sample
-    windows) and the factors have a right basis, the table is the band's
-    :class:`_Band`, which forms only the rows it is sliced for. Every other
-    table is :func:`_unembed` of the band's part, formed one band at a time
-    once the layout is checked.
+    A streamed spectrum, the CLI's hankel route, is hankelized by rank
+    (:func:`_hankelized_tables`), in O(N) memory. An SVD or GSVD of whole
+    channel columns, the CLI's other route, yields each band's
+    :class:`_Band`, which forms only the rows it is sliced for.
     """
-    streamed = isinstance(factors, StreamedSpectrum)
-    if streamed and layout.mode == MODE_HANKEL:
+    if isinstance(factors, StreamedSpectrum):
         yield from _hankelized_tables(factors, cut, layout, target_length)
         return
-    _layout_end(factors.shape, layout, target_length)
-    whole = (layout.mode == MODE_CHANNEL_COLUMNS and not streamed
-             and factors.shape[0] == layout.window_length == target_length)
+    rows = factors.shape[0]
+    if layout.mode != MODE_CHANNEL_COLUMNS or not (rows == layout.window_length == target_length):
+        raise LayoutError(f"{rows} rows on a {layout.mode} layout of window_length {layout.window_length} "
+                          f"and target_length {target_length} are not whole channel columns: "
+                          "take unembed(part, layout, target_length) of separate's parts")
     for lo, hi in _band_ranges(factors, cut):
-        band = _Band(factors, lo, hi)
-        yield band if whole else _unembed(band[:], layout, target_length)
+        yield _Band(factors, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -508,14 +500,11 @@ class _Band:
     """The band ``[lo, hi)`` of ``factors`` as a matrix that forms only the
     rows it is sliced for: ``band[rows]``, a slice; ``band[:]`` is the part.
 
-    A band is ``U[:, b] diag(w[b]) X[:, b]^T``. A band of a left-orthonormal
-    factor is the projection ``U_b U_b^T X`` of the matrix it came from, so a
-    streamed spectrum needs no right basis: its part is projected from a
-    contiguous copy of X^T. A generalized band is rows of A times an n x n
-    band matrix, so no (m, n) basis is formed.
+    A band is ``U[:, b] diag(w[b]) X[:, b]^T``. A generalized band is rows
+    of A times an n x n band matrix, so no (m, n) basis is formed.
     """
 
-    factors: SpectrumResult | StreamedSpectrum | GsvdResult
+    factors: SpectrumResult | GsvdResult
     lo: int
     hi: int
 
@@ -530,9 +519,6 @@ class _Band:
             first = min(start, self.shape[0] - 2)
             return self[first : first + 2][start - first : start - first + 1]
         f = self.factors
-        if isinstance(f, StreamedSpectrum):
-            u_b = f.left_basis[:, self.lo : self.hi]
-            return u_b[rows] @ (np.ascontiguousarray(f.transposed) @ u_b).T
         if isinstance(f, GsvdResult):
             return f.a[rows] @ f.band_matrix(self.lo, self.hi)
         return _band(f.left_basis[rows], f.singular_values, f.right_basis, self.lo, self.hi)

@@ -167,6 +167,11 @@ class TextureSpec:
     Pixels default to smooth; rectangles override. Anomaly bands may sit
     inside rough regions (they win), but a smooth and a rough rectangle
     claiming the same pixel are contradictory.
+
+    ``base_level`` 0.5 puts smooth and anomaly-band pixels on the 8-bit
+    rounding tie (0.5 * 255 = 127.5): once quantized by ``to_uint8``, any
+    amplitude below about 1/255 reads as the same half-127, half-128
+    pattern, so the 8-bit step, not the amplitude, sets their noise.
     """
 
     width: int

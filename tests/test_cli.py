@@ -283,6 +283,18 @@ class TestSeparate:
         err = capsys.readouterr().err
         assert "RangeError" in err and "exceeds signal length 50" in err
 
+    @pytest.mark.parametrize("window", [1, 0, -3])
+    def test_window_length_below_2_fails_before_the_input_is_read(self, tmp_path, capsys, monkeypatch, window):
+        def no_read(path):
+            raise AssertionError(f"{path} was opened")
+
+        monkeypatch.setattr(fio, "read_channels_csv", no_read)
+        assert run("separate", tmp_path / "absent.csv", "--layout", "hankel", "--window-length", window,
+                   "--output-prefix", tmp_path / "h") == 1
+        assert capsys.readouterr().err == \
+            f"svdsep: error: LayoutError: window_length must be >= 2, got {window}\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("method", ["svd", "gsvd", "hankel"])
     def test_decompositions_counts_the_factorizations_run(self, tmp_path, mixture_csv,
                                                           monkeypatch, method):

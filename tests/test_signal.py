@@ -216,7 +216,8 @@ class TestHankelStrided:
 
 
 class TestBandSignals:
-    """band_signals yields unembed(separate(...)) one band at a time."""
+    """band_signals yields unembed(separate(...)) one band at a time on its
+    two routes, and refuses every other pairing before any band is formed."""
 
     @staticmethod
     def cut_for(rank):
@@ -226,60 +227,49 @@ class TestBandSignals:
                                    method="svd-egv")
 
     @staticmethod
-    def assert_matches_matrix_route(factors, cut, layout, samples):
-        parts = signal.separate(factors, cut)
-        bands = list(signal.band_signals(factors, cut, layout, samples))
-        assert len(bands) == 3
-        for part, band in zip(parts, bands):
-            want = signal.unembed(part, layout, samples).data
-            assert band.data.shape == want.shape and band.data.tobytes() == want.tobytes()
-        return bands
+    def refuse_before_any_band(monkeypatch, call, match):
+        def unformable(*args):
+            raise AssertionError("a band was formed before the layout was checked")
+
+        monkeypatch.setattr(signal._Band, "__getitem__", unformable)
+        monkeypatch.setattr(np, "correlate", unformable)
+        raise_exactly(LayoutError, call, match=match)
 
     @pytest.mark.parametrize("samples, window, stride", [
         (4000, 40, 1), (4000, 40, 3), (50, 50, 1), (1003, 17, 7), (60, 45, 1), (100, 80, 2)])
-    def test_hankel_svd_factors(self, samples, window, stride):
+    def test_hankel_svd_factors(self, monkeypatch, samples, window, stride):
+        # Refused: their signals are unembed of separate's parts, the
+        # composition the error names, which is zero past the last window.
         x = np.random.default_rng(samples + window + stride).standard_normal(samples)
         layout = EmbedLayout.hankel(window, stride=stride)
         spec = linalg.svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout))
         cut = self.cut_for(spec.numerical_rank)
-        bands = self.assert_matches_matrix_route(spec, cut, layout, samples)
+        parts = signal.separate(spec, cut)
+        self.refuse_before_any_band(monkeypatch, lambda: next(signal.band_signals(spec, cut, layout, samples)),
+                                    match="unembed")
         covered_to = (samples - window) // stride * stride + window
-        for band in bands:
-            assert np.all(band.data[covered_to:] == 0.0)
+        for part in parts:
+            assert np.all(signal.unembed(part, layout, samples).data[covered_to:] == 0.0)
 
-    def test_hankel_gsvd_factors(self):
+    def test_hankel_gsvd_factors(self, monkeypatch):
         rng = np.random.default_rng(21)
         x, z = rng.standard_normal(60), rng.standard_normal(60)
         layout = EmbedLayout.hankel(40)  # 40 x 21: gsvd needs at least as many rows as columns
-        g = linalg.gsvd(signal.embed(ChannelSet(x[:, np.newaxis]), layout),
-                        signal.embed(ChannelSet(z[:, np.newaxis]), layout))
+        a = signal.embed(ChannelSet(x[:, np.newaxis]), layout)
+        g = linalg.gsvd(a, signal.embed(ChannelSet(z[:, np.newaxis]), layout))
         cut = signal.CutoffResult(m=3, f=10, peak_values=(0.0, 0.0), method="gsvd-egv")
-        self.assert_matches_matrix_route(g, cut, layout, 60)
+        total = sum(signal.unembed(part, layout, 60).data for part in signal.separate(g, cut))
+        assert np.max(np.abs(total[:, 0] - x)) <= 1e-12 * np.max(np.abs(x))
+        self.refuse_before_any_band(monkeypatch, lambda: next(signal.band_signals(g, cut, layout, 60)),
+                                    match="unembed")
 
     def test_hankel_undersized_target_raises_before_any_band_is_formed(self, monkeypatch):
         x = np.random.default_rng(26).standard_normal(100)
-        layout = EmbedLayout.hankel(10, stride=3)
-        spec = linalg.svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout))
-
-        def unformable(band, rows):
-            raise AssertionError(f"band rows {rows} formed before the target length was checked")
-
-        monkeypatch.setattr(signal._Band, "__getitem__", unformable)
+        layout = EmbedLayout.hankel(10)
+        spec = linalg.streamed_svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout).T)
         bands = signal.band_signals(spec, self.cut_for(spec.numerical_rank), layout, 99)
-        raise_exactly(LayoutError, lambda: next(bands), match="windows extend to 100 but target_length is 99$")
-
-    def test_hankel_svd_factors_hold_one_part_at_a_time(self):
-        # linalg.svd of a trajectory has no streamed route: each band's L x K
-        # part is formed whole, then averaged; the signals are O(N).
-        samples, window = 10_000, 100
-        x = np.random.default_rng(27).standard_normal(samples)
-        layout = EmbedLayout.hankel(window)
-        spec = linalg.svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout))
-        cut = self.cut_for(spec.numerical_rank)
-        bands, peak = traced_peak(lambda: list(signal.band_signals(spec, cut, layout, samples)))
-        assert len(bands) == 3
-        part_bytes = window * spec.shape[1] * 8
-        assert peak <= 1.1 * part_bytes + 8 * samples * 8
+        self.refuse_before_any_band(monkeypatch, lambda: next(bands),
+                                    match="windows extend to 100 but target_length is 99$")
 
     def test_channel_columns_bands_are_the_matrix_route(self):
         a = np.random.default_rng(22).standard_normal((30, 6))
@@ -290,17 +280,18 @@ class TestBandSignals:
                               signal.band_signals(spec, cut, layout, 30)):
             assert band.data.tobytes() == signal.unembed(part, layout, 30).data.tobytes()
 
-    def test_channel_columns_with_offsets_are_the_matrix_route(self):
-        # A 200-sample window of a 300-sample recording: the rows past it are zero.
+    def test_channel_columns_with_offsets_are_the_matrix_route(self, monkeypatch):
+        # A 200-sample window of a 300-sample recording is refused: its
+        # signals are unembed of separate's parts, whose rows past it are zero.
         data = np.random.default_rng(24).standard_normal((300, 6))
         layout = EmbedLayout.channel_columns(200)
         spec = linalg.svd(signal.embed(ChannelSet(data), layout))
         cut = self.cut_for(spec.numerical_rank)
-        bands = list(signal.band_signals(spec, cut, layout, 300))
-        for part, band in zip(signal.separate(spec, cut), bands):
-            assert band.data.tobytes() == signal.unembed(part, layout, 300).data.tobytes()
+        for part in signal.separate(spec, cut):
+            band = signal.unembed(part, layout, 300)
             assert np.array_equal(band.data[:200], part) and not np.any(band.data[200:])
-        assert len(bands) == 3
+        self.refuse_before_any_band(monkeypatch, lambda: next(signal.band_signals(spec, cut, layout, 300)),
+                                    match="unembed")
 
     def test_offset_that_does_not_fit_is_a_layout_error(self):
         # A window longer than the target is rejected before any block of a band is formed.
@@ -315,22 +306,57 @@ class TestBandSignals:
         data = np.random.default_rng(25).standard_normal((300, 3))
         layout = EmbedLayout.channel_columns(200)
         spec = linalg.svd(signal.embed(ChannelSet(data), layout))
-        with pytest.raises(LayoutError, match="windows extend to 200 but target_length is 150$"):
+        with pytest.raises(LayoutError, match="window_length 200 and target_length 150"):
             next(signal.band_signals(spec, self.cut_for(spec.numerical_rank), layout, 150))
 
     def test_rejects_mismatched_layout_and_cut(self):
-        x = np.random.default_rng(23).standard_normal(100)
-        spec = linalg.svd(signal.embed(ChannelSet(x[:, np.newaxis]), EmbedLayout.hankel(10)))
+        spec = linalg.svd(np.random.default_rng(23).standard_normal((30, 6)))
         with pytest.raises(LayoutError):
-            next(signal.band_signals(spec, self.cut_for(10), EmbedLayout.hankel(12), 100))
+            next(signal.band_signals(spec, self.cut_for(6), EmbedLayout.channel_columns(29), 30))
         with pytest.raises(RangeError):
-            bad = signal.CutoffResult(m=11, f=None, peak_values=(0.0,), method="svd-egv")
-            next(signal.band_signals(spec, bad, EmbedLayout.hankel(10), 100))
+            bad = signal.CutoffResult(m=7, f=None, peak_values=(0.0,), method="svd-egv")
+            next(signal.band_signals(spec, bad, EmbedLayout.channel_columns(30), 30))
+
+    @staticmethod
+    def spectra():
+        rng = np.random.default_rng(28)
+        x, z = (ChannelSet(rng.standard_normal((100, 1))) for _ in range(2))
+        data = ChannelSet(rng.standard_normal((300, 4)))
+        # 60 x 41 on the hankel layout: gsvd needs at least as many rows as columns
+        hankel, strided = EmbedLayout.hankel(60), EmbedLayout.hankel(10, stride=2)
+        return {
+            "streamed-channel-columns": (
+                linalg.streamed_svd(signal.embed(data, EmbedLayout.channel_columns(300)).T),
+                EmbedLayout.channel_columns(300), 300, "stride-1 hankel layout"),
+            "streamed-stride-2": (linalg.streamed_svd(signal.embed(x, strided).T), strided, 100,
+                                  "stride-1 hankel layout"),
+            "svd-hankel": (linalg.svd(signal.embed(x, hankel)), hankel, 100, "unembed"),
+            "gsvd-hankel": (linalg.gsvd(signal.embed(x, hankel), signal.embed(z, hankel)), hankel, 100,
+                            "unembed"),
+            "channel-columns-offsets": (
+                linalg.svd(signal.embed(data, EmbedLayout.channel_columns(200))),
+                EmbedLayout.channel_columns(200), 300, "unembed"),
+        }
+
+    @pytest.mark.parametrize("route", ["streamed-channel-columns", "streamed-stride-2", "svd-hankel",
+                                       "gsvd-hankel", "channel-columns-offsets", "separate-streamed"])
+    def test_routes_the_cli_does_not_run_are_refused(self, monkeypatch, route):
+        if route == "separate-streamed":
+            factors = self.spectra()["streamed-stride-2"][0]
+            cut = self.cut_for(factors.numerical_rank)
+            self.refuse_before_any_band(monkeypatch, lambda: signal.separate(factors, cut),
+                                        match="band_signals")
+            return
+        factors, layout, samples, match = self.spectra()[route]
+        cut = signal.CutoffResult(m=1, f=2, peak_values=(0.0, 0.0), method="svd-egv")
+        self.refuse_before_any_band(monkeypatch, lambda: next(signal.band_signals(factors, cut, layout, samples)),
+                                    match=match)
 
 
 class TestHankelStreamed:
-    """separate and band_signals of a streamed hankel spectrum against the
-    definitional route: unembed(separate(linalg.svd(embed(...))))."""
+    """band_signals of a streamed hankel spectrum against the definitional
+    route: unembed(separate(linalg.svd(embed(...)))). The spectrum serves
+    every stride; its bands are formed at stride 1 only."""
 
     SHAPES = [(4000, 40, 1), (4000, 40, 3), (50, 50, 1), (1003, 17, 7), (60, 45, 1),
               (100, 80, 2), (300, 20, 3), (1000, 30, 7)]
@@ -354,20 +380,16 @@ class TestHankelStreamed:
         assert np.max(np.abs(got.singular_values - s)) <= 1e-14 * s[0]
         assert got.numerical_rank == want.numerical_rank
         cut = TestBandSignals.cut_for(want.numerical_rank)
-        ranges = signal._band_ranges(want, cut)
+        if stride > 1:
+            with pytest.raises(LayoutError, match="stride-1 hankel layout"):
+                next(signal.band_signals(got, cut, layout, samples))
+            return got
         bands = list(signal.band_signals(got, cut, layout, samples))
         assert len(bands) == 3
-        for (lo, hi), band, part, ref in zip(ranges, bands, signal.separate(got, cut),
-                                             signal.separate(want, cut)):
-            bound = self.band_bound(s, lo, hi, np.max(np.abs(x)))
-            assert part.shape == ref.shape == (window, got.shape[1])
-            assert np.max(np.abs(part - ref)) <= bound
+        for (lo, hi), band, ref in zip(signal._band_ranges(want, cut), bands, signal.separate(want, cut)):
             ref = signal.unembed(ref, layout, samples)
             assert band.data.shape == ref.data.shape == (samples, 1)
-            assert np.max(np.abs(band.data - ref.data)) <= bound
-        covered_to = (samples - window) // stride * stride + window
-        for band in bands:
-            assert np.all(band.data[covered_to:] == 0.0)
+            assert np.max(np.abs(band.data - ref.data)) <= self.band_bound(s, lo, hi, np.max(np.abs(x)))
         return got
 
     @pytest.mark.parametrize("samples, window, stride", SHAPES)
@@ -387,29 +409,15 @@ class TestHankelStreamed:
         step = max(1, int(0.1 * window))
         assert got.factorizations == 2 * -(-got.shape[1] // step)
 
-    @pytest.mark.parametrize("stride", sorted({stride for _, _, stride in SHAPES}))
-    def test_bands_sum_to_the_input(self, stride):
-        for samples, window, _ in (shape for shape in self.SHAPES if shape[2] == stride):
+    def test_bands_sum_to_the_input(self):
+        for samples, window, _ in (shape for shape in self.SHAPES if shape[2] == 1):
             x = np.random.default_rng(samples + window).standard_normal(samples)
-            layout = EmbedLayout.hankel(window, stride=stride)
+            layout = EmbedLayout.hankel(window)
             spec = linalg.streamed_svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout).T)
             cut = signal.CutoffResult(m=max(1, spec.numerical_rank // 3), f=None,
                                       peak_values=(0.0,), method="svd-egv")
             total = sum(band.data[:, 0] for band in signal.band_signals(spec, cut, layout, samples))
-            covered_to = (samples - window) // stride * stride + window
-            assert np.max(np.abs(total[:covered_to] - x[:covered_to])) <= 4 * np.finfo(float).eps * np.max(np.abs(x))
-            assert np.all(total[covered_to:] == 0.0)
-
-    def test_samples_between_windows_are_zero(self):
-        # stride 7 > L = 5: two of every seven samples lie in no window
-        samples, window, stride = 61, 5, 7
-        self.assert_matches_trajectory_route(samples, window, stride)
-        x = np.random.default_rng(samples + window + stride).standard_normal(samples)
-        layout = EmbedLayout.hankel(window, stride=stride)
-        spec = linalg.streamed_svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout).T)
-        between = np.arange(samples) % stride >= window
-        for band in signal.band_signals(spec, TestBandSignals.cut_for(spec.numerical_rank), layout, samples):
-            assert np.all(band.data[between] == 0.0)
+            assert np.max(np.abs(total - x)) <= 4 * np.finfo(float).eps * np.max(np.abs(x))
 
     def test_band_signals_hold_the_signal_not_the_trajectory(self):
         # N = 20 000, L = 200: the three signals and the temporaries of one
@@ -925,12 +933,9 @@ class TestBand:
             return linalg.svd(rng.standard_normal((300, 12)))
         if kind == "svd-wide":
             return linalg.svd(rng.standard_normal((12, 300)))
-        if kind == "streamed":  # 20 x 381
-            x = ChannelSet(rng.standard_normal((400, 1)))
-            return linalg.streamed_svd(signal.embed(x, EmbedLayout.hankel(20)).T)
         return linalg.gsvd(rng.standard_normal((300, 12)), rng.standard_normal((40, 12)))
 
-    @pytest.mark.parametrize("kind", ["svd-tall", "svd-wide", "streamed", "gsvd"])
+    @pytest.mark.parametrize("kind", ["svd-tall", "svd-wide", "gsvd"])
     def test_blocks_are_slices_of_the_part(self, kind):
         factors = self.factors(kind)
         cut = signal.CutoffResult(m=3, f=7, peak_values=(0.0, 0.0), method="svd-egv")
