@@ -94,6 +94,13 @@ def cmd_separate(args) -> RunReport:
         raise ParseError("hankel layout requires --window-length")
     # A hankel layout checks --window-length before the input is read.
     hankel = signal.EmbedLayout.hankel(args.window_length) if args.layout == "hankel" else None
+    if args.method == "gsvd":
+        # The reference enters the GSVD only through its triangle: it is read
+        # and reduced first, and dropped before the input is read.
+        second = fio.read_channels_csv(args.second)
+        reference = linalg._reference(
+            signal.embed(second, signal.EmbedLayout.channel_columns(second.n_samples)))
+        del second
     channels = fio.read_channels_csv(args.input)
     n_samples, labels = channels.n_samples, channels.labels
     layout = hankel or signal.EmbedLayout.channel_columns(n_samples)
@@ -106,10 +113,7 @@ def cmd_separate(args) -> RunReport:
         values, values_key = decomp.singular_values[: decomp.numerical_rank], "singular_values"
         rank_info = {"numerical_rank": decomp.numerical_rank}
     else:
-        second = fio.read_channels_csv(args.second)
-        b = signal.embed(second, signal.EmbedLayout.channel_columns(second.n_samples))
-        del second  # leave b, a view, the only holder of its samples
-        decomp = linalg.gsvd(a, b)  # holds a and b: its bands are read from a
+        decomp = linalg.gsvd(a, reference)  # holds a, which its bands are read from
         values, values_key = decomp.generalized_values, "generalized_values"
         rank_info = {"infinite_values": int(np.sum(np.isinf(decomp.balanced_values)))}
     cut = signal.cutoff(decomp)

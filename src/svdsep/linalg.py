@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConvergenceError, DegeneratePencilError, InvalidInputError, ShapeError
+from .errors import ConvergenceError, DegeneratePencilError, InvalidInputError, LayoutError, ShapeError
 from .validation import check_index_range, check_matrix
 
 __all__ = [
@@ -157,15 +157,22 @@ class GsvdResult:
     order are clamped to the least value before them. The cutoff reads these.
     ``generalized_values`` are those of the caller's (A, B), ``2^k`` times
     the balanced ones: inf or 0 only where the true value is not
-    representable. Beside ``a`` and ``b``, the arrays or views the pair was
-    read from, only n x n factors are held: a band of A is A times one of
-    them (:meth:`band_matrix`), and U = Q_A ``u_factor`` and V, the
-    orthonormal factor of Q_B ``v_factor``, are formed on read from a QR of
-    A or of B, keeping the columns paired with a diagonal entry.
+    representable. Beside ``a``, the array or view A was read from, only
+    n x n factors are held: a band of A is A times one of them
+    (:meth:`band_matrix`), and U = Q_A ``u_factor`` is formed on read from a
+    QR of A, keeping the columns paired with a diagonal entry.
+
+    A result is built in one of two ways. From a matrix B it also holds
+    ``b``, the array or view B was read from, and V, the orthonormal factor
+    of Q_B ``v_factor``, is formed on read from a QR of B in the same way.
+    From a reference, B reduced to its triangle before A was read (what the
+    CLI does, so that A and B are never held together), ``b`` is None:
+    :attr:`v_basis` and :meth:`reconstruct_b` raise :class:`LayoutError`,
+    and every other field holds the bytes the matrix would give.
     """
 
     a: np.ndarray            # (m, n) as given
-    b: np.ndarray            # (s, n) as given, unscaled
+    b: np.ndarray | None     # (s, n) as given, unscaled; None when built from a reference
     x_factor: np.ndarray     # (n, n) nonsingular
     x_dual: np.ndarray       # (n, n) X^{-T}
     u_factor: np.ndarray     # (n, n) orthogonal
@@ -189,7 +196,9 @@ class GsvdResult:
 
     @property
     def v_basis(self) -> np.ndarray:
-        """V, (s, min(s, n)) orthonormal columns."""
+        """V, (s, min(s, n)) orthonormal columns; needs the matrix B."""
+        if self.b is None:
+            raise LayoutError("V needs B, and this decomposition was built from B's triangle alone")
         q = _lapack("QR", self.b.shape, np.linalg.qr, self.b)[0]
         t = q @ self.v_factor
         v, r = _lapack("QR", t.shape, np.linalg.qr, t)
@@ -210,6 +219,7 @@ class GsvdResult:
         return _band(self.u_basis, self.alpha, self.x_factor, 0, self.alpha.size)
 
     def reconstruct_b(self) -> np.ndarray:
+        """2^-k V S X^T, B as reconstructed; needs the matrix B, as :attr:`v_basis` does."""
         band = _band(self.v_basis, self.beta, self.x_factor, 0, self.v_factor.shape[0])
         return np.ldexp(band, -self.b_shift, out=band)
 
@@ -346,6 +356,29 @@ def streamed_svd(xt) -> StreamedSpectrum:
     )
 
 
+@dataclass(frozen=True)
+class _Reference:
+    """A reference B reduced to what :func:`gsvd` reads of it: the triangle
+    R_B of B = Q_B R_B, the binary exponent of its largest |entry| and its
+    (s, n) shape. B itself may be dropped once this is made."""
+
+    triangle: np.ndarray     # (min(s, n), n)
+    exponent: int
+    shape: tuple[int, int]
+
+
+def _reduced(b_arr: np.ndarray) -> _Reference:
+    """The :class:`_Reference` of a checked matrix B: one QR."""
+    r_b = _lapack("QR", b_arr.shape, np.linalg.qr, b_arr, mode="r")
+    return _Reference(triangle=r_b, exponent=_exponent(b_arr), shape=b_arr.shape)
+
+
+def _reference(b) -> _Reference:
+    """B reduced for :func:`gsvd` before A is read, so that the two are never
+    held together; its checks are those ``gsvd(a, b)`` makes of B."""
+    return _reduced(check_matrix(b, "B"))
+
+
 def gsvd(a, b) -> GsvdResult:
     """Generalized SVD of the pair (A, B) from the n x n triangles of A and B.
 
@@ -359,6 +392,10 @@ def gsvd(a, b) -> GsvdResult:
     balanced against A by a power of two, applied to R_B (see
     :class:`GsvdResult`), so the result holds at any scale of either matrix.
 
+    ``b`` is a matrix, factored after A, or a reference B reduced before A
+    was read (``_reference(b)``, the CLI's route): the result holds the same
+    bytes either way, but no ``b`` when built from the reference.
+
     Raises
     ------
     ShapeError
@@ -370,19 +407,19 @@ def gsvd(a, b) -> GsvdResult:
         If LAPACK fails to factor A, B, the stacked triangles or its top block.
     """
     a_arr = check_matrix(a, "A")
-    b_arr = check_matrix(b, "B")
-    (m, n), s = a_arr.shape, b_arr.shape[0]
-    if b_arr.shape[1] != n:
-        raise ShapeError(f"A and B must share a column count, got {n} and {b_arr.shape[1]}")
+    b_arr = None if isinstance(b, _Reference) else check_matrix(b, "B")
+    (m, n), (s, b_cols) = a_arr.shape, (b.shape if b_arr is None else b_arr.shape)
+    if b_cols != n:
+        raise ShapeError(f"A and B must share a column count, got {n} and {b_cols}")
     if m < n:
         raise ShapeError(f"A must have at least as many rows as columns, got {a_arr.shape}")
     r_a = _lapack("QR", a_arr.shape, np.linalg.qr, a_arr, mode="r")
-    r_b = _lapack("QR", b_arr.shape, np.linalg.qr, b_arr, mode="r")
+    ref = b if b_arr is None else _reduced(b_arr)
     # A power of the radix, as LAPACK's xGGBAL balances a pencil (Ward,
     # SIAM J. Sci. Stat. Comput. 2(2), 1981). Max |entry|, not a norm: a norm
     # overflows at 1e160. QR commutes exactly with it, so R_B takes it, not B.
-    shift = _exponent(a_arr) - _exponent(b_arr)
-    stack = np.vstack([r_a, np.ldexp(r_b, shift)])
+    shift = _exponent(a_arr) - ref.exponent
+    stack = np.vstack([r_a, np.ldexp(ref.triangle, shift)])
     stacked_size = max(m + s, n)  # the larger dimension of [A; B]
     p, sigma, zt = _lapack("SVD", stack.shape, np.linalg.svd, stack, full_matrices=False)
     # The triangles have the singular values of [A; 2^k B]: they carry the rank check.

@@ -7,6 +7,7 @@ from svdsep.errors import (
     ConvergenceError,
     DegeneratePencilError,
     InvalidInputError,
+    LayoutError,
     RangeError,
     ShapeError,
 )
@@ -436,6 +437,48 @@ class TestGsvd:
             dominant = signal.separate(res, cut)[0]
             planted = (u_a[:, :2] * alpha[:2]) @ x[:, :2].T
             assert np.max(np.abs(dominant - planted)) <= 10 * kappa * _EPS * np.max(np.abs(a)), seed
+
+
+class TestGsvdOfAReference:
+    """gsvd(a, _reference(b)), the CLI's route: B reduced to its triangle before
+    A is read gives the bytes of gsvd(a, b), and holds nothing of B's rows."""
+
+    @pytest.mark.parametrize("c", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("rows", [3, 6, 40])  # fewer rows than columns, more, and more than A's
+    def test_equals_the_matrix_route(self, c, rows):
+        rng = np.random.default_rng(rows)
+        a, b = rng.standard_normal((9, 4)), c * rng.standard_normal((rows, 4))
+        want, got = linalg.gsvd(a, b), linalg.gsvd(a, linalg._reference(b))
+        for name in ("x_factor", "alpha", "beta", "balanced_values"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.b_shift == want.b_shift
+        assert got.b is None and got.v_factor.shape[0] == min(rows, 4)
+
+    def test_b_only_members_are_typed_errors(self):
+        rng = np.random.default_rng(1)
+        res = linalg.gsvd(rng.standard_normal((9, 4)), linalg._reference(rng.standard_normal((6, 4))))
+        for read in (lambda: res.v_basis, res.reconstruct_b):
+            raise_exactly(LayoutError, read, match="^V needs B, and this decomposition was built "
+                                                   "from B's triangle alone$")
+
+    @pytest.mark.parametrize("a, b, error, message", [
+        (np.eye(3), np.eye(2), ShapeError, "^A and B must share a column count, got 3 and 2$"),
+        (np.ones((2, 3)), np.ones((3, 3)), ShapeError,
+         r"^A must have at least as many rows as columns, got \(2, 3\)$"),
+        (np.ones((3, 2)), np.ones((1, 2)), DegeneratePencilError,
+         r"^stacked matrix \[A; B\] is rank deficient; the pair has no full generalized decomposition$"),
+    ], ids=["columns", "rows", "deficient"])
+    def test_faults_keep_the_matrix_routes_messages(self, a, b, error, message):
+        raise_exactly(error, lambda: linalg.gsvd(a, b), match=message)
+        reference = linalg._reference(b)
+        raise_exactly(error, lambda: linalg.gsvd(a, reference), match=message)
+
+    def test_a_bad_reference_is_refused_when_it_is_reduced(self):
+        raise_exactly(InvalidInputError, lambda: linalg._reference(np.array([[1.0, np.nan]])),
+                      match="^B contains non-finite entries$")
+        with lapack_fails("qr"):
+            raise_exactly(ConvergenceError, lambda: linalg._reference(_B),
+                          match="^QR of a 5x3 matrix failed: qr did not converge$")
 
 
 _RNG = np.random.default_rng(50)
