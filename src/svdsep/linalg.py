@@ -159,12 +159,14 @@ class GsvdResult:
     the balanced ones: inf or 0 only where the true value is not
     representable. Beside ``a``, the array or view A was read from, only
     n x n factors are held: a band of A is A times one of them
-    (:meth:`band_matrix`), and U = Q_A ``u_factor`` is formed on read from a
-    QR of A, keeping the columns paired with a diagonal entry.
+    (:meth:`band_matrix`), and U = Q_A ``u_factor`` is formed on read from
+    the Q of the blocked QR that gave R_A (:func:`_blocked_q`).
+    ``factorizations`` counts the QRs of the TSQRs of A and of B, 2 blocks - 1
+    each, and two SVDs: 4 when each matrix is one block.
 
     A result is built in one of two ways. From a matrix B it also holds
     ``b``, the array or view B was read from, and V, the orthonormal factor
-    of Q_B ``v_factor``, is formed on read from a QR of B in the same way.
+    of Q_B ``v_factor``, is formed on read from B in the same way.
     From a reference, B reduced to its triangle before A was read (what the
     CLI does, so that A and B are never held together), ``b`` is None:
     :attr:`v_basis` and :meth:`reconstruct_b` raise :class:`LayoutError`,
@@ -181,9 +183,7 @@ class GsvdResult:
     beta: np.ndarray         # (n,)
     balanced_values: np.ndarray  # (n,) descending, inf first
     b_shift: int
-    # Factorizations one gsvd call performs: QR of A, QR of B, SVD of the
-    # stacked triangles (the rank check) and SVD of its top block.
-    factorizations: ClassVar[int] = 4
+    factorizations: int
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -192,15 +192,14 @@ class GsvdResult:
     @property
     def u_basis(self) -> np.ndarray:
         """U, (m, n) orthonormal columns."""
-        return _lapack("QR", self.a.shape, np.linalg.qr, self.a)[0] @ self.u_factor
+        return _blocked_q(self.a) @ self.u_factor
 
     @property
     def v_basis(self) -> np.ndarray:
         """V, (s, min(s, n)) orthonormal columns; needs the matrix B."""
         if self.b is None:
             raise LayoutError("V needs B, and this decomposition was built from B's triangle alone")
-        q = _lapack("QR", self.b.shape, np.linalg.qr, self.b)[0]
-        t = q @ self.v_factor
+        t = _blocked_q(self.b) @ self.v_factor
         v, r = _lapack("QR", t.shape, np.linalg.qr, t)
         v[:, np.diagonal(r) < 0] *= -1.0
         return v
@@ -317,6 +316,33 @@ def svd(a) -> SpectrumResult:
 # MiB and takes 324, 329, 333 and 447 ms (median of 5).
 _STREAM_BLOCK = 8
 
+# Entries per QR block of gsvd's TSQRs of A and B: max(n, 8192 // n) rows,
+# 1024 rows (a 64 KiB copy) at 8 channels. R_A of a seeded n = 8 A, LAPACK on
+# one OpenBLAS thread, in ms (median, 2-vCPU host) and traced peak / A:
+#   entries       2048      4096      8192      16384     32768     one QR
+#   4 000 rows    0.9 .08   0.6 .15   0.4 .27   0.3 .52   0.2 1.0   0.2 1.0
+#   40 000 rows   5.8 .008  5.8 .015  3.9 .027  2.9 .053  2.5 .10   5.8 1.0
+#   400 000 rows  85 .001   50 .001   36 .003   28 .005   24 .010   78 1.0
+# Under 3200 entries the benchmark's 400-row smoke input is two blocks; from
+# 32 000 its 4000-row input is one, and the peak a copy of A again.
+_BLOCK_ENTRIES = 8192
+
+
+def _tsqr(name: str, x: np.ndarray, step: int) -> tuple[np.ndarray | None, int]:
+    """R of x = QR, (min(rows, n), n), by sequential TSQR over blocks of ``step``
+    rows (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34(1),
+    2012), and the QRs run, ``2 * blocks - 1``; R is None when x has no rows.
+    Each block is QR-factored alone, which copies it once for LAPACK, and its
+    triangle is merged into R as the R factor of the stack [R; R_block]. A
+    failure is a :class:`ConvergenceError` naming ``name`` and x's shape.
+    """
+    r = None
+    for j in range(0, x.shape[0], step):
+        r_block = _lapack(name, x.shape, np.linalg.qr, x[j : j + step], mode="r")
+        r = r_block if r is None else _lapack(name, x.shape, np.linalg.qr,
+                                               np.vstack([r, r_block]), mode="r")
+    return r, 2 * -(-x.shape[0] // step) - 1
+
 
 def streamed_svd(xt) -> StreamedSpectrum:
     """Singular values and left basis of X, read from X^T in row blocks.
@@ -324,21 +350,13 @@ def streamed_svd(xt) -> StreamedSpectrum:
     ``xt`` is X^T, (n, m): an array or a strided view such as a window view,
     read ``8 m`` rows at a time. The triangular factor R of X^T = QR holds
     the singular values of X, and its right singular vectors are the left
-    ones of X (Chan's R-SVD). R is built by sequential TSQR (Demmel,
-    Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34(1), 2012): each
-    block is QR-factored alone, which copies it once for LAPACK, and its
-    triangle is merged into R as the R factor of the 2m x m stack
-    [R; R_block]. This is backward stable, unlike forming X X^T, and holds
-    neither a copy of X nor its (n, k) right basis. The rank rule is
-    :func:`svd`'s, ``max(m, n) * eps * sigma_1``.
+    ones of X (Chan's R-SVD). R is built by sequential TSQR (:func:`_tsqr`),
+    whose merges stack two m x m triangles. This is backward stable, unlike
+    forming X X^T, and holds neither a copy of X nor its (n, k) right basis.
+    The rank rule is :func:`svd`'s, ``max(m, n) * eps * sigma_1``.
     """
     n, m = xt.shape
-    step = max(1, int(_STREAM_BLOCK * m))
-    r = None
-    for j in range(0, n, step):
-        r_block = _lapack("blocked QR", xt.shape, np.linalg.qr, xt[j : j + step], mode="r")
-        r = r_block if r is None else _lapack("blocked QR", xt.shape, np.linalg.qr,
-                                               np.vstack([r, r_block]), mode="r")
+    r, qrs = _tsqr("blocked QR", xt, max(1, int(_STREAM_BLOCK * m)))
     if r is None:
         raise ShapeError("streamed_svd needs at least one row of X^T")
     # R, not xt: on a window view, a mask of xt is as large as the trajectory.
@@ -352,25 +370,52 @@ def streamed_svd(xt) -> StreamedSpectrum:
         singular_values=s,
         numerical_rank=int(_rank(s, max(m, n))),
         transposed=xt,
-        factorizations=2 * -(-n // step),
+        factorizations=qrs + 1,
     )
+
+
+def _block_rows(x: np.ndarray) -> int:
+    """Rows per block of gsvd's TSQR of x: ``_BLOCK_ENTRIES`` entries, at least n rows."""
+    return max(x.shape[1], _BLOCK_ENTRIES // x.shape[1])
+
+
+def _blocked_q(x: np.ndarray) -> np.ndarray:
+    """Q of x = QR for the R of gsvd's TSQR of x: the same QRs, each keeping
+    its Q, and each block's Q carried back through the merges after it. A
+    whole QR's Q pairs with that R only up to the signs of its columns, and
+    not at all where a column of x is zero or repeats another."""
+    step = _block_rows(x)
+    q, r = _lapack("QR", x.shape, np.linalg.qr, x[:step])
+    blocks, merges = [q], []
+    for j in range(step, x.shape[0], step):
+        q, r_block = _lapack("QR", x.shape, np.linalg.qr, x[j : j + step])
+        merge, r = _lapack("QR", x.shape, np.linalg.qr, np.vstack([r, r_block]))
+        blocks.append(q)
+        merges.append(merge)
+    tail, carry = [], np.eye(r.shape[0])
+    for q, merge in zip(blocks[:0:-1], merges[::-1]):  # last merge first
+        top = merge.shape[0] - q.shape[1]  # the rows of the triangle the block was stacked under
+        tail.append(q @ (merge[top:] @ carry))
+        carry = merge[:top] @ carry
+    return np.vstack([blocks[0] @ carry, *tail[::-1]]) if merges else blocks[0]
 
 
 @dataclass(frozen=True)
 class _Reference:
     """A reference B reduced to what :func:`gsvd` reads of it: the triangle
-    R_B of B = Q_B R_B, the binary exponent of its largest |entry| and its
-    (s, n) shape. B itself may be dropped once this is made."""
+    R_B of B = Q_B R_B, the binary exponent of its largest |entry|, its
+    (s, n) shape and the QRs run. B itself may be dropped once this is made."""
 
     triangle: np.ndarray     # (min(s, n), n)
     exponent: int
     shape: tuple[int, int]
+    factorizations: int
 
 
 def _reduced(b_arr: np.ndarray) -> _Reference:
-    """The :class:`_Reference` of a checked matrix B: one QR."""
-    r_b = _lapack("QR", b_arr.shape, np.linalg.qr, b_arr, mode="r")
-    return _Reference(triangle=r_b, exponent=_exponent(b_arr), shape=b_arr.shape)
+    """The :class:`_Reference` of a checked matrix B: its TSQR."""
+    r_b, qrs = _tsqr("QR", b_arr, _block_rows(b_arr))
+    return _Reference(triangle=r_b, exponent=_exponent(b_arr), shape=b_arr.shape, factorizations=qrs)
 
 
 def _reference(b) -> _Reference:
@@ -385,7 +430,9 @@ def gsvd(a, b) -> GsvdResult:
     Requires A with at least as many rows as columns and a stacked matrix
     [A; B] of full column rank, which is never formed: A = Q_A R_A and
     B = Q_B R_B are factored apart, as LAPACK's xGGSVP3 begins (Bai and
-    Demmel, SIAM J. Sci. Comput. 14(6), 1993). The SVD P Sigma Z^T of
+    Demmel, SIAM J. Sci. Comput. 14(6), 1993), each R by sequential TSQR over
+    blocks of ``_BLOCK_ENTRIES`` entries, so that no copy of A or B is made
+    beyond one block (:func:`_tsqr`). The SVD P Sigma Z^T of
     [R_A; R_B] carries the rank check; the SVD of the top block of P gives
     alpha and W, and beta is the column norms of its bottom block times W.
     Then X = Z Sigma W and X^{-T} = Z Sigma^{-1} W, with no solve. B is first
@@ -404,7 +451,8 @@ def gsvd(a, b) -> GsvdResult:
         If [A; B] is rank deficient (the C^T C + S^T S = I normalization
         is unattainable on the null directions).
     ConvergenceError
-        If LAPACK fails to factor A, B, the stacked triangles or its top block.
+        If LAPACK fails to factor A, B, the stacked triangles or its top
+        block; a failing block of A or B names the whole matrix's shape.
     """
     a_arr = check_matrix(a, "A")
     b_arr = None if isinstance(b, _Reference) else check_matrix(b, "B")
@@ -413,7 +461,7 @@ def gsvd(a, b) -> GsvdResult:
         raise ShapeError(f"A and B must share a column count, got {n} and {b_cols}")
     if m < n:
         raise ShapeError(f"A must have at least as many rows as columns, got {a_arr.shape}")
-    r_a = _lapack("QR", a_arr.shape, np.linalg.qr, a_arr, mode="r")
+    r_a, qrs = _tsqr("QR", a_arr, _block_rows(a_arr))
     ref = b if b_arr is None else _reduced(b_arr)
     # A power of the radix, as LAPACK's xGGBAL balances a pencil (Ward,
     # SIAM J. Sci. Stat. Comput. 2(2), 1981). Max |entry|, not a norm: a norm
@@ -454,6 +502,7 @@ def gsvd(a, b) -> GsvdResult:
         beta=beta,
         balanced_values=np.minimum.accumulate(values[::-1]),
         b_shift=shift,
+        factorizations=qrs + ref.factorizations + 2,
     )
 
 

@@ -270,17 +270,18 @@ class TestSeparate:
                     for name in ("dominant", "weak", "noise"))
         assert np.max(np.abs(parts - wave)) <= 1e-13 * np.max(np.abs(wave))
 
-    @pytest.mark.parametrize("method, bound", [("svd", 2.2), ("gsvd", 2.2)])
+    @pytest.mark.parametrize("method, bound", [("svd", 2.2), ("gsvd", 1.35)])
     def test_channel_columns_peak_is_bounded_by_the_input(self, tmp_path, method, bound):
-        # At 20 000 x 8 the peak is ~2.05x the input (svd) and ~2.04x (gsvd).
+        # At 20 000 x 8 the peak is ~2.05x the input (svd) and ~1.22x (gsvd).
         # The svd peak is the factorization: no band is held, as each is
         # written a block of rows at a time; a whole band held beside the left
         # basis made it ~2.6x, and a sign rule that copied a column of |U|
-        # ~2.17x. The gsvd peak is A, which its bands are read from, and the
-        # copy LAPACK's QR makes of it: B is reduced to its n x n triangle
-        # and dropped before A is read, and every other factor is n x n.
-        # Holding A and B together made it ~3.04x, and a QR of the stack
-        # [A; B], holding the stack, LAPACK's copy of it and Q, ~6.0x.
+        # ~2.17x. The gsvd peak is A, which its bands are read from, and one
+        # block of 1024 rows that the TSQR of A copies: B is reduced to its
+        # n x n triangle and dropped before A is read, and every other factor
+        # is n x n. A whole QR's copy of A made it ~2.04x, holding A and B
+        # together ~3.04x, and a QR of the stack [A; B], holding the stack,
+        # LAPACK's copy of it and Q, ~6.0x.
         inputs = []
         for seed in (1, 2):
             prefix = tmp_path / f"mix{seed}"
@@ -319,12 +320,16 @@ class TestSeparate:
             f"svdsep: error: LayoutError: window_length must be >= 2, got {window}\n"
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("method", ["svd", "gsvd", "hankel"])
+    @pytest.mark.parametrize("method", ["svd", "gsvd", "hankel", "gsvd-blocked"])
     def test_decompositions_counts_the_factorizations_run(self, tmp_path, mixture_csv,
                                                           monkeypatch, method):
         route = []
-        if method == "gsvd":
-            run("synth", "mixture", "--seed", 2, "--output-prefix", tmp_path / "ref")
+        if method == "gsvd-blocked":
+            run("synth", "mixture", "--samples", 2500, "--seed", 3, "--output-prefix", tmp_path / "long")
+            mixture_csv = tmp_path / "long_signals.csv"
+        if method.startswith("gsvd"):
+            samples = ["--samples", 3000] if method == "gsvd-blocked" else []
+            run("synth", "mixture", *samples, "--seed", 2, "--output-prefix", tmp_path / "ref")
             route = ["--method", "gsvd", "--second", tmp_path / "ref_signals.csv"]
         elif method == "hankel":
             channel = tmp_path / "one.csv"
@@ -348,9 +353,11 @@ class TestSeparate:
         report = read_json(f"{prefix}_report.json")
         assert report["work_counters"] == {"decompositions": calls["svd"] + calls["qr"]}
         # hankel: one QR per block of 8 L = 240 of the 371 windows, one QR
-        # merging the second block's triangle into the first's, then one SVD
+        # merging the second block's triangle into the first's, then one SVD.
+        # gsvd-blocked: 2500 and 3000 rows in blocks of 1024, so three blocks
+        # of A and of B, each block and each merge one QR.
         assert calls == {"svd": {"svd": 1, "qr": 0}, "gsvd": {"svd": 2, "qr": 2},
-                         "hankel": {"svd": 1, "qr": 3}}[method]
+                         "hankel": {"svd": 1, "qr": 3}, "gsvd-blocked": {"svd": 2, "qr": 10}}[method]
 
     @pytest.mark.parametrize("method", ["svd", "gsvd"])
     def test_parts_equal_the_library_separation(self, tmp_path, mixture_csv, method):

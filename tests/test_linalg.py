@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import lapack_fails, raise_exactly, random_rect, sym_eig_2x2, traced_peak
@@ -231,13 +233,15 @@ class TestPeakMemory:
         assert peak <= 1.02 * res.left_basis.nbytes
 
     def test_gsvd_peak_is_set_by_its_qr(self):
-        # The peak is the copy LAPACK's QR makes of A: ~0.57x the pair. A
-        # QR of the stack [A; B], holding the stack and Q, made it ~3.0x,
-        # and a whole-array sign rule on an (m, n) U ~3.9x.
+        # The triangles are built a block of 1024 rows at a time, so the peak
+        # is ~0.072x the pair, most of it check_matrix's isfinite mask of A.
+        # The copy a whole QR of A made was ~0.57x; a QR of the stack
+        # [A; B], holding the stack and Q, ~3.0x; and a whole-array sign rule
+        # on an (m, n) U ~3.9x.
         rng = np.random.default_rng(41)
         a, b = rng.standard_normal((40_000, 8)), rng.standard_normal((30_000, 8))
         res, peak = traced_peak(lambda: linalg.gsvd(a, b))
-        assert peak <= 3.4 * (a.nbytes + b.nbytes)
+        assert peak <= 0.15 * (a.nbytes + b.nbytes)
         assert np.linalg.norm(res.reconstruct_a() - a) <= 1e-9 * np.linalg.norm(a)
 
 
@@ -479,6 +483,83 @@ class TestGsvdOfAReference:
         with lapack_fails("qr"):
             raise_exactly(ConvergenceError, lambda: linalg._reference(_B),
                           match="^QR of a 5x3 matrix failed: qr did not converge$")
+
+
+class TestBlockedGsvd:
+    """gsvd builds R_A and R_B by TSQR over blocks of _BLOCK_ENTRIES entries,
+    at least n rows; small blocks agree with one block to rounding."""
+
+    @staticmethod
+    def pair(n, rows_a, rows_b, rank, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rows_a, rank)) @ rng.standard_normal((rank, n))
+        return a, rng.standard_normal((rows_b, n))
+
+    @staticmethod
+    def assert_agrees_with_one_block(monkeypatch, a, b, entries):
+        one = linalg.gsvd(a, b)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
+        got = linalg.gsvd(a, b)
+        (m, n), s = a.shape, b.shape[0]
+        step = max(n, entries // n)
+        assert got.factorizations == 2 * (-(-m // step) + -(-s // step))
+        if n >= 2:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # infinite values when s < n
+                cuts = [signal.cutoff(res) for res in (got, one)]
+            assert [(cut.m, cut.f) for cut in cuts] == [(cuts[1].m, cuts[1].f)] * 2
+        finite = np.isfinite(one.generalized_values)
+        assert np.array_equal(np.isfinite(got.generalized_values), finite)
+        assert np.max(np.abs(got.generalized_values[finite] - one.generalized_values[finite])) \
+            <= 1e-13 * np.max(one.generalized_values[finite])
+        for basis in (got.u_basis, got.v_basis):
+            assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-13
+        assert np.linalg.norm(got.reconstruct_a() - a) <= 1e-12 * np.linalg.norm(a)
+        assert np.linalg.norm(got.reconstruct_b() - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("n, rows_a, rows_b, entries", [
+        (1, 7, 5, 1),         # blocks of 1 row
+        (8, 40, 33, 64),      # blocks of n rows, a 1-row tail of B
+        (8, 45, 40, 72),      # blocks of n + 1 rows, no tail of A and a 4-row one of B
+        (8, 203, 150, 512),   # 64-row blocks, an 11-row tail of A and a 22-row one of B
+        (8, 300, 5, 64),      # a reference with s < n: one wide block
+    ], ids=["1-row", "n-rows", "n+1-rows", "tails", "wide-reference"])
+    def test_agrees_with_one_block(self, monkeypatch, n, rows_a, rows_b, entries):
+        a, b = self.pair(n, rows_a, rows_b, n, rows_a)
+        self.assert_agrees_with_one_block(monkeypatch, a, b, entries)
+
+    @pytest.mark.parametrize("rank", [7, 6])
+    @pytest.mark.parametrize("rows_b", [150, 5])
+    def test_rank_deficient_a(self, monkeypatch, rank, rows_b):
+        a, b = self.pair(8, 203, rows_b, rank, rank)
+        self.assert_agrees_with_one_block(monkeypatch, a, b, 64)
+
+    @pytest.mark.parametrize("column", ["zero", "repeated"])
+    def test_a_dead_or_repeated_channel(self, monkeypatch, column):
+        # The triangles of a whole QR and of a TSQR then differ in more than
+        # the signs of their rows, so U reads the Q of the same blocks: a whole
+        # QR's Q with its columns' signs fixed missed A by 2.7e-3 to 2.7e-2.
+        a, b = self.pair(8, 3000, 3500, 8, 3)
+        a[:, 2] = 0.0 if column == "zero" else a[:, 1]
+        self.assert_agrees_with_one_block(monkeypatch, a, b, 512)
+
+    def test_one_block_is_a_whole_qr(self):
+        # 1024 rows of 8 channels are one block: R_A is qr(A, mode="r") itself,
+        # and U the whole QR's Q times u_factor, byte for byte
+        a, b = self.pair(8, 1024, 1024, 8, 4)
+        res = linalg.gsvd(a, b)
+        assert res.factorizations == 4
+        r, qrs = linalg._tsqr("QR", a, linalg._block_rows(a))
+        assert qrs == 1 and r.tobytes() == np.linalg.qr(a, mode="r").tobytes()
+        assert res.u_basis.tobytes() == (np.linalg.qr(a)[0] @ res.u_factor).tobytes()
+
+    def test_a_failing_block_names_the_whole_matrix(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 64)
+        a, b = self.pair(8, 40, 20, 8, 5)
+        for call, shape in ((2, "40x8"), (12, "20x8")):  # A's second block, B's first merge
+            with lapack_fails("qr", call):
+                raise_exactly(ConvergenceError, lambda: linalg.gsvd(a, b),
+                              match=f"^QR of a {shape} matrix failed: qr did not converge$")
 
 
 _RNG = np.random.default_rng(50)
