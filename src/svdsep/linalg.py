@@ -309,11 +309,11 @@ def svd(a) -> SpectrumResult:
 
 # Rows of X^T per QR block of streamed_svd's TSQR, per row of X: 8 m; no
 # other code reads it. On the 4000-sample, L = 40 hankel benchmark input
-# (seed 0) a whole in-process `separate` run, LAPACK on one OpenBLAS thread,
-# with 4 L, 8 L, 16 L and 32 L windows per block peaks at 0.22, 0.22, 0.31
-# and 0.51 MiB and takes 14, 13, 13 and 13 ms (median of 60 runs, 2-vCPU
-# host). At 40 000 samples and L = 200 it peaks at 2.5, 3.7, 6.2 and 11.1
-# MiB and takes 324, 329, 333 and 447 ms (median of 5).
+# (seed 0), whose parts are formed 1024 samples at a time, a whole in-process
+# `separate` run (one OpenBLAS thread, 2-vCPU host) with 4 L, 8 L, 16 L and
+# 32 L windows per block peaks at 0.17, 0.19, 0.29 and 0.48 MiB and takes 13,
+# 12, 12 and 13 ms (median of 60). At 40 000 samples of two sines, L = 200, it
+# peaks at 2.5, 3.7, 6.2 and 11.1 MiB and takes 294, 297, 298 and 360 ms (of 5).
 _STREAM_BLOCK = 8
 
 # Entries per QR block of gsvd's TSQRs of A and B: max(n, 8192 // n) rows,

@@ -221,46 +221,35 @@ def _unembed(matrix: np.ndarray, layout: EmbedLayout, target_length: int) -> np.
     return acc.reshape(-1, 1)
 
 
-def _hankelized_tables(spec: StreamedSpectrum, cut: CutoffResult, layout: EmbedLayout,
-                       target_length: int):
-    """Yield the dominant, weak and noise tables of a streamed Hankel
-    spectrum by rank-one hankelization, with no block of X^T read.
+def _hankel_rows(basis: np.ndarray, ranges, x: np.ndarray, j0: int, j1: int) -> list[np.ndarray]:
+    """Rows ``[j0, j1)`` of the dominant, weak and noise signals of the
+    stride-1 Hankel trajectory X of ``x`` with left basis ``basis``.
 
-    X is the stride-1 Hankel trajectory of a signal x, so ``w_k = u_k^T X``
-    is ``np.correlate(x, u_k, "valid")``, and the diagonal sums of a band
-    ``U_b W_b`` are the sum over its ranks of ``np.convolve(u_k, w_k)``
-    (Korobeynikov, Statistics and Its Interface 3(3), 2010): O(N L) time per
-    rank and O(N) memory. The noise is the complement, x less the other two,
-    on the samples the windows cover, and 0 past them.
-
-    ``spec.transposed`` must be the window view ``embed(...).T``: a row
-    stride equal to its column stride puts entry (j, i) at the one memory
-    location of sample j + i, so the view is Hankel by construction, and x
-    is read in place as a 1-D view of that memory.
+    ``w_k = u_k^T X`` is ``np.correlate(x, u_k, "valid")``, and a band's
+    diagonal sums are the sum over its ranks of ``np.convolve(u_k, w_k)``
+    (Korobeynikov, Statistics and Its Interface 3(3), 2010), divided by each
+    sample's window count. Only the windows over the rows are read (more
+    than L where X has them: ``np.convolve`` sums in reverse order when its
+    second operand is the longer), and rows inside L windows each are its
+    "valid" part, so each row has the bytes of the sums over all of x. The
+    noise is x less the other two, and 0 past the last window.
     """
-    ranges = _band_ranges(spec, cut)
-    xt = spec.transposed
-    pitch = xt.strides[1]  # bytes from one sample to the next
-    if layout.mode != MODE_HANKEL or layout.stride != 1 or xt.strides[0] != pitch:
-        raise LayoutError("a streamed spectrum forms its bands on a stride-1 hankel layout only, "
-                          "read from its window view embed(...).T")
-    end = _layout_end(spec.shape, layout, target_length)
-    x = np.lib.stride_tricks.as_strided(xt, shape=(end,), strides=(pitch,), writeable=False)
-    noise = np.zeros(target_length)
-    noise[:end] = x
-    for lo, hi in ranges[:2]:
-        acc = np.zeros(target_length)
-        for u in spec.left_basis[:, lo:hi].T:
-            w = np.correlate(x, u, "valid")
-            acc[:end] += np.convolve(u, w)
-            del w  # free it before the next rank's is formed
-        counts = _hankel_counts(layout, spec.shape[1])
-        acc[:end] /= counts  # at stride 1 every covered sample counts at least 1
-        del counts
+    n, end = basis.shape[0], x.size
+    windows, e1 = end - n + 1, max(j0, min(j1, end))
+    k1 = min(windows, max(e1, n + 1))
+    k0 = max(0, min(j0 - n + 1, k1 - n - 1))
+    mode, first = ("valid", k0 + n - 1) if n - 1 <= j0 and e1 <= windows else ("full", k0)
+    j = np.arange(j0, e1)
+    counts = np.minimum(np.minimum(j, min(n, windows) - 1), end - 1 - j) + 1.0
+    dominant, weak, noise = (np.zeros((j1 - j0, 1)) for _ in range(3))
+    noise[: e1 - j0, 0] = x[j0:e1]
+    windowed = x[k0 : k1 + n - 1]
+    for acc, (lo, hi) in zip((dominant, weak), ranges):
+        for u in basis[:, lo:hi].T:
+            acc[: e1 - j0, 0] += np.convolve(u, np.correlate(windowed, u, "valid"), mode)[j0 - first : e1 - first]
+        acc[: e1 - j0, 0] /= counts  # at stride 1 every covered sample counts at least 1
         noise -= acc
-        yield acc.reshape(-1, 1)
-        del acc  # the caller may free its band before the next is formed
-    yield noise.reshape(-1, 1)
+    return [dominant, weak, noise]
 
 
 @dataclass(frozen=True)
@@ -457,10 +446,10 @@ def separate(factors: SpectrumResult | GsvdResult,
 
 def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult,
                  layout: EmbedLayout, target_length: int):
-    """Yield the dominant, weak and noise signals, one band at a time, on
-    the two routes the CLI runs. Any other pairing is a :class:`LayoutError`
-    before any band is formed: ``unembed(part, layout, target_length)`` of
-    :func:`separate`'s parts gives its signals.
+    """Yield the dominant, weak and noise signals on the two routes the CLI
+    runs. Any other pairing is a :class:`LayoutError` before any band is
+    formed: ``unembed(part, layout, target_length)`` of :func:`separate`'s
+    parts gives its signals.
 
     An SVD or GSVD of whole channel columns (``target_length`` rows) yields
     :func:`separate`'s parts, bitwise. A streamed spectrum of the window
@@ -470,22 +459,40 @@ def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
     window), so the three sum to the input, and the noise keeps the residual
     past the numerical rank r when r < min(L, K).
     """
-    for table in _band_tables(factors, cut, layout, target_length):
-        yield ChannelSet(table[:])
+    for table in _band_blocks(factors, cut, layout, target_length)(0, target_length):
+        yield ChannelSet(table)
 
 
-def _band_tables(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult,
+def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult,
                  layout: EmbedLayout, target_length: int):
-    """Yield the signals of :func:`band_signals` as (samples, channels) tables.
+    """``blocks(r0, r1)``: rows ``[r0, r1)`` of the three signals of
+    :func:`band_signals`, exact whatever the blocks, after every check.
 
     A streamed spectrum, the CLI's hankel route, is hankelized by rank
-    (:func:`_hankelized_tables`), in O(N) memory. An SVD or GSVD of whole
-    channel columns, the CLI's other route, yields each band's
-    :class:`_Band`, which forms only the rows it is sliced for.
+    (:func:`_hankel_rows`) from x, read in place as a 1-D view of the memory
+    of ``transposed``: in the window view ``embed(...).T``, a row stride
+    equal to its column stride puts entry (j, i) at the one location of
+    sample j + i. Whole channel columns, the CLI's other route, give the
+    rows of their bands' :class:`_Band`.
     """
-    if isinstance(factors, StreamedSpectrum):
-        yield from _hankelized_tables(factors, cut, layout, target_length)
-        return
+    if not isinstance(factors, StreamedSpectrum):
+        bands = list(_band_tables(factors, cut, layout, target_length))
+        return lambda r0, r1: [band[r0:r1] for band in bands]
+    ranges = _band_ranges(factors, cut)
+    xt = factors.transposed
+    pitch = xt.strides[1]  # bytes from one sample to the next
+    if layout.mode != MODE_HANKEL or layout.stride != 1 or xt.strides[0] != pitch:
+        raise LayoutError("a streamed spectrum forms its bands on a stride-1 hankel layout only, "
+                          "read from its window view embed(...).T")
+    end = _layout_end(factors.shape, layout, target_length)
+    x = np.lib.stride_tricks.as_strided(xt, shape=(end,), strides=(pitch,), writeable=False)
+    return lambda r0, r1: _hankel_rows(factors.left_basis, ranges, x, r0, r1)
+
+
+def _band_tables(factors: SpectrumResult | GsvdResult, cut: CutoffResult,
+                 layout: EmbedLayout, target_length: int):
+    """Yield the :class:`_Band` of each band of an SVD or GSVD of whole
+    channel columns, which forms only the rows it is sliced for."""
     rows = factors.shape[0]
     if layout.mode != MODE_CHANNEL_COLUMNS or not (rows == layout.window_length == target_length):
         raise LayoutError(f"{rows} rows on a {layout.mode} layout of window_length {layout.window_length} "

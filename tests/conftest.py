@@ -6,6 +6,7 @@ separate route from the implementation under test.
 """
 
 import contextlib
+import gc
 import math
 import struct
 import tracemalloc
@@ -63,7 +64,10 @@ def sym_eig_2x2(m):
 
 def traced_peak(fn):
     """``(fn(), peak)``: the result and the tracemalloc peak in bytes of the
-    allocations made during the call."""
+    allocations made during the call. A full collection first frees what
+    earlier tests left in cycles and resets the collector's counters, so the
+    collections during the call do not depend on which tests ran before."""
+    gc.collect()
     tracemalloc.start()
     try:
         result = fn()

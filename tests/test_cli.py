@@ -1,10 +1,13 @@
 import argparse
 import contextlib
+import gc
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +272,18 @@ class TestSeparate:
         parts = sum(fio.read_channels_csv(tmp_path / f"h_{name}.csv").data[:, 0]
                     for name in ("dominant", "weak", "noise"))
         assert np.max(np.abs(parts - wave)) <= 1e-13 * np.max(np.abs(wave))
+
+    def test_hankel_peak_is_bounded_by_the_input(self, tmp_path):
+        # At 100 000 samples and L = 20 the peak is ~1.38x the input: the
+        # parts are formed and written 1024 samples at a time, so the samples
+        # are the only N-long array. Whole parts, held with the noise, the
+        # window counts and np.convolve's N-long result, made it ~5.3x.
+        path = tmp_path / "long.csv"
+        self.long_wave(path, 100_000)
+        code, peak = traced_peak(lambda: run("separate", path, "--layout", "hankel", "--window-length", 20,
+                                             "--output-prefix", tmp_path / "h"))
+        assert code == 0
+        assert peak <= 1.6 * fio.read_channels_csv(path).data.nbytes
 
     @pytest.mark.parametrize("method, bound", [("svd", 2.2), ("gsvd", 1.35)])
     def test_channel_columns_peak_is_bounded_by_the_input(self, tmp_path, method, bound):
@@ -541,15 +556,19 @@ class TestStreamedBands:
         assert peak <= 0.25 * data.nbytes
 
     def test_a_non_finite_block_raises(self, tmp_path):
+        # A NaN in a weak direction: the first block of the dominant part is
+        # on disk when the weak part's second block fails, and no file is left.
         data = self.mixture(300, 1).data
         spec = self.factors(data, "svd")
+        cut = signal.cutoff(spec)
         left = spec.left_basis.copy()
-        left[200] = np.nan  # row 200 lies in the second 128-row block
+        left[200, cut.m] = np.nan  # row 200 lies in the second 128-row block
         spec = linalg.SpectrumResult(left, spec.right_basis, spec.singular_values, spec.numerical_rank)
-        bands = signal._band_tables(spec, signal.cutoff(spec), EmbedLayout.channel_columns(300), 300)
-        raise_exactly(InvalidInputError, lambda: fio.write_channels_csv(tmp_path / "d.csv", next(bands)),
-                      match="rows 129-256")
-        assert not (tmp_path / "d.csv").exists()
+        paths = [tmp_path / f"{name}.csv" for name in self.PARTS]
+        blocks = signal._band_blocks(spec, cut, EmbedLayout.channel_columns(300), 300)
+        raise_exactly(InvalidInputError, lambda: fio._write_channel_tables(paths, data.shape, blocks),
+                      match=re.escape(f"{paths[1]}: non-finite value in rows 129-256"))
+        assert not list(tmp_path.iterdir())
 
 
 class TestScan:
@@ -812,6 +831,28 @@ def test_malformed_option_value_exits_2(tmp_path, capsys, argv, message):
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_the_parser_is_freed_before_the_command_runs(tmp_path, mixture_csv, monkeypatch):
+    # Each action refers to the group holding it, so the parser's ~58 KiB sit
+    # in reference cycles, which would otherwise stay through the command.
+    refs, alive = [], []
+    build, separate = cli.build_parser, cli.cmd_separate
+
+    def building():
+        parser = build()
+        refs.extend(weakref.ref(obj) for obj in (parser, *parser._actions))
+        return parser
+
+    def separating(args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return separate(args)
+
+    monkeypatch.setattr(cli, "build_parser", building)
+    monkeypatch.setattr(cli, "cmd_separate", separating)
+    gc.collect()  # resets the collector's counters: no collection it would start frees the parser
+    assert run("separate", mixture_csv, "--output-prefix", tmp_path / "sep") == 0
+    assert alive == [0]
 
 
 class TestRunReport:

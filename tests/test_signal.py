@@ -456,6 +456,55 @@ class TestHankelStreamed:
             next(signal.band_signals(spec, bad, EmbedLayout.hankel(10), 100))
 
 
+class TestHankelBlocks:
+    """The CLI's hankel parts, formed a block of samples at a time, hold the
+    bytes of the parts formed over the whole signal at once."""
+
+    @staticmethod
+    def whole_signal(spec, cut, x, layout):
+        """The parts by correlate and convolve over all of x, divided by the window counts."""
+        counts = signal._hankel_counts(layout, spec.shape[1])
+        noise = x.copy()
+        parts = []
+        for lo, hi in signal._band_ranges(spec, cut)[:2]:
+            acc = np.zeros(x.size)
+            for u in spec.left_basis[:, lo:hi].T:
+                acc += np.convolve(u, np.correlate(x, u, "valid"))
+            acc /= counts
+            noise -= acc
+            parts.append(acc)
+        return parts + [noise]
+
+    @pytest.mark.parametrize("samples, window, noise_band", [
+        (9973, 37, True),
+        (3 * 1024 + 1, 40, True),  # the last block is one sample
+        (2 * 1024 + 5, 37, True),  # the last block is shorter than a window
+        (37, 37, True),            # N = L: one window
+        (70, 40, True),            # N < 2L: fewer windows than L
+        (3000, 2, True),
+        (4000, 40, False),         # the weak band runs to the end: no noise band
+        (2100, 1030, True),        # the first block is shorter than a window
+    ])
+    def test_blocks_are_the_whole_signal_parts(self, samples, window, noise_band):
+        rng = np.random.default_rng(samples + window)
+        x = np.sin(2 * np.pi * np.arange(samples) / 40) + 0.1 * rng.standard_normal(samples)
+        layout = EmbedLayout.hankel(window)
+        xt = signal.embed(ChannelSet(x[:, np.newaxis]), layout).T
+        if window > 1024:  # six orthonormal directions stand in for the SVD of a 1030-row X
+            basis = np.linalg.qr(rng.standard_normal((window, 6)))[0]
+            spec = linalg.StreamedSpectrum(basis, np.arange(6.0, 0.0, -1.0), 6, xt, 0)
+        else:
+            spec = linalg.streamed_svd(xt)
+        cut = TestBandSignals.cut_for(spec.numerical_rank)
+        if not noise_band:
+            cut = signal.CutoffResult(m=cut.m, f=None, peak_values=(0.0,), method="svd-egv")
+        blocks = signal._band_blocks(spec, cut, layout, samples)
+        got = [np.concatenate(parts)[:, 0] for parts in
+               zip(*(blocks(r0, min(r0 + 1024, samples)) for r0 in range(0, samples, 1024)))]
+        for part, want in zip(got, self.whole_signal(spec, cut, x, layout)):
+            assert part.tobytes() == want.tobytes()
+
+
 class TestEnergyGap:
     def test_small_spectrum(self):
         spec = spectrum_of([2.0, 1.0])
