@@ -44,8 +44,8 @@ def write_channels_csv(path, channels, labels=None) -> None:
     """One column per channel, comma separated, under a header row of labels.
 
     ``channels`` is a :class:`ChannelSet`, whose labels are written unless
-    ``labels`` is given, or any (samples, channels) table with ``.shape`` and
-    row slicing; unlabelled channels are headed ``ch0``, ``ch1``, ...
+    ``labels`` is given, or a (samples, channels) array; unlabelled channels
+    are headed ``ch0``, ``ch1``, ...
 
     Raises :class:`InvalidInputError`, before the file is opened, for a
     header the reader would not give back: labels that all parse as

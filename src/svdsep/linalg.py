@@ -123,9 +123,9 @@ class StreamedSpectrum:
     was read from: ``signal.band_signals`` forms the band signals of the
     window view of a stride-1 hankel layout from it, by rank. It has no
     matrix parts (``signal.separate`` refuses it).
-    ``factorizations`` counts the factorizations run: a QR per block, a QR
-    per merge of two triangles (one fewer than the blocks) and the final
-    SVD, so twice the block count.
+    ``factorizations`` counts the factorizations run: a QR per block of
+    ``linalg._block_rows`` rows, a QR per merge of two triangles (one fewer
+    than the blocks) and the final SVD, so twice the block count.
     """
 
     left_basis: np.ndarray
@@ -162,7 +162,8 @@ class GsvdResult:
     (:meth:`band_matrix`), and U = Q_A ``u_factor`` is formed on read from
     the Q of the blocked QR that gave R_A (:func:`_blocked_q`).
     ``factorizations`` counts the QRs of the TSQRs of A and of B, 2 blocks - 1
-    each, and two SVDs: 4 when each matrix is one block.
+    each over blocks of ``linalg._block_rows`` rows, and two SVDs: 4 when
+    each matrix is one block.
 
     A result is built in one of two ways. From a matrix B it also holds
     ``b``, the array or view B was read from, and V, the orthonormal factor
@@ -307,35 +308,38 @@ def svd(a) -> SpectrumResult:
     )
 
 
-# Rows of X^T per QR block of streamed_svd's TSQR, per row of X: 8 m; no
-# other code reads it. On the 4000-sample, L = 40 hankel benchmark input
-# (seed 0), whose parts are formed 1024 samples at a time, a whole in-process
-# `separate` run (one OpenBLAS thread, 2-vCPU host) with 4 L, 8 L, 16 L and
-# 32 L windows per block peaks at 0.17, 0.19, 0.29 and 0.48 MiB and takes 13,
-# 12, 12 and 13 ms (median of 60). At 40 000 samples of two sines, L = 200, it
-# peaks at 2.5, 3.7, 6.2 and 11.1 MiB and takes 294, 297, 298 and 360 ms (of 5).
-_STREAM_BLOCK = 8
-
-# Entries per QR block of gsvd's TSQRs of A and B: max(n, 8192 // n) rows,
-# 1024 rows (a 64 KiB copy) at 8 channels. R_A of a seeded n = 8 A, LAPACK on
-# one OpenBLAS thread, in ms (median, 2-vCPU host) and traced peak / A:
-#   entries       2048      4096      8192      16384     32768     one QR
-#   4 000 rows    0.9 .08   0.6 .15   0.4 .27   0.3 .52   0.2 1.0   0.2 1.0
-#   40 000 rows   5.8 .008  5.8 .015  3.9 .027  2.9 .053  2.5 .10   5.8 1.0
-#   400 000 rows  85 .001   50 .001   36 .003   28 .005   24 .010   78 1.0
-# Under 3200 entries the benchmark's 400-row smoke input is two blocks; from
-# 32 000 its 4000-row input is one, and the peak a copy of A again.
+# Entries per QR block of every TSQR (_block_rows): max(8 n, 8192 // n) rows
+# for an x of n columns, so 1024 rows (a 64 KiB copy) at gsvd's 8 channels
+# and at L = 8, and 8 L windows of a Hankel trajectory from L = 32. One
+# OpenBLAS thread, 2-vCPU host, median ms and traced peak (/ A, or MiB):
+#   R_A, n = 8; entries  2048      4096      8192*     16384     32768     one QR
+#     4 000 rows         0.9 .08   0.6 .15   0.4 .27   0.3 .52   0.2 1.0   0.2 1.0
+#     40 000 rows        5.8 .008  5.8 .015  3.9 .027  2.9 .053  2.5 .10   5.8 1.0
+#     400 000 rows       85 .001   50 .001   36 .003   28 .005   24 .010   78 1.0
+#   hankel `separate`    4 L       8 L*      16 L      32 L      windows (whole run)
+#     4000, L = 40       13 0.17   12 0.19   12 0.29   13 0.48   (seed 0, of 60)
+#     40 000, L = 200    294 2.5   297 3.7   298 6.2   360 11.1  (two sines, of 5)
+#   streamed_svd of 40 000 samples, ms (factorizations): 8 L windows against 8192*
+#     L = 2, 8           66 (5000) and 19 (1250) against 0.70 (20) and 2.7 (80)
+# Under 3200 entries the benchmark's 400-row gsvd smoke input is two blocks;
+# from 32 000 its 4000-row input is one, and the peak a copy of A again.
 _BLOCK_ENTRIES = 8192
 
 
-def _tsqr(name: str, x: np.ndarray, step: int) -> tuple[np.ndarray | None, int]:
-    """R of x = QR, (min(rows, n), n), by sequential TSQR over blocks of ``step``
-    rows (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34(1),
-    2012), and the QRs run, ``2 * blocks - 1``; R is None when x has no rows.
-    Each block is QR-factored alone, which copies it once for LAPACK, and its
+def _block_rows(x: np.ndarray) -> int:
+    """Rows per block of a TSQR of x, (rows, n): ``_BLOCK_ENTRIES`` entries, at least 8 n rows."""
+    return max(8 * x.shape[1], _BLOCK_ENTRIES // x.shape[1])
+
+
+def _tsqr(name: str, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """R of x = QR, (min(rows, n), n), of an x with rows, by sequential TSQR
+    over :func:`_block_rows` (Demmel, Grigori, Hoemmen and Langou, SIAM J.
+    Sci. Comput. 34(1), 2012), and the QRs run, ``2 * blocks - 1``. Each
+    block is QR-factored alone, which copies it once for LAPACK, and its
     triangle is merged into R as the R factor of the stack [R; R_block]. A
     failure is a :class:`ConvergenceError` naming ``name`` and x's shape.
     """
+    step = _block_rows(x)
     r = None
     for j in range(0, x.shape[0], step):
         r_block = _lapack(name, x.shape, np.linalg.qr, x[j : j + step], mode="r")
@@ -348,17 +352,17 @@ def streamed_svd(xt) -> StreamedSpectrum:
     """Singular values and left basis of X, read from X^T in row blocks.
 
     ``xt`` is X^T, (n, m): an array or a strided view such as a window view,
-    read ``8 m`` rows at a time. The triangular factor R of X^T = QR holds
-    the singular values of X, and its right singular vectors are the left
-    ones of X (Chan's R-SVD). R is built by sequential TSQR (:func:`_tsqr`),
-    whose merges stack two m x m triangles. This is backward stable, unlike
-    forming X X^T, and holds neither a copy of X nor its (n, k) right basis.
-    The rank rule is :func:`svd`'s, ``max(m, n) * eps * sigma_1``.
+    read :func:`_block_rows` at a time. The triangular factor R of X^T = QR
+    holds the singular values of X, and its right singular vectors are the
+    left ones of X (Chan's R-SVD). R is built by sequential TSQR
+    (:func:`_tsqr`), whose merges stack two m x m triangles. This is backward
+    stable, unlike forming X X^T, and holds neither a copy of X nor its
+    (n, k) right basis. The rank rule is :func:`svd`'s, ``max(m, n) * eps * sigma_1``.
     """
     n, m = xt.shape
-    r, qrs = _tsqr("blocked QR", xt, max(1, int(_STREAM_BLOCK * m)))
-    if r is None:
-        raise ShapeError("streamed_svd needs at least one row of X^T")
+    if n < 1 or m < 1:
+        raise ShapeError(f"streamed_svd needs at least one row and one column of X^T, got {xt.shape}")
+    r, qrs = _tsqr("blocked QR", xt)
     # R, not xt: on a window view, a mask of xt is as large as the trajectory.
     if not np.all(np.isfinite(r)):
         raise InvalidInputError("X contains non-finite entries")
@@ -374,13 +378,8 @@ def streamed_svd(xt) -> StreamedSpectrum:
     )
 
 
-def _block_rows(x: np.ndarray) -> int:
-    """Rows per block of gsvd's TSQR of x: ``_BLOCK_ENTRIES`` entries, at least n rows."""
-    return max(x.shape[1], _BLOCK_ENTRIES // x.shape[1])
-
-
 def _blocked_q(x: np.ndarray) -> np.ndarray:
-    """Q of x = QR for the R of gsvd's TSQR of x: the same QRs, each keeping
+    """Q of x = QR for the R of :func:`_tsqr` of x: the same QRs, each keeping
     its Q, and each block's Q carried back through the merges after it. A
     whole QR's Q pairs with that R only up to the signs of its columns, and
     not at all where a column of x is zero or repeats another."""
@@ -414,7 +413,7 @@ class _Reference:
 
 def _reduced(b_arr: np.ndarray) -> _Reference:
     """The :class:`_Reference` of a checked matrix B: its TSQR."""
-    r_b, qrs = _tsqr("QR", b_arr, _block_rows(b_arr))
+    r_b, qrs = _tsqr("QR", b_arr)
     return _Reference(triangle=r_b, exponent=_exponent(b_arr), shape=b_arr.shape, factorizations=qrs)
 
 
@@ -431,7 +430,7 @@ def gsvd(a, b) -> GsvdResult:
     [A; B] of full column rank, which is never formed: A = Q_A R_A and
     B = Q_B R_B are factored apart, as LAPACK's xGGSVP3 begins (Bai and
     Demmel, SIAM J. Sci. Comput. 14(6), 1993), each R by sequential TSQR over
-    blocks of ``_BLOCK_ENTRIES`` entries, so that no copy of A or B is made
+    blocks of :func:`_block_rows` rows, so that no copy of A or B is made
     beyond one block (:func:`_tsqr`). The SVD P Sigma Z^T of
     [R_A; R_B] carries the rank check; the SVD of the top block of P gives
     alpha and W, and beta is the column norms of its bottom block times W.
@@ -461,7 +460,7 @@ def gsvd(a, b) -> GsvdResult:
         raise ShapeError(f"A and B must share a column count, got {n} and {b_cols}")
     if m < n:
         raise ShapeError(f"A must have at least as many rows as columns, got {a_arr.shape}")
-    r_a, qrs = _tsqr("QR", a_arr, _block_rows(a_arr))
+    r_a, qrs = _tsqr("QR", a_arr)
     ref = b if b_arr is None else _reduced(b_arr)
     # A power of the radix, as LAPACK's xGGBAL balances a pencil (Ward,
     # SIAM J. Sci. Stat. Comput. 2(2), 1981). Max |entry|, not a norm: a norm

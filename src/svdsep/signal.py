@@ -441,7 +441,7 @@ def separate(factors: SpectrumResult | GsvdResult,
     """
     if isinstance(factors, StreamedSpectrum):
         raise LayoutError("a streamed spectrum forms no matrix parts: take its band_signals")
-    return tuple(_Band(factors, lo, hi)[:] for lo, hi in _band_ranges(factors, cut))
+    return tuple(_band_rows(factors, _band_ranges(factors, cut), 0, factors.shape[0]))
 
 
 def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult,
@@ -473,11 +473,16 @@ def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
     of ``transposed``: in the window view ``embed(...).T``, a row stride
     equal to its column stride puts entry (j, i) at the one location of
     sample j + i. Whole channel columns, the CLI's other route, give the
-    rows of their bands' :class:`_Band`.
+    rows of their bands (:func:`_band_rows`).
     """
     if not isinstance(factors, StreamedSpectrum):
-        bands = list(_band_tables(factors, cut, layout, target_length))
-        return lambda r0, r1: [band[r0:r1] for band in bands]
+        rows = factors.shape[0]
+        if layout.mode != MODE_CHANNEL_COLUMNS or not (rows == layout.window_length == target_length):
+            raise LayoutError(f"{rows} rows on a {layout.mode} layout of window_length {layout.window_length} "
+                              f"and target_length {target_length} are not whole channel columns: "
+                              "take unembed(part, layout, target_length) of separate's parts")
+        ranges = _band_ranges(factors, cut)
+        return lambda r0, r1: _band_rows(factors, ranges, r0, r1)
     ranges = _band_ranges(factors, cut)
     xt = factors.transposed
     pitch = xt.strides[1]  # bytes from one sample to the next
@@ -489,46 +494,21 @@ def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
     return lambda r0, r1: _hankel_rows(factors.left_basis, ranges, x, r0, r1)
 
 
-def _band_tables(factors: SpectrumResult | GsvdResult, cut: CutoffResult,
-                 layout: EmbedLayout, target_length: int):
-    """Yield the :class:`_Band` of each band of an SVD or GSVD of whole
-    channel columns, which forms only the rows it is sliced for."""
-    rows = factors.shape[0]
-    if layout.mode != MODE_CHANNEL_COLUMNS or not (rows == layout.window_length == target_length):
-        raise LayoutError(f"{rows} rows on a {layout.mode} layout of window_length {layout.window_length} "
-                          f"and target_length {target_length} are not whole channel columns: "
-                          "take unembed(part, layout, target_length) of separate's parts")
-    for lo, hi in _band_ranges(factors, cut):
-        yield _Band(factors, lo, hi)
-
-
-@dataclass(frozen=True)
-class _Band:
-    """The band ``[lo, hi)`` of ``factors`` as a matrix that forms only the
-    rows it is sliced for: ``band[rows]``, a slice; ``band[:]`` is the part.
+def _band_rows(factors: SpectrumResult | GsvdResult, ranges, r0: int, r1: int) -> list[np.ndarray]:
+    """Rows ``[r0, r1)`` of the bands ``ranges`` of ``factors``.
 
     A band is ``U[:, b] diag(w[b]) X[:, b]^T``. A generalized band is rows
     of A times an n x n band matrix, so no (m, n) basis is formed.
     """
-
-    factors: SpectrumResult | GsvdResult
-    lo: int
-    hi: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.factors.shape
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        start, stop, step = rows.indices(self.shape[0])
-        if len(range(start, stop, step)) == 1 and self.shape[0] >= 2:
-            # a one-row product would be a matrix-vector product, which rounds differently
-            first = min(start, self.shape[0] - 2)
-            return self[first : first + 2][start - first : start - first + 1]
-        f = self.factors
-        if isinstance(f, GsvdResult):
-            return f.a[rows] @ f.band_matrix(self.lo, self.hi)
-        return _band(f.left_basis[rows], f.singular_values, f.right_basis, self.lo, self.hi)
+    rows = factors.shape[0]
+    if r1 - r0 == 1 and rows >= 2:
+        # a one-row product would be a matrix-vector product, which rounds differently
+        first = min(r0, rows - 2)
+        return [band[r0 - first : r0 - first + 1] for band in _band_rows(factors, ranges, first, first + 2)]
+    if isinstance(factors, GsvdResult):
+        return [factors.a[r0:r1] @ factors.band_matrix(lo, hi) for lo, hi in ranges]
+    u = factors.left_basis[r0:r1]
+    return [_band(u, factors.singular_values, factors.right_basis, lo, hi) for lo, hi in ranges]
 
 
 def _band_ranges(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult):

@@ -367,7 +367,7 @@ class TestSeparate:
         assert run("separate", mixture_csv, *route, "--output-prefix", prefix) == 0
         report = read_json(f"{prefix}_report.json")
         assert report["work_counters"] == {"decompositions": calls["svd"] + calls["qr"]}
-        # hankel: one QR per block of 8 L = 240 of the 371 windows, one QR
+        # hankel: one QR per block of 8192 // L = 273 of the 371 windows, one QR
         # merging the second block's triangle into the first's, then one SVD.
         # gsvd-blocked: 2500 and 3000 rows in blocks of 1024, so three blocks
         # of A and of B, each block and each merge one QR.
@@ -548,9 +548,8 @@ class TestStreamedBands:
         cut = signal.cutoff(decomp)
 
         def write():
-            bands = signal._band_tables(decomp, cut, EmbedLayout.channel_columns(len(data)), len(data))
-            for name in self.PARTS:
-                fio.write_channels_csv(tmp_path / f"{name}.csv", next(bands))
+            blocks = signal._band_blocks(decomp, cut, EmbedLayout.channel_columns(len(data)), len(data))
+            fio._write_channel_tables([tmp_path / f"{name}.csv" for name in self.PARTS], data.shape, blocks)
 
         _, peak = traced_peak(write)
         assert peak <= 0.25 * data.nbytes

@@ -268,15 +268,21 @@ class TestStreamedSvd:
     @pytest.mark.parametrize("shape, step", [
         ((40, 397), 397), ((40, 397), 13), ((40, 397), 1), ((12, 5), 2), ((6, 6), 4)])
     def test_matches_the_dense_svd(self, monkeypatch, shape, step):
-        # step rows of X^T per block: (step + 0.5) / m rows per row of X
-        monkeypatch.setattr(linalg, "_STREAM_BLOCK", (step + 0.5) / shape[0])
+        monkeypatch.setattr(linalg, "_block_rows", lambda x: step)
         a = np.random.default_rng(sum(shape)).standard_normal(shape)
         self.assert_matches_the_dense_svd(a.T, step)
 
     def test_reads_a_window_view(self):
-        # 481 windows of 20 samples, 160 rows per block: four blocks
+        # 481 windows of 20 samples, 409 rows per block: two blocks
         x = np.random.default_rng(9).standard_normal(500)
-        self.assert_matches_the_dense_svd(np.lib.stride_tricks.sliding_window_view(x, 20), 160)
+        self.assert_matches_the_dense_svd(np.lib.stride_tricks.sliding_window_view(x, 20), 409)
+
+    @pytest.mark.parametrize("window, step", [(2, 4096), (8, 1024)])
+    def test_short_windows_take_blocks_of_8192_entries(self, window, step):
+        # 8 L windows per block would cut these 40 000 samples into 5000 and
+        # 1250 blocks; 8192 entries make 10 and 40.
+        x = np.random.default_rng(window).standard_normal(40_000)
+        self.assert_matches_the_dense_svd(np.lib.stride_tricks.sliding_window_view(x, window), step)
 
     def test_holds_one_block_and_the_triangles(self):
         # 19 901 windows of L = 100 in blocks of 8 L: each block's QR copies
@@ -300,6 +306,8 @@ class TestStreamedSvd:
             linalg.streamed_svd(a.T)
         with pytest.raises(ShapeError):
             linalg.streamed_svd(np.empty((0, 4)))
+        with pytest.raises(ShapeError, match="one column"):
+            linalg.streamed_svd(np.empty((4, 0)))
 
 
 class TestGsvd:
@@ -486,8 +494,8 @@ class TestGsvdOfAReference:
 
 
 class TestBlockedGsvd:
-    """gsvd builds R_A and R_B by TSQR over blocks of _BLOCK_ENTRIES entries,
-    at least n rows; small blocks agree with one block to rounding."""
+    """gsvd builds R_A and R_B by TSQR over blocks of _block_rows rows; small
+    blocks agree with one block to rounding."""
 
     @staticmethod
     def pair(n, rows_a, rows_b, rank, seed):
@@ -496,12 +504,11 @@ class TestBlockedGsvd:
         return a, rng.standard_normal((rows_b, n))
 
     @staticmethod
-    def assert_agrees_with_one_block(monkeypatch, a, b, entries):
+    def assert_agrees_with_one_block(monkeypatch, a, b, step):
         one = linalg.gsvd(a, b)
-        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(linalg, "_block_rows", lambda x: step)
         got = linalg.gsvd(a, b)
         (m, n), s = a.shape, b.shape[0]
-        step = max(n, entries // n)
         assert got.factorizations == 2 * (-(-m // step) + -(-s // step))
         if n >= 2:
             with warnings.catch_warnings():
@@ -517,22 +524,22 @@ class TestBlockedGsvd:
         assert np.linalg.norm(got.reconstruct_a() - a) <= 1e-12 * np.linalg.norm(a)
         assert np.linalg.norm(got.reconstruct_b() - b) <= 1e-12 * np.linalg.norm(b)
 
-    @pytest.mark.parametrize("n, rows_a, rows_b, entries", [
+    @pytest.mark.parametrize("n, rows_a, rows_b, step", [
         (1, 7, 5, 1),         # blocks of 1 row
-        (8, 40, 33, 64),      # blocks of n rows, a 1-row tail of B
-        (8, 45, 40, 72),      # blocks of n + 1 rows, no tail of A and a 4-row one of B
-        (8, 203, 150, 512),   # 64-row blocks, an 11-row tail of A and a 22-row one of B
-        (8, 300, 5, 64),      # a reference with s < n: one wide block
+        (8, 40, 33, 8),       # blocks of n rows, a 1-row tail of B
+        (8, 45, 40, 9),       # blocks of n + 1 rows, no tail of A and a 4-row one of B
+        (8, 203, 150, 64),    # 64-row blocks, an 11-row tail of A and a 22-row one of B
+        (8, 300, 5, 8),       # a reference with s < n: one wide block
     ], ids=["1-row", "n-rows", "n+1-rows", "tails", "wide-reference"])
-    def test_agrees_with_one_block(self, monkeypatch, n, rows_a, rows_b, entries):
+    def test_agrees_with_one_block(self, monkeypatch, n, rows_a, rows_b, step):
         a, b = self.pair(n, rows_a, rows_b, n, rows_a)
-        self.assert_agrees_with_one_block(monkeypatch, a, b, entries)
+        self.assert_agrees_with_one_block(monkeypatch, a, b, step)
 
     @pytest.mark.parametrize("rank", [7, 6])
     @pytest.mark.parametrize("rows_b", [150, 5])
     def test_rank_deficient_a(self, monkeypatch, rank, rows_b):
         a, b = self.pair(8, 203, rows_b, rank, rank)
-        self.assert_agrees_with_one_block(monkeypatch, a, b, 64)
+        self.assert_agrees_with_one_block(monkeypatch, a, b, 8)
 
     @pytest.mark.parametrize("column", ["zero", "repeated"])
     def test_a_dead_or_repeated_channel(self, monkeypatch, column):
@@ -541,7 +548,7 @@ class TestBlockedGsvd:
         # QR's Q with its columns' signs fixed missed A by 2.7e-3 to 2.7e-2.
         a, b = self.pair(8, 3000, 3500, 8, 3)
         a[:, 2] = 0.0 if column == "zero" else a[:, 1]
-        self.assert_agrees_with_one_block(monkeypatch, a, b, 512)
+        self.assert_agrees_with_one_block(monkeypatch, a, b, 64)
 
     def test_one_block_is_a_whole_qr(self):
         # 1024 rows of 8 channels are one block: R_A is qr(A, mode="r") itself,
@@ -549,12 +556,12 @@ class TestBlockedGsvd:
         a, b = self.pair(8, 1024, 1024, 8, 4)
         res = linalg.gsvd(a, b)
         assert res.factorizations == 4
-        r, qrs = linalg._tsqr("QR", a, linalg._block_rows(a))
+        r, qrs = linalg._tsqr("QR", a)
         assert qrs == 1 and r.tobytes() == np.linalg.qr(a, mode="r").tobytes()
         assert res.u_basis.tobytes() == (np.linalg.qr(a)[0] @ res.u_factor).tobytes()
 
     def test_a_failing_block_names_the_whole_matrix(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 64)
+        monkeypatch.setattr(linalg, "_block_rows", lambda x: 8)
         a, b = self.pair(8, 40, 20, 8, 5)
         for call, shape in ((2, "40x8"), (12, "20x8")):  # A's second block, B's first merge
             with lapack_fails("qr", call):
@@ -577,7 +584,8 @@ _A, _B, _XT = _RNG.standard_normal((8, 3)), _RNG.standard_normal((5, 3)), _RNG.s
     ("svd", 2, lambda: linalg.gsvd(_A, _B), "SVD of a 3x3 matrix"),
 ], ids=["svd", "svd-wide", "streamed-qr", "streamed-svd", "gsvd-a-qr", "gsvd-b-qr",
         "gsvd-rank-svd", "gsvd-q1-svd"])
-def test_lapack_failure_is_a_typed_error(name, call, run, message):
+def test_lapack_failure_is_a_typed_error(monkeypatch, name, call, run, message):
+    monkeypatch.setattr(linalg, "_block_rows", lambda x: 32)  # _XT's 100 rows in four blocks
     with lapack_fails(name, call):
         raise_exactly(ConvergenceError, run, match=f"^{message} failed: {name} did not converge$")
 

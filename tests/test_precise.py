@@ -106,7 +106,7 @@ class TestGsvdAgainst200Bits:
         # 30 seeds (measured: values 1.3x, parts 0.9x the one-block route's).
         seeds = range(30)
         one_block = [_errors(*_reference(seed)) for seed in seeds]
-        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 64 * 8)
+        monkeypatch.setattr(linalg, "_block_rows", lambda x: 64)
         blocked = [_errors(*_reference(seed)) for seed in seeds]
         assert [cut for cut, _, _ in blocked] == [cut for cut, _, _ in one_block]
         for k in (1, 2):
