@@ -153,8 +153,8 @@ def cmd_scan(args) -> RunReport:
         _check_threshold(args.threshold, polarity)  # before the scan writes its map files
     # WindowConfig's defaults stand in for the options not given; it checks
     # the order against the window before the image is read.
-    knobs = {"order": args.order} if args.order is not None else {}
-    cfg = WindowConfig(window_size=args.window_size, stride=args.stride, **knobs)
+    knobs = {name: value for name, value in (("stride", args.stride), ("order", args.order)) if value is not None}
+    cfg = WindowConfig(window_size=args.window_size, **knobs)
     # No local keeps the image: it is freed before the outputs are written.
     smap = sliding_scan(fio.load_gray_image(args.input), cfg)
 
@@ -174,7 +174,7 @@ def cmd_scan(args) -> RunReport:
         command="scan",
         inputs=[args.input],
         parameters={
-            "window_size": args.window_size, "stride": args.stride,
+            "window_size": args.window_size, "stride": cfg.stride,
             "order": cfg.order,
             "threshold": args.threshold, "polarity": polarity,
             "output_prefix": args.output_prefix,
@@ -248,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", parents=[common], help="sliding-window smoothness map of a grayscale image")
     p_scan.add_argument("input", help="PGM or 8-bit grayscale PNG image")
     p_scan.add_argument("--window-size", type=int, default=5)
-    p_scan.add_argument("--stride", type=int, default=1)
     # None marks an option not given: WindowConfig's default stands in for it,
     # and --polarity is refused where unread.
+    p_scan.add_argument("--stride", type=int, default=None)
     p_scan.add_argument("--order", type=int, default=None,
                         help="smoothness order n, 1 <= n < window size (default 1)")
     p_scan.add_argument("--threshold", type=float, default=None)

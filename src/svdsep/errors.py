@@ -5,6 +5,22 @@ family, and from the closest builtin (``ValueError`` / ``IndexError``) so the
 classes behave naturally in generic code.
 """
 
+__all__ = [
+    "SvdsepError",
+    "InvalidInputError",
+    "ShapeError",
+    "DegeneratePencilError",
+    "ConvergenceError",
+    "RangeError",
+    "InsufficientRankError",
+    "DegenerateSpectrumError",
+    "OrderError",
+    "ConfigError",
+    "LayoutError",
+    "GeneratorSpecError",
+    "ParseError",
+]
+
 
 class SvdsepError(Exception):
     """Base class for all svdsep errors."""

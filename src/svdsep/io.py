@@ -118,15 +118,17 @@ def _write_rows(paths, shape, blocks, cell, sep, head=None) -> None:
     ``[r0, r1)`` of each table, so tables that form their rows when asked are
     never held whole. A block holding a non-finite value, which the readers
     would reject, raises :class:`InvalidInputError` naming its file and rows.
-    That or any other failure once the files are open removes them all: their
-    rows so far would read back as shorter tables.
+    That or any other failure, opening a later file too, removes every file
+    this call opened: their rows so far would read back as shorter tables.
     """
     rows, width = shape
     step = max(1, _WRITE_ENTRIES // width)
     line = sep.join([cell] * width) + "\n"
+    handles = []
     with contextlib.ExitStack() as files:
-        handles = [files.enter_context(open(path, "w", encoding="utf-8", newline="\n")) for path in paths]
         try:
+            for path in paths:
+                handles.append(files.enter_context(open(path, "w", encoding="utf-8", newline="\n")))
             for fh in handles:
                 fh.write("" if head is None else head + "\n")
             for r0 in range(0, rows, step):
@@ -137,7 +139,7 @@ def _write_rows(paths, shape, blocks, cell, sep, head=None) -> None:
                     fh.write(line * len(block) % tuple(block.ravel().tolist()))
         except BaseException:
             files.close()
-            for path in paths:
+            for path in paths[: len(handles)]:
                 Path(path).unlink()
             raise
 

@@ -182,20 +182,18 @@ def _layout_end(shape: tuple[int, int], layout: EmbedLayout, target_length: int)
     return end
 
 
-def _hankel_counts(layout: EmbedLayout, columns: int) -> np.ndarray:
-    """How many entries of a ``columns``-window Hankel matrix fall on each
-    sample it spans, as floats.
+def _hankel_counts(j: np.ndarray, n: int, windows: int, stride: int = 1) -> np.ndarray:
+    """How many of ``windows`` Hankel windows of length ``n`` cover each
+    sample index in ``j``, as floats.
 
-    Window j covers samples [j * stride, j * stride + L): a difference array
-    adds 1 at each window's start and takes 1 off one past its end, and its
-    running sum is the count. Its terms are small integers, so it is exact.
+    Window k covers samples [k * stride, k * stride + n), so sample j lies in
+    windows k from ceil((j - n + 1) / stride), and not below 0, to
+    floor(j / stride), and not above the last window: the diagonal-averaging
+    divisor of SSA (Korobeynikov, Statistics and Its Interface 3(3), 2010).
+    A sample between windows (stride > n) counts 0. The terms are small
+    integers, so the count is exact.
     """
-    n, stride = layout.window_length, layout.stride
-    span = (columns - 1) * stride + 1
-    counts = np.zeros(span - 1 + n)
-    counts[:span:stride] += 1.0
-    counts[n::stride] -= 1.0  # the last window ends past the array
-    return np.cumsum(counts, out=counts)
+    return np.minimum(j // stride, windows - 1) + 1.0 - np.maximum(0, -((n - 1 - j) // stride))
 
 
 def _unembed(matrix: np.ndarray, layout: EmbedLayout, target_length: int) -> np.ndarray:
@@ -203,8 +201,9 @@ def _unembed(matrix: np.ndarray, layout: EmbedLayout, target_length: int) -> np.
 
     Channel-columns puts the matrix in the first rows. A Hankel matrix is
     diagonal-averaged in one pass over its rows: entry (i, j) is sample
-    i + j * stride, so each row adds into one strided slice, and a sample
-    receives its entries in row order.
+    i + j * stride, so each row adds into one strided slice, a sample
+    receives its entries in row order, and their sum is divided by the
+    sample's window count (:func:`_hankel_counts`).
     """
     end = _layout_end(matrix.shape, layout, target_length)
     columns = matrix.shape[1]
@@ -216,7 +215,7 @@ def _unembed(matrix: np.ndarray, layout: EmbedLayout, target_length: int) -> np.
     acc = np.zeros(target_length)
     for i, row in enumerate(matrix):
         acc[i : i + span : layout.stride] += row
-    counts = _hankel_counts(layout, columns)
+    counts = _hankel_counts(np.arange(end), layout.window_length, columns, layout.stride)
     acc[:end] /= np.maximum(counts, 1.0, out=counts)  # a sample between windows keeps its 0
     return acc.reshape(-1, 1)
 
@@ -228,19 +227,19 @@ def _hankel_rows(basis: np.ndarray, ranges, x: np.ndarray, j0: int, j1: int) -> 
     ``w_k = u_k^T X`` is ``np.correlate(x, u_k, "valid")``, and a band's
     diagonal sums are the sum over its ranks of ``np.convolve(u_k, w_k)``
     (Korobeynikov, Statistics and Its Interface 3(3), 2010), divided by each
-    sample's window count. Only the windows over the rows are read (more
-    than L where X has them: ``np.convolve`` sums in reverse order when its
-    second operand is the longer), and rows inside L windows each are its
-    "valid" part, so each row has the bytes of the sums over all of x. The
-    noise is x less the other two, and 0 past the last window.
+    sample's window count (:func:`_hankel_counts`). Only the windows over
+    the rows are read (more than L where X has them: ``np.convolve`` sums in
+    reverse order when its second operand is the longer), and rows inside L
+    windows each are its "valid" part, so each row has the bytes of the sums
+    over all of x. The noise is x less the other two, and 0 past the last
+    window.
     """
     n, end = basis.shape[0], x.size
     windows, e1 = end - n + 1, max(j0, min(j1, end))
     k1 = min(windows, max(e1, n + 1))
     k0 = max(0, min(j0 - n + 1, k1 - n - 1))
     mode, first = ("valid", k0 + n - 1) if n - 1 <= j0 and e1 <= windows else ("full", k0)
-    j = np.arange(j0, e1)
-    counts = np.minimum(np.minimum(j, min(n, windows) - 1), end - 1 - j) + 1.0
+    counts = _hankel_counts(np.arange(j0, e1), n, windows)
     dominant, weak, noise = (np.zeros((j1 - j0, 1)) for _ in range(3))
     noise[: e1 - j0, 0] = x[j0:e1]
     windowed = x[k0 : k1 + n - 1]

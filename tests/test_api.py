@@ -18,6 +18,8 @@ from svdsep.errors import OrderError, RangeError
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(svdsep.__path__, "svdsep."))
 README = Path(__file__).resolve().parents[1] / "README.md"
+# The modules whose __all__ the top level re-exports, in its order: all but io.
+REEXPORTED = ("svdsep.errors", "svdsep.linalg", "svdsep.signal", "svdsep.image", "svdsep.synth", "svdsep.bench")
 
 
 @pytest.mark.parametrize("module", ["svdsep", *MODULES])
@@ -25,6 +27,23 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_the_top_level_lists_each_name_once():
+    assert len(set(svdsep.__all__)) == len(svdsep.__all__)
+
+
+def test_the_top_level_names_are_the_module_all_lists():
+    with_all = {name for name in MODULES if hasattr(importlib.import_module(name), "__all__")}
+    assert with_all - set(REEXPORTED) == {"svdsep.io"}
+    modules = [importlib.import_module(name) for name in REEXPORTED]
+    assert svdsep.__all__ == [name for mod in modules for name in mod.__all__] + ["__version__"]
+
+
+@pytest.mark.parametrize("module", REEXPORTED)
+def test_each_top_level_name_is_its_module_s_object(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if getattr(svdsep, name) is not getattr(mod, name)] == []
 
 
 def test_readme_quickstart_runs_and_its_comments_hold():
@@ -79,6 +98,14 @@ def test_numpy_is_the_only_runtime_dependency(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert imported - sys.stdlib_module_names - {"numpy", "svdsep"} == set()
+
+
+def test_readme_install_comment_names_the_test_extra():
+    pyproject = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    extra = ast.literal_eval(re.search(r"^test = (\[.*\])$", pyproject, re.M).group(1))
+    comment = re.search(r"^pip install \.\[test\] +# adds (.*) for the test suite$",
+                        README.read_text(encoding="utf-8"), re.M)
+    assert comment.group(1).split(", ") == extra
 
 
 # The tier-1 command: the whole suite, tests/ and perfbench/, from the source tree.

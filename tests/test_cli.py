@@ -163,6 +163,20 @@ class TestSeparate:
         assert "svdsep: error: ConvergenceError: " in capsys.readouterr().err
         assert not (tmp_path / "sep_report.json").exists()
 
+    def test_a_part_that_cannot_be_opened_leaves_no_part_behind(self, tmp_path, mixture_csv, capsys):
+        # A rerun over a good run's files, whose noise path is now a directory:
+        # the two parts opened before it would be left truncated to 0 bytes.
+        prefix = tmp_path / "sep"
+        assert run("separate", mixture_csv, "--output-prefix", prefix) == 0
+        (tmp_path / "sep_noise.csv").unlink()
+        (tmp_path / "sep_noise.csv").mkdir()
+        capsys.readouterr()
+        assert run("separate", mixture_csv, "--output-prefix", prefix) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("svdsep: ") and "sep_noise.csv" in err
+        assert sorted(p.name for p in tmp_path.glob("sep_*")) == ["sep_noise.csv", "sep_report.json"]
+        assert (tmp_path / "sep_noise.csv").is_dir()
+
     def test_gsvd_reference_blind_to_a_direction(self, tmp_path, mixture_csv):
         run("synth", "mixture", "--seed", 2, "--output-prefix", tmp_path / "ref")
         ref = fio.read_channels_csv(f"{tmp_path / 'ref'}_signals.csv")

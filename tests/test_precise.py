@@ -1,9 +1,11 @@
-"""The numbers `separate --method gsvd` writes, against a 200-bit reference.
+"""The numbers `separate --method svd` and `--method gsvd` write, against a
+200-bit reference.
 
-The reference solves the symmetric-definite pencil (A^T A, B^T B) through a
-Cholesky factor of B^T B, with mpmath at 200 bits: a route of its own, not
-the library's QR and SVD route. The Gram matrices and the band products
-are formed exactly in integers, so forming A^T A loses nothing.
+The svd reference takes the eigenpairs of A^T A, and the gsvd reference
+solves the symmetric-definite pencil (A^T A, B^T B) through a Cholesky
+factor of B^T B, with mpmath at 200 bits: routes of their own, not the
+library's QR and SVD route. The Gram matrices and the band products are
+formed exactly in integers, so forming A^T A loses nothing.
 """
 
 import functools
@@ -18,9 +20,9 @@ mpmath = pytest.importorskip("mpmath")
 _BITS = 200
 
 
-def _mixture(seed):
-    """A 400 x 8 recording shaped as the benchmark's separate inputs."""
-    spec = synth.MixtureSpec(samples=400, channels=8, dominant_rank=2, weak_rank_span=2,
+def _mixture(seed, samples=400):
+    """A samples x 8 recording shaped as the benchmark's separate inputs."""
+    spec = synth.MixtureSpec(samples=samples, channels=8, dominant_rank=2, weak_rank_span=2,
                              dominant_period=40, seed=seed)
     return synth.gen_mixture(spec)[0].data
 
@@ -31,41 +33,77 @@ def _exact(x):
     return np.array([int(v) for v in np.ldexp(x, s).flat], dtype=object).reshape(x.shape), s
 
 
+def _gram(x_int, s):
+    """X^T X of x = x_int 2^-s, summed exactly in integers, as an mpmath matrix."""
+    return mpmath.mp.matrix([[mpmath.mp.ldexp(mpmath.mp.mpf(v), -2 * s) for v in row]
+                             for row in (x_int.T @ x_int).tolist()])
+
+
+def _bands(a_int, s_a, columns, rows, m, f):
+    """The dominant, weak and noise bands A K of A = a_int 2^-s_a at the
+    boundaries ``m`` and ``f`` (None: the weak band runs to the end), where a
+    band's K is the sum of ``columns[i] * rows[i]`` over its indices.
+
+    Each K is rounded to _BITS bits of its largest entry, so A K is formed
+    exactly in integers and rounded once to float64.
+    """
+    mp = mpmath.mp
+    n = a_int.shape[1]
+    bands = []
+    for lo, hi in ((0, m), (m, n if f is None else f), (n if f is None else f, n)):
+        if lo == hi:
+            bands.append(np.zeros(a_int.shape))
+            continue
+        k = mp.zeros(n, n)
+        for column, row in zip(columns[lo:hi], rows[lo:hi]):
+            k += column * row
+        t = _BITS - mp.mag(mp.mnorm(k, mp.inf))
+        k_int = np.array([[int(mp.nint(mp.ldexp(v, t))) for v in row] for row in k.tolist()], dtype=object)
+        scale = 1 << (s_a + t)
+        bands.append(np.array([[v / scale for v in row] for row in (a_int @ k_int).tolist()]))
+    return bands
+
+
+def svd_reference(a, m, f):
+    """Singular values (descending) of A and its dominant, weak and noise
+    bands at the boundaries ``m`` and ``f``, at 200 bits, each rounded once
+    to float64.
+
+    The eigenpairs (lambda, v) of A^T A give the singular values
+    sqrt(lambda) and the right singular vectors V; a band over the columns
+    V_b of V is A V_b V_b^T.
+    """
+    mp = mpmath.mp
+    a_int, s_a = _exact(a)
+    with mp.workprec(_BITS):
+        lam, v = mp.eigsy(_gram(a_int, s_a))
+        order = sorted(range(a.shape[1]), key=lambda i: lam[i], reverse=True)
+        values = np.array([float(mp.sqrt(max(lam[i], 0))) for i in order])
+        columns = [v[:, i] for i in order]
+        bands = _bands(a_int, s_a, columns, [c.T for c in columns], m, f)
+    return values, bands
+
+
 def gsvd_reference(a, b, m, f):
     """Generalized values (descending) of the pair (A, B) and its dominant, weak
-    and noise bands at the boundaries ``m`` and ``f`` (None: the weak band runs
-    to the end), at 200 bits, each rounded once to float64.
+    and noise bands at the boundaries ``m`` and ``f``, at 200 bits, each
+    rounded once to float64.
 
     With B^T B = L L^T, the eigenpairs (lambda, y) of L^-1 A^T A L^-T give the
     generalized values sqrt(lambda) and the B^T B-orthonormal directions
     W = L^-T Y; a band over the columns W_b of W is A W_b W_b^T B^T B.
     """
     mp = mpmath.mp
-    n = a.shape[1]
     (a_int, s_a), (b_int, s_b) = _exact(a), _exact(b)
     with mp.workprec(_BITS):
-        def gram(x_int, s):
-            return mp.matrix([[mp.ldexp(mp.mpf(v), -2 * s) for v in row] for row in (x_int.T @ x_int).tolist()])
-
-        gram_b = gram(b_int, s_b)
+        gram_b = _gram(b_int, s_b)
         l_inv_t = mp.inverse(mp.cholesky(gram_b)).T
-        lam, y = mp.eigsy(l_inv_t.T * gram(a_int, s_a) * l_inv_t)
-        order = sorted(range(n), key=lambda i: lam[i], reverse=True)
+        lam, y = mp.eigsy(l_inv_t.T * _gram(a_int, s_a) * l_inv_t)
+        order = sorted(range(a.shape[1]), key=lambda i: lam[i], reverse=True)
         values = np.array([float(mp.sqrt(max(lam[i], 0))) for i in order])
         w = l_inv_t * y
-        bands = []
-        for lo, hi in ((0, m), (m, n if f is None else f), (n if f is None else f, n)):
-            if lo == hi:
-                bands.append(np.zeros(a.shape))
-                continue
-            k = mp.zeros(n, n)
-            for i in order[lo:hi]:
-                k += w[:, i] * (w[:, i].T * gram_b)
-            # A k as exact integers: k rounded to _BITS bits of its largest entry
-            t = _BITS - mp.mag(mp.mnorm(k, mp.inf))
-            k_int = np.array([[int(mp.nint(mp.ldexp(v, t))) for v in row] for row in k.tolist()], dtype=object)
-            scale = 1 << (s_a + t)
-            bands.append(np.array([[v / scale for v in row] for row in (a_int @ k_int).tolist()]))
+        columns = [w[:, i] for i in order]
+        bands = _bands(a_int, s_a, columns, [c.T * gram_b for c in columns], m, f)
     return values, bands
 
 
@@ -87,6 +125,23 @@ def _errors(a, b, values, bands):
     parts = signal.separate(res, cut)
     part_error = max(np.max(np.abs(p - q)) for p, q in zip(parts, bands)) / np.max(np.abs(a))
     return (cut.m, cut.f), np.abs(res.generalized_values - values) / values, part_error
+
+
+class TestSvdAgainst200Bits:
+    # measured at seeds 0, 1, 2: values within 3.8e-16, 2.5e-16 and 6.3e-16
+    # (400 x 8) and 1.3e-16, 7.5e-16 and 1.3e-16 (4000 x 8) of sigma_1;
+    # parts within 1.9e-15, 1.9e-15 and 2.5e-15 (400 x 8) and 1.0e-14,
+    # 1.0e-14 and 7.3e-15 (4000 x 8) of max|A|
+    @pytest.mark.parametrize("samples, part_bound", [(400, 1e-14), (4000, 4e-14)], ids=["400x8", "4000x8"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_svd_and_separate(self, seed, samples, part_bound):
+        a = _mixture(seed, samples)
+        res = linalg.svd(a)
+        cut = signal.cutoff(res)
+        values, bands = svd_reference(a, cut.m, cut.f)
+        parts = signal.separate(res, cut)
+        assert np.max(np.abs(res.singular_values - values)) <= 2e-15 * values[0]
+        assert max(np.max(np.abs(p - q)) for p, q in zip(parts, bands)) <= part_bound * np.max(np.abs(a))
 
 
 class TestGsvdAgainst200Bits:

@@ -187,7 +187,7 @@ class TestHankelStrided:
         want = np.zeros(span - 1 + window)
         for i in range(window):
             want[i : i + span : stride] += 1
-        got = signal._hankel_counts(EmbedLayout.hankel(window, stride=stride), columns)
+        got = signal._hankel_counts(np.arange(want.size), window, columns, stride)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("window, stride, columns", [(17, 3, 13), (40, 1, 3961), (5, 7, 1)])
@@ -462,8 +462,11 @@ class TestHankelBlocks:
 
     @staticmethod
     def whole_signal(spec, cut, x, layout):
-        """The parts by correlate and convolve over all of x, divided by the window counts."""
-        counts = signal._hankel_counts(layout, spec.shape[1])
+        """The parts by correlate and convolve over all of x, divided by the window counts,
+        which are counted by a pass per window row."""
+        counts = np.zeros(x.size)
+        for i in range(layout.window_length):
+            counts[i : i + spec.shape[1]] += 1
         noise = x.copy()
         parts = []
         for lo, hi in signal._band_ranges(spec, cut)[:2]:
