@@ -9,12 +9,14 @@ status (2 for parse/usage problems, 1 for everything else).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
+import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -73,6 +75,13 @@ def _region_arg(text: str) -> Region:
     return Region(x=x, y=y, width=w, height=h, tag=parts[4].strip())
 
 
+def _config(cls, args, **fixed):
+    """``cls`` from ``fixed`` and the parsed flags named as its other fields:
+    a flag not given (None) leaves its field to the dataclass default."""
+    given = {f.name: getattr(args, f.name) for f in fields(cls) if f.name not in fixed}
+    return cls(**{name: value for name, value in given.items() if value is not None}, **fixed)
+
+
 def _refuse_unread(rules) -> None:
     """Refuse, before any input is opened, each rule's flag that was ``given``
     but is not ``read``: a flag the run ignores is an error, not a silent no-op."""
@@ -98,10 +107,7 @@ def cmd_separate(args) -> RunReport:
     if args.method == "gsvd":
         # The reference enters the GSVD only through its triangle: it is read
         # and reduced first, and dropped before the input is read.
-        second = fio.read_channels_csv(args.second)
-        reference = linalg._reference(
-            signal.embed(second, signal.EmbedLayout.channel_columns(second.n_samples)))
-        del second
+        reference = linalg._reference(fio.read_channels_csv(args.second).data)
     channels = fio.read_channels_csv(args.input)
     (n_samples, width), labels = channels.data.shape, channels.labels
     layout = hankel or signal.EmbedLayout.channel_columns(n_samples)
@@ -151,10 +157,8 @@ def cmd_scan(args) -> RunReport:
     polarity = "above" if args.polarity is None else args.polarity
     if args.threshold is not None:
         _check_threshold(args.threshold, polarity)  # before the scan writes its map files
-    # WindowConfig's defaults stand in for the options not given; it checks
-    # the order against the window before the image is read.
-    knobs = {name: value for name, value in (("stride", args.stride), ("order", args.order)) if value is not None}
-    cfg = WindowConfig(window_size=args.window_size, **knobs)
+    # WindowConfig checks the order against the window before the image is read.
+    cfg = _config(WindowConfig, args)
     # No local keeps the image: it is freed before the outputs are written.
     smap = sliding_scan(fio.load_gray_image(args.input), cfg)
 
@@ -174,8 +178,7 @@ def cmd_scan(args) -> RunReport:
         command="scan",
         inputs=[args.input],
         parameters={
-            "window_size": args.window_size, "stride": cfg.stride,
-            "order": cfg.order,
+            **asdict(cfg),
             "threshold": args.threshold, "polarity": polarity,
             "output_prefix": args.output_prefix,
         },
@@ -191,24 +194,15 @@ def cmd_scan(args) -> RunReport:
 
 def cmd_synth(args) -> RunReport:
     if args.kind == "mixture":
-        spec = MixtureSpec(
-            samples=args.samples, channels=args.channels,
-            dominant_rank=args.dominant_rank, weak_rank_span=args.weak_rank_span,
-            dominant_period=args.dominant_period, weak_period=args.weak_period,
-            energy_ratio_dominant_weak=args.ratio_dominant_weak,
-            energy_ratio_weak_noise=args.ratio_weak_noise, seed=args.seed,
-        )
+        spec = _config(MixtureSpec, args)
         channels, (k_m, k_f) = gen_mixture(spec)
         out = f"{args.output_prefix}_signals.csv"
         fio.write_channels_csv(out, channels)
         results = {"k_m": k_m, "k_f": k_f, "outputs": [out]}
     else:
-        spec = TextureSpec(
-            width=args.width, height=args.height, regions=tuple(args.region or ()),
-            noise_amplitude={"smooth": args.noise_smooth, "rough": args.noise_rough,
-                             "anomaly-band": args.noise_anomaly},
-            base_level=args.base_level, seed=args.seed,
-        )
+        # TextureSpec gives each tag not given its default amplitude.
+        amplitudes = {"smooth": args.noise_smooth, "rough": args.noise_rough, "anomaly-band": args.noise_anomaly}
+        spec = _config(TextureSpec, args, noise_amplitude={t: a for t, a in amplitudes.items() if a is not None})
         img, mask = gen_texture(spec)
         img_path = f"{args.output_prefix}_image.pgm"
         mask_path = f"{args.output_prefix}_mask.pgm"
@@ -267,29 +261,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_mix.add_argument("--dominant-rank", type=int, default=2)
     p_mix.add_argument("--weak-rank-span", type=int, default=2)
     p_mix.add_argument("--dominant-period", type=int, default=40)
-    p_mix.add_argument("--weak-period", type=int, default=None)
-    p_mix.add_argument("--ratio-dominant-weak", type=float, default=100.0)
-    p_mix.add_argument("--ratio-weak-noise", type=float, default=100.0)
-    p_mix.add_argument("--seed", type=int, default=0)
+    # A flag without a default here leaves its field to the spec's default.
+    p_mix.add_argument("--weak-period", type=int)
+    p_mix.add_argument("--ratio-dominant-weak", type=float, dest="energy_ratio_dominant_weak",
+                       metavar="RATIO_DOMINANT_WEAK")
+    p_mix.add_argument("--ratio-weak-noise", type=float, dest="energy_ratio_weak_noise",
+                       metavar="RATIO_WEAK_NOISE")
+    p_mix.add_argument("--seed", type=int)
     p_mix.set_defaults(func=cmd_synth)
 
     p_tex = synth_sub.add_parser("texture", parents=[common], help="smooth/rough/anomaly texture PGM")
     p_tex.add_argument("--width", type=int, default=40)
     p_tex.add_argument("--height", type=int, default=40)
-    p_tex.add_argument("--region", action="append", type=_region_arg,
+    p_tex.add_argument("--region", action="append", type=_region_arg, dest="regions", metavar="REGION",
                        help="x,y,width,height,tag (repeatable); tags: smooth, rough, anomaly-band")
-    p_tex.add_argument("--noise-smooth", type=float, default=1e-3)
-    p_tex.add_argument("--noise-rough", type=float, default=0.8)
-    p_tex.add_argument("--noise-anomaly", type=float, default=1e-3)
-    p_tex.add_argument("--base-level", type=float, default=0.5)
-    p_tex.add_argument("--seed", type=int, default=0)
+    p_tex.add_argument("--noise-smooth", type=float)
+    p_tex.add_argument("--noise-rough", type=float)
+    p_tex.add_argument("--noise-anomaly", type=float)
+    p_tex.add_argument("--base-level", type=float)
+    p_tex.add_argument("--seed", type=int)
     p_tex.set_defaults(func=cmd_synth)
 
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command, then stamp, write and (on ``--json``) echo its report.
+    """Run one command, then stamp, write and (on ``--json``) echo its report,
+    or, if it fails, remove the report an earlier run may have left.
 
     The command's LAPACK calls run on one OpenBLAS thread; the process's
     thread count is restored however the command ends.
@@ -298,28 +296,30 @@ def main(argv=None) -> int:
     # Free the parser's young reference cycles (~58 KiB) before the command
     # runs; a full collection would walk the whole heap, 40 times as long.
     gc.collect(1)
+    report_path = f"{args.output_prefix}_report.json"
     t0 = time.perf_counter()
     try:
         with linalg._one_blas_thread():
             report = args.func(args)
         report.wall_time_ms = (time.perf_counter() - t0) * 1e3
         text = report.to_json()
-        with open(f"{args.output_prefix}_report.json", "w", encoding="utf-8") as fh:
+        with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         if args.json:
             print(text)
         return 0
     except ParseError as exc:
-        print(f"svdsep: parse error: {exc}", file=sys.stderr)
-        return 2
+        message, status = f"parse error: {exc}", 2
     except OSError as exc:
-        print(f"svdsep: {exc}", file=sys.stderr)
-        return 2
+        message, status = str(exc), 2
     except (SvdsepError, MemoryError) as exc:
         # numpy's MemoryError is a subclass with a private name
         kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-        print(f"svdsep: error: {kind}: {exc}", file=sys.stderr)
-        return 1
+        message, status = f"error: {kind}: {exc}", 1
+    with contextlib.suppress(OSError):  # absent, or a directory the write could not replace
+        os.remove(report_path)
+    print(f"svdsep: {message}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

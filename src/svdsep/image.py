@@ -157,10 +157,9 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class SmoothnessMap:
-    """Grid of per-window smoothness values plus the geometry that produced it."""
+    """Grid of per-window smoothness values and the count of window SVDs run."""
 
     grid: np.ndarray
-    config: WindowConfig
     decompositions: int
 
     @property
@@ -261,7 +260,7 @@ def sliding_scan(img: GrayImage, cfg: WindowConfig) -> SmoothnessMap:
             grid[i] = _smoothness(spectra, cfg.order)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD of the scan window at (row {i}, col {j}) failed: {exc}") from exc
-    return SmoothnessMap(grid=grid, config=cfg, decompositions=rows * cols)
+    return SmoothnessMap(grid=grid, decompositions=rows * cols)
 
 
 def _check_threshold(theta: float, polarity: str) -> None:

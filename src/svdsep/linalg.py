@@ -470,7 +470,7 @@ def gsvd(a, b) -> GsvdResult:
     stacked_size = max(m + s, n)  # the larger dimension of [A; B]
     p, sigma, zt = _lapack("SVD", stack.shape, np.linalg.svd, stack, full_matrices=False)
     # The triangles have the singular values of [A; 2^k B]: they carry the rank check.
-    if sigma[-1] <= stacked_size * _EPS * sigma[0]:
+    if _rank(sigma, stacked_size) < n:
         raise DegeneratePencilError(
             "stacked matrix [A; B] is rank deficient; the pair has no full generalized decomposition"
         )

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import json
 import pkgutil
 import re
 import shlex
@@ -12,7 +13,7 @@ import pytest
 from conftest import raise_exactly
 
 import svdsep
-from svdsep import cli, image, linalg, signal
+from svdsep import cli, image, linalg, signal, synth
 from svdsep.cli import main
 from svdsep.errors import OrderError, RangeError
 
@@ -87,6 +88,50 @@ def test_the_window_settings_have_one_home():
     args = vars(cli.build_parser().parse_args(["scan", "x.pgm", "--output-prefix", "p"]))
     flags = set(args) - {"command", "func", "input", "output_prefix", "json", "threshold", "polarity"}
     assert config == flags
+
+
+SYNTH_SPECS = [("mixture", synth.MixtureSpec), ("texture", synth.TextureSpec)]
+
+
+def synth_args(kind):
+    """The parsed flags of ``synth kind`` given no optional flag, by dest."""
+    args = vars(cli.build_parser().parse_args(["synth", kind, "--output-prefix", "p"]))
+    return {name: value for name, value in args.items()
+            if name not in {"command", "kind", "func", "output_prefix", "json"}}
+
+
+@pytest.mark.parametrize("kind, spec", SYNTH_SPECS)
+def test_each_synth_flag_is_a_field_of_its_spec(kind, spec, tmp_path):
+    # a flag named otherwise needs a line of its own in cmd_synth to reach its field
+    fields = {f.name for f in dataclasses.fields(spec)}
+    flags = set(synth_args(kind))
+    if kind == "texture":  # the --noise-* flags give the tags of noise_amplitude
+        amplitudes = {"smooth": 0.25, "rough": 0.5, "anomaly": 0.75}
+        prefix = tmp_path / "t"
+        assert main(["synth", "texture", *(f"--noise-{tag}={amp}" for tag, amp in amplitudes.items()),
+                     "--output-prefix", str(prefix)]) == 0
+        with open(f"{prefix}_report.json", encoding="utf-8") as fh:
+            given = json.load(fh)["parameters"]["noise_amplitude"]
+        assert given == {"smooth": 0.25, "rough": 0.5, "anomaly-band": 0.75}
+        flags -= {f"noise_{tag}" for tag in amplitudes}
+        fields -= {"noise_amplitude"}
+    assert flags == fields
+
+
+@pytest.mark.parametrize("kind, spec", SYNTH_SPECS)
+def test_a_synth_flag_not_given_leaves_the_spec_default(kind, spec):
+    # a default restated in the parser keeps its old value when the spec's changes
+    required = {f.name for f in dataclasses.fields(spec)
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+    assert {name for name, value in synth_args(kind).items() if value is not None} == required
+
+
+def test_the_short_summary_names_each_failure():
+    # an -r option replaces pytest's default "fE": without f, a failing test's id is not in the summary
+    tomllib = pytest.importorskip("tomllib")
+    with open(README.parent / "pyproject.toml", "rb") as fh:
+        addopts = tomllib.load(fh)["tool"]["pytest"]["ini_options"]["addopts"]
+    assert "-rfEs" in addopts.split()
 
 
 @pytest.mark.parametrize("path", sorted(Path(svdsep.__file__).parent.glob("*.py")), ids=lambda p: p.name)

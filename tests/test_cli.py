@@ -165,7 +165,8 @@ class TestSeparate:
 
     def test_a_part_that_cannot_be_opened_leaves_no_part_behind(self, tmp_path, mixture_csv, capsys):
         # A rerun over a good run's files, whose noise path is now a directory:
-        # the two parts opened before it would be left truncated to 0 bytes.
+        # the two parts opened before it would be left truncated to 0 bytes, and
+        # the good run's report would describe parts that are gone.
         prefix = tmp_path / "sep"
         assert run("separate", mixture_csv, "--output-prefix", prefix) == 0
         (tmp_path / "sep_noise.csv").unlink()
@@ -174,7 +175,7 @@ class TestSeparate:
         assert run("separate", mixture_csv, "--output-prefix", prefix) == 2
         err = capsys.readouterr().err
         assert err.startswith("svdsep: ") and "sep_noise.csv" in err
-        assert sorted(p.name for p in tmp_path.glob("sep_*")) == ["sep_noise.csv", "sep_report.json"]
+        assert sorted(p.name for p in tmp_path.glob("sep_*")) == ["sep_noise.csv"]
         assert (tmp_path / "sep_noise.csv").is_dir()
 
     def test_gsvd_reference_blind_to_a_direction(self, tmp_path, mixture_csv):
@@ -627,6 +628,19 @@ class TestScan:
         assert set(np.unique(mask)) <= {0, 255}
         assert np.all(mask[:, :2] == 255)  # smooth half flagged
         assert np.all(mask[:, 2:] == 0)
+
+    def test_a_failed_rerun_leaves_no_report(self, tmp_path, texture_pgm, capsys):
+        # A rerun over a good run's files, whose mask path is now a directory:
+        # the good run's report would sit over the new map files.
+        argv = ("scan", texture_pgm, "--window-size", 5, "--stride", 5, "--threshold", 100,
+                "--output-prefix", tmp_path / "sc")
+        assert run(*argv) == 0
+        (tmp_path / "sc_mask.pgm").unlink()
+        (tmp_path / "sc_mask.pgm").mkdir()
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert "sc_mask.pgm" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.glob("sc_*")) == ["sc_map.csv", "sc_map.pgm", "sc_mask.pgm"]
 
     def test_nan_threshold_fails(self, tmp_path, texture_pgm, capsys, monkeypatch):
         def no_scan(*args, **kwargs):

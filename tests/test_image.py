@@ -217,7 +217,7 @@ class TestSlidingScan:
 class TestThresholdMap:
     def _map(self):
         grid = np.array([[1.0, 2.0], [3.0, 4.0]])
-        return image.SmoothnessMap(grid=grid, config=WindowConfig(window_size=2), decompositions=4)
+        return image.SmoothnessMap(grid=grid, decompositions=4)
 
     def test_theta_below_min_all_ones(self):
         assert np.all(image.threshold_map(self._map(), 0.5) == 1)
@@ -413,8 +413,7 @@ class TestScanParity:
     pytest.param(lambda: WindowConfig(5, order=0), ConfigError, id="order"),
     # a fixed order needs order + 1 singular values
     pytest.param(lambda: WindowConfig(5, order=5), OrderError, id="order-above-window"),
-    pytest.param(lambda: image.threshold_map(image.SmoothnessMap(
-        grid=np.ones((2, 2)), config=WindowConfig(2), decompositions=4), math.nan),
+    pytest.param(lambda: image.threshold_map(image.SmoothnessMap(grid=np.ones((2, 2)), decompositions=4), math.nan),
                  ConfigError, id="threshold-nan"),
     pytest.param(lambda: image.singular_smoothness(np.eye(3), n=0), OrderError, id="smoothness-order"),
     # the order is checked before the SVD, which would raise ConvergenceError here

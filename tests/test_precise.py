@@ -1,5 +1,5 @@
-"""The numbers `separate --method svd` and `--method gsvd` write, against a
-200-bit reference.
+"""The numbers `separate --method svd` and `--method gsvd` write, on channel
+columns and on a hankel layout, against a 200-bit reference.
 
 The svd reference takes the eigenpairs of A^T A, and the gsvd reference
 solves the symmetric-definite pencil (A^T A, B^T B) through a Cholesky
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from svdsep import linalg, signal, synth
+from svdsep.signal import ChannelSet, EmbedLayout
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -142,6 +143,34 @@ class TestSvdAgainst200Bits:
         parts = signal.separate(res, cut)
         assert np.max(np.abs(res.singular_values - values)) <= 2e-15 * values[0]
         assert max(np.max(np.abs(p - q)) for p, q in zip(parts, bands)) <= part_bound * np.max(np.abs(a))
+
+
+class TestHankelAgainst200Bits:
+    @staticmethod
+    def diagonal_averages(band, samples):
+        """The signal of a K x L window-matrix band: each sample's sum over the
+        windows that hold it, divided by their count, both by a pass per column."""
+        windows = band.shape[0]
+        sums, counts = np.zeros(samples), np.zeros(samples)
+        for i, column in enumerate(band.T):
+            sums[i : i + windows] += column
+            counts[i : i + windows] += 1
+        return sums / counts
+
+    # measured at seeds 0, 1, 2: values within 4.9e-16, 1.8e-16 and 7.8e-16
+    # of sigma_1; signals within 9.3e-16, 5.2e-15 and 1.5e-14 of max|x|
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_streamed_svd_and_band_signals(self, seed):
+        samples, layout = 300, EmbedLayout.hankel(20)
+        x = _mixture(seed, samples)[:, 0]
+        windows = signal.embed(ChannelSet(x[:, np.newaxis]), layout).T  # K x L, as the CLI reads it
+        res = linalg.streamed_svd(windows)
+        cut = signal.cutoff(res)
+        values, bands = svd_reference(np.array(windows), cut.m, cut.f)
+        got = [part.data[:, 0] for part in signal.band_signals(res, cut, layout, samples)]
+        want = [self.diagonal_averages(band, samples) for band in bands]
+        assert np.max(np.abs(res.singular_values - values)) <= 2e-15 * values[0]
+        assert max(np.max(np.abs(p - q)) for p, q in zip(got, want)) <= 5e-14 * np.max(np.abs(x))
 
 
 class TestGsvdAgainst200Bits:
