@@ -91,7 +91,7 @@ def _refuse_unread(rules) -> None:
 
 
 def cmd_separate(args) -> RunReport:
-    # Three routes: svd or gsvd on channel columns, svd on a hankel layout.
+    # Three routes, chosen here alone: svd or gsvd on channel columns, svd on a hankel layout.
     _refuse_unread((
         ("--second", args.second is not None, args.method == "gsvd", "--method gsvd"),
         ("--method gsvd", args.method == "gsvd", args.layout == "channel-columns",
@@ -126,7 +126,7 @@ def cmd_separate(args) -> RunReport:
     cut = signal.cutoff(decomp)
 
     outputs = [f"{args.output_prefix}_{name}.csv" for name in ("dominant", "weak", "noise")]
-    blocks = signal._band_blocks(decomp, cut, layout, n_samples)  # all three parts, a block of rows at a time
+    blocks = signal._band_blocks(decomp, cut)  # all three parts, a block of rows at a time
     fio._write_channel_tables(outputs, (n_samples, width), blocks, labels)
 
     return RunReport(

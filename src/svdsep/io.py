@@ -120,8 +120,13 @@ def _write_rows(paths, shape, blocks, cell, sep, head=None) -> None:
     would reject, raises :class:`InvalidInputError` naming its file and rows.
     That or any other failure, opening a later file too, removes every file
     this call opened: their rows so far would read back as shorter tables.
+    A table with no row or no column, which the readers would reject too, is
+    a :class:`ShapeError` naming the paths before any file is opened.
     """
     rows, width = shape
+    if rows < 1 or width < 1:
+        raise ShapeError(f"{', '.join(map(str, paths))}: a table needs at least one row and one column, "
+                         f"got {rows}x{width}")
     step = max(1, _WRITE_ENTRIES // width)
     line = sep.join([cell] * width) + "\n"
     handles = []
@@ -245,6 +250,8 @@ def write_pgm(path, gray_u8, binary: bool = True) -> None:
     arr = np.asarray(gray_u8)
     if arr.ndim != 2:
         raise ShapeError(f"{path}: a PGM image must be 2-D, got ndim={arr.ndim}")
+    if 0 in arr.shape:  # read_pgm rejects a side of 0
+        raise ShapeError(f"{path}: a PGM image needs at least one row and one column, got {arr.shape}")
     if arr.dtype != np.uint8 and not (np.all((arr >= 0) & (arr <= 255))
                                       and np.array_equal(arr.astype(np.uint8), arr)):
         raise InvalidInputError(f"{path}: PGM samples must be integers in [0, 255]")

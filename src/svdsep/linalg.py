@@ -120,9 +120,10 @@ class StreamedSpectrum:
 
     ``left_basis``, ``singular_values`` and ``numerical_rank`` are as in
     :class:`SpectrumResult`. ``transposed`` is the (n, m) array or view X^T
-    was read from: ``signal.band_signals`` forms the band signals of the
-    window view of a stride-1 hankel layout from it, by rank. It has no
-    matrix parts (``signal.separate`` refuses it).
+    was read from: when it is the window view of a stride-1 hankel layout,
+    ``signal.band_signals`` forms the band signals over its n + m - 1
+    samples from it, by rank. It has no matrix parts (``signal.separate``
+    refuses it).
     ``factorizations`` counts the factorizations run: a QR per block of
     ``linalg._block_rows`` rows, a QR per merge of two triangles (one fewer
     than the blocks) and the final SVD, so twice the block count.

@@ -166,22 +166,6 @@ def unembed(matrix, layout: EmbedLayout, target_length: int) -> ChannelSet:
     return ChannelSet(_unembed(check_matrix(matrix, "matrix"), layout, target_length))
 
 
-def _layout_end(shape: tuple[int, int], layout: EmbedLayout, target_length: int) -> int:
-    """One past the last sample a matrix of ``shape`` holds under ``layout``.
-
-    Raises :class:`LayoutError` when its rows are not the layout's window
-    length or its windows run past ``target_length``.
-    """
-    rows, columns = shape
-    n = layout.window_length
-    if rows != n:
-        raise LayoutError(f"matrix has {rows} rows but layout window_length is {n}")
-    end = (columns - 1) * layout.stride + n if layout.mode == MODE_HANKEL else n
-    if end > target_length:
-        raise LayoutError(f"windows extend to {end} but target_length is {target_length}")
-    return end
-
-
 def _hankel_counts(j: np.ndarray, n: int, windows: int, stride: int = 1) -> np.ndarray:
     """How many of ``windows`` Hankel windows of length ``n`` cover each
     sample index in ``j``, as floats.
@@ -204,9 +188,17 @@ def _unembed(matrix: np.ndarray, layout: EmbedLayout, target_length: int) -> np.
     i + j * stride, so each row adds into one strided slice, a sample
     receives its entries in row order, and their sum is divided by the
     sample's window count (:func:`_hankel_counts`).
+
+    Raises :class:`LayoutError`, before any row is read, when the rows are
+    not the layout's window length or the windows run past ``target_length``.
     """
-    end = _layout_end(matrix.shape, layout, target_length)
-    columns = matrix.shape[1]
+    rows, columns = matrix.shape
+    n = layout.window_length
+    if rows != n:
+        raise LayoutError(f"matrix has {rows} rows but layout window_length is {n}")
+    end = (columns - 1) * layout.stride + n if layout.mode == MODE_HANKEL else n
+    if end > target_length:
+        raise LayoutError(f"windows extend to {end} but target_length is {target_length}")
     if layout.mode != MODE_HANKEL:
         out = np.zeros((target_length, columns))
         out[:end] = matrix
@@ -215,14 +207,15 @@ def _unembed(matrix: np.ndarray, layout: EmbedLayout, target_length: int) -> np.
     acc = np.zeros(target_length)
     for i, row in enumerate(matrix):
         acc[i : i + span : layout.stride] += row
-    counts = _hankel_counts(np.arange(end), layout.window_length, columns, layout.stride)
+    counts = _hankel_counts(np.arange(end), n, columns, layout.stride)
     acc[:end] /= np.maximum(counts, 1.0, out=counts)  # a sample between windows keeps its 0
     return acc.reshape(-1, 1)
 
 
 def _hankel_rows(basis: np.ndarray, ranges, x: np.ndarray, j0: int, j1: int) -> list[np.ndarray]:
-    """Rows ``[j0, j1)`` of the dominant, weak and noise signals of the
-    stride-1 Hankel trajectory X of ``x`` with left basis ``basis``.
+    """Rows ``[j0, j1)``, within the samples of ``x``, of the dominant, weak
+    and noise signals of the stride-1 Hankel trajectory X of ``x`` with left
+    basis ``basis``.
 
     ``w_k = u_k^T X`` is ``np.correlate(x, u_k, "valid")``, and a band's
     diagonal sums are the sum over its ranks of ``np.convolve(u_k, w_k)``
@@ -231,22 +224,21 @@ def _hankel_rows(basis: np.ndarray, ranges, x: np.ndarray, j0: int, j1: int) -> 
     the rows are read (more than L where X has them: ``np.convolve`` sums in
     reverse order when its second operand is the longer), and rows inside L
     windows each are its "valid" part, so each row has the bytes of the sums
-    over all of x. The noise is x less the other two, and 0 past the last
-    window.
+    over all of x. The noise is x less the other two.
     """
-    n, end = basis.shape[0], x.size
-    windows, e1 = end - n + 1, max(j0, min(j1, end))
-    k1 = min(windows, max(e1, n + 1))
+    n = basis.shape[0]
+    windows = x.size - n + 1
+    k1 = min(windows, max(j1, n + 1))
     k0 = max(0, min(j0 - n + 1, k1 - n - 1))
-    mode, first = ("valid", k0 + n - 1) if n - 1 <= j0 and e1 <= windows else ("full", k0)
-    counts = _hankel_counts(np.arange(j0, e1), n, windows)
+    mode, first = ("valid", k0 + n - 1) if n - 1 <= j0 and j1 <= windows else ("full", k0)
+    counts = _hankel_counts(np.arange(j0, j1), n, windows)
     dominant, weak, noise = (np.zeros((j1 - j0, 1)) for _ in range(3))
-    noise[: e1 - j0, 0] = x[j0:e1]
+    noise[:, 0] = x[j0:j1]
     windowed = x[k0 : k1 + n - 1]
     for acc, (lo, hi) in zip((dominant, weak), ranges):
         for u in basis[:, lo:hi].T:
-            acc[: e1 - j0, 0] += np.convolve(u, np.correlate(windowed, u, "valid"), mode)[j0 - first : e1 - first]
-        acc[: e1 - j0, 0] /= counts  # at stride 1 every covered sample counts at least 1
+            acc[:, 0] += np.convolve(u, np.correlate(windowed, u, "valid"), mode)[j0 - first : j1 - first]
+        acc[:, 0] /= counts  # at stride 1 every sample counts at least 1
         noise -= acc
     return [dominant, weak, noise]
 
@@ -443,53 +435,44 @@ def separate(factors: SpectrumResult | GsvdResult,
     return tuple(_band_rows(factors, _band_ranges(factors, cut), 0, factors.shape[0]))
 
 
-def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult,
-                 layout: EmbedLayout, target_length: int):
-    """Yield the dominant, weak and noise signals on the two routes the CLI
-    runs. Any other pairing is a :class:`LayoutError` before any band is
-    formed: ``unembed(part, layout, target_length)`` of :func:`separate`'s
-    parts gives its signals.
+def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult):
+    """Yield the dominant, weak and noise signals of ``factors`` split at ``cut``.
 
-    An SVD or GSVD of whole channel columns (``target_length`` rows) yields
-    :func:`separate`'s parts, bitwise. A streamed spectrum of the window
-    view ``embed(...).T`` on a stride-1 hankel layout is formed by rank,
-    with no block of the trajectory read, and agrees with the matrix route
-    to rounding. Its noise is the input less the other two (0 past the last
-    window), so the three sum to the input, and the noise keeps the residual
-    past the numerical rank r when r < min(L, K).
+    An SVD or GSVD yields :func:`separate`'s parts, bitwise, as whole
+    channel columns of ``factors.shape[0]`` samples. A streamed spectrum of
+    the window view ``embed(...).T`` of a stride-1 hankel layout yields its
+    signals over the K + L - 1 samples the view covers, formed by rank with
+    no block of the trajectory read; they agree with ``unembed`` of the
+    matrix route's parts to rounding. Its noise is the input less the other
+    two, so the three sum to the input, and the noise keeps the residual
+    past the numerical rank r when r < min(L, K). Any other streamed
+    spectrum is a :class:`LayoutError` before any band is formed.
     """
-    for table in _band_blocks(factors, cut, layout, target_length)(0, target_length):
+    samples = sum(factors.shape) - 1 if isinstance(factors, StreamedSpectrum) else factors.shape[0]
+    for table in _band_blocks(factors, cut)(0, samples):
         yield ChannelSet(table)
 
 
-def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult,
-                 layout: EmbedLayout, target_length: int):
+def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult):
     """``blocks(r0, r1)``: rows ``[r0, r1)`` of the three signals of
     :func:`band_signals`, exact whatever the blocks, after every check.
 
-    A streamed spectrum, the CLI's hankel route, is hankelized by rank
-    (:func:`_hankel_rows`) from x, read in place as a 1-D view of the memory
-    of ``transposed``: in the window view ``embed(...).T``, a row stride
-    equal to its column stride puts entry (j, i) at the one location of
-    sample j + i. Whole channel columns, the CLI's other route, give the
-    rows of their bands (:func:`_band_rows`).
+    An SVD or GSVD gives the rows of its bands (:func:`_band_rows`). A
+    streamed spectrum is hankelized by rank (:func:`_hankel_rows`) from x,
+    read in place as a 1-D view of the memory of ``transposed``: in the
+    window view ``embed(...).T``, a row stride equal to its column stride
+    puts entry (j, i) at the one location of sample j + i. Which
+    factorization runs on which layout is the CLI's choice, not checked here.
     """
-    if not isinstance(factors, StreamedSpectrum):
-        rows = factors.shape[0]
-        if layout.mode != MODE_CHANNEL_COLUMNS or not (rows == layout.window_length == target_length):
-            raise LayoutError(f"{rows} rows on a {layout.mode} layout of window_length {layout.window_length} "
-                              f"and target_length {target_length} are not whole channel columns: "
-                              "take unembed(part, layout, target_length) of separate's parts")
-        ranges = _band_ranges(factors, cut)
-        return lambda r0, r1: _band_rows(factors, ranges, r0, r1)
     ranges = _band_ranges(factors, cut)
+    if not isinstance(factors, StreamedSpectrum):
+        return lambda r0, r1: _band_rows(factors, ranges, r0, r1)
     xt = factors.transposed
     pitch = xt.strides[1]  # bytes from one sample to the next
-    if layout.mode != MODE_HANKEL or layout.stride != 1 or xt.strides[0] != pitch:
+    if xt.strides[0] != pitch:
         raise LayoutError("a streamed spectrum forms its bands on a stride-1 hankel layout only, "
                           "read from its window view embed(...).T")
-    end = _layout_end(factors.shape, layout, target_length)
-    x = np.lib.stride_tricks.as_strided(xt, shape=(end,), strides=(pitch,), writeable=False)
+    x = np.lib.stride_tricks.as_strided(xt, shape=(sum(xt.shape) - 1,), strides=(pitch,), writeable=False)
     return lambda r0, r1: _hankel_rows(factors.left_basis, ranges, x, r0, r1)
 
 

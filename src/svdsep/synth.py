@@ -19,6 +19,7 @@ import numpy as np
 from .errors import GeneratorSpecError
 from .image import GrayImage
 from .signal import ChannelSet
+from .validation import check_integer
 
 __all__ = [
     "MixtureSpec",
@@ -61,6 +62,8 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("samples", "channels", "dominant_rank", "weak_rank_span"):
+            check_integer(getattr(self, name), name, GeneratorSpecError)
         if self.dominant_rank < 1 or self.weak_rank_span < 1:
             raise GeneratorSpecError("dominant_rank and weak_rank_span must each be >= 1")
         if self.dominant_rank + self.weak_rank_span >= self.channels:
@@ -152,6 +155,8 @@ class Region:
     tag: str
 
     def __post_init__(self):
+        for name in ("x", "y", "width", "height"):
+            check_integer(getattr(self, name), f"region {name}", GeneratorSpecError)
         if self.tag not in TAG_CODES:
             raise GeneratorSpecError(f"unknown region tag {self.tag!r}")
         if self.width < 1 or self.height < 1:
@@ -182,6 +187,8 @@ class TextureSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            check_integer(getattr(self, name), name, GeneratorSpecError)
         if self.width < 2 or self.height < 2:
             raise GeneratorSpecError(f"image must be at least 2x2, got {self.width}x{self.height}")
         if not 0.0 < self.base_level < 1.0:

@@ -134,6 +134,12 @@ def test_the_short_summary_names_each_failure():
     assert "-rfEs" in addopts.split()
 
 
+def test_a_misspelt_marker_fails_collection(request):
+    # The ini key, not --strict-markers in addopts, which pytest 9 ignores there:
+    # with it, @pytest.mark.<typo> is a collection error, not an unknown mark.
+    assert request.config.getini("strict_markers") is True
+
+
 @pytest.mark.parametrize("path", sorted(Path(svdsep.__file__).parent.glob("*.py")), ids=lambda p: p.name)
 def test_numpy_is_the_only_runtime_dependency(path):
     imported = set()

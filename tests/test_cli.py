@@ -563,7 +563,7 @@ class TestStreamedBands:
         cut = signal.cutoff(decomp)
 
         def write():
-            blocks = signal._band_blocks(decomp, cut, EmbedLayout.channel_columns(len(data)), len(data))
+            blocks = signal._band_blocks(decomp, cut)
             fio._write_channel_tables([tmp_path / f"{name}.csv" for name in self.PARTS], data.shape, blocks)
 
         _, peak = traced_peak(write)
@@ -579,7 +579,7 @@ class TestStreamedBands:
         left[200, cut.m] = np.nan  # row 200 lies in the second 128-row block
         spec = linalg.SpectrumResult(left, spec.right_basis, spec.singular_values, spec.numerical_rank)
         paths = [tmp_path / f"{name}.csv" for name in self.PARTS]
-        blocks = signal._band_blocks(spec, cut, EmbedLayout.channel_columns(300), 300)
+        blocks = signal._band_blocks(spec, cut)
         raise_exactly(InvalidInputError, lambda: fio._write_channel_tables(paths, data.shape, blocks),
                       match=re.escape(f"{paths[1]}: non-finite value in rows 129-256"))
         assert not list(tmp_path.iterdir())

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import struct
 import warnings
 import zlib
@@ -126,6 +127,14 @@ class TestGridCsv:
         with pytest.raises(ParseError) as err:
             fio.read_grid_csv(path)
         assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize("grid", [np.zeros((3, 0)), [], np.zeros((0, 3))], ids=["3x0", "empty-list", "0x3"])
+    def test_a_table_with_no_cell_raises_before_the_file_is_opened(self, tmp_path, grid):
+        # Written, it would read back as a ParseError ("no data rows").
+        path = tmp_path / "map.csv"
+        raise_exactly(ShapeError, lambda: fio.write_grid_csv(path, grid),
+                      match=re.escape(f"{path}: a table needs at least one row and one column"))
+        assert not path.exists()
 
 
 class TestCsvReaderPaths:
@@ -681,6 +690,15 @@ class TestLoadGrayImage:
         raise_exactly(ShapeError, lambda: fio.write_pgm(tmp_path / "x.pgm", np.zeros(shape, dtype=np.uint8)),
                       match="must be 2-D")
         assert not (tmp_path / "x.pgm").exists()
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)], ids=["0x5", "5x0", "0x0"])
+    def test_an_image_with_no_pixel_raises_before_the_file_is_opened(self, tmp_path, binary, shape):
+        # Written, read_pgm would reject its dimensions.
+        path = tmp_path / "x.pgm"
+        raise_exactly(ShapeError, lambda: fio.write_pgm(path, np.zeros(shape, dtype=np.uint8), binary=binary),
+                      match=re.escape(f"{path}: a PGM image needs at least one row and one column"))
+        assert not path.exists()
 
     def test_closes_the_file(self, tmp_path):
         path = tmp_path / "img.pgm"

@@ -216,8 +216,9 @@ class TestHankelStrided:
 
 
 class TestBandSignals:
-    """band_signals yields unembed(separate(...)) one band at a time on its
-    two routes, and refuses every other pairing before any band is formed."""
+    """band_signals yields separate's parts of an SVD or GSVD one band at a
+    time, and refuses a streamed spectrum it cannot read as a window view
+    before any band is formed."""
 
     @staticmethod
     def cut_for(rank):
@@ -237,39 +238,31 @@ class TestBandSignals:
 
     @pytest.mark.parametrize("samples, window, stride", [
         (4000, 40, 1), (4000, 40, 3), (50, 50, 1), (1003, 17, 7), (60, 45, 1), (100, 80, 2)])
-    def test_hankel_svd_factors(self, monkeypatch, samples, window, stride):
-        # Refused: their signals are unembed of separate's parts, the
-        # composition the error names, which is zero past the last window.
+    def test_hankel_svd_factors(self, samples, window, stride):
+        # Their signals are unembed of separate's parts, which is zero past
+        # the last window; band_signals yields the parts themselves.
         x = np.random.default_rng(samples + window + stride).standard_normal(samples)
         layout = EmbedLayout.hankel(window, stride=stride)
         spec = linalg.svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout))
         cut = self.cut_for(spec.numerical_rank)
         parts = signal.separate(spec, cut)
-        self.refuse_before_any_band(monkeypatch, lambda: next(signal.band_signals(spec, cut, layout, samples)),
-                                    match="unembed")
         covered_to = (samples - window) // stride * stride + window
-        for part in parts:
+        for part, band in zip(parts, signal.band_signals(spec, cut), strict=True):
             assert np.all(signal.unembed(part, layout, samples).data[covered_to:] == 0.0)
+            assert band.data.tobytes() == part.tobytes()
 
-    def test_hankel_gsvd_factors(self, monkeypatch):
+    def test_hankel_gsvd_factors(self):
         rng = np.random.default_rng(21)
         x, z = rng.standard_normal(60), rng.standard_normal(60)
         layout = EmbedLayout.hankel(40)  # 40 x 21: gsvd needs at least as many rows as columns
         a = signal.embed(ChannelSet(x[:, np.newaxis]), layout)
         g = linalg.gsvd(a, signal.embed(ChannelSet(z[:, np.newaxis]), layout))
         cut = signal.CutoffResult(m=3, f=10, peak_values=(0.0, 0.0), method="gsvd-egv")
-        total = sum(signal.unembed(part, layout, 60).data for part in signal.separate(g, cut))
+        parts = signal.separate(g, cut)
+        total = sum(signal.unembed(part, layout, 60).data for part in parts)
         assert np.max(np.abs(total[:, 0] - x)) <= 1e-12 * np.max(np.abs(x))
-        self.refuse_before_any_band(monkeypatch, lambda: next(signal.band_signals(g, cut, layout, 60)),
-                                    match="unembed")
-
-    def test_hankel_undersized_target_raises_before_any_band_is_formed(self, monkeypatch):
-        x = np.random.default_rng(26).standard_normal(100)
-        layout = EmbedLayout.hankel(10)
-        spec = linalg.streamed_svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout).T)
-        bands = signal.band_signals(spec, self.cut_for(spec.numerical_rank), layout, 99)
-        self.refuse_before_any_band(monkeypatch, lambda: next(bands),
-                                    match="windows extend to 100 but target_length is 99$")
+        for part, band in zip(parts, signal.band_signals(g, cut), strict=True):
+            assert band.data.tobytes() == part.tobytes()
 
     def test_channel_columns_bands_are_the_matrix_route(self):
         a = np.random.default_rng(22).standard_normal((30, 6))
@@ -277,12 +270,12 @@ class TestBandSignals:
         spec = linalg.svd(a)
         cut = self.cut_for(spec.numerical_rank)
         for part, band in zip(signal.separate(spec, cut),
-                              signal.band_signals(spec, cut, layout, 30)):
+                              signal.band_signals(spec, cut)):
             assert band.data.tobytes() == signal.unembed(part, layout, 30).data.tobytes()
 
-    def test_channel_columns_with_offsets_are_the_matrix_route(self, monkeypatch):
-        # A 200-sample window of a 300-sample recording is refused: its
-        # signals are unembed of separate's parts, whose rows past it are zero.
+    def test_channel_columns_with_offsets_are_the_matrix_route(self):
+        # The signals of a 200-sample window of a 300-sample recording are
+        # unembed of separate's parts, whose rows past it are zero.
         data = np.random.default_rng(24).standard_normal((300, 6))
         layout = EmbedLayout.channel_columns(200)
         spec = linalg.svd(signal.embed(ChannelSet(data), layout))
@@ -290,11 +283,9 @@ class TestBandSignals:
         for part in signal.separate(spec, cut):
             band = signal.unembed(part, layout, 300)
             assert np.array_equal(band.data[:200], part) and not np.any(band.data[200:])
-        self.refuse_before_any_band(monkeypatch, lambda: next(signal.band_signals(spec, cut, layout, 300)),
-                                    match="unembed")
 
     def test_offset_that_does_not_fit_is_a_layout_error(self):
-        # A window longer than the target is rejected before any block of a band is formed.
+        # A window longer than the target is rejected before any block of the matrix is read.
         class Unsliceable:
             shape = (200, 3)
 
@@ -303,54 +294,36 @@ class TestBandSignals:
 
         raise_exactly(LayoutError, lambda: signal._unembed(Unsliceable(), EmbedLayout.channel_columns(200), 150),
                       match="windows extend to 200 but target_length is 150$")
-        data = np.random.default_rng(25).standard_normal((300, 3))
-        layout = EmbedLayout.channel_columns(200)
-        spec = linalg.svd(signal.embed(ChannelSet(data), layout))
-        with pytest.raises(LayoutError, match="window_length 200 and target_length 150"):
-            next(signal.band_signals(spec, self.cut_for(spec.numerical_rank), layout, 150))
 
     def test_rejects_mismatched_layout_and_cut(self):
         spec = linalg.svd(np.random.default_rng(23).standard_normal((30, 6)))
-        with pytest.raises(LayoutError):
-            next(signal.band_signals(spec, self.cut_for(6), EmbedLayout.channel_columns(29), 30))
         with pytest.raises(RangeError):
             bad = signal.CutoffResult(m=7, f=None, peak_values=(0.0,), method="svd-egv")
-            next(signal.band_signals(spec, bad, EmbedLayout.channel_columns(30), 30))
+            next(signal.band_signals(spec, bad))
 
     @staticmethod
     def spectra():
         rng = np.random.default_rng(28)
-        x, z = (ChannelSet(rng.standard_normal((100, 1))) for _ in range(2))
+        x = ChannelSet(rng.standard_normal((100, 1)))
         data = ChannelSet(rng.standard_normal((300, 4)))
-        # 60 x 41 on the hankel layout: gsvd needs at least as many rows as columns
-        hankel, strided = EmbedLayout.hankel(60), EmbedLayout.hankel(10, stride=2)
         return {
-            "streamed-channel-columns": (
-                linalg.streamed_svd(signal.embed(data, EmbedLayout.channel_columns(300)).T),
-                EmbedLayout.channel_columns(300), 300, "stride-1 hankel layout"),
-            "streamed-stride-2": (linalg.streamed_svd(signal.embed(x, strided).T), strided, 100,
-                                  "stride-1 hankel layout"),
-            "svd-hankel": (linalg.svd(signal.embed(x, hankel)), hankel, 100, "unembed"),
-            "gsvd-hankel": (linalg.gsvd(signal.embed(x, hankel), signal.embed(z, hankel)), hankel, 100,
-                            "unembed"),
-            "channel-columns-offsets": (
-                linalg.svd(signal.embed(data, EmbedLayout.channel_columns(200))),
-                EmbedLayout.channel_columns(200), 300, "unembed"),
+            "streamed-channel-columns": linalg.streamed_svd(
+                signal.embed(data, EmbedLayout.channel_columns(300)).T),
+            "streamed-stride-2": linalg.streamed_svd(signal.embed(x, EmbedLayout.hankel(10, stride=2)).T),
         }
 
-    @pytest.mark.parametrize("route", ["streamed-channel-columns", "streamed-stride-2", "svd-hankel",
-                                       "gsvd-hankel", "channel-columns-offsets", "separate-streamed"])
+    @pytest.mark.parametrize("route", ["streamed-channel-columns", "streamed-stride-2", "separate-streamed"])
     def test_routes_the_cli_does_not_run_are_refused(self, monkeypatch, route):
         if route == "separate-streamed":
-            factors = self.spectra()["streamed-stride-2"][0]
+            factors = self.spectra()["streamed-stride-2"]
             cut = self.cut_for(factors.numerical_rank)
             self.refuse_before_any_band(monkeypatch, lambda: signal.separate(factors, cut),
                                         match="band_signals")
             return
-        factors, layout, samples, match = self.spectra()[route]
+        factors = self.spectra()[route]
         cut = signal.CutoffResult(m=1, f=2, peak_values=(0.0, 0.0), method="svd-egv")
-        self.refuse_before_any_band(monkeypatch, lambda: next(signal.band_signals(factors, cut, layout, samples)),
-                                    match=match)
+        self.refuse_before_any_band(monkeypatch, lambda: next(signal.band_signals(factors, cut)),
+                                    match="stride-1 hankel layout")
 
 
 class TestHankelStreamed:
@@ -382,9 +355,9 @@ class TestHankelStreamed:
         cut = TestBandSignals.cut_for(want.numerical_rank)
         if stride > 1:
             with pytest.raises(LayoutError, match="stride-1 hankel layout"):
-                next(signal.band_signals(got, cut, layout, samples))
+                next(signal.band_signals(got, cut))
             return got
-        bands = list(signal.band_signals(got, cut, layout, samples))
+        bands = list(signal.band_signals(got, cut))
         assert len(bands) == 3
         for (lo, hi), band, ref in zip(signal._band_ranges(want, cut), bands, signal.separate(want, cut)):
             ref = signal.unembed(ref, layout, samples)
@@ -416,7 +389,7 @@ class TestHankelStreamed:
             spec = linalg.streamed_svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout).T)
             cut = signal.CutoffResult(m=max(1, spec.numerical_rank // 3), f=None,
                                       peak_values=(0.0,), method="svd-egv")
-            total = sum(band.data[:, 0] for band in signal.band_signals(spec, cut, layout, samples))
+            total = sum(band.data[:, 0] for band in signal.band_signals(spec, cut))
             assert np.max(np.abs(total - x)) <= 4 * np.finfo(float).eps * np.max(np.abs(x))
 
     def test_band_signals_hold_the_signal_not_the_trajectory(self):
@@ -427,7 +400,7 @@ class TestHankelStreamed:
         layout = EmbedLayout.hankel(200)
         spec = linalg.streamed_svd(signal.embed(ChannelSet(x[:, np.newaxis]), layout).T)
         cut = TestBandSignals.cut_for(spec.numerical_rank)
-        bands, peak = traced_peak(lambda: list(signal.band_signals(spec, cut, layout, samples)))
+        bands, peak = traced_peak(lambda: list(signal.band_signals(spec, cut)))
         assert len(bands) == 3
         assert peak <= 8 * samples * 8
 
@@ -437,7 +410,7 @@ class TestHankelStreamed:
         layout = EmbedLayout.hankel(10)
         spec = linalg.streamed_svd(np.array(signal.embed(ChannelSet(x[:, np.newaxis]), layout).T))
         with pytest.raises(LayoutError, match="window view"):
-            next(signal.band_signals(spec, TestBandSignals.cut_for(spec.numerical_rank), layout, 100))
+            next(signal.band_signals(spec, TestBandSignals.cut_for(spec.numerical_rank)))
 
     def test_layout_errors_are_embed_s(self):
         with pytest.raises(LayoutError, match="single channel"):
@@ -448,12 +421,9 @@ class TestHankelStreamed:
     def test_rejects_a_spectrum_of_another_layout(self):
         x = np.random.default_rng(23).standard_normal((100, 1))
         spec = linalg.streamed_svd(signal.embed(ChannelSet(x), EmbedLayout.hankel(10)).T)
-        cut = TestBandSignals.cut_for(spec.numerical_rank)
-        with pytest.raises(LayoutError):
-            next(signal.band_signals(spec, cut, EmbedLayout.hankel(12), 100))
         with pytest.raises(RangeError):
             bad = signal.CutoffResult(m=11, f=None, peak_values=(0.0,), method="svd-egv")
-            next(signal.band_signals(spec, bad, EmbedLayout.hankel(10), 100))
+            next(signal.band_signals(spec, bad))
 
 
 class TestHankelBlocks:
@@ -501,7 +471,7 @@ class TestHankelBlocks:
         cut = TestBandSignals.cut_for(spec.numerical_rank)
         if not noise_band:
             cut = signal.CutoffResult(m=cut.m, f=None, peak_values=(0.0,), method="svd-egv")
-        blocks = signal._band_blocks(spec, cut, layout, samples)
+        blocks = signal._band_blocks(spec, cut)
         got = [np.concatenate(parts)[:, 0] for parts in
                zip(*(blocks(r0, min(r0 + 1024, samples)) for r0 in range(0, samples, 1024)))]
         for part, want in zip(got, self.whole_signal(spec, cut, x, layout)):

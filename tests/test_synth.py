@@ -180,3 +180,20 @@ class TestGenTexture:
 ])
 def test_typed_errors(call):
     raise_exactly(GeneratorSpecError, call)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: base_spec(samples=400.5), id="samples"),
+    pytest.param(lambda: base_spec(channels=8.0), id="channels"),
+    pytest.param(lambda: base_spec(dominant_rank=2.0), id="dominant-rank"),
+    pytest.param(lambda: base_spec(weak_rank_span=2.0), id="weak-rank-span"),
+    pytest.param(lambda: TextureSpec(width=40.0, height=40), id="texture-width"),
+    pytest.param(lambda: TextureSpec(width=40, height=40.0), id="texture-height"),
+    pytest.param(lambda: Region(1.5, 0, 5, 5, "rough"), id="region-x"),
+    pytest.param(lambda: Region(0, 1.5, 5, 5, "rough"), id="region-y"),
+    pytest.param(lambda: Region(0, 0, 5.0, 5, "rough"), id="region-width"),
+    pytest.param(lambda: Region(0, 0, 5, 5.0, "rough"), id="region-height"),
+])
+def test_counts_and_positions_must_be_integers(call):
+    # A float would pass the range checks and fail later inside numpy with a bare TypeError.
+    raise_exactly(GeneratorSpecError, call, match="must be an integer")
