@@ -14,6 +14,7 @@ import gc
 import json
 import math
 import os
+import stat
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -90,6 +91,16 @@ def _refuse_unread(rules) -> None:
             raise ParseError(f"{flag} applies to {scope} only")
 
 
+def _reference_of(path, name):
+    """The ``linalg._reference`` of the signal CSV at ``path``, read in TSQR
+    blocks and never held whole, and its labels."""
+    with contextlib.closing(fio._csv_blocks(path, True, linalg._block_rows)) as blocks:
+        labels = next(blocks)
+        reduced = linalg._reference(blocks, name)
+    fio._named(path, signal._check_samples, reduced.shape)
+    return reduced, labels
+
+
 def cmd_separate(args) -> RunReport:
     # Three routes, chosen here alone: svd or gsvd on channel columns, svd on a hankel layout.
     _refuse_unread((
@@ -105,29 +116,34 @@ def cmd_separate(args) -> RunReport:
     # A hankel layout checks --window-length before the input is read.
     hankel = signal.EmbedLayout.hankel(args.window_length) if args.layout == "hankel" else None
     if args.method == "gsvd":
-        # The reference enters the GSVD only through its triangle: it is read
-        # and reduced first, and dropped before the input is read.
-        reference = linalg._reference(fio.read_channels_csv(args.second).data)
-    channels = fio.read_channels_csv(args.input)
-    (n_samples, width), labels = channels.data.shape, channels.labels
-    layout = hankel or signal.EmbedLayout.channel_columns(n_samples)
-
-    a = signal.embed(channels, layout)
-    del channels  # leave a, a view, the only holder of the samples
-    if args.method == "svd":
-        decomp = linalg.streamed_svd(a.T) if args.layout == "hankel" else linalg.svd(a)
+        # Neither recording is held. Each enters the GSVD only through its
+        # triangle, built as it is read in TSQR blocks, the reference first;
+        # the bands are then rows of A, read a second time, times n x n matrices.
+        reference = _reference_of(args.second, "B")[0]
+        if not stat.S_ISREG(os.stat(args.input).st_mode):  # a pipe reads empty the second time
+            raise ParseError(f"{args.input}: --method gsvd reads the input twice, so it must be a regular file")
+        triangle, labels = _reference_of(args.input, "A")
+        decomp = linalg.gsvd(triangle, reference)
+        n_samples, width = decomp.shape
+        values, values_key = decomp.generalized_values, "generalized_values"
+        rank_info = {"infinite_values": int(np.sum(np.isinf(decomp.balanced_values)))}
+    else:
+        channels = fio.read_channels_csv(args.input)
+        (n_samples, width), labels = channels.data.shape, channels.labels
+        a = signal.embed(channels, hankel or signal.EmbedLayout.channel_columns(n_samples))
+        del channels  # leave a, a view, the only holder of the samples
+        decomp = linalg.streamed_svd(a.T) if hankel else linalg.svd(a)
         del a
         values, values_key = decomp.singular_values[: decomp.numerical_rank], "singular_values"
         rank_info = {"numerical_rank": decomp.numerical_rank}
-    else:
-        decomp = linalg.gsvd(a, reference)  # holds a, which its bands are read from
-        values, values_key = decomp.generalized_values, "generalized_values"
-        rank_info = {"infinite_values": int(np.sum(np.isinf(decomp.balanced_values)))}
     cut = signal.cutoff(decomp)
 
     outputs = [f"{args.output_prefix}_{name}.csv" for name in ("dominant", "weak", "noise")]
-    blocks = signal._band_blocks(decomp, cut)  # all three parts, a block of rows at a time
-    fio._write_channel_tables(outputs, (n_samples, width), blocks, labels)
+    rows_of_a = (fio._Reread(args.input, decomp.shape, linalg._block_rows) if args.method == "gsvd"
+                 else contextlib.nullcontext())
+    with rows_of_a as a:
+        blocks = signal._band_blocks(decomp, cut, a)  # all three parts, a block of rows at a time
+        fio._write_channel_tables(outputs, (n_samples, width), blocks, labels)
 
     return RunReport(
         command="separate",
@@ -135,7 +151,7 @@ def cmd_separate(args) -> RunReport:
         parameters={
             "method": args.method,
             "layout": args.layout,
-            "window_length": layout.window_length,
+            "window_length": hankel.window_length if hankel else n_samples,
             "output_prefix": args.output_prefix,
         },
         results={

@@ -1,9 +1,9 @@
 """File formats: signal CSV, map CSV, PGM (P2/P5) and 8-bit grayscale PNG.
 
 Signal and map CSVs share one codec that writes floats with ``%.17g``, so a
-write/read round trip is bit-exact. numpy's C text reader parses the rows;
-a line-at-a-time loop reads the file again only when that reader rejects
-it, to name the fault by line and column. The PNG path is read-only
+write/read round trip is bit-exact. numpy's C text reader parses the rows,
+all at once or in row blocks; a line-at-a-time loop reads the file again
+only when that reader rejects a block, to name the fault by line and column. The PNG path is read-only
 and decodes exactly the subset needed here (8-bit grayscale, non-interlaced)
 with the standard library's zlib; anything else raises :class:`ParseError`.
 """
@@ -61,6 +61,7 @@ def write_channels_csv(path, channels, labels=None) -> None:
 def _write_channel_tables(paths, shape, blocks, labels=None) -> None:
     """:func:`write_channels_csv` of one ``shape`` table per path, under one
     header, such as the three parts ``separate`` writes (:func:`_write_rows`)."""
+    _check_table(paths, shape)  # before the labels: a table with no column has none to check
     width = shape[1]
     if labels is not None and len(labels) != width:
         raise ShapeError(f"got {len(labels)} labels for {width} channels")
@@ -123,10 +124,8 @@ def _write_rows(paths, shape, blocks, cell, sep, head=None) -> None:
     A table with no row or no column, which the readers would reject too, is
     a :class:`ShapeError` naming the paths before any file is opened.
     """
+    _check_table(paths, shape)
     rows, width = shape
-    if rows < 1 or width < 1:
-        raise ShapeError(f"{', '.join(map(str, paths))}: a table needs at least one row and one column, "
-                         f"got {rows}x{width}")
     step = max(1, _WRITE_ENTRIES // width)
     line = sep.join([cell] * width) + "\n"
     handles = []
@@ -147,6 +146,14 @@ def _write_rows(paths, shape, blocks, cell, sep, head=None) -> None:
             for path in paths[: len(handles)]:
                 Path(path).unlink()
             raise
+
+
+def _check_table(paths, shape) -> None:
+    """The :class:`ShapeError` of :func:`_write_rows` for a table with no row or no column."""
+    rows, width = shape
+    if rows < 1 or width < 1:
+        raise ShapeError(f"{', '.join(map(str, paths))}: a table needs at least one row and one column, "
+                         f"got {rows}x{width}")
 
 
 def _cell(path, text, line, column) -> float:
@@ -187,16 +194,28 @@ def _labels(cells):
 
 
 def _read_csv(path, header):
-    """Read a CSV of finite floats into a (rows, width) array and labels (or None).
+    """Read a CSV of finite floats into a (rows, width) array and labels (or
+    None): :func:`_csv_blocks` in one block."""
+    labels, table = _csv_blocks(path, header)
+    return table, labels
+
+
+def _csv_blocks(path, header, block_rows=None):
+    """Yield the labels of a CSV of finite floats (None when it has none),
+    then its rows as (k, width) arrays: blocks of ``block_rows(width)``
+    rows, or one block when ``block_rows`` is None.
 
     Blank lines are skipped. Only with ``header`` is a non-numeric first
-    non-blank line taken as labels, which then fix the width. The rows are
-    parsed by numpy's C text reader; when it rejects the file, or its table
-    holds a non-finite value or does not match the labels' width, the file
-    is read again by :func:`_read_csv_lines`, which names the fault or reads
-    the few cells ``float`` accepts and numpy does not (``1_0``, non-ASCII
-    digits, whitespace-only lines).
+    non-blank line taken as labels, which then fix the width. Each block is
+    parsed by numpy's C text reader, from a non-blank line on and at most
+    ``block_rows(width)`` rows at a time, so no read is empty (numpy warns on
+    one). When it rejects a block, or a block holds a non-finite value or
+    does not match the width, the file is read again by
+    :func:`_read_csv_lines`, which names the fault or reads the few cells
+    ``float`` accepts and numpy does not (``1_0``, non-ASCII digits); its
+    rows past those already yielded follow, in the same blocks.
     """
+    given, started = 0, False
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = (text for text in fh if text.strip())
@@ -205,13 +224,73 @@ def _read_csv(path, header):
                 labels = _labels(first.split(","))
                 if labels is not None:
                     first = next(lines, None)
-            if first is not None:  # never an empty read: loadtxt would warn
-                table = np.loadtxt(chain([first], fh), delimiter=",", comments=None, ndmin=2)
-                if (labels is None or table.shape[1] == len(labels)) and np.isfinite(table).all():
-                    return table, labels
+            if first is not None:  # else the line loop names the empty file
+                width = len(first.split(",") if labels is None else labels)
+                step = block_rows and block_rows(width)
+                started = True
+                yield labels
+                while first is not None:
+                    block = np.loadtxt(chain([first], lines), delimiter=",", comments=None, ndmin=2,
+                                       max_rows=step)
+                    if block.shape[1] != width or not np.isfinite(block).all():
+                        break
+                    yield block
+                    given += len(block)
+                    first = next(lines, None)
+                else:
+                    return
     except ValueError:  # UnicodeDecodeError included
         pass
-    return _read_csv_lines(path, header)
+    table, labels = _read_csv_lines(path, header)
+    if not started:
+        yield labels
+    step = block_rows(table.shape[1]) if block_rows else len(table)
+    for r0 in range(given, len(table), step):
+        yield table[r0 : r0 + step]
+
+
+class _Reread:
+    """The rows of a signal CSV read a second time, forward, in the blocks of
+    :func:`_csv_blocks`: ``self[r0:r1]`` is rows ``[r0, r1)``, for slices
+    each starting between the previous slice's start and end, as
+    ``signal._band_rows`` asks for the rows of A. Only the rows from the
+    previous start on and one block are held; leaving a ``with`` block
+    closes the file.
+
+    The table must still have ``shape``, what the first read found: else
+    the slice that finds it raises :class:`InvalidInputError`; the slice
+    that ends at the last row checks that no row follows.
+    """
+
+    def __init__(self, path, shape, block_rows):
+        self._path, self._shape = path, shape
+        self._blocks = _csv_blocks(path, True, block_rows)
+        next(self._blocks)  # the labels, taken from the first read
+        self._held, self._start = np.empty((0, shape[1])), 0
+
+    def __enter__(self) -> "_Reread":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._blocks.close()
+
+    def __getitem__(self, span: slice) -> np.ndarray:
+        r0, r1 = span.start, span.stop
+        held = self._held[r0 - self._start :]
+        while len(held) < r1 - r0:
+            block = next(self._blocks, None)
+            if block is None or block.shape[1] != self._shape[1]:
+                raise self._changed()
+            held = np.concatenate([held, block]) if len(held) else block
+        if r0 + len(held) > self._shape[0] or (r1 == self._shape[0] and next(self._blocks, None) is not None):
+            raise self._changed()
+        self._held, self._start = held, r0
+        return held[: r1 - r0]
+
+    def _changed(self) -> InvalidInputError:
+        rows, width = self._shape
+        return InvalidInputError(f"{self._path} changed while it was read: "
+                                 f"its table is no longer {rows} rows of {width} columns")
 
 
 def _read_csv_lines(path, header):

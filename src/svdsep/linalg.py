@@ -123,7 +123,8 @@ class StreamedSpectrum:
     was read from: when it is the window view of a stride-1 hankel layout,
     ``signal.band_signals`` forms the band signals over its n + m - 1
     samples from it, by rank. It has no matrix parts (``signal.separate``
-    refuses it).
+    refuses it). A ``left_basis`` with other than m rows, one per column of
+    ``transposed``, is a :class:`ShapeError`.
     ``factorizations`` counts the factorizations run: a QR per block of
     ``linalg._block_rows`` rows, a QR per merge of two triangles (one fewer
     than the blocks) and the final SVD, so twice the block count.
@@ -134,6 +135,11 @@ class StreamedSpectrum:
     numerical_rank: int
     transposed: np.ndarray
     factorizations: int
+
+    def __post_init__(self):
+        rows, m = self.left_basis.shape[0], self.transposed.shape[1]
+        if rows != m:
+            raise ShapeError(f"left_basis has {rows} rows, but X^T has {m} columns")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -158,25 +164,26 @@ class GsvdResult:
     order are clamped to the least value before them. The cutoff reads these.
     ``generalized_values`` are those of the caller's (A, B), ``2^k`` times
     the balanced ones: inf or 0 only where the true value is not
-    representable. Beside ``a``, the array or view A was read from, only
-    n x n factors are held: a band of A is A times one of them
+    representable. Beyond the arrays or views A and B were read from, only
+    n x n factors are held: a band of A is rows of A times one of them
     (:meth:`band_matrix`), and U = Q_A ``u_factor`` is formed on read from
-    the Q of the blocked QR that gave R_A (:func:`_blocked_q`).
-    ``factorizations`` counts the QRs of the TSQRs of A and of B, 2 blocks - 1
-    each over blocks of ``linalg._block_rows`` rows, and two SVDs: 4 when
-    each matrix is one block.
+    the Q of the blocked QR that gave R_A (:func:`_blocked_q`), as V is
+    from Q_B ``v_factor``. ``factorizations`` counts the QRs of the TSQRs of
+    A and of B, 2 blocks - 1 each over blocks of ``linalg._block_rows``
+    rows, and two SVDs: 4 when each matrix is one block.
 
-    A result is built in one of two ways. From a matrix B it also holds
-    ``b``, the array or view B was read from, and V, the orthonormal factor
-    of Q_B ``v_factor``, is formed on read from B in the same way.
-    From a reference, B reduced to its triangle before A was read (what the
-    CLI does, so that A and B are never held together), ``b`` is None:
-    :attr:`v_basis` and :meth:`reconstruct_b` raise :class:`LayoutError`,
-    and every other field holds the bytes the matrix would give.
+    Either matrix may be given as a reference instead (:func:`_reference`),
+    reduced to its triangle as it is read, so that it is never held: the CLI
+    passes both so. Every field then holds the bytes the matrix would give,
+    but ``a`` or ``b`` is None. Without A, :attr:`u_basis` and
+    :meth:`reconstruct_a` raise :class:`LayoutError`, and the bands are
+    formed from A's rows read again (``signal._band_blocks``); without B,
+    :attr:`v_basis` and :meth:`reconstruct_b` do.
     """
 
-    a: np.ndarray            # (m, n) as given
-    b: np.ndarray | None     # (s, n) as given, unscaled; None when built from a reference
+    a: np.ndarray | None     # (m, n) as given; None when given as a reference
+    b: np.ndarray | None     # (s, n) as given, unscaled; None when given as a reference
+    shape: tuple[int, int]   # (m, n)
     x_factor: np.ndarray     # (n, n) nonsingular
     x_dual: np.ndarray       # (n, n) X^{-T}
     u_factor: np.ndarray     # (n, n) orthogonal
@@ -188,12 +195,10 @@ class GsvdResult:
     factorizations: int
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.a.shape[0], self.x_factor.shape[0])
-
-    @property
     def u_basis(self) -> np.ndarray:
-        """U, (m, n) orthonormal columns."""
+        """U, (m, n) orthonormal columns; needs the matrix A."""
+        if self.a is None:
+            raise LayoutError("U needs A, and this decomposition was built from A's triangle alone")
         return _blocked_q(self.a) @ self.u_factor
 
     @property
@@ -217,6 +222,7 @@ class GsvdResult:
         return self.x_dual[:, lo:hi] @ self.x_factor[:, lo:hi].T
 
     def reconstruct_a(self) -> np.ndarray:
+        """U C X^T, A as reconstructed; needs the matrix A, as :attr:`u_basis` does."""
         return _band(self.u_basis, self.alpha, self.x_factor, 0, self.alpha.size)
 
     def reconstruct_b(self) -> np.ndarray:
@@ -327,26 +333,35 @@ def svd(a) -> SpectrumResult:
 _BLOCK_ENTRIES = 8192
 
 
-def _block_rows(x: np.ndarray) -> int:
-    """Rows per block of a TSQR of x, (rows, n): ``_BLOCK_ENTRIES`` entries, at least 8 n rows."""
-    return max(8 * x.shape[1], _BLOCK_ENTRIES // x.shape[1])
+def _block_rows(width: int) -> int:
+    """Rows per block of a TSQR of ``width`` columns: ``_BLOCK_ENTRIES`` entries, at least 8 ``width`` rows."""
+    return max(8 * width, _BLOCK_ENTRIES // width)
 
 
-def _tsqr(name: str, x: np.ndarray) -> tuple[np.ndarray, int]:
+def _tsqr(name: str, x) -> tuple[np.ndarray, int]:
     """R of x = QR, (min(rows, n), n), of an x with rows, by sequential TSQR
-    over :func:`_block_rows` (Demmel, Grigori, Hoemmen and Langou, SIAM J.
-    Sci. Comput. 34(1), 2012), and the QRs run, ``2 * blocks - 1``. Each
-    block is QR-factored alone, which copies it once for LAPACK, and its
-    triangle is merged into R as the R factor of the stack [R; R_block]. A
-    failure is a :class:`ConvergenceError` naming ``name`` and x's shape.
+    over row blocks (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
+    Comput. 34(1), 2012), and the QRs run, ``2 * blocks - 1``. x is an array,
+    read in blocks of :func:`_block_rows` rows, or an iterable of row blocks
+    of one width, read once; R is None when it yields none. Each block is
+    QR-factored alone, which copies it once for LAPACK, and its triangle is
+    merged into R as the R factor of the stack [R; R_block]. A failure is a
+    :class:`ConvergenceError` naming ``name`` and x's shape: for an
+    iterable, that of the rows read so far.
     """
-    step = _block_rows(x)
-    r = None
-    for j in range(0, x.shape[0], step):
-        r_block = _lapack(name, x.shape, np.linalg.qr, x[j : j + step], mode="r")
-        r = r_block if r is None else _lapack(name, x.shape, np.linalg.qr,
-                                               np.vstack([r, r_block]), mode="r")
-    return r, 2 * -(-x.shape[0] // step) - 1
+    if isinstance(x, np.ndarray):
+        step = _block_rows(x.shape[1])
+        blocks, whole = (x[j : j + step] for j in range(0, x.shape[0], step)), x.shape
+    else:
+        blocks, whole = x, None
+    r, rows, qrs = None, 0, -1
+    for block in blocks:
+        rows += block.shape[0]
+        shape = whole or (rows, block.shape[1])
+        r_block = _lapack(name, shape, np.linalg.qr, block, mode="r")
+        r = r_block if r is None else _lapack(name, shape, np.linalg.qr, np.vstack([r, r_block]), mode="r")
+        qrs += 2
+    return r, qrs
 
 
 def streamed_svd(xt) -> StreamedSpectrum:
@@ -384,7 +399,7 @@ def _blocked_q(x: np.ndarray) -> np.ndarray:
     its Q, and each block's Q carried back through the merges after it. A
     whole QR's Q pairs with that R only up to the signs of its columns, and
     not at all where a column of x is zero or repeats another."""
-    step = _block_rows(x)
+    step = _block_rows(x.shape[1])
     q, r = _lapack("QR", x.shape, np.linalg.qr, x[:step])
     blocks, merges = [q], []
     for j in range(step, x.shape[0], step):
@@ -402,26 +417,52 @@ def _blocked_q(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Reference:
-    """A reference B reduced to what :func:`gsvd` reads of it: the triangle
-    R_B of B = Q_B R_B, the binary exponent of its largest |entry|, its
-    (s, n) shape and the QRs run. B itself may be dropped once this is made."""
+    """A matrix reduced to what :func:`gsvd` reads of it: the triangle R of
+    its QR, the binary exponent of its largest |entry|, its (rows, n) shape
+    and the QRs run. The matrix itself may be dropped once this is made."""
 
-    triangle: np.ndarray     # (min(s, n), n)
+    triangle: np.ndarray     # (min(rows, n), n)
     exponent: int
     shape: tuple[int, int]
     factorizations: int
 
 
-def _reduced(b_arr: np.ndarray) -> _Reference:
-    """The :class:`_Reference` of a checked matrix B: its TSQR."""
-    r_b, qrs = _tsqr("QR", b_arr)
-    return _Reference(triangle=r_b, exponent=_exponent(b_arr), shape=b_arr.shape, factorizations=qrs)
+def _reduced(arr: np.ndarray) -> _Reference:
+    """The :class:`_Reference` of a checked matrix: its TSQR."""
+    r, qrs = _tsqr("QR", arr)
+    return _Reference(triangle=r, exponent=_exponent(max(arr.max(), -arr.min())), shape=arr.shape,
+                      factorizations=qrs)
 
 
-def _reference(b) -> _Reference:
-    """B reduced for :func:`gsvd` before A is read, so that the two are never
-    held together; its checks are those ``gsvd(a, b)`` makes of B."""
-    return _reduced(check_matrix(b, "B"))
+def _reference(x, name: str = "B") -> _Reference:
+    """A or B reduced for :func:`gsvd` as it is read, so that it is never
+    held beside the other, nor at all when read in blocks.
+
+    ``x`` is the matrix, or an iterable of its row blocks, each read once:
+    the CLI reads A and B so, from their files. The checks are those
+    ``gsvd`` makes of a matrix ``name``, made per block, and the exponent is
+    that of the running max of |entry|. The blocks are the TSQR's own, so a
+    matrix and its :func:`_block_rows` slices give the same bytes; a QR
+    failure in a block names the rows read so far.
+    """
+    if isinstance(x, np.ndarray):
+        return _reduced(check_matrix(x, name))
+    width, rows, peak = None, 0, 0.0
+
+    def checked():
+        nonlocal width, rows, peak
+        for block in x:
+            block = check_matrix(block, name)
+            if width not in (None, block.shape[1]):
+                raise ShapeError(f"{name}'s row blocks must share a column count, got {width} and {block.shape[1]}")
+            width, rows = block.shape[1], rows + block.shape[0]
+            peak = max(peak, block.max(), -block.min())
+            yield block
+
+    r, qrs = _tsqr("QR", checked())
+    if r is None:
+        raise ShapeError(f"{name} must have at least one row and one column, got no rows")
+    return _Reference(triangle=r, exponent=_exponent(peak), shape=(rows, width), factorizations=qrs)
 
 
 def gsvd(a, b) -> GsvdResult:
@@ -439,9 +480,11 @@ def gsvd(a, b) -> GsvdResult:
     balanced against A by a power of two, applied to R_B (see
     :class:`GsvdResult`), so the result holds at any scale of either matrix.
 
-    ``b`` is a matrix, factored after A, or a reference B reduced before A
-    was read (``_reference(b)``, the CLI's route): the result holds the same
-    bytes either way, but no ``b`` when built from the reference.
+    ``a`` and ``b`` are each a matrix, factored here, A first, or a
+    reference reduced as it was read (``_reference(blocks, name)``): the CLI
+    passes two references, B's made first, so that it holds neither
+    recording. The result holds the same bytes either way, but no ``a`` or
+    ``b`` for a reference (see :class:`GsvdResult`).
 
     Raises
     ------
@@ -452,22 +495,22 @@ def gsvd(a, b) -> GsvdResult:
         is unattainable on the null directions).
     ConvergenceError
         If LAPACK fails to factor A, B, the stacked triangles or its top
-        block; a failing block of A or B names the whole matrix's shape.
+        block; a failing block of a matrix A or B names its whole shape.
     """
-    a_arr = check_matrix(a, "A")
+    a_arr = None if isinstance(a, _Reference) else check_matrix(a, "A")
     b_arr = None if isinstance(b, _Reference) else check_matrix(b, "B")
-    (m, n), (s, b_cols) = a_arr.shape, (b.shape if b_arr is None else b_arr.shape)
+    (m, n), (s, b_cols) = (a if a_arr is None else a_arr).shape, (b if b_arr is None else b_arr).shape
     if b_cols != n:
         raise ShapeError(f"A and B must share a column count, got {n} and {b_cols}")
     if m < n:
-        raise ShapeError(f"A must have at least as many rows as columns, got {a_arr.shape}")
-    r_a, qrs = _tsqr("QR", a_arr)
-    ref = b if b_arr is None else _reduced(b_arr)
+        raise ShapeError(f"A must have at least as many rows as columns, got {(m, n)}")
+    ref_a = a if a_arr is None else _reduced(a_arr)
+    ref_b = b if b_arr is None else _reduced(b_arr)
     # A power of the radix, as LAPACK's xGGBAL balances a pencil (Ward,
     # SIAM J. Sci. Stat. Comput. 2(2), 1981). Max |entry|, not a norm: a norm
     # overflows at 1e160. QR commutes exactly with it, so R_B takes it, not B.
-    shift = _exponent(a_arr) - ref.exponent
-    stack = np.vstack([r_a, np.ldexp(ref.triangle, shift)])
+    shift = ref_a.exponent - ref_b.exponent
+    stack = np.vstack([ref_a.triangle, np.ldexp(ref_b.triangle, shift)])
     stacked_size = max(m + s, n)  # the larger dimension of [A; B]
     p, sigma, zt = _lapack("SVD", stack.shape, np.linalg.svd, stack, full_matrices=False)
     # The triangles have the singular values of [A; 2^k B]: they carry the rank check.
@@ -494,6 +537,7 @@ def gsvd(a, b) -> GsvdResult:
     return GsvdResult(
         a=a_arr,
         b=b_arr,
+        shape=(m, n),
         x_factor=(zt.T * sigma) @ w,
         x_dual=(zt.T / sigma) @ w,
         u_factor=u,
@@ -502,13 +546,13 @@ def gsvd(a, b) -> GsvdResult:
         beta=beta,
         balanced_values=np.minimum.accumulate(values[::-1]),
         b_shift=shift,
-        factorizations=qrs + ref.factorizations + 2,
+        factorizations=ref_a.factorizations + ref_b.factorizations + 2,
     )
 
 
-def _exponent(x: np.ndarray) -> int:
-    """Binary exponent of the largest |entry| of ``x``, the rule of :func:`_shifted`."""
-    return int(np.frexp(max(x.max(), -x.min()))[1])
+def _exponent(peak: float) -> int:
+    """Binary exponent of ``peak``, a matrix's largest |entry|: the rule of :func:`_shifted`."""
+    return int(np.frexp(peak)[1])
 
 
 def frobenius_energy(a) -> float:

@@ -71,8 +71,7 @@ class ChannelSet:
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"channel data must be 2-D (samples, channels), got ndim={arr.ndim}")
-        if arr.shape[0] < 2 or arr.shape[1] < 1:
-            raise ShapeError(f"need at least 2 samples and 1 channel, got {arr.shape}")
+        _check_samples(arr.shape)
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("channel data contains non-finite samples")
         if self.labels is not None and len(self.labels) != arr.shape[1]:
@@ -102,6 +101,13 @@ class ChannelSet:
 
     def channel(self, index: int) -> np.ndarray:
         return self.data[:, index]
+
+
+def _check_samples(shape: tuple[int, int]) -> None:
+    """Raise :class:`ShapeError` unless a (samples, channels) table of ``shape``
+    has what a :class:`ChannelSet` needs: 2 samples and 1 channel."""
+    if shape[0] < 2 or shape[1] < 1:
+        raise ShapeError(f"need at least 2 samples and 1 channel, got {shape}")
 
 
 @dataclass(frozen=True)
@@ -428,7 +434,8 @@ def separate(factors: SpectrumResult | GsvdResult,
 
     A generalized decomposition has no rank-one triples: each band keeps
     the columns of U and X inside its range and reconstructs U C_band X^T.
-    A streamed spectrum, with no right basis, is a :class:`LayoutError`.
+    A streamed spectrum, with no right basis, is a :class:`LayoutError`, as
+    is a generalized decomposition built from A's triangle, with no rows of A.
     """
     if isinstance(factors, StreamedSpectrum):
         raise LayoutError("a streamed spectrum forms no matrix parts: take its band_signals")
@@ -453,11 +460,13 @@ def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
         yield ChannelSet(table)
 
 
-def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult):
+def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult, a=None):
     """``blocks(r0, r1)``: rows ``[r0, r1)`` of the three signals of
     :func:`band_signals`, exact whatever the blocks, after every check.
 
-    An SVD or GSVD gives the rows of its bands (:func:`_band_rows`). A
+    An SVD or GSVD gives the rows of its bands (:func:`_band_rows`); a GSVD
+    reads them from ``a`` when given, an object whose ``a[r0:r1]`` are rows
+    of A, as the CLI's second read of A is. A
     streamed spectrum is hankelized by rank (:func:`_hankel_rows`) from x,
     read in place as a 1-D view of the memory of ``transposed``: in the
     window view ``embed(...).T``, a row stride equal to its column stride
@@ -466,7 +475,7 @@ def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
     """
     ranges = _band_ranges(factors, cut)
     if not isinstance(factors, StreamedSpectrum):
-        return lambda r0, r1: _band_rows(factors, ranges, r0, r1)
+        return lambda r0, r1: _band_rows(factors, ranges, r0, r1, a)
     xt = factors.transposed
     pitch = xt.strides[1]  # bytes from one sample to the next
     if xt.strides[0] != pitch:
@@ -476,19 +485,26 @@ def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
     return lambda r0, r1: _hankel_rows(factors.left_basis, ranges, x, r0, r1)
 
 
-def _band_rows(factors: SpectrumResult | GsvdResult, ranges, r0: int, r1: int) -> list[np.ndarray]:
+def _band_rows(factors: SpectrumResult | GsvdResult, ranges, r0: int, r1: int, a=None) -> list[np.ndarray]:
     """Rows ``[r0, r1)`` of the bands ``ranges`` of ``factors``.
 
     A band is ``U[:, b] diag(w[b]) X[:, b]^T``. A generalized band is rows
-    of A times an n x n band matrix, so no (m, n) basis is formed.
+    of A times an n x n band matrix, so no (m, n) basis is formed; the rows
+    are read from ``a`` when given, else from ``factors.a``, which a
+    decomposition given A as a reference lacks (:class:`LayoutError`).
     """
     rows = factors.shape[0]
     if r1 - r0 == 1 and rows >= 2:
         # a one-row product would be a matrix-vector product, which rounds differently
         first = min(r0, rows - 2)
-        return [band[r0 - first : r0 - first + 1] for band in _band_rows(factors, ranges, first, first + 2)]
+        return [band[r0 - first : r0 - first + 1] for band in _band_rows(factors, ranges, first, first + 2, a)]
     if isinstance(factors, GsvdResult):
-        return [factors.a[r0:r1] @ factors.band_matrix(lo, hi) for lo, hi in ranges]
+        a = factors.a if a is None else a
+        if a is None:
+            raise LayoutError("this decomposition was built from A's triangle and holds no rows of A "
+                              "to form its bands from")
+        block = a[r0:r1]
+        return [block @ factors.band_matrix(lo, hi) for lo, hi in ranges]
     u = factors.left_basis[r0:r1]
     return [_band(u, factors.singular_values, factors.right_basis, lo, hi) for lo, hi in ranges]
 

@@ -18,7 +18,7 @@ import svdsep
 from svdsep import io as fio
 from svdsep import cli, linalg, signal
 from svdsep.cli import main
-from svdsep.errors import InvalidInputError
+from svdsep.errors import InvalidInputError, LayoutError
 from svdsep.signal import ChannelSet, EmbedLayout, embed
 from svdsep.synth import TAG_ROUGH, MixtureSpec, Region, TextureSpec, gen_mixture, gen_texture
 
@@ -99,13 +99,14 @@ class TestSeparate:
         a, b = (fio.read_channels_csv(path).data for path in (mixture_csv, reference))
         want = linalg.gsvd(a, b)
         assert len(got) == 1
-        for name in ("a", "x_factor", "x_dual", "u_factor", "v_factor", "alpha", "beta",
-                     "generalized_values", "u_basis"):
+        for name in ("x_factor", "x_dual", "u_factor", "v_factor", "alpha", "beta", "generalized_values"):
             assert getattr(got[0], name).tobytes() == getattr(want, name).tobytes(), name
         assert got[0].b_shift == want.b_shift
-        # The CLI reduced B to its triangle before it read A: the result holds nothing of B's rows.
+        # The CLI reduced B, then A, to its triangle as it read it: the result holds no recording's rows.
         held = [v for v in vars(got[0]).values() if isinstance(v, np.ndarray)]
-        assert got[0].b is None and all(v.shape[0] != len(b) for v in held)
+        assert got[0].a is None and got[0].b is None and all(v.shape[0] not in (len(a), len(b)) for v in held)
+        raise_exactly(LayoutError, lambda: got[0].u_basis,
+                      match="^U needs A, and this decomposition was built from A's triangle alone$")
 
     @pytest.mark.parametrize("reference, error, message", [
         ("narrow", "ShapeError", "A and B must share a column count, got 8 and 6"),
@@ -142,6 +143,52 @@ class TestSeparate:
                    "--output-prefix", tmp_path / "g") == 2
         assert capsys.readouterr().err == \
             f"svdsep: parse error: {tmp_path / 'b.csv'}: non-finite value 'nan' (line 3, column 2)\n"
+        assert not list(tmp_path.glob("g_*"))
+
+    @pytest.mark.parametrize("bad", ["input", "reference"])
+    def test_a_fault_in_a_late_block_names_its_line_and_column(self, tmp_path, capsys, bad):
+        # 3000 rows in blocks of 1024: the fault is in the third block, after two were reduced
+        paths = {"input": tmp_path / "a.csv", "reference": tmp_path / "b.csv"}
+        for seed, path in enumerate(paths.values()):
+            fio.write_channels_csv(path, TestStreamedBands.mixture(3000, seed))
+        lines = paths[bad].read_text().splitlines(keepends=True)
+        lines[2500] = ",".join(["x" if j == 5 else cell for j, cell in enumerate(lines[2500].split(","))])
+        paths[bad].write_text("".join(lines))
+        assert run("separate", paths["input"], "--method", "gsvd", "--second", paths["reference"],
+                   "--output-prefix", tmp_path / "g") == 2
+        assert capsys.readouterr().err == \
+            f"svdsep: parse error: {paths[bad]}: not a number: 'x' (line 2501, column 6)\n"
+        assert not list(tmp_path.glob("g_*"))
+
+    @pytest.mark.parametrize("change", ["shorter", "longer", "narrower"])
+    def test_an_input_changed_between_its_reads_is_refused(self, tmp_path, monkeypatch, capsys, change):
+        # A is read twice: once into its triangle, once for the rows of its bands.
+        data = TestStreamedBands.mixture(3000, 1).data
+        path = tmp_path / "a.csv"
+        fio.write_channels_csv(path, ChannelSet(data))
+        fio.write_channels_csv(tmp_path / "b.csv", TestStreamedBands.mixture(3000, 2))
+        body = linalg.gsvd
+
+        def gsvd_then_change(a, b):
+            new = {"shorter": data[:-1], "longer": np.vstack([data, data[:1]]), "narrower": data[:, :7]}[change]
+            fio.write_channels_csv(path, ChannelSet(new))
+            return body(a, b)
+
+        monkeypatch.setattr(linalg, "gsvd", gsvd_then_change)
+        assert run("separate", path, "--method", "gsvd", "--second", tmp_path / "b.csv",
+                   "--output-prefix", tmp_path / "g") == 1
+        assert capsys.readouterr().err == f"svdsep: error: InvalidInputError: {path} changed while it was " \
+                                          "read: its table is no longer 3000 rows of 8 columns\n"
+        assert not list(tmp_path.glob("g_*"))
+
+    def test_gsvd_refuses_an_input_it_cannot_read_twice(self, tmp_path, mixture_csv, capsys):
+        # A pipe would give its rows to the first read and none to the second.
+        pipe = tmp_path / "a.csv"
+        os.mkfifo(pipe)
+        assert run("separate", pipe, "--method", "gsvd", "--second", mixture_csv,
+                   "--output-prefix", tmp_path / "g") == 2
+        assert capsys.readouterr().err == \
+            f"svdsep: parse error: {pipe}: --method gsvd reads the input twice, so it must be a regular file\n"
         assert not list(tmp_path.glob("g_*"))
 
     def test_gsvd_names_a_missing_input(self, tmp_path, mixture_csv, capsys):
@@ -300,29 +347,47 @@ class TestSeparate:
         assert code == 0
         assert peak <= 1.6 * fio.read_channels_csv(path).data.nbytes
 
-    @pytest.mark.parametrize("method, bound", [("svd", 2.2), ("gsvd", 1.35)])
-    def test_channel_columns_peak_is_bounded_by_the_input(self, tmp_path, method, bound):
-        # At 20 000 x 8 the peak is ~2.05x the input (svd) and ~1.22x (gsvd).
+    @pytest.fixture(scope="class")
+    def long_mixtures(self, tmp_path_factory):
+        """The ``synth mixture`` CSVs of seeds 1 and 2 at 20 000 x 8, 20 blocks of 1024 rows."""
+        tmp_path = tmp_path_factory.mktemp("long")
+        for seed in (1, 2):
+            assert run("synth", "mixture", "--samples", 20_000, "--seed", seed,
+                       "--output-prefix", tmp_path / f"mix{seed}") == 0
+        return [f"{tmp_path / f'mix{seed}'}_signals.csv" for seed in (1, 2)]
+
+    @pytest.mark.parametrize("method, bound", [("svd", 2.2), ("gsvd", 0.22)])
+    def test_channel_columns_peak_is_bounded_by_the_input(self, tmp_path, long_mixtures, method, bound):
+        # At 20 000 x 8 the peak is ~2.05x the input (svd) and ~0.17x (gsvd).
         # The svd peak is the factorization: no band is held, as each is
         # written a block of rows at a time; a whole band held beside the left
         # basis made it ~2.6x, and a sign rule that copied a column of |U|
-        # ~2.17x. The gsvd peak is A, which its bands are read from, and one
-        # block of 1024 rows that the TSQR of A copies: B is reduced to its
-        # n x n triangle and dropped before A is read, and every other factor
-        # is n x n. A whole QR's copy of A made it ~2.04x, holding A and B
-        # together ~3.04x, and a QR of the stack [A; B], holding the stack,
-        # LAPACK's copy of it and Q, ~6.0x.
-        inputs = []
-        for seed in (1, 2):
-            prefix = tmp_path / f"mix{seed}"
-            assert run("synth", "mixture", "--samples", 20_000, "--seed", seed,
-                       "--output-prefix", prefix) == 0
-            inputs.append(f"{prefix}_signals.csv")
+        # ~2.17x. The gsvd route holds neither A nor B: each is read in blocks
+        # of 1024 rows and reduced to its n x n triangle as it is read, B
+        # first, and the bands are rows of a second read of A times n x n
+        # matrices. Holding A, which the bands were read from, made it ~1.22x,
+        # a whole QR's copy of A ~2.04x, holding A and B together ~3.04x, and
+        # a QR of the stack [A; B], holding the stack, LAPACK's copy of it and
+        # Q, ~6.0x. A first run in a process also traces one-time imports
+        # (~0.16 MiB), so the traced run follows one untraced.
+        inputs = long_mixtures
         second = ["--second", inputs[1]] if method == "gsvd" else []
-        code, peak = traced_peak(lambda: run("separate", inputs[0], "--method", method, *second,
-                                             "--output-prefix", tmp_path / "sep"))
+        argv = ["separate", inputs[0], "--method", method, *second, "--output-prefix", tmp_path / "sep"]
+        assert run(*argv) == 0
+        code, peak = traced_peak(lambda: run(*argv))
         assert code == 0
         assert peak <= bound * fio.read_channels_csv(inputs[0]).data.nbytes
+
+    def test_gsvd_peak_is_a_few_blocks_whatever_the_length(self, tmp_path, long_mixtures):
+        # Each recording is 20 blocks of 1024 rows (64 KiB); the run holds
+        # ~3.4 blocks, as at 40 000 and 100 000 rows: one block read and its
+        # QR's copy, or one block read again and the text of the rows written.
+        argv = ["separate", long_mixtures[0], "--method", "gsvd", "--second", long_mixtures[1],
+                "--output-prefix", tmp_path / "g"]
+        assert run(*argv) == 0
+        code, peak = traced_peak(lambda: run(*argv))
+        assert code == 0
+        assert peak <= 4 * linalg._block_rows(8) * 8 * 8
 
     def test_hankel_needs_a_single_channel(self, tmp_path, mixture_csv, capsys):
         assert run("separate", mixture_csv, "--layout", "hankel", "--window-length", 30,
@@ -509,9 +574,11 @@ class TestStreamedBands:
     PARTS = ("dominant", "weak", "noise")
 
     @staticmethod
-    def mixture(samples, seed):
-        """The recording ``synth mixture`` writes with its default options."""
-        spec = MixtureSpec(samples=samples, channels=8, dominant_rank=2, weak_rank_span=2,
+    def mixture(samples, seed, channels=8):
+        """The recording ``synth mixture`` writes with its default options, at
+        8 channels; fewer channels have fewer dominant and weak directions."""
+        rank = min(2, (channels - 1) // 2)
+        spec = MixtureSpec(samples=samples, channels=channels, dominant_rank=rank, weak_rank_span=rank,
                            dominant_period=40, seed=seed)
         return gen_mixture(spec)[0]
 
@@ -520,13 +587,13 @@ class TestStreamedBands:
         a = embed(ChannelSet(data), EmbedLayout.channel_columns(len(data)))
         if method == "svd":
             return linalg.svd(a)
-        second = cls.mixture(len(data), 2).data
+        second = cls.mixture(len(data), 2, data.shape[1]).data
         return linalg.gsvd(a, embed(ChannelSet(second), EmbedLayout.channel_columns(len(data))))
 
     @classmethod
-    def assert_parts_are_separates(cls, tmp_path, samples, method, labels=None):
+    def assert_parts_are_separates(cls, tmp_path, samples, method, labels=None, channels=8):
         """The CLI's part files hold the bytes of ``separate``'s parts."""
-        data = cls.mixture(samples, 1).data
+        data = cls.mixture(samples, 1, channels).data
         path = tmp_path / "in.csv"
         if labels is None:
             np.savetxt(path, data, fmt="%.17g", delimiter=",")
@@ -535,7 +602,7 @@ class TestStreamedBands:
         second = []
         if method == "gsvd":
             second = ["--second", tmp_path / "ref.csv"]
-            fio.write_channels_csv(second[1], cls.mixture(samples, 2))
+            fio.write_channels_csv(second[1], cls.mixture(samples, 2, channels))
         assert run("separate", path, "--method", method, *second, "--output-prefix", tmp_path / "sep") == 0
         decomp = cls.factors(data, method)
         for name, part in zip(cls.PARTS, signal.separate(decomp, signal.cutoff(decomp))):
@@ -553,6 +620,19 @@ class TestStreamedBands:
     def test_a_one_row_last_block_is_separates_row(self, tmp_path, method, samples):
         # one past a multiple of the writer's 128-row blocks: the last block is one row
         self.assert_parts_are_separates(tmp_path, samples, method)
+
+    @pytest.mark.parametrize("samples, channels, step", [
+        (6000, 3, None),          # read in blocks of 2730 rows, written in blocks of 341: they straddle
+        (16 * 341 + 1, 3, None),  # and the last block written is one row
+        (1000, 8, 7),             # 7-row blocks read under 128-row blocks written
+        (3 * 128 + 1, 8, 128),    # the last block read and the last written are one row
+    ])
+    def test_gsvd_reads_in_blocks_give_the_whole_reads_parts(self, tmp_path, monkeypatch, samples, channels, step):
+        # The CLI reads A and B in TSQR blocks, and A again for its bands;
+        # the library's gsvd of the whole arrays runs the same TSQR blocks.
+        if step is not None:
+            monkeypatch.setattr(linalg, "_block_rows", lambda width: step)
+        self.assert_parts_are_separates(tmp_path, samples, "gsvd", channels=channels)
 
     @pytest.mark.parametrize("method", ["svd", "gsvd"])
     def test_band_writes_hold_no_band(self, tmp_path, method):

@@ -168,6 +168,38 @@ class TestCsvReaderPaths:
         assert back.data.tobytes() == data.tobytes()
         assert back.labels == tuple(f"ch{j}" for j in range(8))
 
+    @pytest.mark.parametrize("late", ["none", "blank-lines", "underscore", "non-utf8"])
+    def test_blocks_are_the_whole_read(self, tmp_path, monkeypatch, late):
+        # 50 rows of 3 channels in blocks of 7. Blank lines, one at a block's
+        # edge, are skipped before numpy reads (it warns at an empty one
+        # inside a block, and rejects one of spaces); a cell numpy rejects in
+        # the sixth block falls back to the line loop, whose later rows
+        # follow in the same blocks.
+        data = np.random.default_rng(16).standard_normal((50, 3))
+        path = tmp_path / "sig.csv"
+        fio.write_channels_csv(path, ChannelSet(data))
+        lines = path.read_bytes().splitlines(keepends=True)
+        if late in ("none", "blank-lines"):
+            monkeypatch.setattr(fio, "_read_csv_lines", lambda path, header: pytest.fail("the line loop ran"))
+        if late == "blank-lines":
+            for at, blank in ((51, b"\n"), (30, b"\n"), (20, b"  \n"), (8, b"\n"), (1, b"\n")):
+                lines.insert(at, blank)
+        elif late == "underscore":
+            lines[41] = b"1_0," + lines[41].split(b",", 1)[1]
+            data[40, 0] = 10.0
+        elif late == "non-utf8":
+            lines[41] = b"\xff" + lines[41]
+        path.write_bytes(b"".join(lines))
+        if late == "non-utf8":
+            with pytest.raises(ParseError, match="byte 0xff is not UTF-8") as err:
+                list(fio._csv_blocks(path, True, lambda width: 7))
+            assert err.value.line == 42
+            return
+        labels, *blocks = fio._csv_blocks(path, True, lambda width: 7)
+        assert labels == ("ch0", "ch1", "ch2")
+        assert [len(block) for block in blocks] == [7] * 7 + [1]
+        assert np.concatenate(blocks).tobytes() == fio.read_channels_csv(path).data.tobytes() == data.tobytes()
+
     @pytest.mark.parametrize("text", ["", "a,b\n", "\n  \n\n", "a,b\n\n \n"])
     @pytest.mark.parametrize("read", [fio.read_channels_csv, fio.read_grid_csv])
     def test_no_data_rows_raise_without_a_numpy_warning(self, tmp_path, text, read):
@@ -367,6 +399,15 @@ class TestBlockWriter:
         for write in (fio.write_channels_csv, fio.write_grid_csv):
             raise_exactly(InvalidInputError, lambda: write(tmp_path / "t.csv", table), match="rows 129-256")
             assert not (tmp_path / "t.csv").exists()  # its first block would read back as the table
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+    def test_a_channel_table_with_no_cell_is_a_shape_error(self, tmp_path, shape):
+        # A table with no column has no labels: it was refused for them
+        path = tmp_path / "t.csv"
+        raise_exactly(ShapeError, lambda: fio.write_channels_csv(path, np.zeros(shape)),
+                      match=re.escape(f"{path}: a table needs at least one row and one column, "
+                                      f"got {shape[0]}x{shape[1]}"))
+        assert not path.exists()
 
     def test_labels_must_match_the_channels(self, tmp_path):
         raise_exactly(ShapeError, lambda: fio.write_channels_csv(tmp_path / "t.csv", np.ones((4, 3)),

@@ -493,6 +493,52 @@ class TestGsvdOfAReference:
                           match="^QR of a 5x3 matrix failed: qr did not converge$")
 
 
+class TestGsvdOfRowBlocks:
+    """gsvd(_reference(A's blocks), _reference(B's blocks)), the CLI's route:
+    each matrix reduced as its row blocks are read gives the bytes of
+    gsvd(a, b), and the result holds neither matrix."""
+
+    @pytest.mark.parametrize("step", [1, 4, 9])
+    def test_equals_the_matrix_route(self, monkeypatch, step):
+        # A's first block is zero and its other entries below 1: the exponent
+        # is that of the largest |entry|, not the largest of the blocks' exponents
+        monkeypatch.setattr(linalg, "_block_rows", lambda width: step)
+        rng = np.random.default_rng(step)
+        a, b = 1e-3 * rng.standard_normal((20, 4)), rng.standard_normal((13, 4))
+        a[:step] = 0.0
+
+        def blocks(x):
+            return (x[j : j + step].copy() for j in range(0, len(x), step))
+
+        want = linalg.gsvd(a, b)
+        got = linalg.gsvd(linalg._reference(blocks(a), "A"), linalg._reference(blocks(b)))
+        for name in ("x_factor", "x_dual", "u_factor", "v_factor", "alpha", "beta", "balanced_values"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (got.shape, got.b_shift, got.factorizations) == (want.shape, want.b_shift, want.factorizations)
+        assert got.a is None and got.b is None
+        for read in (lambda: got.u_basis, got.reconstruct_a):
+            raise_exactly(LayoutError, read, match="^U needs A, and this decomposition was built "
+                                                   "from A's triangle alone$")
+        raise_exactly(LayoutError, lambda: signal.separate(got, signal.cutoff(got)),
+                      match="^this decomposition was built from A's triangle and holds no rows of A")
+
+    @pytest.mark.parametrize("blocks, error, message", [
+        ([np.ones((3, 2)), np.array([[1.0, np.inf]])], InvalidInputError, "^A contains non-finite entries$"),
+        ([np.ones((3, 2)), np.ones((3, 3))], ShapeError, "^A's row blocks must share a column count, got 2 and 3$"),
+        ([np.ones(3)], ShapeError, "^A must be 2-D, got ndim=1$"),
+        ([], ShapeError, "^A must have at least one row and one column, got no rows$"),
+    ], ids=["non-finite", "widths", "1-d", "none"])
+    def test_block_faults_are_typed_errors(self, blocks, error, message):
+        raise_exactly(error, lambda: linalg._reference(iter(blocks), "A"), match=message)
+
+    def test_a_failing_block_names_the_rows_read(self):
+        rng = np.random.default_rng(3)
+        blocks = [rng.standard_normal((4, 3)) for _ in range(3)]
+        with lapack_fails("qr", 4):  # the third block's, once 12 rows are read
+            raise_exactly(ConvergenceError, lambda: linalg._reference(iter(blocks), "A"),
+                          match="^QR of a 12x3 matrix failed: qr did not converge$")
+
+
 class TestBlockedGsvd:
     """gsvd builds R_A and R_B by TSQR over blocks of _block_rows rows; small
     blocks agree with one block to rounding."""

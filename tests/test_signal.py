@@ -418,6 +418,16 @@ class TestHankelStreamed:
         with pytest.raises(RangeError, match="exceeds signal length"):
             signal.embed(ChannelSet(np.ones((40, 1))), EmbedLayout.hankel(41))
 
+    @pytest.mark.parametrize("rows", [8, 12])
+    def test_rejects_a_basis_of_another_window_length(self, rows):
+        # 100 samples at L = 10: an 8-row basis gave three 98-sample signals,
+        # and a 12-row one a bare numpy ValueError
+        x = np.random.default_rng(24).standard_normal((100, 1))
+        xt = signal.embed(ChannelSet(x), EmbedLayout.hankel(10)).T
+        basis = np.linalg.qr(np.random.default_rng(rows).standard_normal((rows, 6)))[0]
+        raise_exactly(ShapeError, lambda: linalg.StreamedSpectrum(basis, np.arange(6.0, 0.0, -1.0), 6, xt, 0),
+                      match=f"^left_basis has {rows} rows, but X\\^T has 10 columns$")
+
     def test_rejects_a_spectrum_of_another_layout(self):
         x = np.random.default_rng(23).standard_normal((100, 1))
         spec = linalg.streamed_svd(signal.embed(ChannelSet(x), EmbedLayout.hankel(10)).T)
