@@ -14,8 +14,8 @@ import gc
 import json
 import math
 import os
-import stat
 import sys
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -91,14 +91,45 @@ def _refuse_unread(rules) -> None:
             raise ParseError(f"{flag} applies to {scope} only")
 
 
-def _reference_of(path, name):
+def _reference_of(path, name, spill=None):
     """The ``linalg._reference`` of the signal CSV at ``path``, read in TSQR
-    blocks and never held whole, and its labels."""
+    blocks and never held whole, and its labels. With ``spill``, a binary
+    file, each block is also written to it as the TSQR takes it, 8 bytes per
+    entry in row order, for :func:`_spilled_rows` to read back."""
+
+    def spilled(blocks):
+        for block in blocks:
+            block.tofile(spill)
+            yield block
+
     with contextlib.closing(fio._csv_blocks(path, True, linalg._block_rows)) as blocks:
         labels = next(blocks)
-        reduced = linalg._reference(blocks, name)
+        reduced = linalg._reference(blocks if spill is None else spilled(blocks), name)
     fio._named(path, signal._check_samples, reduced.shape)
     return reduced, labels
+
+
+def _spill_beside(output_prefix):
+    """An unnamed binary file in the directory of ``output_prefix``, for
+    :func:`_reference_of` to spill to: beside the outputs, not in a temporary
+    directory that may be held in memory. A fault names the directory, not
+    the random name the file was tried under."""
+    directory = os.path.dirname(output_prefix) or os.curdir
+    try:
+        return tempfile.TemporaryFile(dir=directory)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, directory) from None
+
+
+def _spilled_rows(spill, width):
+    """``rows(r0, r1)``: rows ``[r0, r1)`` of the table of ``width`` columns
+    that :func:`_reference_of` spilled, read back by offset."""
+
+    def rows(r0, r1):
+        spill.seek(r0 * width * 8)
+        return np.fromfile(spill, np.float64, (r1 - r0) * width).reshape(r1 - r0, width)
+
+    return rows
 
 
 def cmd_separate(args) -> RunReport:
@@ -115,34 +146,31 @@ def cmd_separate(args) -> RunReport:
         raise ParseError("hankel layout requires --window-length")
     # A hankel layout checks --window-length before the input is read.
     hankel = signal.EmbedLayout.hankel(args.window_length) if args.layout == "hankel" else None
-    if args.method == "gsvd":
-        # Neither recording is held. Each enters the GSVD only through its
-        # triangle, built as it is read in TSQR blocks, the reference first;
-        # the bands are then rows of A, read a second time, times n x n matrices.
-        reference = _reference_of(args.second, "B")[0]
-        if not stat.S_ISREG(os.stat(args.input).st_mode):  # a pipe reads empty the second time
-            raise ParseError(f"{args.input}: --method gsvd reads the input twice, so it must be a regular file")
-        triangle, labels = _reference_of(args.input, "A")
-        decomp = linalg.gsvd(triangle, reference)
-        n_samples, width = decomp.shape
-        values, values_key = decomp.generalized_values, "generalized_values"
-        rank_info = {"infinite_values": int(np.sum(np.isinf(decomp.balanced_values)))}
-    else:
-        channels = fio.read_channels_csv(args.input)
-        (n_samples, width), labels = channels.data.shape, channels.labels
-        a = signal.embed(channels, hankel or signal.EmbedLayout.channel_columns(n_samples))
-        del channels  # leave a, a view, the only holder of the samples
-        decomp = linalg.streamed_svd(a.T) if hankel else linalg.svd(a)
-        del a
-        values, values_key = decomp.singular_values[: decomp.numerical_rank], "singular_values"
-        rank_info = {"numerical_rank": decomp.numerical_rank}
-    cut = signal.cutoff(decomp)
-
-    outputs = [f"{args.output_prefix}_{name}.csv" for name in ("dominant", "weak", "noise")]
-    rows_of_a = (fio._Reread(args.input, decomp.shape, linalg._block_rows) if args.method == "gsvd"
-                 else contextlib.nullcontext())
-    with rows_of_a as a:
-        blocks = signal._band_blocks(decomp, cut, a)  # all three parts, a block of rows at a time
+    with _spill_beside(args.output_prefix) if args.method == "gsvd" else contextlib.nullcontext() as spill:
+        if args.method == "gsvd":
+            # Neither recording is held. Each enters the GSVD only through its
+            # triangle, built as it is parsed in TSQR blocks, the reference
+            # first; the bands are then A's spilled rows times n x n matrices.
+            reference = _reference_of(args.second, "B")[0]
+            triangle, labels = _reference_of(args.input, "A", spill)
+            decomp = linalg.gsvd(triangle, reference)
+            n_samples, width = decomp.shape
+            rows_of_a = _spilled_rows(spill, width)
+            values, values_key = decomp.generalized_values, "generalized_values"
+            rank_info = {"infinite_values": int(np.sum(np.isinf(decomp.balanced_values)))}
+        else:
+            channels = fio.read_channels_csv(args.input)
+            (n_samples, width), labels = channels.data.shape, channels.labels
+            a = signal.embed(channels, hankel or signal.EmbedLayout.channel_columns(n_samples))
+            del channels  # leave a, a view, the only holder of the samples
+            decomp = linalg.streamed_svd(a.T) if hankel else linalg.svd(a)
+            del a
+            rows_of_a = None
+            values, values_key = decomp.singular_values[: decomp.numerical_rank], "singular_values"
+            rank_info = {"numerical_rank": decomp.numerical_rank}
+        cut = signal.cutoff(decomp)
+        outputs = [f"{args.output_prefix}_{name}.csv" for name in ("dominant", "weak", "noise")]
+        blocks = signal._band_blocks(decomp, cut, rows_of_a)  # all three parts, a block of rows at a time
         fio._write_channel_tables(outputs, (n_samples, width), blocks, labels)
 
     return RunReport(

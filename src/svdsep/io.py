@@ -249,50 +249,6 @@ def _csv_blocks(path, header, block_rows=None):
         yield table[r0 : r0 + step]
 
 
-class _Reread:
-    """The rows of a signal CSV read a second time, forward, in the blocks of
-    :func:`_csv_blocks`: ``self[r0:r1]`` is rows ``[r0, r1)``, for slices
-    each starting between the previous slice's start and end, as
-    ``signal._band_rows`` asks for the rows of A. Only the rows from the
-    previous start on and one block are held; leaving a ``with`` block
-    closes the file.
-
-    The table must still have ``shape``, what the first read found: else
-    the slice that finds it raises :class:`InvalidInputError`; the slice
-    that ends at the last row checks that no row follows.
-    """
-
-    def __init__(self, path, shape, block_rows):
-        self._path, self._shape = path, shape
-        self._blocks = _csv_blocks(path, True, block_rows)
-        next(self._blocks)  # the labels, taken from the first read
-        self._held, self._start = np.empty((0, shape[1])), 0
-
-    def __enter__(self) -> "_Reread":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._blocks.close()
-
-    def __getitem__(self, span: slice) -> np.ndarray:
-        r0, r1 = span.start, span.stop
-        held = self._held[r0 - self._start :]
-        while len(held) < r1 - r0:
-            block = next(self._blocks, None)
-            if block is None or block.shape[1] != self._shape[1]:
-                raise self._changed()
-            held = np.concatenate([held, block]) if len(held) else block
-        if r0 + len(held) > self._shape[0] or (r1 == self._shape[0] and next(self._blocks, None) is not None):
-            raise self._changed()
-        self._held, self._start = held, r0
-        return held[: r1 - r0]
-
-    def _changed(self) -> InvalidInputError:
-        rows, width = self._shape
-        return InvalidInputError(f"{self._path} changed while it was read: "
-                                 f"its table is no longer {rows} rows of {width} columns")
-
-
 def _read_csv_lines(path, header):
     """:func:`_read_csv` one line at a time, raising ``ParseError`` at the first fault.
 

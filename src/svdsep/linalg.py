@@ -177,7 +177,8 @@ class GsvdResult:
     passes both so. Every field then holds the bytes the matrix would give,
     but ``a`` or ``b`` is None. Without A, :attr:`u_basis` and
     :meth:`reconstruct_a` raise :class:`LayoutError`, and the bands are
-    formed from A's rows read again (``signal._band_blocks``); without B,
+    formed from rows of A the caller keeps (``signal._band_blocks``, as the
+    CLI reads back the rows of A it spilled while parsing); without B,
     :attr:`v_basis` and :meth:`reconstruct_b` do.
     """
 

@@ -460,13 +460,14 @@ def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
         yield ChannelSet(table)
 
 
-def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult, a=None):
+def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: CutoffResult,
+                 rows_of_a=None):
     """``blocks(r0, r1)``: rows ``[r0, r1)`` of the three signals of
     :func:`band_signals`, exact whatever the blocks, after every check.
 
     An SVD or GSVD gives the rows of its bands (:func:`_band_rows`); a GSVD
-    reads them from ``a`` when given, an object whose ``a[r0:r1]`` are rows
-    of A, as the CLI's second read of A is. A
+    takes the rows of A from ``rows_of_a(r0, r1)`` when given, as the CLI
+    reads them back from A's spilled rows. A
     streamed spectrum is hankelized by rank (:func:`_hankel_rows`) from x,
     read in place as a 1-D view of the memory of ``transposed``: in the
     window view ``embed(...).T``, a row stride equal to its column stride
@@ -475,7 +476,7 @@ def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
     """
     ranges = _band_ranges(factors, cut)
     if not isinstance(factors, StreamedSpectrum):
-        return lambda r0, r1: _band_rows(factors, ranges, r0, r1, a)
+        return lambda r0, r1: _band_rows(factors, ranges, r0, r1, rows_of_a)
     xt = factors.transposed
     pitch = xt.strides[1]  # bytes from one sample to the next
     if xt.strides[0] != pitch:
@@ -485,25 +486,26 @@ def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
     return lambda r0, r1: _hankel_rows(factors.left_basis, ranges, x, r0, r1)
 
 
-def _band_rows(factors: SpectrumResult | GsvdResult, ranges, r0: int, r1: int, a=None) -> list[np.ndarray]:
+def _band_rows(factors: SpectrumResult | GsvdResult, ranges, r0: int, r1: int,
+               rows_of_a=None) -> list[np.ndarray]:
     """Rows ``[r0, r1)`` of the bands ``ranges`` of ``factors``.
 
     A band is ``U[:, b] diag(w[b]) X[:, b]^T``. A generalized band is rows
     of A times an n x n band matrix, so no (m, n) basis is formed; the rows
-    are read from ``a`` when given, else from ``factors.a``, which a
-    decomposition given A as a reference lacks (:class:`LayoutError`).
+    are ``rows_of_a(r0, r1)`` when given, else read from ``factors.a``,
+    which a decomposition given A as a reference lacks (:class:`LayoutError`).
     """
     rows = factors.shape[0]
     if r1 - r0 == 1 and rows >= 2:
         # a one-row product would be a matrix-vector product, which rounds differently
         first = min(r0, rows - 2)
-        return [band[r0 - first : r0 - first + 1] for band in _band_rows(factors, ranges, first, first + 2, a)]
+        return [band[r0 - first : r0 - first + 1]
+                for band in _band_rows(factors, ranges, first, first + 2, rows_of_a)]
     if isinstance(factors, GsvdResult):
-        a = factors.a if a is None else a
-        if a is None:
+        if rows_of_a is None and factors.a is None:
             raise LayoutError("this decomposition was built from A's triangle and holds no rows of A "
                               "to form its bands from")
-        block = a[r0:r1]
+        block = factors.a[r0:r1] if rows_of_a is None else rows_of_a(r0, r1)
         return [block @ factors.band_matrix(lo, hi) for lo, hi in ranges]
     u = factors.left_basis[r0:r1]
     return [_band(u, factors.singular_values, factors.right_basis, lo, hi) for lo, hi in ranges]

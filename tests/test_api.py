@@ -2,9 +2,11 @@ import ast
 import dataclasses
 import importlib
 import json
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -163,12 +165,30 @@ def test_readme_install_comment_names_the_test_extra():
 TIER_1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 
 
-def test_ci_runs_the_tier_1_command_on_each_supported_python():
+def ci_job():
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((README.parent / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8"))
     (job,) = workflow["jobs"].values()
+    return job
+
+
+def test_ci_runs_the_tier_1_command_on_each_supported_python():
+    job = ci_job()
     assert job["timeout-minutes"] == 30
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
-    # --durations=10 lists the ten slowest tests of each run; it changes no pass or fail
-    assert runs == ["pip install .[test]", f"{TIER_1} --durations=10"]
+    # --durations=10 lists the ten slowest tests of each run; it changes no pass or fail.
+    # Then the installed entry point separates a recording read from a pipe.
+    assert runs[:2] == ["pip install .[test]", f"{TIER_1} --durations=10"]
+    assert len(runs) == 3 and "| svdsep separate /dev/stdin --method gsvd " in runs[2]
+
+
+def test_the_ci_entry_point_step_passes_from_the_source_tree(tmp_path):
+    # The step's own lines, with the module standing in for the installed entry point.
+    script = ci_job()["steps"][-1]["run"]
+    stand_in = f'svdsep() {{ {shlex.quote(sys.executable)} -m svdsep.cli "$@"; }}\n'
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    done = subprocess.run(["bash", "-ec", stand_in + script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in tmp_path.glob("piped_*")) == \
+        ["piped_dominant.csv", "piped_noise.csv", "piped_report.json", "piped_weak.csv"]
