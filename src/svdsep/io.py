@@ -2,8 +2,8 @@
 
 Signal and map CSVs share one codec that writes floats with ``%.17g``, so a
 write/read round trip is bit-exact. numpy's C text reader parses the rows,
-all at once or in row blocks; a line-at-a-time loop reads the file again
-only when that reader rejects a block, to name the fault by line and column. The PNG path is read-only
+all at once or in row blocks; a line-at-a-time loop parses again only a
+block that reader rejects, to name the fault by line and column. The PNG path is read-only
 and decodes exactly the subset needed here (8-bit grayscale, non-interlaced)
 with the standard library's zlib; anything else raises :class:`ParseError`.
 """
@@ -16,7 +16,8 @@ import re
 import struct
 import zlib
 from array import array
-from itertools import chain
+from itertools import chain, dropwhile, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -167,21 +168,16 @@ def _cell(path, text, line, column) -> float:
     return value
 
 
-def _not_utf8(path) -> ParseError:
-    """The error for a CSV that is not UTF-8, naming the line of its first bad byte.
+# The bytes a UTF-8 decoding with errors="surrogateescape" could not decode, one escape each.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
-    The text reader decodes ahead of the line it hands out, so the file is
-    read again here, on the error path only.
-    """
-    raw = Path(path).read_bytes()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = raw[: exc.start]
-        # lines end at \n, \r or \r\n, as the text reader splits them
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return ParseError(f"{path}: byte 0x{raw[exc.start]:02x} is not UTF-8", line=line)
-    return ParseError(f"{path}: not UTF-8 text")
+
+def _utf8(path, line, text) -> str:
+    """``text``, unless it holds a byte that is not UTF-8: then the ``ParseError`` naming it and its line."""
+    bad = _NOT_UTF8.search(text)
+    if bad:
+        raise ParseError(f"{path}: byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8", line=line)
+    return text
 
 
 def _labels(cells):
@@ -195,89 +191,91 @@ def _labels(cells):
 
 def _read_csv(path, header):
     """Read a CSV of finite floats into a (rows, width) array and labels (or
-    None): :func:`_csv_blocks` in one block."""
-    labels, table = _csv_blocks(path, header)
-    return table, labels
+    None): :func:`_csv_blocks` in one block, or joined from a pipe's blocks."""
+    labels, *blocks = _csv_blocks(path, header)
+    return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)), labels
+
+
+# Entries per block of a whole read that is not from a regular file: its lines
+# are kept until their block is parsed, so they are kept a block at a time.
+_KEPT_ENTRIES = 8192
 
 
 def _csv_blocks(path, header, block_rows=None):
     """Yield the labels of a CSV of finite floats (None when it has none),
     then its rows as (k, width) arrays: blocks of ``block_rows(width)``
-    rows, or one block when ``block_rows`` is None.
+    rows, or one block when ``block_rows`` is None and the file is regular
+    (blocks of ``_KEPT_ENTRIES`` entries when it is not).
 
-    Blank lines are skipped. Only with ``header`` is a non-numeric first
-    non-blank line taken as labels, which then fix the width. Each block is
-    parsed by numpy's C text reader, from a non-blank line on and at most
-    ``block_rows(width)`` rows at a time, so no read is empty (numpy warns on
-    one). When it rejects a block, or a block holds a non-finite value or
-    does not match the width, the file is read again by
-    :func:`_read_csv_lines`, which names the fault or reads the few cells
-    ``float`` accepts and numpy does not (``1_0``, non-ASCII digits); its
-    rows past those already yielded follow, in the same blocks.
+    The file is opened once and read forward, so a pipe reads as a regular
+    file does. Blank lines are skipped. Only with ``header`` is a
+    non-numeric first non-blank line taken as labels, which then fix the
+    width. Each block is parsed by numpy's C text reader, from a non-blank
+    line on and at most ``block_rows(width)`` rows at a time, so no read is
+    empty (numpy warns on one). When it rejects a block, or a block holds a
+    non-finite value or does not match the width, that block's lines are
+    parsed again by :func:`_parse_rows`, which names the fault or reads the
+    few cells ``float`` accepts and numpy does not (``1_0``, non-ASCII
+    digits), and numpy goes on with the next block. Those lines come from
+    the same handle: a pipe's are kept while numpy reads their block, and a
+    regular file seeks back to the block's first line, then keeps later
+    blocks' lines too, so it is read again at most once.
     """
-    given, started = 0, False
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = (text for text in fh if text.strip())
-            first, labels = next(lines, None), None
-            if header and first is not None:
-                labels = _labels(first.split(","))
-                if labels is not None:
-                    first = next(lines, None)
-            if first is not None:  # else the line loop names the empty file
-                width = len(first.split(",") if labels is None else labels)
-                step = block_rows and block_rows(width)
-                started = True
-                yield labels
-                while first is not None:
-                    block = np.loadtxt(chain([first], lines), delimiter=",", comments=None, ndmin=2,
-                                       max_rows=step)
-                    if block.shape[1] != width or not np.isfinite(block).all():
-                        break
-                    yield block
-                    given += len(block)
-                    first = next(lines, None)
-                else:
-                    return
-    except ValueError:  # UnicodeDecodeError included
-        pass
-    table, labels = _read_csv_lines(path, header)
-    if not started:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        lines = _numbered(fh)
+        first, labels = next(lines, None), None
+        if header and first is not None:
+            labels = _labels(_utf8(path, *first).split(","))
+            if labels is not None:
+                first = next(lines, None)
+        if first is None:
+            raise ParseError(f"{path}: no data rows")
+        width = len(first[1].split(",") if labels is None else labels)
+        keep = not fh.seekable()
+        step = block_rows(width) if block_rows else max(1, _KEPT_ENTRIES // width) if keep else None
         yield labels
-    step = block_rows(table.shape[1]) if block_rows else len(table)
-    for r0 in range(given, len(table), step):
-        yield table[r0 : r0 + step]
+        while first is not None:
+            held = [first]
+            texts = _kept(lines, held) if keep else map(itemgetter(1), lines)
+            try:
+                block = np.loadtxt(chain([first[1]], texts), delimiter=",", comments=None, ndmin=2,
+                                   max_rows=step)
+            except ValueError:
+                block = None
+            if block is None or block.shape[1] != width or not np.isfinite(block).all():
+                if keep:
+                    lines = chain(held, lines)
+                else:  # a regular file seeks back once: later blocks keep their lines
+                    fh.seek(0)
+                    lines, keep = dropwhile(lambda item, start=first[0]: item[0] < start, _numbered(fh)), True
+                block = _parse_rows(path, width, islice(lines, step))
+            yield block
+            first = next(lines, None)
 
 
-def _read_csv_lines(path, header):
-    """:func:`_read_csv` one line at a time, raising ``ParseError`` at the first fault.
+def _numbered(fh):
+    """The non-blank lines of ``fh``, each with its line number."""
+    return ((line, text) for line, text in enumerate(fh, start=1) if text.strip())
 
-    Blank lines are skipped but counted, so the error names the file's own
-    line and column.
-    """
-    labels = width = None
+
+def _kept(lines, held):
+    """The text of each numbered line, its pair appended to ``held`` first."""
+    for item in lines:
+        held.append(item)
+        yield item[1]
+
+
+def _parse_rows(path, width, lines) -> np.ndarray:
+    """The (k, width) rows of numbered CSV lines, one line at a time,
+    raising ``ParseError`` at the first fault with the line and column it names."""
     values = array("d")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line, text in enumerate(fh, start=1):
-                if not text.strip():
-                    continue
-                cells = text.split(",")
-                if header and width is None:
-                    labels = _labels(cells)
-                    if labels is not None:
-                        width = len(labels)
-                        continue
-                width = width or len(cells)
-                if len(cells) != width:
-                    raise ParseError(f"{path}: expected {width} columns, got {len(cells)}", line=line)
-                for column, cell in enumerate(cells, start=1):
-                    values.append(_cell(path, cell, line, column))
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    if not values:
-        raise ParseError(f"{path}: no data rows")
-    return np.frombuffer(values, dtype=np.float64).reshape(-1, width), labels
+    for line, text in lines:
+        cells = _utf8(path, line, text).split(",")
+        if len(cells) != width:
+            raise ParseError(f"{path}: expected {width} columns, got {len(cells)}", line=line)
+        for column, cell in enumerate(cells, start=1):
+            values.append(_cell(path, cell, line, column))
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
 
 
 def write_pgm(path, gray_u8, binary: bool = True) -> None:

@@ -8,7 +8,9 @@ separate route from the implementation under test.
 import contextlib
 import gc
 import math
+import os
 import struct
+import threading
 import tracemalloc
 import warnings
 import zlib
@@ -101,6 +103,35 @@ def lapack_fails(name, call=1):
         yield
     finally:
         setattr(np.linalg, name, real)
+
+
+@contextlib.contextmanager
+def fed_fifo(path, data):
+    """Inside the block, ``path`` is a named pipe that a writer thread feeds
+    ``data`` once, as ``cat data | ...`` would. A reader that stops early
+    leaves the writer a broken pipe, which it drops. After the data the
+    thread keeps opening the pipe for writing and closing it, so a reader
+    that opens it again reads it empty rather than waiting for ever."""
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def write():
+        with contextlib.suppress(BrokenPipeError):
+            with open(path, "wb") as fh:
+                fh.write(data)
+        while not done.wait(0.05):
+            with contextlib.suppress(OSError):  # ENXIO while no reader has it open
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield path
+    finally:
+        done.set()
+        with contextlib.suppress(OSError):  # lets a writer still waiting for a reader open, and stop
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join()
 
 
 def with_failing_lapack(name, call, on_call=1):

@@ -9,13 +9,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import encode_png_gray8, lapack_fails, raise_exactly, short_ihdr_png, traced_peak
+from conftest import encode_png_gray8, fed_fifo, lapack_fails, raise_exactly, short_ihdr_png, traced_peak
 
 import svdsep
 from svdsep import io as fio
@@ -148,19 +147,26 @@ class TestSeparate:
             f"svdsep: parse error: {tmp_path / 'b.csv'}: non-finite value 'nan' (line 3, column 2)\n"
         assert not list(tmp_path.glob("g_*"))
 
-    @pytest.mark.parametrize("bad", ["input", "reference"])
+    @pytest.mark.parametrize("bad", ["input", "reference", "piped input"])
     def test_a_fault_in_a_late_block_names_its_line_and_column(self, tmp_path, capsys, bad):
-        # 3000 rows in blocks of 1024: the fault is in the third block, after two were reduced
+        # 3000 rows in blocks of 1024: the fault is in the third block, after
+        # two were reduced. A pipe, which cannot be read again, names it too.
         paths = {"input": tmp_path / "a.csv", "reference": tmp_path / "b.csv"}
         for seed, path in enumerate(paths.values()):
             fio.write_channels_csv(path, TestStreamedBands.mixture(3000, seed))
-        lines = paths[bad].read_text().splitlines(keepends=True)
+        faulty = paths["reference" if bad == "reference" else "input"]
+        lines = faulty.read_text().splitlines(keepends=True)
         lines[2500] = ",".join(["x" if j == 5 else cell for j, cell in enumerate(lines[2500].split(","))])
-        paths[bad].write_text("".join(lines))
-        assert run("separate", paths["input"], "--method", "gsvd", "--second", paths["reference"],
-                   "--output-prefix", tmp_path / "g") == 2
+        faulty.write_text("".join(lines))
+        with contextlib.ExitStack() as stack:
+            if bad == "piped input":
+                faulty = stack.enter_context(fed_fifo(tmp_path / "pipe.csv", faulty.read_bytes()))
+                paths["input"] = faulty
+            code = run("separate", paths["input"], "--method", "gsvd", "--second", paths["reference"],
+                       "--output-prefix", tmp_path / "g")
+        assert code == 2
         assert capsys.readouterr().err == \
-            f"svdsep: parse error: {paths[bad]}: not a number: 'x' (line 2501, column 6)\n"
+            f"svdsep: parse error: {faulty}: not a number: 'x' (line 2501, column 6)\n"
         assert not list(tmp_path.glob("g_*"))
 
     def test_an_input_rewritten_after_its_read_gives_the_parts_of_the_rows_read(self, tmp_path, monkeypatch):
@@ -182,26 +188,26 @@ class TestSeparate:
         monkeypatch.undo()
         TestStreamedBands.assert_parts_of(tmp_path, data, "gsvd")
 
-    def test_gsvd_reads_an_input_from_a_pipe(self, tmp_path):
-        # A is parsed once, so a pipe gives the parts of the regular file it carries.
+    @pytest.mark.parametrize("cell", ["clean", "underscore"])
+    def test_gsvd_reads_an_input_from_a_pipe(self, tmp_path, cell):
+        # A is parsed once, so a pipe gives the parts of the regular file it
+        # carries, also when the third of its 1024-row blocks holds a cell
+        # numpy rejects and float reads (1_0).
         fio.write_channels_csv(tmp_path / "a.csv", TestStreamedBands.mixture(3000, 1))
         fio.write_channels_csv(tmp_path / "b.csv", TestStreamedBands.mixture(3000, 2))
-        pipe = tmp_path / "pipe.csv"
-        os.mkfifo(pipe)
-        writer = threading.Thread(target=pipe.write_bytes, args=((tmp_path / "a.csv").read_bytes(),))
-        writer.start()
-        try:
-            code = run("separate", pipe, "--method", "gsvd", "--second", tmp_path / "b.csv",
-                       "--output-prefix", tmp_path / "piped")
-        finally:
-            if writer.is_alive():  # a run that never opened the pipe leaves the writer waiting
-                os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
-            writer.join()
-        assert code == 0
+        if cell == "underscore":
+            lines = (tmp_path / "a.csv").read_text().splitlines(keepends=True)
+            lines[2500] = "1_0," + lines[2500].split(",", 1)[1]
+            (tmp_path / "a.csv").write_text("".join(lines))
+        with fed_fifo(tmp_path / "pipe.csv", (tmp_path / "a.csv").read_bytes()) as pipe:
+            assert run("separate", pipe, "--method", "gsvd", "--second", tmp_path / "b.csv",
+                       "--output-prefix", tmp_path / "piped") == 0
         assert run("separate", tmp_path / "a.csv", "--method", "gsvd", "--second", tmp_path / "b.csv",
                    "--output-prefix", tmp_path / "file") == 0
         for name in TestStreamedBands.PARTS:
             assert (tmp_path / f"piped_{name}.csv").read_bytes() == (tmp_path / f"file_{name}.csv").read_bytes()
+        if cell == "underscore":
+            assert fio.read_channels_csv(tmp_path / "a.csv").data[2499, 0] == 10.0
 
     @pytest.mark.parametrize("method", ["svd", "gsvd"])
     def test_a_part_written_over_the_input_keeps_its_rows(self, tmp_path, method):

@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import encode_png_gray8, raise_exactly, short_ihdr_png, traced_peak
+from conftest import encode_png_gray8, fed_fifo, raise_exactly, short_ihdr_png, traced_peak
 
 from svdsep import io as fio
 from svdsep.errors import InvalidInputError, ParseError, ShapeError
@@ -151,19 +151,20 @@ class TestCsvReaderPaths:
         path = tmp_path / "sig.csv"
         path.write_bytes(raw)
         got = fio.read_channels_csv(path)
-        loop_data, loop_labels = fio._read_csv_lines(path, header=True)
+        with open(path, encoding="utf-8") as fh:
+            loop_data = fio._parse_rows(path, 2, list(fio._numbered(fh))[1:])
         assert got.data.tobytes() == loop_data.tobytes() == np.array(want).tobytes()
-        assert got.labels == loop_labels == ("a", "b")
+        assert got.labels == ("a", "b")
 
     def test_well_formed_file_never_reaches_the_loop(self, tmp_path, monkeypatch):
         data = np.random.default_rng(15).standard_normal((4000, 8))
         path = tmp_path / "sig.csv"
         fio.write_channels_csv(path, ChannelSet(data))
 
-        def loop(path, header):
+        def loop(path, width, lines):
             raise AssertionError("the line loop ran")
 
-        monkeypatch.setattr(fio, "_read_csv_lines", loop)
+        monkeypatch.setattr(fio, "_parse_rows", loop)
         back = fio.read_channels_csv(path)
         assert back.data.tobytes() == data.tobytes()
         assert back.labels == tuple(f"ch{j}" for j in range(8))
@@ -180,7 +181,7 @@ class TestCsvReaderPaths:
         fio.write_channels_csv(path, ChannelSet(data))
         lines = path.read_bytes().splitlines(keepends=True)
         if late in ("none", "blank-lines"):
-            monkeypatch.setattr(fio, "_read_csv_lines", lambda path, header: pytest.fail("the line loop ran"))
+            monkeypatch.setattr(fio, "_parse_rows", lambda path, width, lines: pytest.fail("the line loop ran"))
         if late == "blank-lines":
             for at, blank in ((51, b"\n"), (30, b"\n"), (20, b"  \n"), (8, b"\n"), (1, b"\n")):
                 lines.insert(at, blank)
@@ -199,6 +200,69 @@ class TestCsvReaderPaths:
         assert labels == ("ch0", "ch1", "ch2")
         assert [len(block) for block in blocks] == [7] * 7 + [1]
         assert np.concatenate(blocks).tobytes() == fio.read_channels_csv(path).data.tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("block_rows", [lambda width: 7, None], ids=["blocks", "whole"])
+    @pytest.mark.parametrize("late", ["none", "underscore", "x", "nan", "narrow", "non-utf8"])
+    def test_a_pipe_reads_as_its_file(self, tmp_path, late, block_rows):
+        # A pipe cannot be read again: the line loop parses the block numpy
+        # rejects from the lines kept while numpy read it. Row 2899 lies in a
+        # late block of 7 rows, and in the second block a whole read of a
+        # pipe takes (_KEPT_ENTRIES // 3 = 2730 rows).
+        data = np.random.default_rng(17).standard_normal((3000, 3))
+        path = tmp_path / "sig.csv"
+        fio.write_channels_csv(path, ChannelSet(data))
+        lines = path.read_bytes().splitlines(keepends=True)
+        row = lines[2900].rstrip(b"\n").split(b",")
+        if late == "narrow":
+            del row[2]
+        elif late != "none":
+            row[1] = {"underscore": b"1_0", "x": b"x", "nan": b"nan", "non-utf8": b"\xff1"}[late]
+        lines[2900] = b",".join(row) + b"\n"
+        if late == "underscore":
+            data[2899, 1] = 10.0
+        raw = b"".join(lines)
+        path.write_bytes(raw)
+
+        def outcome(path):
+            try:
+                if block_rows is None:
+                    table, labels = fio._read_csv(path, header=True)
+                    return labels, table.tobytes()
+                labels, *blocks = fio._csv_blocks(path, True, block_rows)
+                return labels, [len(block) for block in blocks], np.concatenate(blocks).tobytes()
+            except ParseError as err:
+                return str(err).replace(str(path), "<path>"), err.line, err.column
+
+        from_file = outcome(path)
+        with fed_fifo(tmp_path / "pipe.csv", raw) as pipe:
+            assert outcome(pipe) == from_file
+        if late in ("none", "underscore"):
+            assert from_file[0] == ("ch0", "ch1", "ch2") and from_file[-1] == data.tobytes()
+        else:
+            assert from_file[1] == 2901, from_file
+
+    def test_a_regular_file_is_read_again_from_its_handle_and_once(self, tmp_path, monkeypatch):
+        # Cells numpy rejects in three late blocks of 7 rows: the first seeks
+        # the open handle back to its block, so the rows are those read
+        # although the path now names another file; the two after it are
+        # parsed from lines kept since.
+        data = np.random.default_rng(18).standard_normal((50, 3))
+        path = tmp_path / "sig.csv"
+        fio.write_channels_csv(path, ChannelSet(data))
+        lines = path.read_bytes().splitlines(keepends=True)
+        for row in (19, 29, 40):
+            lines[row + 1] = b"1_0," + lines[row + 1].split(b",", 1)[1]
+            data[row, 0] = 10.0
+        path.write_bytes(b"".join(lines))
+        numbered, handles = fio._numbered, []
+        monkeypatch.setattr(fio, "_numbered", lambda fh: handles.append(fh) or numbered(fh))
+        blocks = fio._csv_blocks(path, True, lambda width: 7)
+        labels, first = next(blocks), next(blocks)
+        path.unlink()
+        fio.write_channels_csv(path, ChannelSet(data[:10, :2]))
+        assert np.concatenate([first, *blocks]).tobytes() == data.tobytes()
+        assert labels == ("ch0", "ch1", "ch2")
+        assert len(handles) == 2 and handles[0] is handles[1]
 
     @pytest.mark.parametrize("text", ["", "a,b\n", "\n  \n\n", "a,b\n\n \n"])
     @pytest.mark.parametrize("read", [fio.read_channels_csv, fio.read_grid_csv])
