@@ -16,8 +16,7 @@ import re
 import struct
 import zlib
 from array import array
-from itertools import chain, dropwhile, islice
-from operator import itemgetter
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -217,29 +216,29 @@ def _csv_blocks(path, header, block_rows=None):
     parsed again by :func:`_parse_rows`, which names the fault or reads the
     few cells ``float`` accepts and numpy does not (``1_0``, non-ASCII
     digits), and numpy goes on with the next block. Those lines come from
-    the same handle: a pipe's are kept while numpy reads their block, and a
-    regular file seeks back to the block's first line, then keeps later
-    blocks' lines too, so it is read again at most once.
+    the same handle: a pipe numbers and keeps a block's lines while numpy
+    reads it; a regular file numbers no line past the first until a block
+    is rejected, then seeks back, skips the lines already given and keeps
+    later blocks' lines, so it is read again at most once.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        lines = _numbered(fh)
-        first, labels = next(lines, None), None
-        if header and first is not None:
-            labels = _labels(_utf8(path, *first).split(","))
-            if labels is not None:
-                first = next(lines, None)
+        line, first = next(_numbered(fh), (1, None))
+        labels = _labels(_utf8(path, line, first).split(",")) if header and first is not None else None
+        keep = not fh.seekable()
+        lines = _numbered(fh, line + 1) if keep else (text for text in fh if text.strip())
+        given = int(labels is not None)  # the non-blank lines before the next block
+        if given:
+            line, first = next(lines, (0, None)) if keep else (0, next(lines, None))
         if first is None:
             raise ParseError(f"{path}: no data rows")
-        width = len(first[1].split(",") if labels is None else labels)
-        keep = not fh.seekable()
+        width = len(first.split(",") if labels is None else labels)
         step = block_rows(width) if block_rows else max(1, _KEPT_ENTRIES // width) if keep else None
         yield labels
         while first is not None:
-            held = [first]
-            texts = _kept(lines, held) if keep else map(itemgetter(1), lines)
+            held = [(line, first)]
             try:
-                block = np.loadtxt(chain([first[1]], texts), delimiter=",", comments=None, ndmin=2,
-                                   max_rows=step)
+                block = np.loadtxt(chain([first], _kept(lines, held) if keep else lines), delimiter=",",
+                                   comments=None, ndmin=2, max_rows=step)
             except ValueError:
                 block = None
             if block is None or block.shape[1] != width or not np.isfinite(block).all():
@@ -247,15 +246,16 @@ def _csv_blocks(path, header, block_rows=None):
                     lines = chain(held, lines)
                 else:  # a regular file seeks back once: later blocks keep their lines
                     fh.seek(0)
-                    lines, keep = dropwhile(lambda item, start=first[0]: item[0] < start, _numbered(fh)), True
+                    lines, keep = islice(_numbered(fh), given, None), True
                 block = _parse_rows(path, width, islice(lines, step))
+            given += len(block)
             yield block
-            first = next(lines, None)
+            line, first = next(lines, (0, None)) if keep else (0, next(lines, None))
 
 
-def _numbered(fh):
-    """The non-blank lines of ``fh``, each with its line number."""
-    return ((line, text) for line, text in enumerate(fh, start=1) if text.strip())
+def _numbered(fh, start=1):
+    """The non-blank lines of ``fh``, each with its line number, counted from ``start``."""
+    return ((line, text) for line, text in enumerate(fh, start=start) if text.strip())
 
 
 def _kept(lines, held):

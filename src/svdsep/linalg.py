@@ -122,9 +122,9 @@ class StreamedSpectrum:
     :class:`SpectrumResult`. ``transposed`` is the (n, m) array or view X^T
     was read from: when it is the window view of a stride-1 hankel layout,
     ``signal.band_signals`` forms the band signals over its n + m - 1
-    samples from it, by rank. It has no matrix parts (``signal.separate``
-    refuses it). A ``left_basis`` with other than m rows, one per column of
-    ``transposed``, is a :class:`ShapeError`.
+    samples from it, one linear filter per band whatever its rank. It has
+    no matrix parts (``signal.separate`` refuses it). A ``left_basis`` with
+    other than m rows, one per column of ``transposed``, is a :class:`ShapeError`.
     ``factorizations`` counts the factorizations run: a QR per block of
     ``linalg._block_rows`` rows, a QR per merge of two triangles (one fewer
     than the blocks) and the final SVD, so twice the block count.

@@ -218,35 +218,23 @@ def _unembed(matrix: np.ndarray, layout: EmbedLayout, target_length: int) -> np.
     return acc.reshape(-1, 1)
 
 
-def _hankel_rows(basis: np.ndarray, ranges, x: np.ndarray, j0: int, j1: int) -> list[np.ndarray]:
+def _hankel_rows(bands, x: np.ndarray, n: int, j0: int, j1: int) -> list[np.ndarray]:
     """Rows ``[j0, j1)``, within the samples of ``x``, of the dominant, weak
-    and noise signals of the stride-1 Hankel trajectory X of ``x`` with left
-    basis ``basis``.
+    and noise signals of the stride-1 Hankel trajectory of ``x`` in windows
+    of ``n``, from each band's ``(h, head, tail)`` (:func:`_band_blocks`).
 
-    ``w_k = u_k^T X`` is ``np.correlate(x, u_k, "valid")``, and a band's
-    diagonal sums are the sum over its ranks of ``np.convolve(u_k, w_k)``
-    (Korobeynikov, Statistics and Its Interface 3(3), 2010), divided by each
-    sample's window count (:func:`_hankel_counts`). Only the windows over
-    the rows are read (more than L where X has them: ``np.convolve`` sums in
-    reverse order when its second operand is the longer), and rows inside L
-    windows each are its "valid" part, so each row has the bytes of the sums
-    over all of x. The noise is x less the other two.
+    A row j inside all n windows (n - 1 <= j < K) is ``np.convolve`` of the
+    2n - 1 samples around it with h, divided by n: its own dot product. The
+    rows before are the band's head, those after its tail. So each row has
+    the same bytes whatever the block. The noise is x less the other two.
     """
-    n = basis.shape[0]
     windows = x.size - n + 1
-    k1 = min(windows, max(j1, n + 1))
-    k0 = max(0, min(j0 - n + 1, k1 - n - 1))
-    mode, first = ("valid", k0 + n - 1) if n - 1 <= j0 and j1 <= windows else ("full", k0)
-    counts = _hankel_counts(np.arange(j0, j1), n, windows)
-    dominant, weak, noise = (np.zeros((j1 - j0, 1)) for _ in range(3))
-    noise[:, 0] = x[j0:j1]
-    windowed = x[k0 : k1 + n - 1]
-    for acc, (lo, hi) in zip((dominant, weak), ranges):
-        for u in basis[:, lo:hi].T:
-            acc[:, 0] += np.convolve(u, np.correlate(windowed, u, "valid"), mode)[j0 - first : j1 - first]
-        acc[:, 0] /= counts  # at stride 1 every sample counts at least 1
-        noise -= acc
-    return [dominant, weak, noise]
+    a, b, t0 = max(j0, n - 1), min(j1, windows), max(windows, n - 1)
+    parts = []
+    for h, head, tail in bands:
+        inner = [np.convolve(x[a - n + 1 : b + n - 1], h, "valid") / n] if a < b else []
+        parts.append(np.concatenate([head[j0:j1], *inner, tail[max(j0 - t0, 0) : max(j1 - t0, 0)]])[:, None])
+    return parts + [x[j0:j1, None] - parts[0] - parts[1]]
 
 
 @dataclass(frozen=True)
@@ -448,12 +436,12 @@ def band_signals(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
     An SVD or GSVD yields :func:`separate`'s parts, bitwise, as whole
     channel columns of ``factors.shape[0]`` samples. A streamed spectrum of
     the window view ``embed(...).T`` of a stride-1 hankel layout yields its
-    signals over the K + L - 1 samples the view covers, formed by rank with
-    no block of the trajectory read; they agree with ``unembed`` of the
-    matrix route's parts to rounding. Its noise is the input less the other
-    two, so the three sum to the input, and the noise keeps the residual
-    past the numerical rank r when r < min(L, K). Any other streamed
-    spectrum is a :class:`LayoutError` before any band is formed.
+    signals over the K + L - 1 samples the view covers, one linear filter
+    per band whatever its rank (:func:`_band_blocks`); they agree with
+    ``unembed`` of the matrix route's parts to rounding. Its noise is the
+    input less the other two, so the three sum to the input, and the noise
+    keeps the residual past the numerical rank r when r < min(L, K). Any
+    other streamed spectrum is a :class:`LayoutError` before any band is formed.
     """
     samples = sum(factors.shape) - 1 if isinstance(factors, StreamedSpectrum) else factors.shape[0]
     for table in _band_blocks(factors, cut)(0, samples):
@@ -467,11 +455,13 @@ def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
 
     An SVD or GSVD gives the rows of its bands (:func:`_band_rows`); a GSVD
     takes the rows of A from ``rows_of_a(r0, r1)`` when given, as the CLI
-    reads them back from A's spilled rows. A
-    streamed spectrum is hankelized by rank (:func:`_hankel_rows`) from x,
-    read in place as a 1-D view of the memory of ``transposed``: in the
-    window view ``embed(...).T``, a row stride equal to its column stride
-    puts entry (j, i) at the one location of sample j + i. Which
+    reads them back from A's spilled rows. A streamed spectrum reads x in
+    place as a 1-D view of the memory of ``transposed`` (in the window view
+    ``embed(...).T``, equal row and column strides put entry (j, i) at
+    sample j + i), and sets up each band b once: its filter h_b, the 2L - 1
+    diagonal sums of P_b = U_b U_b^T (Harris & Yan, Physica D 239(20),
+    2010), and its first and last L - 1 samples, ``_unembed`` of P_b X_e
+    over the <= L - 1 windows X_e at that end (:func:`_hankel_rows`). Which
     factorization runs on which layout is the CLI's choice, not checked here.
     """
     ranges = _band_ranges(factors, cut)
@@ -483,7 +473,17 @@ def _band_blocks(factors: SpectrumResult | StreamedSpectrum | GsvdResult, cut: C
         raise LayoutError("a streamed spectrum forms its bands on a stride-1 hankel layout only, "
                           "read from its window view embed(...).T")
     x = np.lib.stride_tricks.as_strided(xt, shape=(sum(xt.shape) - 1,), strides=(pitch,), writeable=False)
-    return lambda r0, r1: _hankel_rows(factors.left_basis, ranges, x, r0, r1)
+    n, windows = factors.left_basis.shape[0], xt.shape[0]
+    e, bands = min(n - 1, windows), []  # e windows hold each end's samples
+    for lo, hi in ranges[:2]:
+        u = factors.left_basis[:, lo:hi]
+        head, tail = (_unembed(u @ (u.T @ xt[k : k + e].T), EmbedLayout.hankel(n), e + n - 1)[:, 0]
+                      for k in (0, windows - e))
+        h = np.zeros(2 * n - 1)
+        for i, column in enumerate((u @ u.T).T):  # h[n - 1 + d]: the sum of diagonal d of U_b U_b^T
+            h[n - 1 - i : 2 * n - 1 - i] += column
+        bands.append((h, head[: n - 1], tail[-e:]))
+    return lambda r0, r1: _hankel_rows(bands, x, n, r0, r1)
 
 
 def _band_rows(factors: SpectrumResult | GsvdResult, ranges, r0: int, r1: int,

@@ -178,9 +178,11 @@ def test_ci_runs_the_tier_1_command_on_each_supported_python():
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     # --durations=10 lists the ten slowest tests of each run; it changes no pass or fail.
-    # Then the installed entry point separates a recording read from a pipe.
+    # Then the installed entry point separates a recording read from a pipe,
+    # on the gsvd route and, from its first channel, on the hankel route.
     assert runs[:2] == ["pip install .[test]", f"{TIER_1} --durations=10"]
     assert len(runs) == 3 and "| svdsep separate /dev/stdin --method gsvd " in runs[2]
+    assert "cut -d, -f1 a_signals.csv | svdsep separate /dev/stdin --layout hankel --window-length 40 " in runs[2]
 
 
 def test_the_ci_entry_point_step_passes_from_the_source_tree(tmp_path):
@@ -190,5 +192,6 @@ def test_the_ci_entry_point_step_passes_from_the_source_tree(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
     done = subprocess.run(["bash", "-ec", stand_in + script], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert sorted(p.name for p in tmp_path.glob("piped_*")) == \
-        ["piped_dominant.csv", "piped_noise.csv", "piped_report.json", "piped_weak.csv"]
+    for prefix in ("piped", "hpiped"):
+        assert sorted(p.name for p in tmp_path.glob(f"{prefix}_*")) == \
+            [f"{prefix}_{name}" for name in ("dominant.csv", "noise.csv", "report.json", "weak.csv")]

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import re
@@ -245,24 +246,54 @@ class TestCsvReaderPaths:
         # Cells numpy rejects in three late blocks of 7 rows: the first seeks
         # the open handle back to its block, so the rows are those read
         # although the path now names another file; the two after it are
-        # parsed from lines kept since.
-        data = np.random.default_rng(18).standard_normal((50, 3))
+        # parsed from lines kept since. With blank lines before the rows from
+        # the tenth on, the seek skips the rows already given by count, and a
+        # bad cell in the block after them is named at its line and column.
+        numbered = fio._numbered
+        for blanks in (0, 2):
+            data = np.random.default_rng(18).standard_normal((50, 3))
+            path = tmp_path / f"sig{blanks}.csv"
+            fio.write_channels_csv(path, ChannelSet(data))
+            lines = path.read_bytes().splitlines(keepends=True)
+            for row in (19, 29, 40):
+                lines[row + 1] = b"1_0," + lines[row + 1].split(b",", 1)[1]
+                data[row, 0] = 10.0
+            if blanks:
+                lines[48] = lines[48].rsplit(b",", 1)[0] + b",x\n"
+                lines[11:] = [b" \n" * blanks + text for text in lines[11:]]
+            path.write_bytes(b"".join(lines))
+            handles = []
+            monkeypatch.setattr(fio, "_numbered", lambda fh: handles.append(fh) or numbered(fh))
+            blocks = fio._csv_blocks(path, True, lambda width: 7)
+            labels, got = next(blocks), [next(blocks)]
+            path.unlink()
+            fio.write_channels_csv(path, ChannelSet(data[:10, :2]))
+            with pytest.raises(ParseError) if blanks else contextlib.nullcontext() as err:
+                got.extend(blocks)
+            if blanks:  # row 47, after 38 rows with blank lines before them
+                assert (err.value.line, err.value.column) == (49 + blanks * 38, 3)
+            assert np.concatenate(got).tobytes() == data[: 42 if blanks else 50].tobytes()
+            assert labels == ("ch0", "ch1", "ch2")
+            assert len(handles) == 2 and handles[0] is handles[1]
+
+    @pytest.mark.parametrize("block_rows", [None, lambda width: 7], ids=["whole", "blocks"])
+    def test_a_clean_regular_file_numbers_no_line_past_its_first(self, tmp_path, monkeypatch, block_rows):
+        # numpy reads the bare texts: only a rejected block numbers the lines
+        data = np.random.default_rng(19).standard_normal((50, 3))
         path = tmp_path / "sig.csv"
         fio.write_channels_csv(path, ChannelSet(data))
-        lines = path.read_bytes().splitlines(keepends=True)
-        for row in (19, 29, 40):
-            lines[row + 1] = b"1_0," + lines[row + 1].split(b",", 1)[1]
-            data[row, 0] = 10.0
-        path.write_bytes(b"".join(lines))
-        numbered, handles = fio._numbered, []
-        monkeypatch.setattr(fio, "_numbered", lambda fh: handles.append(fh) or numbered(fh))
-        blocks = fio._csv_blocks(path, True, lambda width: 7)
-        labels, first = next(blocks), next(blocks)
-        path.unlink()
-        fio.write_channels_csv(path, ChannelSet(data[:10, :2]))
-        assert np.concatenate([first, *blocks]).tobytes() == data.tobytes()
-        assert labels == ("ch0", "ch1", "ch2")
-        assert len(handles) == 2 and handles[0] is handles[1]
+        path.write_bytes(b"\n" + path.read_bytes().replace(b"\n", b"\n \n", 20))
+        numbered, seen = fio._numbered, []
+
+        def counted(fh, *start):
+            for item in numbered(fh, *start):
+                seen.append(item[0])
+                yield item
+
+        monkeypatch.setattr(fio, "_numbered", counted)
+        labels, *blocks = fio._csv_blocks(path, True, block_rows)
+        assert np.concatenate(blocks).tobytes() == data.tobytes()
+        assert labels == ("ch0", "ch1", "ch2") and seen == [2]
 
     @pytest.mark.parametrize("text", ["", "a,b\n", "\n  \n\n", "a,b\n\n \n"])
     @pytest.mark.parametrize("read", [fio.read_channels_csv, fio.read_grid_csv])

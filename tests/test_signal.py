@@ -233,7 +233,8 @@ class TestBandSignals:
             raise AssertionError("a band was formed before the layout was checked")
 
         monkeypatch.setattr(signal, "_band_rows", unformable)
-        monkeypatch.setattr(np, "correlate", unformable)
+        monkeypatch.setattr(signal, "_unembed", unformable)  # a hankel band's ends
+        monkeypatch.setattr(np, "convolve", unformable)      # and its interior
         raise_exactly(LayoutError, call, match=match)
 
     @pytest.mark.parametrize("samples, window, stride", [
@@ -438,12 +439,13 @@ class TestHankelStreamed:
 
 class TestHankelBlocks:
     """The CLI's hankel parts, formed a block of samples at a time, hold the
-    bytes of the parts formed over the whole signal at once."""
+    bytes of the parts formed over the whole signal at once, and of parts
+    formed a sample at a time."""
 
     @staticmethod
     def whole_signal(spec, cut, x, layout):
-        """The parts by correlate and convolve over all of x, divided by the window counts,
-        which are counted by a pass per window row."""
+        """The parts by rank, correlate and convolve over all of x, divided by the window
+        counts, which are counted by a pass per window row."""
         counts = np.zeros(x.size)
         for i in range(layout.window_length):
             counts[i : i + spec.shape[1]] += 1
@@ -458,34 +460,65 @@ class TestHankelBlocks:
             parts.append(acc)
         return parts + [noise]
 
+    @staticmethod
+    def spectrum(samples, window):
+        rng = np.random.default_rng(samples + window)
+        x = np.sin(2 * np.pi * np.arange(samples) / 40) + 0.1 * rng.standard_normal(samples)
+        xt = signal.embed(ChannelSet(x[:, np.newaxis]), EmbedLayout.hankel(window)).T
+        if window > 1024:  # six orthonormal directions stand in for the SVD of a 1030-row X
+            basis = np.linalg.qr(rng.standard_normal((window, 6)))[0]
+            return x, linalg.StreamedSpectrum(basis, np.arange(6.0, 0.0, -1.0), 6, xt, 0)
+        return x, linalg.streamed_svd(xt)
+
+    # measured: the parts differ from the rank-by-rank route by at most
+    # 8.9e-16 x max|x|, and 1.2e-15 at (1000, 200), so the bound is about 3x
     @pytest.mark.parametrize("samples, window, noise_band", [
         (9973, 37, True),
         (3 * 1024 + 1, 40, True),  # the last block is one sample
         (2 * 1024 + 5, 37, True),  # the last block is shorter than a window
         (37, 37, True),            # N = L: one window
         (70, 40, True),            # N < 2L: fewer windows than L
+        (40, 39, True),            # two windows
+        (41, 20, True),            # N = 2L + 1: one sample inside L windows
         (3000, 2, True),
         (4000, 40, False),         # the weak band runs to the end: no noise band
+        (1000, 200, True),
         (2100, 1030, True),        # the first block is shorter than a window
     ])
     def test_blocks_are_the_whole_signal_parts(self, samples, window, noise_band):
-        rng = np.random.default_rng(samples + window)
-        x = np.sin(2 * np.pi * np.arange(samples) / 40) + 0.1 * rng.standard_normal(samples)
-        layout = EmbedLayout.hankel(window)
-        xt = signal.embed(ChannelSet(x[:, np.newaxis]), layout).T
-        if window > 1024:  # six orthonormal directions stand in for the SVD of a 1030-row X
-            basis = np.linalg.qr(rng.standard_normal((window, 6)))[0]
-            spec = linalg.StreamedSpectrum(basis, np.arange(6.0, 0.0, -1.0), 6, xt, 0)
-        else:
-            spec = linalg.streamed_svd(xt)
+        x, spec = self.spectrum(samples, window)
         cut = TestBandSignals.cut_for(spec.numerical_rank)
         if not noise_band:
             cut = signal.CutoffResult(m=cut.m, f=None, peak_values=(0.0,), method="svd-egv")
         blocks = signal._band_blocks(spec, cut)
-        got = [np.concatenate(parts)[:, 0] for parts in
-               zip(*(blocks(r0, min(r0 + 1024, samples)) for r0 in range(0, samples, 1024)))]
-        for part, want in zip(got, self.whole_signal(spec, cut, x, layout)):
-            assert part.tobytes() == want.tobytes()
+        whole = [part[:, 0] for part in blocks(0, samples)]
+        for step in (1024, 1):
+            got = [np.concatenate(parts)[:, 0] for parts in
+                   zip(*(blocks(r0, min(r0 + step, samples)) for r0 in range(0, samples, step)))]
+            assert [part.tobytes() for part in got] == [part.tobytes() for part in whole]
+        by_rank = self.whole_signal(spec, cut, x, EmbedLayout.hankel(window))
+        assert max(np.max(np.abs(p - q)) for p, q in zip(whole, by_rank)) <= 4e-15 * np.max(np.abs(x))
+
+    def test_a_block_filters_each_band_once_whatever_its_rank(self, monkeypatch):
+        # 198 of 200 ranks in the dominant and weak bands: one np.convolve per
+        # band per block, and each band's filter and ends formed before any block
+        x, spec = self.spectrum(4000, 200)
+        cut = signal.CutoffResult(m=1, f=spec.numerical_rank - 2, peak_values=(0.0, 0.0), method="svd-egv")
+        calls = {"convolve": 0, "unembed": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np, "convolve", counted("convolve", np.convolve))
+        monkeypatch.setattr(signal, "_unembed", counted("unembed", signal._unembed))
+        blocks = signal._band_blocks(spec, cut)
+        formed = dict(calls)
+        blocks(1024, 2048)
+        assert {name: calls[name] - formed[name] for name in calls} == {"convolve": 2, "unembed": 0}
+        assert formed["unembed"] == 4  # two ends of two bands
 
 
 class TestEnergyGap:
